@@ -9,10 +9,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .credentials import Credential, VerificationReport
-from .engine import tamper_check
-from .errors import ParseError, StaleChallenge, UnknownDid, UnknownSchema
+from .engine import verify_credential
+from .errors import ParseError, StaleChallenge, UnknownDid
 from .identity import Did, Envelope, decrypt, encrypt_for, sign, verify
-from .ledger import CredentialStatus, Ledger
+from .ledger import Ledger
 from .runtime import LogicalClock, SystemRng
 from .serialization import (
     canonical_json_bytes,
@@ -128,21 +128,7 @@ class Agent:
             raise ParseError(f"expected a credential message, got {message['kind']!r}")
         credential = Credential.from_json_dict(message["body"])
         self.wallet.add_credential(credential)
-        checks = []
-        schema_known = False
-        try:
-            schema = self.ledger_view.lookup_schema(credential.schema_id, reader_did=self.did)
-            schema_known = tuple(n for n, _ in credential.attributes) == schema.attribute_names
-        except UnknownSchema:
-            schema_known = False
-        checks.append(("schema_known", schema_known))
-        checks.append(("commitment_root", tamper_check(credential, self.ledger_view,
-                                                       reader_did=self.did)))
-        # tamper_check already verified the issuer signature against the ledger key
-        status = self.ledger_view.credential_status(credential.credential_id,
-                                                    reader_did=self.did)
-        checks.append(("status_active", status is CredentialStatus.ACTIVE))
-        return VerificationReport(checks=tuple(checks))
+        return verify_credential(self.ledger_view, credential, reader_did=self.did)
 
     # -- DID-Auth
 

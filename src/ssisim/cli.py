@@ -13,7 +13,6 @@ import click
 from .credentials import Credential, Presentation, create_presentation
 from .engine import define_schema, issue_credential, verify_presentation
 from .errors import (
-    BadConfig,
     ConfigError,
     FirstInvalid,
     ParseError,
@@ -328,7 +327,7 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (BadConfig, ConfigError) as exc:
+    except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except FirstInvalid as exc:

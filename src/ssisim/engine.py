@@ -6,6 +6,8 @@ key, holder key, schema, anchor, status) from the ledger rather than
 from the presentation itself.
 """
 
+from dataclasses import replace
+
 from .credentials import (
     Credential,
     CredentialSchema,
@@ -35,11 +37,31 @@ from .ledger import (
     DefineSchema,
     Ledger,
     Revoke,
-    anchor_credential_payload,
-    define_schema_payload,
-    revoke_payload,
 )
 from .runtime import LogicalClock, SystemRng
+
+
+def _signed(issuer: KeyPair, unsigned):
+    """The issuer-signed transaction with its submitter signature filled in."""
+    return replace(unsigned,
+                   submitter_signature=sign(issuer.private_key, unsigned.signing_payload()))
+
+
+def _signature_ok(ledger: Ledger, did, payload: bytes, signature: bytes, reader_did) -> bool:
+    """True iff the DID resolves on the ledger and its key verifies the signature."""
+    try:
+        doc = ledger.resolve_did(did, reader_did=reader_did)
+    except UnknownDid:
+        return False
+    return verify(doc.verification_key, payload, signature)
+
+
+def _schema_attributes(ledger: Ledger, schema_id: bytes, reader_did) -> tuple | None:
+    """The schema's attribute names, or None if the schema is not defined."""
+    try:
+        return ledger.lookup_schema(schema_id, reader_did=reader_did).attribute_names
+    except UnknownSchema:
+        return None
 
 
 def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
@@ -48,16 +70,9 @@ def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
     issuer_did = derive_did(issuer.public_key)
     ledger.resolve_did(issuer_did, reader_did=issuer_did)
     schema = make_schema(issuer_did, name, version, attribute_names)
-    try:
-        ledger.lookup_schema(schema.schema_id, reader_did=issuer_did)
-    except UnknownSchema:
-        pass
-    else:
+    if _schema_attributes(ledger, schema.schema_id, issuer_did) is not None:
         raise DuplicateSchema(f"schema {schema.schema_id.hex()} already anchored")
-    tx = DefineSchema(
-        schema=schema,
-        submitter_signature=sign(issuer.private_key, define_schema_payload(schema)),
-    )
+    tx = _signed(issuer, DefineSchema(schema=schema, submitter_signature=b""))
     ledger.submit([tx])
     return schema
 
@@ -74,16 +89,12 @@ def issue_credential(issuer: KeyPair, holder_did, schema: CredentialSchema, valu
     clock = clock or ledger.clock
     credential = build_credential(issuer, holder_did, schema, values, rng,
                                   issuance_time=clock.tick())
-    tx = AnchorCredential(
+    tx = _signed(issuer, AnchorCredential(
         credential_id=credential.credential_id,
         issuer_did=issuer_did,
         commitment_root=credential.commitment_root,
-        submitter_signature=sign(
-            issuer.private_key,
-            anchor_credential_payload(credential.credential_id, issuer_did,
-                                      credential.commitment_root),
-        ),
-    )
+        submitter_signature=b"",
+    ))
     ledger.submit([tx])
     return credential
 
@@ -96,33 +107,22 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
     anchor = ledger.credential_anchor(presentation.credential_id, reader_did=reader_did)
     root = anchor.commitment_root if anchor is not None else None
 
-    schema_known = False
-    try:
-        schema = ledger.lookup_schema(presentation.schema_id, reader_did=reader_did)
-        revealed_names = {r.name for r in presentation.revealed}
-        schema_known = revealed_names <= set(schema.attribute_names)
-    except UnknownSchema:
-        schema_known = False
-    checks.append(("schema_known", schema_known))
+    names = _schema_attributes(ledger, presentation.schema_id, reader_did)
+    revealed_names = {r.name for r in presentation.revealed}
+    checks.append(("schema_known", names is not None and revealed_names <= set(names)))
 
     status = ledger.credential_status(presentation.credential_id, reader_did=reader_did)
     checks.append(("status_active", status is CredentialStatus.ACTIVE))
 
-    issuer_ok = False
-    if root is not None:
-        try:
-            issuer_doc = ledger.resolve_did(presentation.issuer_did, reader_did=reader_did)
-            issuer_ok = verify(
-                issuer_doc.verification_key,
-                credential_signing_payload(
-                    presentation.credential_id, presentation.schema_id,
-                    presentation.issuer_did, presentation.holder_did,
-                    root, presentation.issuance_time,
-                ),
-                presentation.issuer_signature,
-            )
-        except UnknownDid:
-            issuer_ok = False
+    issuer_ok = root is not None and _signature_ok(
+        ledger, presentation.issuer_did,
+        credential_signing_payload(
+            presentation.credential_id, presentation.schema_id,
+            presentation.issuer_did, presentation.holder_did,
+            root, presentation.issuance_time,
+        ),
+        presentation.issuer_signature, reader_did,
+    )
     checks.append(("issuer_signature", issuer_ok))
 
     checks.append(("merkle_proofs",
@@ -130,22 +130,30 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
 
     checks.append(("challenge_match", presentation.challenge == expected_challenge))
 
-    holder_ok = False
-    try:
-        holder_doc = ledger.resolve_did(presentation.holder_did, reader_did=reader_did)
-        holder_ok = verify(
-            holder_doc.verification_key,
-            presentation_signing_payload(
-                presentation.credential_id,
-                revealed_set_hash(presentation.revealed),
-                expected_challenge,
-            ),
-            presentation.holder_signature,
-        )
-    except UnknownDid:
-        holder_ok = False
+    holder_ok = _signature_ok(
+        ledger, presentation.holder_did,
+        presentation_signing_payload(
+            presentation.credential_id,
+            revealed_set_hash(presentation.revealed),
+            expected_challenge,
+        ),
+        presentation.holder_signature, reader_did,
+    )
     checks.append(("holder_signature", holder_ok))
 
+    return VerificationReport(checks=tuple(checks))
+
+
+def verify_credential(ledger: Ledger, credential: Credential,
+                      reader_did=None) -> VerificationReport:
+    """Check a received credential against the registry; failures land in the report."""
+    checks = []
+    names = _schema_attributes(ledger, credential.schema_id, reader_did)
+    checks.append(("schema_known", names == tuple(n for n, _ in credential.attributes)))
+    checks.append(("commitment_root", tamper_check(credential, ledger, reader_did=reader_did)))
+    # tamper_check already verified the issuer signature against the ledger key
+    status = ledger.credential_status(credential.credential_id, reader_did=reader_did)
+    checks.append(("status_active", status is CredentialStatus.ACTIVE))
     return VerificationReport(checks=tuple(checks))
 
 
@@ -159,12 +167,11 @@ def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> 
         raise NotIssuer(f"{issuer_did} did not anchor this credential")
     if ledger.credential_status(credential_id, reader_did=issuer_did) is CredentialStatus.REVOKED:
         raise UnknownTransition("credential is already revoked")
-    tx = Revoke(
+    tx = _signed(issuer, Revoke(
         credential_id=credential_id,
         issuer_did=issuer_did,
-        submitter_signature=sign(issuer.private_key,
-                                 revoke_payload(credential_id, issuer_did)),
-    )
+        submitter_signature=b"",
+    ))
     ledger.submit([tx])
 
 
@@ -172,9 +179,5 @@ def tamper_check(credential: Credential, ledger: Ledger, reader_did=None) -> boo
     """True iff commitments recompute and the issuer signature verifies."""
     if not credential_commitments_ok(credential):
         return False
-    try:
-        issuer_doc = ledger.resolve_did(credential.issuer_did, reader_did=reader_did)
-    except UnknownDid:
-        return False
-    return verify(issuer_doc.verification_key, credential.signing_payload(),
-                  credential.issuer_signature)
+    return _signature_ok(ledger, credential.issuer_did, credential.signing_payload(),
+                         credential.issuer_signature, reader_did)

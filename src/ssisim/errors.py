@@ -130,12 +130,8 @@ class UnknownApproval(SsiSimError):
     """Approval does not match an approved, unissued request."""
 
 
-class BadConfig(SsiSimError):
-    """Experiment or scenario configuration is invalid."""
-
-
 # --- CLI / scenarios --------------------------------------------------------
 
 
 class ConfigError(SsiSimError):
-    """Scenario configuration is invalid."""
+    """Experiment or scenario configuration is invalid."""

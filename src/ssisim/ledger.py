@@ -90,6 +90,8 @@ class ChainReport:
 
 
 # --- transactions ---------------------------------------------------------------
+# Each kind owns its JSON form, its canonical bytes, its rule against the registry
+# state (check: None if valid, else the cause) and its state change (apply).
 
 
 @dataclass(frozen=True)
@@ -118,12 +120,26 @@ class RegisterDid:
             "controller_signature": self.document.controller_signature.hex(),
         }
 
+    @classmethod
+    def from_json_dict(cls, value) -> "RegisterDid":
+        obj = expect_object(value, ("kind", "document", "controller_signature"), cls.kind)
+        signature = parse_hex(obj["controller_signature"], SIGNATURE_LEN, "controller_signature")
+        return cls(document=DidDocument.from_json_dict(obj["document"], signature))
 
-def define_schema_payload(schema: CredentialSchema) -> bytes:
-    return encode_parts(
-        _TX_CONTEXT, "define_schema", schema.schema_id, str(schema.issuer_did),
-        schema.name, schema.version, list(schema.attribute_names),
-    )
+    def check(self, state: "RegistryState") -> str | None:
+        # verify_self binds the verification key to the DID, so a re-registration
+        # that passes it necessarily keeps the original key.
+        if not self.document.verify_self():
+            return "self-certification failed"
+        return None
+
+    def apply(self, state: "RegistryState") -> None:
+        did = str(self.document.did)
+        old = state.documents.get(did)
+        if old is not None:
+            state.ka_index.pop(key_fingerprint(old.key_agreement_key), None)
+        state.documents[did] = self.document
+        state.ka_index[key_fingerprint(self.document.key_agreement_key)] = did
 
 
 def anchor_credential_payload(credential_id: bytes, issuer_did: Did,
@@ -136,18 +152,38 @@ def revoke_payload(credential_id: bytes, issuer_did: Did) -> bytes:
     return encode_parts(_TX_CONTEXT, "revoke", credential_id, str(issuer_did))
 
 
+class _IssuerSigned:
+    """The kinds an issuer signs: the submitter signature is checked before the kind's rule."""
+
+    def canonical_bytes(self) -> bytes:
+        return self.signing_payload() + encode_bytes(self.submitter_signature)
+
+    def check(self, state: "RegistryState") -> str | None:
+        doc = state.documents.get(str(self.issuer_did))
+        if doc is None:
+            return "unknown submitter DID"
+        if not verify(doc.verification_key, self.signing_payload(), self.submitter_signature):
+            return "bad submitter signature"
+        return self._rule(state)
+
+
 @dataclass(frozen=True)
-class DefineSchema:
+class DefineSchema(_IssuerSigned):
     schema: CredentialSchema
     submitter_signature: bytes
 
     kind = "define_schema"
 
-    def signing_payload(self) -> bytes:
-        return define_schema_payload(self.schema)
+    @property
+    def issuer_did(self) -> Did:
+        return self.schema.issuer_did
 
-    def canonical_bytes(self) -> bytes:
-        return self.signing_payload() + encode_bytes(self.submitter_signature)
+    def signing_payload(self) -> bytes:
+        schema = self.schema
+        return encode_parts(
+            _TX_CONTEXT, self.kind, schema.schema_id, str(schema.issuer_did),
+            schema.name, schema.version, list(schema.attribute_names),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,9 +192,31 @@ class DefineSchema:
             "submitter_signature": self.submitter_signature.hex(),
         }
 
+    @classmethod
+    def from_json_dict(cls, value) -> "DefineSchema":
+        obj = expect_object(value, ("kind", "schema", "submitter_signature"), cls.kind)
+        return cls(
+            schema=CredentialSchema.from_json_dict(obj["schema"]),
+            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
+                                          "submitter_signature"),
+        )
+
+    def check(self, state: "RegistryState") -> str | None:
+        if not schema_is_well_formed(self.schema):
+            return "malformed schema"
+        return super().check(state)
+
+    def _rule(self, state: "RegistryState") -> str | None:
+        if self.schema.schema_id in state.schemas:
+            return "duplicate schema"
+        return None
+
+    def apply(self, state: "RegistryState") -> None:
+        state.schemas[self.schema.schema_id] = self.schema
+
 
 @dataclass(frozen=True)
-class AnchorCredential:
+class AnchorCredential(_IssuerSigned):
     credential_id: bytes
     issuer_did: Did
     commitment_root: bytes
@@ -170,9 +228,6 @@ class AnchorCredential:
         return anchor_credential_payload(self.credential_id, self.issuer_did,
                                          self.commitment_root)
 
-    def canonical_bytes(self) -> bytes:
-        return self.signing_payload() + encode_bytes(self.submitter_signature)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -182,9 +237,32 @@ class AnchorCredential:
             "submitter_signature": self.submitter_signature.hex(),
         }
 
+    @classmethod
+    def from_json_dict(cls, value) -> "AnchorCredential":
+        obj = expect_object(
+            value,
+            ("kind", "credential_id", "issuer_did", "commitment_root", "submitter_signature"),
+            cls.kind,
+        )
+        return cls(
+            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
+            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
+            commitment_root=parse_hex(obj["commitment_root"], 32, "commitment_root"),
+            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
+                                          "submitter_signature"),
+        )
+
+    def _rule(self, state: "RegistryState") -> str | None:
+        if self.credential_id in state.anchors:
+            return "duplicate anchor"
+        return None
+
+    def apply(self, state: "RegistryState") -> None:
+        state.anchors[self.credential_id] = self
+
 
 @dataclass(frozen=True)
-class Revoke:
+class Revoke(_IssuerSigned):
     credential_id: bytes
     issuer_did: Did
     submitter_signature: bytes
@@ -194,9 +272,6 @@ class Revoke:
     def signing_payload(self) -> bytes:
         return revoke_payload(self.credential_id, self.issuer_did)
 
-    def canonical_bytes(self) -> bytes:
-        return self.signing_payload() + encode_bytes(self.submitter_signature)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -205,46 +280,43 @@ class Revoke:
             "submitter_signature": self.submitter_signature.hex(),
         }
 
+    @classmethod
+    def from_json_dict(cls, value) -> "Revoke":
+        obj = expect_object(
+            value, ("kind", "credential_id", "issuer_did", "submitter_signature"), cls.kind
+        )
+        return cls(
+            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
+            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
+            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
+                                          "submitter_signature"),
+        )
+
+    def _rule(self, state: "RegistryState") -> str | None:
+        anchor = state.anchors.get(self.credential_id)
+        if anchor is None:
+            return "unknown credential"
+        if anchor.issuer_did != self.issuer_did:
+            return "revoker is not the anchoring issuer"
+        if self.credential_id in state.revoked:
+            return "already revoked"
+        return None
+
+    def apply(self, state: "RegistryState") -> None:
+        state.revoked.add(self.credential_id)
+
+
+KINDS = {cls.kind: cls for cls in (RegisterDid, DefineSchema, AnchorCredential, Revoke)}
+
 
 def parse_transaction(value):
     if not isinstance(value, dict) or "kind" not in value:
         raise ParseError("transaction: expected object with a 'kind' field")
     kind = value["kind"]
-    if kind == "register_did":
-        obj = expect_object(value, ("kind", "document", "controller_signature"), "register_did")
-        signature = parse_hex(obj["controller_signature"], SIGNATURE_LEN, "controller_signature")
-        return RegisterDid(document=DidDocument.from_json_dict(obj["document"], signature))
-    if kind == "define_schema":
-        obj = expect_object(value, ("kind", "schema", "submitter_signature"), "define_schema")
-        return DefineSchema(
-            schema=CredentialSchema.from_json_dict(obj["schema"]),
-            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
-                                          "submitter_signature"),
-        )
-    if kind == "anchor_credential":
-        obj = expect_object(
-            value,
-            ("kind", "credential_id", "issuer_did", "commitment_root", "submitter_signature"),
-            "anchor_credential",
-        )
-        return AnchorCredential(
-            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            commitment_root=parse_hex(obj["commitment_root"], 32, "commitment_root"),
-            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
-                                          "submitter_signature"),
-        )
-    if kind == "revoke":
-        obj = expect_object(
-            value, ("kind", "credential_id", "issuer_did", "submitter_signature"), "revoke"
-        )
-        return Revoke(
-            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
-                                          "submitter_signature"),
-        )
-    raise ParseError(f"unknown transaction kind {kind!r}")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown transaction kind {kind!r}")
+    return cls.from_json_dict(value)
 
 
 def transaction_hash(tx) -> bytes:
@@ -279,70 +351,9 @@ class RegistryState:
 
     def check(self, tx) -> str | None:
         """None if the transaction is valid against this state, else the cause."""
-        if isinstance(tx, RegisterDid):
-            doc = tx.document
-            if not doc.verify_self():
-                return "self-certification failed"
-            existing = self.documents.get(str(doc.did))
-            if existing is not None and existing.verification_key != doc.verification_key:
-                return "re-registration must keep the original verification key"
-            return None
-        if isinstance(tx, DefineSchema):
-            if not schema_is_well_formed(tx.schema):
-                return "malformed schema"
-            cause = self._check_issuer_signature(tx.schema.issuer_did, tx.signing_payload(),
-                                                 tx.submitter_signature)
-            if cause:
-                return cause
-            if tx.schema.schema_id in self.schemas:
-                return "duplicate schema"
-            return None
-        if isinstance(tx, AnchorCredential):
-            cause = self._check_issuer_signature(tx.issuer_did, tx.signing_payload(),
-                                                 tx.submitter_signature)
-            if cause:
-                return cause
-            if tx.credential_id in self.anchors:
-                return "duplicate anchor"
-            return None
-        if isinstance(tx, Revoke):
-            cause = self._check_issuer_signature(tx.issuer_did, tx.signing_payload(),
-                                                 tx.submitter_signature)
-            if cause:
-                return cause
-            anchor = self.anchors.get(tx.credential_id)
-            if anchor is None:
-                return "unknown credential"
-            if anchor.issuer_did != tx.issuer_did:
-                return "revoker is not the anchoring issuer"
-            if tx.credential_id in self.revoked:
-                return "already revoked"
-            return None
-        return f"unknown transaction type {type(tx).__name__}"
-
-    def _check_issuer_signature(self, issuer_did: Did, payload: bytes,
-                                signature: bytes) -> str | None:
-        doc = self.documents.get(str(issuer_did))
-        if doc is None:
-            return "unknown submitter DID"
-        if not verify(doc.verification_key, payload, signature):
-            return "bad submitter signature"
-        return None
-
-    def apply(self, tx) -> None:
-        if isinstance(tx, RegisterDid):
-            doc = tx.document
-            old = self.documents.get(str(doc.did))
-            if old is not None:
-                self.ka_index.pop(key_fingerprint(old.key_agreement_key), None)
-            self.documents[str(doc.did)] = doc
-            self.ka_index[key_fingerprint(doc.key_agreement_key)] = str(doc.did)
-        elif isinstance(tx, DefineSchema):
-            self.schemas[tx.schema.schema_id] = tx.schema
-        elif isinstance(tx, AnchorCredential):
-            self.anchors[tx.credential_id] = tx
-        elif isinstance(tx, Revoke):
-            self.revoked.add(tx.credential_id)
+        if type(tx) not in KINDS.values():
+            return f"unknown transaction type {type(tx).__name__}"
+        return tx.check(self)
 
 
 # --- blocks ----------------------------------------------------------------------
@@ -483,7 +494,7 @@ class Ledger:
             cause = staged.check(tx)
             if cause is not None:
                 raise InvalidTransaction(i, cause)
-            staged.apply(tx)
+            tx.apply(staged)
         last = self.blocks[-1]
         block = build_block(
             index=last.index + 1,
@@ -587,7 +598,7 @@ class Ledger:
         while self._folded < len(self.blocks):
             for tx in self.blocks[self._folded].transactions:
                 if self._state.check(tx) is None:
-                    self._state.apply(tx)
+                    tx.apply(self._state)
             self._folded += 1
 
     # -- serialization

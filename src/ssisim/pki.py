@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
-    BadConfig,
     BadProofOfPossession,
+    ConfigError,
     UnknownApproval,
     UnknownRequest,
 )
@@ -146,28 +146,27 @@ class Approval:
 
 
 class CaHierarchy:
-    """Root plus subordinates; the VA database is fed only by CA issuance."""
+    """Root plus one subordinate; the VA database is fed only by CA issuance."""
 
-    def __init__(self, root: CaNode, subordinates: list, cert_lifetime: int):
+    def __init__(self, root: CaNode, subordinate: CaNode, cert_lifetime: int):
         self.root = root
-        self.subordinates = list(subordinates)
+        self.subordinate = subordinate
         self.cert_lifetime = cert_lifetime
         self.va: dict = {}          # serial -> CertStatus
         self._requests: dict = {}   # request_id -> (Csr, RequestState)
         self._next_request_id = 1
         self._next_serial = 1
-        for node in [root, *subordinates]:
+        for node in (root, subordinate):
             self.va[node.certificate.serial] = CertStatus.VALID
 
     def issuing_ca(self) -> CaNode:
-        return self.subordinates[0] if self.subordinates else self.root
+        return self.subordinate
 
     def node_by_name(self, name: str) -> CaNode | None:
         if name == self.root.name:
             return self.root
-        for node in self.subordinates:
-            if node.name == name:
-                return node
+        if name == self.subordinate.name:
+            return self.subordinate
         return None
 
     def next_serial(self) -> int:
@@ -196,7 +195,7 @@ def build_hierarchy(rng=None, clock: LogicalClock | None = None,
     )
     hierarchy = CaHierarchy(
         root=CaNode(name="root-ca", keypair=root_key, certificate=root_cert),
-        subordinates=[CaNode(name="issuing-ca", keypair=sub_key, certificate=sub_cert)],
+        subordinate=CaNode(name="issuing-ca", keypair=sub_key, certificate=sub_cert),
         cert_lifetime=cert_lifetime,
     )
     hierarchy._next_serial = 3
@@ -318,12 +317,12 @@ class CompromiseConfig:
 
 def run_compromise_experiment(config: CompromiseConfig) -> CompromiseReport:
     if config.forgeries < 0:
-        raise BadConfig("forgeries must be >= 0")
+        raise ConfigError("forgeries must be >= 0")
     if config.scenario == "ca":
         return _run_ca_compromise(config)
     if config.scenario == "ledger":
         return _run_ledger_compromise(config)
-    raise BadConfig(f"unknown scenario {config.scenario!r} (expected 'ca' or 'ledger')")
+    raise ConfigError(f"unknown scenario {config.scenario!r} (expected 'ca' or 'ledger')")
 
 
 def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
@@ -364,9 +363,9 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
     writer sealed them) yet fail self-certification at read time.
     """
     if config.writers < 1:
-        raise BadConfig("ledger scenario needs at least one writer")
+        raise ConfigError("ledger scenario needs at least one writer")
     if not 0 <= config.compromised <= config.writers:
-        raise BadConfig("compromised writers must be between 0 and the writer count")
+        raise ConfigError("compromised writers must be between 0 and the writer count")
     rng = DeterministicRng(config.seed)
     clock = LogicalClock(0)
     writer_keys = [generate_keypair(rng.randbytes(32)) for _ in range(config.writers)]

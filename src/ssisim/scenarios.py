@@ -52,6 +52,8 @@ GOVERNMENT_DEFAULT_VALUES = {
 }
 GOVERNMENT_DEFAULT_REVEAL = ("name", "date_of_birth")
 
+_REQUEST_ACTION = "request_credential"
+
 
 @dataclass
 class ScenarioTranscript:
@@ -140,24 +142,22 @@ def _setup_world(seed: bytes, clock_start: int, actor_names):
 
 def _run_credential_flow(scenario_name: str, seed: bytes, clock_start: int,
                          schema_name: str, attribute_names, values: dict,
-                         reveal, issuer_name: str, holder_name: str, verifier_name: str,
-                         request_action: str, revoke_before_presentation: bool = False,
+                         reveal, actor_names: tuple, revoke_before_presentation: bool = False,
                          tamper_attribute: str | None = None) -> ScenarioRun:
+    """actor_names is (issuer, holder, verifier)."""
     missing = set(attribute_names) - set(values)
     if missing:
         raise ConfigError(f"missing values for attributes {sorted(missing)}")
-    rng, clock, ledger, agents = _setup_world(
-        seed, clock_start, (issuer_name, holder_name, verifier_name)
-    )
-    issuer, holder, verifier = agents[issuer_name], agents[holder_name], agents[verifier_name]
+    rng, clock, ledger, agents = _setup_world(seed, clock_start, actor_names)
+    issuer, holder, verifier = (agents[name] for name in actor_names)
     transcript = ScenarioTranscript(scenario_name=scenario_name)
 
     # (1) holder asks the issuing authority for a credential
     request = holder.send_message(
-        issuer.did, request_action,
+        issuer.did, _REQUEST_ACTION,
         {"schema_name": schema_name, "values": {k: values[k] for k in sorted(values)}},
     )
-    transcript.add_step(holder.did, request_action,
+    transcript.add_step(holder.did, _REQUEST_ACTION,
                         canonical_json_bytes(request.to_json_dict()), "ok")
 
     # (2) issuer defines the schema and anchors the credential commitment
@@ -235,10 +235,7 @@ def run_healthcare_scenario_detailed(config: HealthcareConfig) -> ScenarioRun:
         attribute_names=HEALTHCARE_ATTRIBUTES,
         values=dict(config.values or HEALTHCARE_DEFAULT_VALUES),
         reveal=None,  # provider sees the full patient record it was asked for
-        issuer_name="issuer-authority",
-        holder_name="patient",
-        verifier_name="provider",
-        request_action="request_credential",
+        actor_names=("issuer-authority", "patient", "provider"),
         revoke_before_presentation=config.revoke_before_presentation,
         tamper_attribute=config.tamper_attribute,
     )
@@ -258,10 +255,7 @@ def run_government_scenario_detailed(config: GovernmentConfig) -> ScenarioRun:
         attribute_names=GOVERNMENT_ATTRIBUTES,
         values=dict(config.values or GOVERNMENT_DEFAULT_VALUES),
         reveal=tuple(reveal),
-        issuer_name="identity-authority",
-        holder_name="citizen",
-        verifier_name="employer",
-        request_action="request_credential",
+        actor_names=("identity-authority", "citizen", "employer"),
     )
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ssisim
 from ssisim.cli import main
 
 
@@ -208,10 +211,13 @@ class TestScenarioCommands:
 
 class TestInstalledScript:
     def test_console_entry_point_runs(self):
+        # The child process imports the same ssisim sources as this test run.
+        src = str(Path(ssisim.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ssisim.cli", "compare", "--scenario", "ca",
              "--forgeries", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["forged_accepted"] == 2

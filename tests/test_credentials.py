@@ -12,6 +12,7 @@ from ssisim.engine import (
     issue_credential,
     revoke_credential,
     tamper_check,
+    verify_credential,
     verify_presentation,
 )
 from ssisim.errors import (
@@ -260,3 +261,23 @@ class TestTamperCheck:
 
     def test_credential_json_roundtrip(self, credential):
         assert Credential.from_json_dict(credential.to_json_dict()) == credential
+
+
+class TestVerifyCredential:
+    def test_fresh_credential_accepts_with_all_checks(self, ledger, credential):
+        report = verify_credential(ledger, credential)
+        assert report.accepted
+        assert [name for name, _ in report.checks] == [
+            "schema_known", "commitment_root", "status_active"]
+
+    def test_unknown_schema_rejects_on_schema_known(self, ledger, credential):
+        report = verify_credential(ledger, replace(credential, schema_id=b"\x00" * 32))
+        assert report.verdict == "reject:schema_known"
+
+    def test_tampered_attribute_rejects_on_commitment_root(self, ledger, credential):
+        (name, value), *rest = credential.attributes
+        tampered = replace(credential, attributes=((name, value + "-tampered"), *rest))
+        report = verify_credential(ledger, tampered)
+        assert report.verdict == "reject:commitment_root"
+        assert dict(report.checks) == {
+            "schema_known": True, "commitment_root": False, "status_active": True}

@@ -13,6 +13,7 @@ from ssisim.errors import (
 )
 from ssisim.identity import derive_did, generate_keypair, make_did_document, sign
 from ssisim.ledger import (
+    KINDS,
     AnchorCredential,
     ChainFault,
     CredentialStatus,
@@ -21,6 +22,7 @@ from ssisim.ledger import (
     RegisterDid,
     Revoke,
     anchor_credential_payload,
+    parse_transaction,
     revoke_payload,
 )
 from ssisim.runtime import DeterministicRng, LogicalClock
@@ -312,6 +314,46 @@ class TestSerialization:
                     created_at=clock.tick()))])
             data = led.to_bytes()
             assert Ledger.from_bytes(data).to_bytes() == data
+
+
+class TestTransactionJson:
+    @pytest.fixture
+    def one_of_each_kind(self, ledger, issuer, clock):
+        define_schema(issuer, "Badge", 1, ["level"], ledger)
+        txs = [
+            RegisterDid(make_did_document(issuer, created_at=clock.tick())),
+            ledger.blocks[-1].transactions[0],
+            signed_anchor(issuer, b"\x07" * 32, b"\x08" * 32),
+            signed_revoke(issuer, b"\x07" * 32),
+        ]
+        assert [tx.kind for tx in txs] == list(KINDS)
+        return txs
+
+    def test_every_kind_roundtrips(self, one_of_each_kind):
+        for tx in one_of_each_kind:
+            parsed = parse_transaction(tx.to_json_dict())
+            assert type(parsed) is KINDS[tx.kind]
+            assert parsed == tx
+            assert parsed.canonical_bytes() == tx.canonical_bytes()
+
+    @pytest.mark.parametrize("value", [
+        None, [], {}, {"kind": "grant_admin"}, {"kind": ""}, {"kind": None}, {"kind": 7},
+        {"kind": []}, {"kind": {}},
+    ])
+    def test_unknown_or_malformed_kind_is_a_parse_error(self, value):
+        with pytest.raises(ParseError):
+            parse_transaction(value)
+
+    def test_missing_extra_or_reordered_keys_are_parse_errors(self, one_of_each_kind):
+        for tx in one_of_each_kind:
+            good = tx.to_json_dict()
+            kind, *fields = good
+            missing = {k: good[k] for k in good if k != fields[-1]}
+            extra = {**good, "note": "x"}
+            reordered = {kind: good[kind], **{k: good[k] for k in reversed(fields)}}
+            for bad in (missing, extra, reordered):
+                with pytest.raises(ParseError):
+                    parse_transaction(bad)
 
 
 class TestKeyAgreementIndex:

@@ -3,8 +3,8 @@ from dataclasses import replace
 import pytest
 
 from ssisim.errors import (
-    BadConfig,
     BadProofOfPossession,
+    ConfigError,
     UnknownApproval,
     UnknownRequest,
 )
@@ -180,10 +180,10 @@ class TestCompromiseExperiment:
         assert report.forged_accepted == 0
 
     def test_bad_configs(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(ConfigError):
             run_compromise_experiment(CompromiseConfig(scenario="dns", forgeries=1))
-        with pytest.raises(BadConfig):
+        with pytest.raises(ConfigError):
             run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=-1))
-        with pytest.raises(BadConfig):
+        with pytest.raises(ConfigError):
             run_compromise_experiment(
                 CompromiseConfig(scenario="ledger", forgeries=1, writers=2, compromised=3))
