@@ -9,10 +9,11 @@ This module holds the value types and pure constructions; the ledger-
 facing issuer/holder/verifier operations live in engine.py.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DuplicateAttribute, ParseError, SchemaMismatch, UnknownAttribute, WrongHolderKey
 from .identity import (
+    DID,
     Did,
     KeyPair,
     SIGNATURE_LEN,
@@ -21,12 +22,14 @@ from .identity import (
 )
 from .merkle import PathStep, leaf_hash, merkle_path, merkle_root, verify_path
 from .serialization import (
+    INT,
+    STR,
+    Record,
     encode_parts,
-    expect_int,
-    expect_list,
-    expect_object,
-    expect_str,
-    parse_hex,
+    hex_codec,
+    list_codec,
+    pairs_codec,
+    record_codec,
     sha256,
 )
 
@@ -36,12 +39,16 @@ _SCHEMA_CONTEXT = "ssisim/schema/v1"
 _CREDENTIAL_CONTEXT = "ssisim/credential/v1"
 _PRESENTATION_CONTEXT = "ssisim/presentation/v1"
 
+HASH = hex_codec(32)
+SIGNATURE = hex_codec(SIGNATURE_LEN)
+SALT = hex_codec(SALT_LEN)
+
 
 # --- schemas -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CredentialSchema:
+class CredentialSchema(Record):
     """Named, versioned attribute list; schema_id binds it to its issuer."""
 
     schema_id: bytes
@@ -50,31 +57,13 @@ class CredentialSchema:
     version: int
     attribute_names: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_id": self.schema_id.hex(),
-            "issuer_did": str(self.issuer_did),
-            "name": self.name,
-            "version": self.version,
-            "attribute_names": list(self.attribute_names),
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "CredentialSchema":
-        obj = expect_object(
-            value, ("schema_id", "issuer_did", "name", "version", "attribute_names"), "schema"
-        )
-        names = tuple(
-            expect_str(n, f"attribute_names[{i}]")
-            for i, n in enumerate(expect_list(obj["attribute_names"], "attribute_names"))
-        )
-        return cls(
-            schema_id=parse_hex(obj["schema_id"], 32, "schema_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            name=expect_str(obj["name"], "name"),
-            version=expect_int(obj["version"], "version"),
-            attribute_names=names,
-        )
+    JSON = (
+        ("schema_id", HASH),
+        ("issuer_did", DID),
+        ("name", STR),
+        ("version", INT),
+        ("attribute_names", list_codec(STR)),
+    )
 
 
 def schema_id_for(issuer_did: Did, name: str, version: int, attribute_names) -> bytes:
@@ -140,7 +129,7 @@ def credential_signing_payload(credential_id: bytes, schema_id: bytes, issuer_di
 
 
 @dataclass(frozen=True)
-class Credential:
+class Credential(Record):
     credential_id: bytes
     schema_id: bytes
     issuer_did: Did
@@ -151,55 +140,30 @@ class Credential:
     issuance_time: int
     issuer_signature: bytes
 
+    JSON = (
+        ("credential_id", HASH),
+        ("schema_id", HASH),
+        ("issuer_did", DID),
+        ("holder_did", DID),
+        ("attributes", pairs_codec("name", "value")),
+        ("salts", list_codec(SALT)),
+        ("commitment_root", HASH),
+        ("issuance_time", INT),
+        ("issuer_signature", SIGNATURE),
+    )
+
     def signing_payload(self) -> bytes:
         return credential_signing_payload(
             self.credential_id, self.schema_id, self.issuer_did, self.holder_did,
             self.commitment_root, self.issuance_time,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "credential_id": self.credential_id.hex(),
-            "schema_id": self.schema_id.hex(),
-            "issuer_did": str(self.issuer_did),
-            "holder_did": str(self.holder_did),
-            "attributes": [{"name": n, "value": v} for n, v in self.attributes],
-            "salts": [s.hex() for s in self.salts],
-            "commitment_root": self.commitment_root.hex(),
-            "issuance_time": self.issuance_time,
-            "issuer_signature": self.issuer_signature.hex(),
-        }
-
     @classmethod
-    def from_json_dict(cls, value) -> "Credential":
-        obj = expect_object(
-            value,
-            ("credential_id", "schema_id", "issuer_did", "holder_did", "attributes",
-             "salts", "commitment_root", "issuance_time", "issuer_signature"),
-            "credential",
-        )
-        attributes = []
-        for i, attr in enumerate(expect_list(obj["attributes"], "attributes")):
-            attr_obj = expect_object(attr, ("name", "value"), f"attributes[{i}]")
-            attributes.append((expect_str(attr_obj["name"], "attribute name"),
-                               expect_str(attr_obj["value"], "attribute value")))
-        salts = tuple(
-            parse_hex(s, SALT_LEN, f"salts[{i}]")
-            for i, s in enumerate(expect_list(obj["salts"], "salts"))
-        )
-        if len(salts) != len(attributes):
+    def from_json_dict(cls, value, where: str | None = None) -> "Credential":
+        credential = super().from_json_dict(value, where)
+        if len(credential.salts) != len(credential.attributes):
             raise ParseError("credential needs one salt per attribute")
-        return cls(
-            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
-            schema_id=parse_hex(obj["schema_id"], 32, "schema_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            holder_did=Did.parse(expect_str(obj["holder_did"], "holder_did")),
-            attributes=tuple(attributes),
-            salts=salts,
-            commitment_root=parse_hex(obj["commitment_root"], 32, "commitment_root"),
-            issuance_time=expect_int(obj["issuance_time"], "issuance_time"),
-            issuer_signature=parse_hex(obj["issuer_signature"], SIGNATURE_LEN, "issuer_signature"),
-        )
+        return credential
 
 
 def build_credential(issuer: KeyPair, holder_did: Did, schema: CredentialSchema,
@@ -215,23 +179,18 @@ def build_credential(issuer: KeyPair, holder_did: Did, schema: CredentialSchema,
     salts = tuple(rng.randbytes(SALT_LEN) for _ in attributes)
     root = commitment_root(attributes, salts)
     credential_id = credential_id_for(schema.schema_id, holder_did, issuance_time, root)
-    issuer_did = derive_did(issuer.public_key)
-    signature = sign(
-        issuer.private_key,
-        credential_signing_payload(credential_id, schema.schema_id, issuer_did, holder_did,
-                                   root, issuance_time),
-    )
-    return Credential(
+    unsigned = Credential(
         credential_id=credential_id,
         schema_id=schema.schema_id,
-        issuer_did=issuer_did,
+        issuer_did=derive_did(issuer.public_key),
         holder_did=holder_did,
         attributes=attributes,
         salts=salts,
         commitment_root=root,
         issuance_time=issuance_time,
-        issuer_signature=signature,
+        issuer_signature=b"",
     )
+    return replace(unsigned, issuer_signature=sign(issuer.private_key, unsigned.signing_payload()))
 
 
 def credential_commitments_ok(credential: Credential) -> bool:
@@ -250,33 +209,18 @@ def credential_commitments_ok(credential: Credential) -> bool:
 
 
 @dataclass(frozen=True)
-class RevealedAttribute:
+class RevealedAttribute(Record):
     name: str
     value: str
     salt: bytes
     merkle_path: tuple  # of PathStep
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "salt": self.salt.hex(),
-            "merkle_path": [step.to_json_dict() for step in self.merkle_path],
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "RevealedAttribute":
-        obj = expect_object(value, ("name", "value", "salt", "merkle_path"), "revealed attribute")
-        path = tuple(
-            PathStep.from_json_dict(step)
-            for step in expect_list(obj["merkle_path"], "merkle_path")
-        )
-        return cls(
-            name=expect_str(obj["name"], "name"),
-            value=expect_str(obj["value"], "value"),
-            salt=parse_hex(obj["salt"], SALT_LEN, "salt"),
-            merkle_path=path,
-        )
+    JSON = (
+        ("name", STR),
+        ("value", STR),
+        ("salt", SALT),
+        ("merkle_path", list_codec(record_codec(PathStep))),
+    )
 
 
 def revealed_set_hash(revealed) -> bytes:
@@ -289,7 +233,7 @@ def presentation_signing_payload(credential_id: bytes, revealed_hash: bytes,
 
 
 @dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Challenge-bound view of a credential revealing a chosen subset.
 
     issuance_time travels with the presentation because the copied issuer
@@ -306,42 +250,17 @@ class Presentation:
     challenge: bytes
     holder_signature: bytes
 
-    def to_json_dict(self) -> dict:
-        return {
-            "credential_id": self.credential_id.hex(),
-            "schema_id": self.schema_id.hex(),
-            "issuer_did": str(self.issuer_did),
-            "holder_did": str(self.holder_did),
-            "issuance_time": self.issuance_time,
-            "revealed": [r.to_json_dict() for r in self.revealed],
-            "issuer_signature": self.issuer_signature.hex(),
-            "challenge": self.challenge.hex(),
-            "holder_signature": self.holder_signature.hex(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "Presentation":
-        obj = expect_object(
-            value,
-            ("credential_id", "schema_id", "issuer_did", "holder_did", "issuance_time",
-             "revealed", "issuer_signature", "challenge", "holder_signature"),
-            "presentation",
-        )
-        revealed = tuple(
-            RevealedAttribute.from_json_dict(r)
-            for r in expect_list(obj["revealed"], "revealed")
-        )
-        return cls(
-            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
-            schema_id=parse_hex(obj["schema_id"], 32, "schema_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            holder_did=Did.parse(expect_str(obj["holder_did"], "holder_did")),
-            issuance_time=expect_int(obj["issuance_time"], "issuance_time"),
-            revealed=revealed,
-            issuer_signature=parse_hex(obj["issuer_signature"], SIGNATURE_LEN, "issuer_signature"),
-            challenge=parse_hex(obj["challenge"], 32, "challenge"),
-            holder_signature=parse_hex(obj["holder_signature"], SIGNATURE_LEN, "holder_signature"),
-        )
+    JSON = (
+        ("credential_id", HASH),
+        ("schema_id", HASH),
+        ("issuer_did", DID),
+        ("holder_did", DID),
+        ("issuance_time", INT),
+        ("revealed", list_codec(record_codec(RevealedAttribute))),
+        ("issuer_signature", SIGNATURE),
+        ("challenge", HASH),
+        ("holder_signature", SIGNATURE),
+    )
 
 
 def create_presentation(credential: Credential, reveal, challenge: bytes,

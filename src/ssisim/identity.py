@@ -12,7 +12,7 @@ header (sender/recipient key fingerprints) is bound as associated data,
 so any tampering fails authentication rather than yielding plaintext.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -30,13 +30,14 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from .errors import AuthFailure, ParseError, SeedLength
 from .runtime import SystemRng
 from .serialization import (
+    INT,
+    Record,
     b58decode,
     b58encode,
     encode_parts,
-    expect_int,
-    expect_list,
-    expect_object,
     expect_str,
+    hex_codec,
+    pairs_codec,
     parse_hex,
     sha256,
 )
@@ -140,6 +141,11 @@ class Did:
         return cls(method=DID_METHOD, identifier=identifier)
 
 
+DID = (str, lambda value, where: Did.parse(expect_str(value, where)))
+# A key fingerprint (see key_fingerprint), held as its hex text.
+KEY_ID = (str, lambda value, where: parse_hex(value, KEY_ID_LEN, where).hex())
+
+
 def derive_did(public_key: bytes) -> Did:
     """Pure function from a 32-byte public key to its DID."""
     if len(public_key) != PUBLIC_KEY_LEN:
@@ -151,7 +157,7 @@ def derive_did(public_key: bytes) -> Did:
 
 
 @dataclass(frozen=True)
-class DidDocument:
+class DidDocument(Record):
     """Ledger-anchored binding of a DID to its keys and service endpoints."""
 
     did: Did
@@ -160,6 +166,16 @@ class DidDocument:
     service_endpoints: tuple  # of (name, uri) pairs
     created_at: int
     controller_signature: bytes
+
+    # Files carry the controller signature beside the document, not in its JSON,
+    # so from_json_dict takes it as the keyword controller_signature=.
+    JSON = (
+        ("did", DID),
+        ("verification_key", hex_codec(PUBLIC_KEY_LEN)),
+        ("key_agreement_key", hex_codec(PUBLIC_KEY_LEN)),
+        ("service_endpoints", pairs_codec("name", "uri")),
+        ("created_at", INT),
+    )
 
     def signing_payload(self) -> bytes:
         return encode_parts(
@@ -177,36 +193,6 @@ class DidDocument:
             return False
         return verify(self.verification_key, self.signing_payload(), self.controller_signature)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "did": str(self.did),
-            "verification_key": self.verification_key.hex(),
-            "key_agreement_key": self.key_agreement_key.hex(),
-            "service_endpoints": [{"name": n, "uri": u} for n, u in self.service_endpoints],
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_json_dict(cls, value, signature: bytes) -> "DidDocument":
-        obj = expect_object(
-            value,
-            ("did", "verification_key", "key_agreement_key", "service_endpoints", "created_at"),
-            "did document",
-        )
-        endpoints = []
-        for i, ep in enumerate(expect_list(obj["service_endpoints"], "service_endpoints")):
-            ep_obj = expect_object(ep, ("name", "uri"), f"service_endpoints[{i}]")
-            endpoints.append((expect_str(ep_obj["name"], "endpoint name"),
-                              expect_str(ep_obj["uri"], "endpoint uri")))
-        return cls(
-            did=Did.parse(expect_str(obj["did"], "did")),
-            verification_key=parse_hex(obj["verification_key"], PUBLIC_KEY_LEN, "verification_key"),
-            key_agreement_key=parse_hex(obj["key_agreement_key"], PUBLIC_KEY_LEN, "key_agreement_key"),
-            service_endpoints=tuple(endpoints),
-            created_at=expect_int(obj["created_at"], "created_at"),
-            controller_signature=signature,
-        )
-
 
 def make_did_document(keypair: KeyPair, service_endpoints=(), created_at: int = 0) -> DidDocument:
     """Build and self-sign a document for the keypair's DID."""
@@ -218,22 +204,15 @@ def make_did_document(keypair: KeyPair, service_endpoints=(), created_at: int = 
         created_at=created_at,
         controller_signature=b"",
     )
-    signature = sign(keypair.private_key, unsigned.signing_payload())
-    return DidDocument(
-        did=unsigned.did,
-        verification_key=unsigned.verification_key,
-        key_agreement_key=unsigned.key_agreement_key,
-        service_endpoints=unsigned.service_endpoints,
-        created_at=unsigned.created_at,
-        controller_signature=signature,
-    )
+    return replace(unsigned, controller_signature=sign(keypair.private_key,
+                                                       unsigned.signing_payload()))
 
 
 # --- envelopes ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Envelope:
+class Envelope(Record):
     """Authenticated ciphertext addressed by key-agreement key fingerprints."""
 
     sender_key_id: str
@@ -241,25 +220,12 @@ class Envelope:
     nonce: bytes
     ciphertext: bytes
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sender_key_id": self.sender_key_id,
-            "recipient_key_id": self.recipient_key_id,
-            "nonce": self.nonce.hex(),
-            "ciphertext": self.ciphertext.hex(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "Envelope":
-        obj = expect_object(
-            value, ("sender_key_id", "recipient_key_id", "nonce", "ciphertext"), "envelope"
-        )
-        return cls(
-            sender_key_id=parse_hex(obj["sender_key_id"], KEY_ID_LEN, "sender_key_id").hex(),
-            recipient_key_id=parse_hex(obj["recipient_key_id"], KEY_ID_LEN, "recipient_key_id").hex(),
-            nonce=parse_hex(obj["nonce"], NONCE_LEN, "nonce"),
-            ciphertext=parse_hex(obj["ciphertext"], None, "ciphertext"),
-        )
+    JSON = (
+        ("sender_key_id", KEY_ID),
+        ("recipient_key_id", KEY_ID),
+        ("nonce", hex_codec(NONCE_LEN)),
+        ("ciphertext", hex_codec(None)),
+    )
 
 
 def _envelope_key(shared_secret: bytes, nonce: bytes, sender_public: bytes,

@@ -17,7 +17,7 @@ hijack another entity's DID.
 from dataclasses import dataclass
 from enum import Enum
 
-from .credentials import CredentialSchema, schema_is_well_formed
+from .credentials import HASH, SIGNATURE, CredentialSchema, schema_is_well_formed
 from .errors import (
     EmptyBatch,
     EmptyWriterSet,
@@ -29,6 +29,7 @@ from .errors import (
     UnknownSchema,
 )
 from .identity import (
+    DID,
     Did,
     DidDocument,
     KeyPair,
@@ -40,15 +41,18 @@ from .identity import (
 )
 from .runtime import LogicalClock
 from .serialization import (
+    INT,
+    STR,
+    Record,
     canonical_json_bytes,
     encode_bytes,
     encode_parts,
-    expect_list,
     expect_object,
     expect_str,
-    expect_int,
+    list_codec,
     load_json,
     parse_hex,
+    record_codec,
     sha256,
 )
 
@@ -92,6 +96,7 @@ class ChainReport:
 # --- transactions ---------------------------------------------------------------
 # Each kind owns its JSON form, its canonical bytes, its rule against the registry
 # state (check: None if valid, else the cause) and its state change (apply).
+# RegisterDid writes its JSON by hand: the file holds the signature beside the document.
 
 
 @dataclass(frozen=True)
@@ -121,10 +126,11 @@ class RegisterDid:
         }
 
     @classmethod
-    def from_json_dict(cls, value) -> "RegisterDid":
-        obj = expect_object(value, ("kind", "document", "controller_signature"), cls.kind)
+    def from_json_dict(cls, value, where: str | None = None) -> "RegisterDid":
+        obj = expect_object(value, ("kind", "document", "controller_signature"), where or cls.kind)
         signature = parse_hex(obj["controller_signature"], SIGNATURE_LEN, "controller_signature")
-        return cls(document=DidDocument.from_json_dict(obj["document"], signature))
+        return cls(document=DidDocument.from_json_dict(obj["document"], "document",
+                                                       controller_signature=signature))
 
     def check(self, state: "RegistryState") -> str | None:
         # verify_self binds the verification key to the DID, so a re-registration
@@ -152,7 +158,7 @@ def revoke_payload(credential_id: bytes, issuer_did: Did) -> bytes:
     return encode_parts(_TX_CONTEXT, "revoke", credential_id, str(issuer_did))
 
 
-class _IssuerSigned:
+class _IssuerSigned(Record):
     """The kinds an issuer signs: the submitter signature is checked before the kind's rule."""
 
     def canonical_bytes(self) -> bytes:
@@ -173,6 +179,8 @@ class DefineSchema(_IssuerSigned):
     submitter_signature: bytes
 
     kind = "define_schema"
+    JSON = (("kind", STR), ("schema", record_codec(CredentialSchema)),
+            ("submitter_signature", SIGNATURE))
 
     @property
     def issuer_did(self) -> Did:
@@ -183,22 +191,6 @@ class DefineSchema(_IssuerSigned):
         return encode_parts(
             _TX_CONTEXT, self.kind, schema.schema_id, str(schema.issuer_did),
             schema.name, schema.version, list(schema.attribute_names),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "schema": self.schema.to_json_dict(),
-            "submitter_signature": self.submitter_signature.hex(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "DefineSchema":
-        obj = expect_object(value, ("kind", "schema", "submitter_signature"), cls.kind)
-        return cls(
-            schema=CredentialSchema.from_json_dict(obj["schema"]),
-            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
-                                          "submitter_signature"),
         )
 
     def check(self, state: "RegistryState") -> str | None:
@@ -223,34 +215,12 @@ class AnchorCredential(_IssuerSigned):
     submitter_signature: bytes
 
     kind = "anchor_credential"
+    JSON = (("kind", STR), ("credential_id", HASH), ("issuer_did", DID),
+            ("commitment_root", HASH), ("submitter_signature", SIGNATURE))
 
     def signing_payload(self) -> bytes:
         return anchor_credential_payload(self.credential_id, self.issuer_did,
                                          self.commitment_root)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "credential_id": self.credential_id.hex(),
-            "issuer_did": str(self.issuer_did),
-            "commitment_root": self.commitment_root.hex(),
-            "submitter_signature": self.submitter_signature.hex(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "AnchorCredential":
-        obj = expect_object(
-            value,
-            ("kind", "credential_id", "issuer_did", "commitment_root", "submitter_signature"),
-            cls.kind,
-        )
-        return cls(
-            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            commitment_root=parse_hex(obj["commitment_root"], 32, "commitment_root"),
-            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
-                                          "submitter_signature"),
-        )
 
     def _rule(self, state: "RegistryState") -> str | None:
         if self.credential_id in state.anchors:
@@ -268,29 +238,11 @@ class Revoke(_IssuerSigned):
     submitter_signature: bytes
 
     kind = "revoke"
+    JSON = (("kind", STR), ("credential_id", HASH), ("issuer_did", DID),
+            ("submitter_signature", SIGNATURE))
 
     def signing_payload(self) -> bytes:
         return revoke_payload(self.credential_id, self.issuer_did)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "credential_id": self.credential_id.hex(),
-            "issuer_did": str(self.issuer_did),
-            "submitter_signature": self.submitter_signature.hex(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, value) -> "Revoke":
-        obj = expect_object(
-            value, ("kind", "credential_id", "issuer_did", "submitter_signature"), cls.kind
-        )
-        return cls(
-            credential_id=parse_hex(obj["credential_id"], 32, "credential_id"),
-            issuer_did=Did.parse(expect_str(obj["issuer_did"], "issuer_did")),
-            submitter_signature=parse_hex(obj["submitter_signature"], SIGNATURE_LEN,
-                                          "submitter_signature"),
-        )
 
     def _rule(self, state: "RegistryState") -> str | None:
         anchor = state.anchors.get(self.credential_id)
@@ -309,14 +261,17 @@ class Revoke(_IssuerSigned):
 KINDS = {cls.kind: cls for cls in (RegisterDid, DefineSchema, AnchorCredential, Revoke)}
 
 
-def parse_transaction(value):
+def parse_transaction(value, where: str = "transaction"):
     if not isinstance(value, dict) or "kind" not in value:
-        raise ParseError("transaction: expected object with a 'kind' field")
+        raise ParseError(f"{where}: expected object with a 'kind' field")
     kind = value["kind"]
     cls = KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ParseError(f"unknown transaction kind {kind!r}")
-    return cls.from_json_dict(value)
+        raise ParseError(f"{where}: unknown transaction kind {kind!r}")
+    return cls.from_json_dict(value, where)
+
+
+TRANSACTION = (lambda tx: tx.to_json_dict(), parse_transaction)
 
 
 def transaction_hash(tx) -> bytes:
@@ -360,7 +315,7 @@ class RegistryState:
 
 
 @dataclass(frozen=True)
-class LedgerBlock:
+class LedgerBlock(Record):
     index: int
     prev_hash: bytes
     timestamp: int
@@ -370,39 +325,19 @@ class LedgerBlock:
     writer_did: Did
     writer_signature: bytes
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "prev_hash": self.prev_hash.hex(),
-            "timestamp": self.timestamp,
-            "transactions": [tx.to_json_dict() for tx in self.transactions],
-            "tx_root": self.tx_root.hex(),
-            "block_hash": self.block_hash.hex(),
-            "writer_did": str(self.writer_did),
-            "writer_signature": self.writer_signature.hex(),
-        }
+    JSON = (
+        ("index", INT),
+        ("prev_hash", HASH),
+        ("timestamp", INT),
+        ("transactions", list_codec(TRANSACTION)),
+        ("tx_root", HASH),
+        ("block_hash", HASH),
+        ("writer_did", DID),
+        ("writer_signature", SIGNATURE),
+    )
 
-    @classmethod
-    def from_json_dict(cls, value) -> "LedgerBlock":
-        obj = expect_object(
-            value,
-            ("index", "prev_hash", "timestamp", "transactions", "tx_root", "block_hash",
-             "writer_did", "writer_signature"),
-            "block",
-        )
-        txs = tuple(parse_transaction(tx) for tx in expect_list(obj["transactions"],
-                                                                "transactions"))
-        return cls(
-            index=expect_int(obj["index"], "index"),
-            prev_hash=parse_hex(obj["prev_hash"], 32, "prev_hash"),
-            timestamp=expect_int(obj["timestamp"], "timestamp"),
-            transactions=txs,
-            tx_root=parse_hex(obj["tx_root"], 32, "tx_root"),
-            block_hash=parse_hex(obj["block_hash"], 32, "block_hash"),
-            writer_did=Did.parse(expect_str(obj["writer_did"], "writer_did")),
-            writer_signature=parse_hex(obj["writer_signature"], SIGNATURE_LEN,
-                                       "writer_signature"),
-        )
+
+_dump_blocks, _load_blocks = list_codec(record_codec(LedgerBlock))
 
 
 def block_hash_for(index: int, prev_hash: bytes, timestamp: int, tx_root: bytes) -> bytes:
@@ -436,9 +371,13 @@ def build_block(index: int, prev_hash: bytes, timestamp: int, txs,
 class Ledger:
     """Single-process chain; appends are serialized through this object."""
 
-    def __init__(self, blocks, writer_set: dict, mode: LedgerMode, clock: LogicalClock):
+    def __init__(self, blocks, mode: LedgerMode, clock: LogicalClock):
         self.blocks: list = list(blocks)
-        self.writer_set = dict(writer_set)  # did str -> verification key bytes
+        # The writer set is fixed at genesis: the DIDs its block registers.
+        self.writer_set = {  # did str -> verification key bytes
+            str(tx.document.did): tx.document.verification_key
+            for tx in self.blocks[0].transactions if isinstance(tx, RegisterDid)
+        }
         self.mode = mode
         self.clock = clock
         self._operator: KeyPair | None = None
@@ -451,24 +390,23 @@ class Ledger:
     def genesis(cls, writers, mode: LedgerMode = LedgerMode.PUBLIC_PERMISSIONED,
                 clock: LogicalClock | None = None) -> "Ledger":
         """Start a chain whose genesis block registers the permissioned writers."""
-        writers = list(writers)
-        if not writers:
-            raise EmptyWriterSet("genesis requires at least one writer document")
-        for i, doc in enumerate(writers):
-            if not doc.verify_self():
-                raise InvalidTransaction(i, "self-certification failed")
-        clock = clock or LogicalClock(0)
         txs = [RegisterDid(document=doc) for doc in writers]
+        if not txs:
+            raise EmptyWriterSet("genesis requires at least one writer document")
+        for i, tx in enumerate(txs):
+            cause = tx.check(RegistryState())
+            if cause is not None:
+                raise InvalidTransaction(i, cause)
+        clock = clock or LogicalClock(0)
         block = build_block(
             index=0,
             prev_hash=GENESIS_PREV_HASH,
             timestamp=clock.tick(),
             txs=txs,
-            writer_did=writers[0].did,
+            writer_did=txs[0].document.did,
             writer_signature=_GENESIS_SIGNATURE,
         )
-        writer_set = {str(doc.did): doc.verification_key for doc in writers}
-        ledger = cls(blocks=[block], writer_set=writer_set, mode=mode, clock=clock)
+        ledger = cls(blocks=[block], mode=mode, clock=clock)
         ledger._ensure_state()
         return ledger
 
@@ -606,7 +544,7 @@ class Ledger:
     def to_bytes(self) -> bytes:
         return canonical_json_bytes({
             "mode": self.mode.value,
-            "blocks": [block.to_json_dict() for block in self.blocks],
+            "blocks": _dump_blocks(self.blocks),
         })
 
     @classmethod
@@ -618,21 +556,12 @@ class Ledger:
             mode = LedgerMode(mode_text)
         except ValueError:
             raise ParseError(f"unknown ledger mode {mode_text!r}") from None
-        blocks = [LedgerBlock.from_json_dict(b) for b in expect_list(obj["blocks"], "blocks")]
+        blocks = _load_blocks(obj["blocks"], "blocks")
         if not blocks:
             raise ParseError("ledger has no blocks")
-        writer_set = {}
-        for tx in blocks[0].transactions:
-            if isinstance(tx, RegisterDid):
-                writer_set[str(tx.document.did)] = tx.document.verification_key
-        if not writer_set:
+        ledger = cls(blocks=blocks, mode=mode, clock=LogicalClock(blocks[-1].timestamp))
+        if not ledger.writer_set:
             raise ParseError("genesis block registers no writers")
-        ledger = cls(
-            blocks=blocks,
-            writer_set=writer_set,
-            mode=mode,
-            clock=LogicalClock(blocks[-1].timestamp),
-        )
         report = ledger.validate_chain()
         if not report.ok:
             raise FirstInvalid(report.index, report.cause.value)

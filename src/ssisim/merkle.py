@@ -8,7 +8,7 @@ leaf, so every proof has an unambiguous shape.
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .serialization import expect_object, expect_str, parse_hex, sha256
+from .serialization import Record, expect_str, hex_codec, sha256
 
 PADDING_LEAF = sha256(b"\x02ssisim/merkle/padding/v1")
 
@@ -21,21 +21,22 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return sha256(b"\x01" + left + right)
 
 
+def _load_side(value, where: str) -> bool:
+    side = expect_str(value, where)
+    if side not in ("left", "right"):
+        raise ParseError(f"merkle path side must be 'left' or 'right', got {side!r}")
+    return side == "left"
+
+
+SIDE = (lambda on_left: "left" if on_left else "right", _load_side)
+
+
 @dataclass(frozen=True)
-class PathStep:
+class PathStep(Record):
     sibling: bytes
     sibling_on_left: bool
 
-    def to_json_dict(self) -> dict:
-        return {"sibling": self.sibling.hex(), "side": "left" if self.sibling_on_left else "right"}
-
-    @classmethod
-    def from_json_dict(cls, value) -> "PathStep":
-        obj = expect_object(value, ("sibling", "side"), "merkle path step")
-        side = expect_str(obj["side"], "side")
-        if side not in ("left", "right"):
-            raise ParseError(f"merkle path side must be 'left' or 'right', got {side!r}")
-        return cls(sibling=parse_hex(obj["sibling"], 32, "sibling"), sibling_on_left=side == "left")
+    JSON = (("sibling", hex_codec(32)), ("side", SIDE, "sibling_on_left"))
 
 
 def _padded(leaves: list) -> list:

@@ -23,9 +23,13 @@ from .serialization import (
     expect_list,
     expect_object,
     expect_str,
+    list_codec,
     load_json,
     parse_hex,
+    record_codec,
 )
+
+_dump_credentials, _load_credentials = list_codec(record_codec(Credential))
 
 
 @dataclass
@@ -53,7 +57,7 @@ def wallet_save(wallet: Wallet) -> bytes:
         "public_key": wallet.keypair.public_key.hex(),
         "private_key": wallet.keypair.private_key.hex(),
         "key_id": wallet.keypair.key_id,
-        "credentials": [c.to_json_dict() for c in wallet.credentials],
+        "credentials": _dump_credentials(wallet.credentials),
         "other_data": [
             {"label": label, "blob": base64.b64encode(blob).decode("ascii")}
             for label, blob in wallet.other_data
@@ -78,9 +82,7 @@ def wallet_load(data: bytes) -> Wallet:
         raise KeyMismatch("stored key id does not match the public key")
     if derive_did(public_key) != did:
         raise KeyMismatch("stored DID does not match the public key")
-    credentials = [
-        Credential.from_json_dict(c) for c in expect_list(obj["credentials"], "credentials")
-    ]
+    credentials = list(_load_credentials(obj["credentials"], "credentials"))
     other_data = []
     for i, item in enumerate(expect_list(obj["other_data"], "other_data")):
         item_obj = expect_object(item, ("label", "blob"), f"other_data[{i}]")

@@ -33,6 +33,17 @@ def paths(tmp_path):
     }
 
 
+def run_script(*args):
+    """Run the CLI in a child process, so an uncaught exception shows as a traceback."""
+    # The child process imports the same ssisim sources as this test run.
+    src = str(Path(ssisim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ssisim.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 def bootstrap(run, paths):
     """Operator + issuer + holder wallets, initialized ledger, registered DIDs."""
     run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
@@ -54,7 +65,7 @@ class TestWalletInit:
         code1, out1, _ = run("wallet-init", "--seed", "ab" * 32, "--wallet", w1)
         code2, out2, _ = run("wallet-init", "--seed", "ab" * 32, "--wallet", w2)
         assert code1 == code2 == 0
-        assert open(w1, "rb").read() == open(w2, "rb").read()
+        assert Path(w1).read_bytes() == Path(w2).read_bytes()
         assert json.loads(out1)["did"] == json.loads(out2)["did"]
 
     def test_missing_seed_is_a_usage_error(self, run, tmp_path):
@@ -114,7 +125,7 @@ class TestEndToEndFlow:
             "--value", "b=hidden-value", "--out", paths["vc"])
         run("present", "--wallet", paths["alice"], "--credential", paths["vc"],
             "--reveal", "a", "--challenge", "99" * 32, "--out", paths["vp"])
-        data = open(paths["vp"], "rb").read()
+        data = Path(paths["vp"]).read_bytes()
         assert b"visible-value" in data
         assert b"hidden-value" not in data
 
@@ -128,12 +139,12 @@ class TestLedgerValidate:
 
     def test_tampered_ledger_exits_2_with_first_invalid(self, run, paths):
         bootstrap(run, paths)
-        raw = open(paths["ledger"], "rb").read()
+        raw = Path(paths["ledger"]).read_bytes()
         match = re.search(rb'"tx_root":"([0-9a-f]{64})"', raw)
         pos = match.start(1)
         mutated = bytearray(raw)
         mutated[pos] = ord("0") if mutated[pos] != ord("0") else ord("1")
-        open(paths["ledger"], "wb").write(bytes(mutated))
+        Path(paths["ledger"]).write_bytes(bytes(mutated))
         code, out, _ = run("ledger-validate", paths["ledger"])
         assert code == 2
         report = json.loads(out)
@@ -149,6 +160,23 @@ class TestLedgerValidate:
         bad.write_bytes(b"{]")
         code, _, _ = run("ledger-validate", str(bad))
         assert code == 3
+
+    def test_timestamp_beyond_64_bits_exits_3(self, run, paths):
+        run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
+        run("ledger-init", "--writer-wallet", paths["op"], "--ledger", paths["ledger"])
+        ledger = Path(paths["ledger"])
+        raw = ledger.read_bytes()
+        ledger.write_bytes(re.sub(rb'"timestamp":\d+', b'"timestamp":%d' % 2**64, raw))
+        proc = run_script("ledger-validate", paths["ledger"])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
+    def test_deeply_nested_file_exits_3(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100_000)
+        proc = run_script("ledger-validate", str(deep))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
 
 
 class TestScenarioCommands:
@@ -211,13 +239,6 @@ class TestScenarioCommands:
 
 class TestInstalledScript:
     def test_console_entry_point_runs(self):
-        # The child process imports the same ssisim sources as this test run.
-        src = str(Path(ssisim.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ssisim.cli", "compare", "--scenario", "ca",
-             "--forgeries", "2"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = run_script("compare", "--scenario", "ca", "--forgeries", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["forged_accepted"] == 2

@@ -2,7 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from ssisim.engine import define_schema
+from ssisim.credentials import (
+    Credential,
+    CredentialSchema,
+    Presentation,
+    RevealedAttribute,
+    create_presentation,
+)
+from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
     EmptyBatch,
     EmptyWriterSet,
@@ -11,13 +18,23 @@ from ssisim.errors import (
     NotPermissioned,
     ParseError,
 )
-from ssisim.identity import derive_did, generate_keypair, make_did_document, sign
+from ssisim.identity import (
+    DidDocument,
+    Envelope,
+    derive_did,
+    encrypt_for,
+    generate_keypair,
+    key_agreement_public,
+    make_did_document,
+    sign,
+)
 from ssisim.ledger import (
     KINDS,
     AnchorCredential,
     ChainFault,
     CredentialStatus,
     Ledger,
+    LedgerBlock,
     LedgerMode,
     RegisterDid,
     Revoke,
@@ -25,7 +42,9 @@ from ssisim.ledger import (
     parse_transaction,
     revoke_payload,
 )
+from ssisim.merkle import PathStep
 from ssisim.runtime import DeterministicRng, LogicalClock
+from ssisim.serialization import canonical_json_bytes
 
 from conftest import seeded_keypair
 
@@ -318,8 +337,12 @@ class TestSerialization:
 
 class TestTransactionJson:
     @pytest.fixture
-    def one_of_each_kind(self, ledger, issuer, clock):
-        define_schema(issuer, "Badge", 1, ["level"], ledger)
+    def one_of_each_kind(self, ledger, issuer, holder, clock, rng):
+        """One value of every transaction kind and every other JSON record type.
+
+        Each comes with the parser for its JSON form.
+        """
+        schema = define_schema(issuer, "Badge", 1, ["level", "since"], ledger)
         txs = [
             RegisterDid(make_did_document(issuer, created_at=clock.tick())),
             ledger.blocks[-1].transactions[0],
@@ -327,14 +350,35 @@ class TestTransactionJson:
             signed_revoke(issuer, b"\x07" * 32),
         ]
         assert [tx.kind for tx in txs] == list(KINDS)
-        return txs
+        credential = issue_credential(issuer, derive_did(holder.public_key), schema,
+                                      {"level": "3", "since": "2020"}, ledger, rng=rng)
+        presentation = create_presentation(credential, ["level"], b"\x09" * 32, holder)
+        revealed = presentation.revealed[0]
+        document = make_did_document(holder, (("agent", "https://h.example"),), created_at=5)
+        envelope = encrypt_for(key_agreement_public(holder.private_key), issuer.private_key,
+                               b"hello", rng=rng)
+        records = [
+            (schema, CredentialSchema.from_json_dict),
+            (credential, Credential.from_json_dict),
+            (revealed, RevealedAttribute.from_json_dict),
+            (presentation, Presentation.from_json_dict),
+            (revealed.merkle_path[0], PathStep.from_json_dict),
+            (document, lambda value: DidDocument.from_json_dict(
+                value, controller_signature=document.controller_signature)),
+            (envelope, Envelope.from_json_dict),
+            (ledger.blocks[-1], LedgerBlock.from_json_dict),
+        ]
+        return [(tx, parse_transaction) for tx in txs] + records
 
     def test_every_kind_roundtrips(self, one_of_each_kind):
-        for tx in one_of_each_kind:
-            parsed = parse_transaction(tx.to_json_dict())
-            assert type(parsed) is KINDS[tx.kind]
-            assert parsed == tx
-            assert parsed.canonical_bytes() == tx.canonical_bytes()
+        for value, parse in one_of_each_kind:
+            parsed = parse(value.to_json_dict())
+            assert type(parsed) is type(value)
+            assert parsed == value
+            assert (canonical_json_bytes(parsed.to_json_dict())
+                    == canonical_json_bytes(value.to_json_dict()))
+            if parse is parse_transaction:
+                assert parsed.canonical_bytes() == value.canonical_bytes()
 
     @pytest.mark.parametrize("value", [
         None, [], {}, {"kind": "grant_admin"}, {"kind": ""}, {"kind": None}, {"kind": 7},
@@ -345,15 +389,21 @@ class TestTransactionJson:
             parse_transaction(value)
 
     def test_missing_extra_or_reordered_keys_are_parse_errors(self, one_of_each_kind):
-        for tx in one_of_each_kind:
-            good = tx.to_json_dict()
-            kind, *fields = good
-            missing = {k: good[k] for k in good if k != fields[-1]}
+        for value, parse in one_of_each_kind:
+            good = value.to_json_dict()
+            keys = list(good)
+            missing = {k: good[k] for k in keys[:-1]}
             extra = {**good, "note": "x"}
-            reordered = {kind: good[kind], **{k: good[k] for k in reversed(fields)}}
+            # swap the last two keys; a transaction's "kind" stays first
+            reordered = {k: good[k] for k in keys[:-2] + keys[:-3:-1]}
             for bad in (missing, extra, reordered):
                 with pytest.raises(ParseError):
-                    parse_transaction(bad)
+                    parse(bad)
+
+    def test_kind_must_match_the_parsing_class(self, one_of_each_kind):
+        anchor = next(value for value, _ in one_of_each_kind if isinstance(value, AnchorCredential))
+        with pytest.raises(ParseError):
+            AnchorCredential.from_json_dict({**anchor.to_json_dict(), "kind": "revoke"})
 
 
 class TestKeyAgreementIndex:

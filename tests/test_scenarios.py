@@ -1,6 +1,8 @@
 import pytest
 
+from ssisim.credentials import Credential, Presentation
 from ssisim.errors import ConfigError, UnknownAttribute
+from ssisim.ledger import Ledger
 from ssisim.scenarios import (
     GOVERNMENT_ATTRIBUTES,
     GOVERNMENT_DEFAULT_VALUES,
@@ -11,6 +13,8 @@ from ssisim.scenarios import (
     run_healthcare_scenario,
     run_healthcare_scenario_detailed,
 )
+from ssisim.serialization import canonical_json_bytes, load_json, sha256
+from ssisim.wallet import wallet_create, wallet_load, wallet_save
 
 FIG5_SEQUENCE = [
     ("patient", "request_credential"),
@@ -104,3 +108,45 @@ class TestGovernment:
         a = run_government_scenario(GovernmentConfig())
         b = run_government_scenario(GovernmentConfig())
         assert a.to_bytes() == b.to_bytes()
+
+
+class TestExportedBytes:
+    """Every file format's bytes for the default runs, pinned by sha256.
+
+    A change to any key, key order or encoding of a ledger, credential,
+    presentation or wallet file changes one of these digests.
+    """
+
+    @pytest.mark.parametrize("run_detailed, config, digests", [
+        (run_healthcare_scenario_detailed, HealthcareConfig(), (
+            "c74031e12ed4cc694f4c4888a69220b2ba3ef9be969f4bdaf69aa16bd6cc7372",
+            "83265808b3e21733e0610966831db6e24339c190f6f361a5d0554731e92c260c",
+            "87a78a5c2d113699f101d37a38a149ed3f28f3c31ea67ee91b2fde2a05a039bf",
+        )),
+        (run_government_scenario_detailed, GovernmentConfig(), (
+            "e2e9aa41eacd36a389abb52e95a3b457d70907010b330f18334295fbd7ebafba",
+            "c52edaffe38e641353937cdb1d8db5621592ac5891f7db96c14fc1ba0ea7f80d",
+            "58206d6d09c3f0deaf111a785f54d6e0718365ed0977955544de84f75b41f1f8",
+        )),
+    ])
+    def test_default_run_files(self, run_detailed, config, digests):
+        """Digests of the ledger, credential and presentation files, in that order."""
+        run = run_detailed(config)
+        ledger_bytes = run.ledger.to_bytes()
+        credential_bytes = canonical_json_bytes(run.credential.to_json_dict())
+        presentation_bytes = canonical_json_bytes(run.presentation.to_json_dict())
+        files = (ledger_bytes, credential_bytes, presentation_bytes)
+        assert tuple(sha256(data).hex() for data in files) == digests
+        # the parsers read back exactly what the writers wrote
+        assert Ledger.from_bytes(ledger_bytes).to_bytes() == ledger_bytes
+        for cls, data in ((Credential, credential_bytes), (Presentation, presentation_bytes)):
+            assert canonical_json_bytes(cls.from_json_dict(load_json(data)).to_json_dict()) == data
+
+    def test_wallet_file(self):
+        wallet = wallet_create(b"\x07" * 32)
+        wallet.add_credential(run_healthcare_scenario_detailed(HealthcareConfig()).credential)
+        wallet.add_other_data("note", b"\x00\x01\xff")
+        data = wallet_save(wallet)
+        assert sha256(data).hex() == (
+            "91cd0dddaed7e435fab8afad1643ca49208bd5109bf2c9c356548a5c18bbbe2f")
+        assert wallet_save(wallet_load(data)) == data

@@ -8,7 +8,9 @@ from ssisim.serialization import (
     b58encode,
     canonical_json,
     encode_parts,
+    expect_int,
     expect_object,
+    load_json,
     parse_hex,
 )
 
@@ -74,3 +76,14 @@ class TestStrictJson:
             parse_hex("0af", None, "x")
         with pytest.raises(ParseError):
             parse_hex("0aff", 3, "x")
+
+    def test_expect_int_takes_exactly_the_canonical_range(self):
+        assert expect_int(0, "x") == 0
+        assert expect_int(2**64 - 1, "x") == 2**64 - 1
+        for bad in (-1, 2**64, True, 1.0, "1"):
+            with pytest.raises(ParseError):
+                expect_int(bad, "x")
+
+    def test_too_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            load_json(b"[" * 100_000)
