@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .credentials import Credential, VerificationReport
 from .engine import verify_credential
-from .errors import ParseError, StaleChallenge, UnknownDid
+from .errors import ParseError, StaleChallenge, UnknownDid, WrongHolderKey
 from .identity import Did, Envelope, decrypt, encrypt_for, sign, verify
 from .ledger import Ledger
 from .runtime import LogicalClock, SystemRng
@@ -122,13 +122,17 @@ class Agent:
         return obj
 
     def receive_credential(self, envelope: Envelope) -> VerificationReport:
-        """Decrypt, store, and verify a credential against the registry."""
+        """Decrypt and verify a credential; store it only if the registry accepts it."""
         message = self.open_envelope(envelope)
         if expect_str(message["kind"], "kind") != "credential":
             raise ParseError(f"expected a credential message, got {message['kind']!r}")
         credential = Credential.from_json_dict(message["body"])
-        self.wallet.add_credential(credential)
-        return verify_credential(self.ledger_view, credential, reader_did=self.did)
+        if credential.holder_did != self.did:
+            raise WrongHolderKey(f"credential is for {credential.holder_did}, not {self.did}")
+        report = verify_credential(self.ledger_view, credential, reader_did=self.did)
+        if report.accepted:
+            self.wallet.add_credential(credential)
+        return report
 
     # -- DID-Auth
 

@@ -22,13 +22,7 @@ from .identity import Did, make_did_document
 from .ledger import Ledger, LedgerMode, RegisterDid
 from .pki import CompromiseConfig, run_compromise_experiment
 from .runtime import LogicalClock
-from .scenarios import (
-    GOVERNMENT_DEFAULT_REVEAL,
-    GovernmentConfig,
-    HealthcareConfig,
-    run_government_scenario,
-    run_healthcare_scenario,
-)
+from .scenarios import GovernmentConfig, HealthcareConfig, run_scenario
 from .serialization import canonical_json, load_json, parse_hex
 from .wallet import wallet_create, wallet_load, wallet_save
 
@@ -55,6 +49,13 @@ def _load_ledger(path: str) -> Ledger:
 
 def _parse_seed(seed_hex: str) -> bytes:
     return parse_hex(seed_hex, 32, "--seed")
+
+
+def _parse_reveal(reveal: str) -> tuple | None:
+    """Comma-separated attribute names; 'all' is None, which reveals every attribute."""
+    if reveal == "all":
+        return None
+    return tuple(name.strip() for name in reveal.split(",") if name.strip())
 
 
 def _parse_pairs(pairs, what: str) -> dict:
@@ -93,6 +94,18 @@ def _opt(ctx, local, key, flag):
 # --- scenarios -----------------------------------------------------------------
 
 
+def _run_scenario(ctx, config_class, seed_hex, clock_start, **fields) -> None:
+    """Print the transcript and exit 2 unless it accepts; unset flags keep class defaults."""
+    seed_hex = seed_hex or ctx.obj.get("seed")
+    if seed_hex:
+        fields["seed"] = _parse_seed(seed_hex)
+    start = clock_start if clock_start is not None else ctx.obj["clock_start"]
+    transcript = run_scenario(config_class(clock_start=start, **fields)).transcript
+    _print_json(transcript.to_json_dict())
+    if transcript.final_verdict != "accept":
+        ctx.exit(2)
+
+
 @cli.command()
 @click.option("--seed", "seed_hex", type=str, default=None)
 @click.option("--clock-start", type=int, default=None)
@@ -101,38 +114,20 @@ def _opt(ctx, local, key, flag):
 @click.pass_context
 def healthcare(ctx, seed_hex, clock_start, revoke_before_presentation, tamper_attribute):
     """Run the six-step patient/issuer-authority/provider flow."""
-    seed = _parse_seed(seed_hex or ctx.obj.get("seed") or "11" * 32)
-    start = clock_start if clock_start is not None else ctx.obj["clock_start"]
-    transcript = run_healthcare_scenario(HealthcareConfig(
-        seed=seed,
-        clock_start=start,
-        revoke_before_presentation=revoke_before_presentation,
-        tamper_attribute=tamper_attribute,
-    ))
-    _print_json(transcript.to_json_dict())
-    if transcript.final_verdict != "accept":
-        ctx.exit(2)
+    _run_scenario(ctx, HealthcareConfig, seed_hex, clock_start,
+                  revoke_before_presentation=revoke_before_presentation,
+                  tamper_attribute=tamper_attribute)
 
 
 @cli.command()
 @click.option("--seed", "seed_hex", type=str, default=None)
 @click.option("--clock-start", type=int, default=None)
-@click.option("--reveal", type=str, default=",".join(GOVERNMENT_DEFAULT_REVEAL),
+@click.option("--reveal", type=str, default=",".join(GovernmentConfig.reveal),
               help="Comma-separated attribute names, or 'all'.")
 @click.pass_context
 def government(ctx, seed_hex, clock_start, reveal):
     """Issue a nine-attribute national-ID credential, then disclose a subset."""
-    seed = _parse_seed(seed_hex or ctx.obj.get("seed") or "22" * 32)
-    start = clock_start if clock_start is not None else ctx.obj["clock_start"]
-    reveal_names = ("all",) if reveal == "all" else tuple(
-        name.strip() for name in reveal.split(",") if name.strip()
-    )
-    transcript = run_government_scenario(GovernmentConfig(
-        seed=seed, clock_start=start, reveal=reveal_names,
-    ))
-    _print_json(transcript.to_json_dict())
-    if transcript.final_verdict != "accept":
-        ctx.exit(2)
+    _run_scenario(ctx, GovernmentConfig, seed_hex, clock_start, reveal=_parse_reveal(reveal))
 
 
 @cli.command()
@@ -267,9 +262,9 @@ def present(ctx, wallet_path, credential_path, reveal, challenge_hex, out_path):
     """Build a selective-disclosure presentation bound to a challenge."""
     holder = _load_wallet(_opt(ctx, wallet_path, "wallet", "--wallet"))
     credential = Credential.from_json_dict(load_json(_read_bytes(credential_path)))
-    names = [n for n, _ in credential.attributes] if reveal == "all" else [
-        name.strip() for name in reveal.split(",") if name.strip()
-    ]
+    names = _parse_reveal(reveal)
+    if names is None:
+        names = [n for n, _ in credential.attributes]
     presentation = create_presentation(
         credential, names, parse_hex(challenge_hex, 32, "--challenge"), holder.keypair,
     )

@@ -56,10 +56,10 @@ def _signature_ok(ledger: Ledger, did, payload: bytes, signature: bytes, reader_
     return verify(doc.verification_key, payload, signature)
 
 
-def _schema_attributes(ledger: Ledger, schema_id: bytes, reader_did) -> tuple | None:
-    """The schema's attribute names, or None if the schema is not defined."""
+def _schema(ledger: Ledger, schema_id: bytes, reader_did) -> CredentialSchema | None:
+    """The anchored schema, or None if the schema is not defined."""
     try:
-        return ledger.lookup_schema(schema_id, reader_did=reader_did).attribute_names
+        return ledger.lookup_schema(schema_id, reader_did=reader_did)
     except UnknownSchema:
         return None
 
@@ -70,7 +70,7 @@ def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
     issuer_did = derive_did(issuer.public_key)
     ledger.resolve_did(issuer_did, reader_did=issuer_did)
     schema = make_schema(issuer_did, name, version, attribute_names)
-    if _schema_attributes(ledger, schema.schema_id, issuer_did) is not None:
+    if _schema(ledger, schema.schema_id, issuer_did) is not None:
         raise DuplicateSchema(f"schema {schema.schema_id.hex()} already anchored")
     tx = _signed(issuer, DefineSchema(schema=schema, submitter_signature=b""))
     ledger.submit([tx])
@@ -107,14 +107,17 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
     anchor = ledger.credential_anchor(presentation.credential_id, reader_did=reader_did)
     root = anchor.commitment_root if anchor is not None else None
 
-    names = _schema_attributes(ledger, presentation.schema_id, reader_did)
+    schema = _schema(ledger, presentation.schema_id, reader_did)
     revealed_names = {r.name for r in presentation.revealed}
-    checks.append(("schema_known", names is not None and revealed_names <= set(names)))
+    checks.append(("schema_known", schema is not None
+                   and schema.issuer_did == presentation.issuer_did
+                   and revealed_names <= set(schema.attribute_names)))
 
     status = ledger.credential_status(presentation.credential_id, reader_did=reader_did)
     checks.append(("status_active", status is CredentialStatus.ACTIVE))
 
-    issuer_ok = root is not None and _signature_ok(
+    anchored_by_issuer = anchor is not None and anchor.issuer_did == presentation.issuer_did
+    issuer_ok = anchored_by_issuer and _signature_ok(
         ledger, presentation.issuer_did,
         credential_signing_payload(
             presentation.credential_id, presentation.schema_id,
@@ -148,8 +151,9 @@ def verify_credential(ledger: Ledger, credential: Credential,
                       reader_did=None) -> VerificationReport:
     """Check a received credential against the registry; failures land in the report."""
     checks = []
-    names = _schema_attributes(ledger, credential.schema_id, reader_did)
-    checks.append(("schema_known", names == tuple(n for n, _ in credential.attributes)))
+    schema = _schema(ledger, credential.schema_id, reader_did)
+    checks.append(("schema_known", schema is not None
+                   and schema.attribute_names == tuple(n for n, _ in credential.attributes)))
     checks.append(("commitment_root", tamper_check(credential, ledger, reader_did=reader_did)))
     # tamper_check already verified the issuer signature against the ledger key
     status = ledger.credential_status(credential.credential_id, reader_did=reader_did)

@@ -89,7 +89,7 @@ class UnknownAttribute(SsiSimError):
 
 
 class WrongHolderKey(SsiSimError):
-    """Presenting key does not match the credential's holder DID."""
+    """A presenting key or a receiving agent does not match the credential's holder DID."""
 
 
 class NotIssuer(SsiSimError):

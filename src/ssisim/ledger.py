@@ -87,11 +87,6 @@ class ChainReport:
     index: int | None = None
     cause: ChainFault | None = None
 
-    def describe(self) -> str:
-        if self.ok:
-            return "Ok"
-        return f"FirstInvalid(index={self.index}, cause={self.cause.value})"
-
 
 # --- transactions ---------------------------------------------------------------
 # Each kind owns its JSON form, its canonical bytes, its rule against the registry

@@ -120,9 +120,6 @@ class CertVerdict:
     valid: bool
     cause: VerdictCause | None = None
 
-    def describe(self) -> str:
-        return "Valid" if self.valid else f"Invalid({self.cause.value})"
-
 
 # --- hierarchy -------------------------------------------------------------------
 
@@ -158,9 +155,6 @@ class CaHierarchy:
         self._next_serial = 1
         for node in (root, subordinate):
             self.va[node.certificate.serial] = CertStatus.VALID
-
-    def issuing_ca(self) -> CaNode:
-        return self.subordinate
 
     def node_by_name(self, name: str) -> CaNode | None:
         if name == self.root.name:
@@ -236,7 +230,7 @@ def ca_issue(hierarchy: CaHierarchy, approval: Approval, clock: LogicalClock) ->
     csr, state = entry
     if state is not RequestState.APPROVED:
         raise UnknownApproval(f"request {approval.request_id} is {state.value}, not approved")
-    ca = hierarchy.issuing_ca()
+    ca = hierarchy.subordinate
     now = clock.now()
     certificate = issue_signed_certificate(
         ca.name, ca.keypair, serial=hierarchy.next_serial(),
@@ -335,7 +329,7 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
     rng = DeterministicRng(config.seed)
     clock = LogicalClock(0)
     hierarchy = build_hierarchy(rng=rng, clock=clock)
-    stolen = hierarchy.issuing_ca()
+    stolen = hierarchy.subordinate
     accepted = 0
     for i in range(config.forgeries):
         mallory = generate_keypair(rng.randbytes(32))

@@ -6,16 +6,21 @@ runs are byte-reproducible under a fixed seed and logical clock start.
 
 import os
 
-from .serialization import sha256
+from .errors import ConfigError
+from .serialization import MAX_INT, sha256
 
 
 class LogicalClock:
-    """Monotone integer clock; tick() advances and returns the new value."""
+    """Monotone integer clock in [0, 2^64-1]; tick() advances and returns the new value."""
 
     def __init__(self, start: int = 0):
+        if not 0 <= start <= MAX_INT:
+            raise ConfigError(f"logical clock start {start} is outside [0, 2^64-1]")
         self.value = start
 
     def tick(self) -> int:
+        if self.value >= MAX_INT:
+            raise ConfigError("logical clock cannot tick past 2^64-1")
         self.value += 1
         return self.value
 

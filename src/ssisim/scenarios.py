@@ -7,7 +7,7 @@ authority is called "issuer-authority" to keep it distinct from the
 verifying provider.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .agents import Agent, MessageBus
 from .credentials import Presentation, create_presentation
@@ -18,39 +18,6 @@ from .ledger import Ledger, RegisterDid
 from .runtime import DeterministicRng, LogicalClock
 from .serialization import canonical_json_bytes, sha256
 from .wallet import wallet_create
-
-HEALTHCARE_SCHEMA_NAME = "PatientID"
-HEALTHCARE_ATTRIBUTES = ("name", "dob", "patient_number")
-HEALTHCARE_DEFAULT_VALUES = {
-    "name": "Alice Example",
-    "dob": "1990-04-12",
-    "patient_number": "PN-1029384756",
-}
-
-GOVERNMENT_SCHEMA_NAME = "AadhaarID"
-GOVERNMENT_ATTRIBUTES = (
-    "name",
-    "date_of_birth",
-    "gender",
-    "address",
-    "mobile_number",
-    "email",
-    "fingerprints",
-    "iris_scans",
-    "facial_photograph",
-)
-GOVERNMENT_DEFAULT_VALUES = {
-    "name": "Priya Example",
-    "date_of_birth": "1988-11-03",
-    "gender": "female",
-    "address": "221B Example Marg, Shimla 171001",
-    "mobile_number": "+91-99999-00001",
-    "email": "priya.example@post.example.in",
-    "fingerprints": "FP-TEMPLATE:9f3a7c51e2",
-    "iris_scans": "IRIS-TEMPLATE:4b2d8e10aa",
-    "facial_photograph": "PHOTO-REF:0b64beefcafe",
-}
-GOVERNMENT_DEFAULT_REVEAL = ("name", "date_of_birth")
 
 _REQUEST_ACTION = "request_credential"
 
@@ -71,11 +38,7 @@ class ScenarioTranscript:
         })
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario_name": self.scenario_name,
-            "steps": list(self.steps),
-            "final_verdict": self.final_verdict,
-        }
+        return asdict(self)
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_json_dict())
@@ -88,26 +51,66 @@ class ScenarioRun:
     transcript: ScenarioTranscript
     ledger: Ledger
     presentation: Presentation
-    report: object
     verifier_received_plaintext: bytes
     credential: object
 
 
 @dataclass(frozen=True)
-class HealthcareConfig:
-    seed: bytes = b"\x11" * 32
+class ScenarioConfig:
+    """One run of the six-step issue -> present -> verify flow.
+
+    A subclass is one scenario: it sets the default seed, NAME, SCHEMA_NAME,
+    DEFAULT_VALUES, their keys as ATTRIBUTES, and ACTORS as (issuer, holder,
+    verifier). reveal=None discloses every attribute.
+    """
+
+    seed: bytes
     clock_start: int = 0
     values: dict | None = None
+    reveal: tuple | None = None
     revoke_before_presentation: bool = False
     tamper_attribute: str | None = None
 
 
 @dataclass(frozen=True)
-class GovernmentConfig:
+class HealthcareConfig(ScenarioConfig):
+    """The provider sees the full patient record it was asked for."""
+
+    NAME = "healthcare"
+    SCHEMA_NAME = "PatientID"
+    DEFAULT_VALUES = {
+        "name": "Alice Example",
+        "dob": "1990-04-12",
+        "patient_number": "PN-1029384756",
+    }
+    ATTRIBUTES = tuple(DEFAULT_VALUES)
+    ACTORS = ("issuer-authority", "patient", "provider")
+
+    seed: bytes = b"\x11" * 32
+
+
+@dataclass(frozen=True)
+class GovernmentConfig(ScenarioConfig):
+    """A nine-attribute national ID; the employer sees only name and birth date."""
+
+    NAME = "government"
+    SCHEMA_NAME = "AadhaarID"
+    DEFAULT_VALUES = {
+        "name": "Priya Example",
+        "date_of_birth": "1988-11-03",
+        "gender": "female",
+        "address": "221B Example Marg, Shimla 171001",
+        "mobile_number": "+91-99999-00001",
+        "email": "priya.example@post.example.in",
+        "fingerprints": "FP-TEMPLATE:9f3a7c51e2",
+        "iris_scans": "IRIS-TEMPLATE:4b2d8e10aa",
+        "facial_photograph": "PHOTO-REF:0b64beefcafe",
+    }
+    ATTRIBUTES = tuple(DEFAULT_VALUES)
+    ACTORS = ("identity-authority", "citizen", "employer")
+
     seed: bytes = b"\x22" * 32
-    clock_start: int = 0
-    values: dict | None = None
-    reveal: tuple = GOVERNMENT_DEFAULT_REVEAL
+    reveal: tuple | None = ("name", "date_of_birth")
 
 
 def _setup_world(seed: bytes, clock_start: int, actor_names):
@@ -124,7 +127,6 @@ def _setup_world(seed: bytes, clock_start: int, actor_names):
 
     bus = MessageBus()
     agents = {}
-    wallets = {}
     register_txs = []
     for name in actor_names:
         wallet = wallet_create(rng.randbytes(32))
@@ -133,36 +135,33 @@ def _setup_world(seed: bytes, clock_start: int, actor_names):
             created_at=clock.tick(),
         )
         register_txs.append(RegisterDid(doc))
-        wallets[name] = wallet
+        agents[name] = Agent(wallet, ledger, bus=bus, rng=rng, clock=clock)
     ledger.submit(register_txs)
-    for name in actor_names:
-        agents[name] = Agent(wallets[name], ledger, bus=bus, rng=rng, clock=clock)
     return rng, clock, ledger, agents
 
 
-def _run_credential_flow(scenario_name: str, seed: bytes, clock_start: int,
-                         schema_name: str, attribute_names, values: dict,
-                         reveal, actor_names: tuple, revoke_before_presentation: bool = False,
-                         tamper_attribute: str | None = None) -> ScenarioRun:
-    """actor_names is (issuer, holder, verifier)."""
-    missing = set(attribute_names) - set(values)
+def run_scenario(config: ScenarioConfig) -> ScenarioRun:
+    """Run the six-step flow that config describes."""
+    values = dict(config.values or config.DEFAULT_VALUES)
+    missing = set(config.ATTRIBUTES) - set(values)
     if missing:
         raise ConfigError(f"missing values for attributes {sorted(missing)}")
-    rng, clock, ledger, agents = _setup_world(seed, clock_start, actor_names)
-    issuer, holder, verifier = (agents[name] for name in actor_names)
-    transcript = ScenarioTranscript(scenario_name=scenario_name)
+    rng, clock, ledger, agents = _setup_world(config.seed, config.clock_start, config.ACTORS)
+    issuer, holder, verifier = (agents[name] for name in config.ACTORS)
+    transcript = ScenarioTranscript(scenario_name=config.NAME)
 
     # (1) holder asks the issuing authority for a credential
     request = holder.send_message(
         issuer.did, _REQUEST_ACTION,
-        {"schema_name": schema_name, "values": {k: values[k] for k in sorted(values)}},
+        {"schema_name": config.SCHEMA_NAME, "values": {k: values[k] for k in sorted(values)}},
     )
     transcript.add_step(holder.did, _REQUEST_ACTION,
                         canonical_json_bytes(request.to_json_dict()), "ok")
 
     # (2) issuer defines the schema and anchors the credential commitment
     issuer.inbox.popleft()
-    schema = define_schema(issuer.wallet.keypair, schema_name, 1, attribute_names, ledger)
+    schema = define_schema(issuer.wallet.keypair, config.SCHEMA_NAME, 1, config.ATTRIBUTES,
+                           ledger)
     credential = issue_credential(issuer.wallet.keypair, holder.did, schema, values,
                                   ledger, rng=rng, clock=clock)
     anchor_block = ledger.blocks[-1]
@@ -176,22 +175,23 @@ def _run_credential_flow(scenario_name: str, seed: bytes, clock_start: int,
                         canonical_json_bytes(delivery.to_json_dict()),
                         "stored" if local_report.accepted else local_report.verdict)
 
-    if revoke_before_presentation:
+    if config.revoke_before_presentation:
         revoke_credential(issuer.wallet.keypair, credential.credential_id, ledger)
 
     presented = holder.wallet.credentials[-1]
-    if tamper_attribute is not None:
+    if config.tamper_attribute is not None:
         names = [n for n, _ in presented.attributes]
-        if tamper_attribute not in names:
-            raise ConfigError(f"cannot tamper unknown attribute {tamper_attribute!r}")
+        if config.tamper_attribute not in names:
+            raise ConfigError(f"cannot tamper unknown attribute {config.tamper_attribute!r}")
         mutated = tuple(
-            (n, v + "-tampered") if n == tamper_attribute else (n, v)
+            (n, v + "-tampered") if n == config.tamper_attribute else (n, v)
             for n, v in presented.attributes
         )
         presented = replace(presented, attributes=mutated)
 
     # (4) holder presents the credential to the verifier under its challenge
     challenge = rng.randbytes(32)
+    reveal = config.reveal
     reveal_names = tuple(n for n, _ in presented.attributes) if reveal is None else tuple(reveal)
     presentation = create_presentation(presented, reveal_names, challenge,
                                        holder.wallet.keypair)
@@ -220,44 +220,14 @@ def _run_credential_flow(scenario_name: str, seed: bytes, clock_start: int,
         transcript=transcript,
         ledger=ledger,
         presentation=received_presentation,
-        report=report,
         verifier_received_plaintext=verifier_plaintext,
         credential=credential,
     )
 
 
-def run_healthcare_scenario_detailed(config: HealthcareConfig) -> ScenarioRun:
-    return _run_credential_flow(
-        scenario_name="healthcare",
-        seed=config.seed,
-        clock_start=config.clock_start,
-        schema_name=HEALTHCARE_SCHEMA_NAME,
-        attribute_names=HEALTHCARE_ATTRIBUTES,
-        values=dict(config.values or HEALTHCARE_DEFAULT_VALUES),
-        reveal=None,  # provider sees the full patient record it was asked for
-        actor_names=("issuer-authority", "patient", "provider"),
-        revoke_before_presentation=config.revoke_before_presentation,
-        tamper_attribute=config.tamper_attribute,
-    )
-
-
 def run_healthcare_scenario(config: HealthcareConfig) -> ScenarioTranscript:
-    return run_healthcare_scenario_detailed(config).transcript
-
-
-def run_government_scenario_detailed(config: GovernmentConfig) -> ScenarioRun:
-    reveal = GOVERNMENT_ATTRIBUTES if config.reveal == ("all",) else config.reveal
-    return _run_credential_flow(
-        scenario_name="government",
-        seed=config.seed,
-        clock_start=config.clock_start,
-        schema_name=GOVERNMENT_SCHEMA_NAME,
-        attribute_names=GOVERNMENT_ATTRIBUTES,
-        values=dict(config.values or GOVERNMENT_DEFAULT_VALUES),
-        reveal=tuple(reveal),
-        actor_names=("identity-authority", "citizen", "employer"),
-    )
+    return run_scenario(config).transcript
 
 
 def run_government_scenario(config: GovernmentConfig) -> ScenarioTranscript:
-    return run_government_scenario_detailed(config).transcript
+    return run_scenario(config).transcript

@@ -23,7 +23,7 @@ from .errors import ParseError
 B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(B58_ALPHABET)}
 _HEX_RE = re.compile(r"^[0-9a-f]*$")
-_MAX_INT = 2**64 - 1
+MAX_INT = 2**64 - 1  # the largest integer the binary rule's 8 bytes hold
 
 
 def sha256(data: bytes) -> bytes:
@@ -141,7 +141,7 @@ def expect_str(value, where: str) -> str:
 
 def expect_int(value, where: str) -> int:
     """A canonical integer: it must fit the binary rule's 8 unsigned bytes."""
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= _MAX_INT:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= MAX_INT:
         raise ParseError(f"{where}: expected integer in [0, 2^64-1]")
     return value
 

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ssisim
 from ssisim.cli import main
@@ -230,6 +232,29 @@ class TestScenarioCommands:
         report = json.loads(out)
         assert (report["forged_accepted"], report["forged_rejected"],
                 report["total_forgeries"]) == (0, 0, 0)
+
+    def test_clock_outside_64_bits_exits_1(self, run, paths):
+        proc = run_script("healthcare", "--clock-start=-5")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        # the start fits, but the genesis block's tick passes 2^64-1
+        run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
+        proc = run_script("ledger-init", "--writer-wallet", paths["op"],
+                          "--ledger", paths["ledger"], f"--clock-start={2**64 - 2}")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["healthcare", "government"]),
+           clock_start=st.integers(-2**70, 2**70), seed=st.text(), text=st.text())
+    @example(command="healthcare", clock_start=-5, seed="", text="dob")
+    @example(command="government", clock_start=2**64 - 3, seed="", text="all")
+    def test_any_scenario_flags_map_to_an_exit_code(self, command, clock_start, seed, text):
+        # --flag=value keeps a value that starts with a dash a value
+        flag = "--tamper-attribute" if command == "healthcare" else "--reveal"
+        code = main([command, f"--clock-start={clock_start}", f"--seed={seed}",
+                     f"{flag}={text}"])
+        assert code in {0, 1, 2, 3}
 
     def test_bad_flags_exit_1(self, run):
         assert run("compare", "--scenario", "dns", "--forgeries", "1")[0] == 1

@@ -5,6 +5,7 @@ import pytest
 from ssisim.credentials import (
     Credential,
     Presentation,
+    build_credential,
     create_presentation,
 )
 from ssisim.engine import (
@@ -27,8 +28,8 @@ from ssisim.errors import (
     UnknownTransition,
     WrongHolderKey,
 )
-from ssisim.identity import derive_did
-from ssisim.ledger import CredentialStatus
+from ssisim.identity import derive_did, sign
+from ssisim.ledger import AnchorCredential, CredentialStatus
 from ssisim.serialization import canonical_json_bytes
 
 from conftest import seeded_keypair
@@ -39,6 +40,18 @@ AADHAAR_ATTRS = [
 ]
 
 PATIENT_VALUES = {"name": "Alice Example", "dob": "1990-04-12", "patient_number": "PN-42"}
+
+
+def anchor_as(submitter, credential, ledger):
+    """Anchor the credential's commitment root in a transaction that submitter signs."""
+    unsigned = AnchorCredential(
+        credential_id=credential.credential_id,
+        issuer_did=derive_did(submitter.public_key),
+        commitment_root=credential.commitment_root,
+        submitter_signature=b"",
+    )
+    ledger.submit([replace(unsigned, submitter_signature=sign(submitter.private_key,
+                                                              unsigned.signing_payload()))])
 
 
 @pytest.fixture
@@ -202,8 +215,6 @@ class TestVerifyPresentation:
 
     def test_unanchored_credential_rejects(self, ledger, issuer, holder, patient_schema,
                                            rng, clock):
-        from ssisim.credentials import build_credential
-
         offline = build_credential(issuer, derive_did(holder.public_key), patient_schema,
                                    dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
         pres = create_presentation(offline, ["dob"], b"\x07" * 32, holder)
@@ -211,6 +222,31 @@ class TestVerifyPresentation:
         assert not report.accepted
         assert dict(report.checks)["status_active"] is False
         assert dict(report.checks)["merkle_proofs"] is False
+
+    def test_anchor_by_another_did_rejects_on_issuer_signature(self, ledger, issuer, holder,
+                                                               patient_schema, rng, clock):
+        # The holder anchors its own issuer-signed credential, so the issuer cannot revoke it.
+        offline = build_credential(issuer, derive_did(holder.public_key), patient_schema,
+                                   dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
+        anchor_as(holder, offline, ledger)
+        with pytest.raises(NotIssuer):
+            revoke_credential(issuer, offline.credential_id, ledger)
+        pres = create_presentation(offline, ["dob"], b"\x08" * 32, holder)
+        report = verify_presentation(ledger, pres, b"\x08" * 32)
+        assert report.verdict == "reject:issuer_signature"
+        assert [name for name, passed in report.checks if not passed] == ["issuer_signature"]
+
+    def test_schema_of_another_did_rejects_on_schema_known(self, ledger, issuer, holder,
+                                                           rng, clock):
+        foreign = define_schema(holder, "PatientID", 1, ["name", "dob", "patient_number"],
+                                ledger)
+        offline = build_credential(issuer, derive_did(holder.public_key), foreign,
+                                   dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
+        anchor_as(issuer, offline, ledger)
+        pres = create_presentation(offline, ["dob"], b"\x09" * 32, holder)
+        report = verify_presentation(ledger, pres, b"\x09" * 32)
+        assert report.verdict == "reject:schema_known"
+        assert [name for name, passed in report.checks if not passed] == ["schema_known"]
 
 
 class TestRevoke:

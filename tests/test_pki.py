@@ -124,7 +124,7 @@ class TestIssuanceAndVerification:
         assert (verdict.valid, verdict.cause) == (False, VerdictCause.EXPIRED)
 
     def test_unregistered_serial_is_invalid(self, hierarchy, clock):
-        ca = hierarchy.issuing_ca()
+        ca = hierarchy.subordinate
         offbook = issue_signed_certificate(
             ca.name, ca.keypair, serial=424242, subject_name="offbook.example",
             subject_public_key=subject(b"victim").public_key,

@@ -4,14 +4,11 @@ from ssisim.credentials import Credential, Presentation
 from ssisim.errors import ConfigError, UnknownAttribute
 from ssisim.ledger import Ledger
 from ssisim.scenarios import (
-    GOVERNMENT_ATTRIBUTES,
-    GOVERNMENT_DEFAULT_VALUES,
     GovernmentConfig,
     HealthcareConfig,
     run_government_scenario,
-    run_government_scenario_detailed,
     run_healthcare_scenario,
-    run_healthcare_scenario_detailed,
+    run_scenario,
 )
 from ssisim.serialization import canonical_json_bytes, load_json, sha256
 from ssisim.wallet import wallet_create, wallet_load, wallet_save
@@ -28,7 +25,7 @@ FIG5_SEQUENCE = [
 
 class TestHealthcare:
     def test_honest_run_is_six_steps_and_accepts(self):
-        run = run_healthcare_scenario_detailed(HealthcareConfig())
+        run = run_scenario(HealthcareConfig())
         transcript = run.transcript
         assert len(transcript.steps) == 6
         assert [s["step"] for s in transcript.steps] == [1, 2, 3, 4, 5, 6]
@@ -75,13 +72,13 @@ class TestHealthcare:
 
 class TestGovernment:
     def test_default_run_reveals_exactly_name_and_birthdate(self):
-        run = run_government_scenario_detailed(GovernmentConfig())
+        run = run_scenario(GovernmentConfig())
         assert run.transcript.final_verdict == "accept"
         assert {r.name for r in run.presentation.revealed} == {"name", "date_of_birth"}
 
     def test_hidden_attributes_never_reach_the_verifier_or_the_ledger(self):
-        run = run_government_scenario_detailed(GovernmentConfig())
-        hidden = {name: value for name, value in GOVERNMENT_DEFAULT_VALUES.items()
+        run = run_scenario(GovernmentConfig())
+        hidden = {name: value for name, value in GovernmentConfig.DEFAULT_VALUES.items()
                   if name not in ("name", "date_of_birth")}
         surfaces = (
             run.transcript.to_bytes(),
@@ -92,13 +89,13 @@ class TestGovernment:
             for value in hidden.values():
                 assert value.encode() not in surface
         # the two agreed attributes do reach the verifier
-        assert GOVERNMENT_DEFAULT_VALUES["name"].encode() in run.verifier_received_plaintext
+        assert GovernmentConfig.DEFAULT_VALUES["name"].encode() in run.verifier_received_plaintext
 
     def test_reveal_all_disclosures_nine_attributes(self):
-        run = run_government_scenario_detailed(GovernmentConfig(reveal=("all",)))
+        run = run_scenario(GovernmentConfig(reveal=None))
         assert run.transcript.final_verdict == "accept"
         assert len(run.presentation.revealed) == 9
-        assert {r.name for r in run.presentation.revealed} == set(GOVERNMENT_ATTRIBUTES)
+        assert {r.name for r in run.presentation.revealed} == set(GovernmentConfig.ATTRIBUTES)
 
     def test_unknown_reveal_attribute_fails_at_presentation(self):
         with pytest.raises(UnknownAttribute):
@@ -117,21 +114,21 @@ class TestExportedBytes:
     presentation or wallet file changes one of these digests.
     """
 
-    @pytest.mark.parametrize("run_detailed, config, digests", [
-        (run_healthcare_scenario_detailed, HealthcareConfig(), (
+    @pytest.mark.parametrize("config, digests", [
+        (HealthcareConfig(), (
             "c74031e12ed4cc694f4c4888a69220b2ba3ef9be969f4bdaf69aa16bd6cc7372",
             "83265808b3e21733e0610966831db6e24339c190f6f361a5d0554731e92c260c",
             "87a78a5c2d113699f101d37a38a149ed3f28f3c31ea67ee91b2fde2a05a039bf",
         )),
-        (run_government_scenario_detailed, GovernmentConfig(), (
+        (GovernmentConfig(), (
             "e2e9aa41eacd36a389abb52e95a3b457d70907010b330f18334295fbd7ebafba",
             "c52edaffe38e641353937cdb1d8db5621592ac5891f7db96c14fc1ba0ea7f80d",
             "58206d6d09c3f0deaf111a785f54d6e0718365ed0977955544de84f75b41f1f8",
         )),
-    ])
-    def test_default_run_files(self, run_detailed, config, digests):
+    ], ids=["healthcare", "government"])
+    def test_default_run_files(self, config, digests):
         """Digests of the ledger, credential and presentation files, in that order."""
-        run = run_detailed(config)
+        run = run_scenario(config)
         ledger_bytes = run.ledger.to_bytes()
         credential_bytes = canonical_json_bytes(run.credential.to_json_dict())
         presentation_bytes = canonical_json_bytes(run.presentation.to_json_dict())
@@ -144,7 +141,7 @@ class TestExportedBytes:
 
     def test_wallet_file(self):
         wallet = wallet_create(b"\x07" * 32)
-        wallet.add_credential(run_healthcare_scenario_detailed(HealthcareConfig()).credential)
+        wallet.add_credential(run_scenario(HealthcareConfig()).credential)
         wallet.add_other_data("note", b"\x00\x01\xff")
         data = wallet_save(wallet)
         assert sha256(data).hex() == (

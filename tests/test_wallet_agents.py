@@ -10,6 +10,7 @@ from ssisim.errors import (
     ParseError,
     StaleChallenge,
     UnknownDid,
+    WrongHolderKey,
 )
 from ssisim.identity import decrypt, derive_did, key_agreement_public, make_did_document
 from ssisim.ledger import RegisterDid
@@ -173,6 +174,15 @@ class TestCredentialDelivery:
         report = agents["bob"].receive_credential(agents["bob"].inbox.popleft())
         assert not report.accepted
         assert dict(report.checks)["status_active"] is False
+        assert agents["bob"].wallet.credentials == []
+
+    def test_credential_for_another_holder_is_not_stored(self, world):
+        led, _, agents = world
+        credential = self.issue_to(led, agents, "carol")
+        agents["alice"].send_credential(agents["bob"].did, credential)
+        with pytest.raises(WrongHolderKey):
+            agents["bob"].receive_credential(agents["bob"].inbox.popleft())
+        assert agents["bob"].wallet.credentials == []
 
     def test_garbage_plaintext_is_a_parse_error(self, world):
         _, _, agents = world
