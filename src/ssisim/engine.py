@@ -154,8 +154,13 @@ def verify_credential(ledger: Ledger, credential: Credential,
     schema = _schema(ledger, credential.schema_id, reader_did)
     checks.append(("schema_known", schema is not None
                    and schema.attribute_names == tuple(n for n, _ in credential.attributes)))
-    checks.append(("commitment_root", tamper_check(credential, ledger, reader_did=reader_did)))
-    # tamper_check already verified the issuer signature against the ledger key
+    # tamper_check verifies the issuer signature against the ledger key; the anchor
+    # must then carry this root and name this issuer.
+    anchor = ledger.credential_anchor(credential.credential_id, reader_did=reader_did)
+    checks.append(("commitment_root", tamper_check(credential, ledger, reader_did=reader_did)
+                   and anchor is not None
+                   and anchor.commitment_root == credential.commitment_root
+                   and anchor.issuer_did == credential.issuer_did))
     status = ledger.credential_status(credential.credential_id, reader_did=reader_did)
     checks.append(("status_active", status is CredentialStatus.ACTIVE))
     return VerificationReport(checks=tuple(checks))

@@ -35,6 +35,10 @@ class EmptyBatch(SsiSimError):
     """A block must carry at least one transaction."""
 
 
+class ClockExhausted(SsiSimError):
+    """The ledger's clock is at 2^64-1, so it cannot take another block."""
+
+
 class InvalidTransaction(SsiSimError):
     """A transaction failed validation against the current registry state."""
 

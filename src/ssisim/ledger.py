@@ -7,18 +7,22 @@ derived from the genesis block's own registration transactions, so the
 exported file carries no bytes outside the hash-covered chain except the
 mode flag.
 
-Registry state (documents, schemas, anchors, revocations) is folded from
-the chain on demand. The fold enforces transaction-level rules - above
-all self-certification of DID registrations - and skips transactions
-that violate them, so even a block signed by a legitimate writer cannot
-hijack another entity's DID.
+Registry state (documents, schemas, anchors, revocations) is resolved from
+the chain on demand. Transactions are indexed by the key they touch with
+dict operations only; a read then checks just the candidates it needs,
+against the rules of a linear replay of the chain, and memoizes each
+result. Transactions that violate a rule - above all self-certification
+of DID registrations - are skipped, so even a block signed by a
+legitimate writer cannot hijack another entity's DID.
 """
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
 from .credentials import HASH, SIGNATURE, CredentialSchema, schema_is_well_formed
 from .errors import (
+    ClockExhausted,
     EmptyBatch,
     EmptyWriterSet,
     FirstInvalid,
@@ -42,6 +46,7 @@ from .identity import (
 from .runtime import LogicalClock
 from .serialization import (
     INT,
+    MAX_INT,
     STR,
     Record,
     canonical_json_bytes,
@@ -89,8 +94,9 @@ class ChainReport:
 
 
 # --- transactions ---------------------------------------------------------------
-# Each kind owns its JSON form, its canonical bytes, its rule against the registry
-# state (check: None if valid, else the cause) and its state change (apply).
+# Each kind owns its JSON form, its canonical bytes, its index slot (candidates), the
+# checks that depend only on the chain before it (cause: None if they pass, else why)
+# and its rule against the current registry (rule, checked on append only).
 # RegisterDid writes its JSON by hand: the file holds the signature beside the document.
 
 
@@ -127,20 +133,18 @@ class RegisterDid:
         return cls(document=DidDocument.from_json_dict(obj["document"], "document",
                                                        controller_signature=signature))
 
-    def check(self, state: "RegistryState") -> str | None:
+    def candidates(self, state: "RegistryState") -> list:
+        return state.documents.setdefault(str(self.document.did), [])
+
+    def cause(self, state: "RegistryState", position: int) -> str | None:
         # verify_self binds the verification key to the DID, so a re-registration
         # that passes it necessarily keeps the original key.
         if not self.document.verify_self():
             return "self-certification failed"
         return None
 
-    def apply(self, state: "RegistryState") -> None:
-        did = str(self.document.did)
-        old = state.documents.get(did)
-        if old is not None:
-            state.ka_index.pop(key_fingerprint(old.key_agreement_key), None)
-        state.documents[did] = self.document
-        state.ka_index[key_fingerprint(self.document.key_agreement_key)] = did
+    def rule(self, state: "RegistryState") -> str | None:
+        return None
 
 
 def anchor_credential_payload(credential_id: bytes, issuer_did: Did,
@@ -154,18 +158,21 @@ def revoke_payload(credential_id: bytes, issuer_did: Did) -> bytes:
 
 
 class _IssuerSigned(Record):
-    """The kinds an issuer signs: the submitter signature is checked before the kind's rule."""
+    """The kinds an issuer signs: valid only after the issuer's registration, under its key."""
 
     def canonical_bytes(self) -> bytes:
         return self.signing_payload() + encode_bytes(self.submitter_signature)
 
-    def check(self, state: "RegistryState") -> str | None:
-        doc = state.documents.get(str(self.issuer_did))
-        if doc is None:
+    def cause(self, state: "RegistryState", position: int) -> str | None:
+        # Every registration that passes verify_self carries the key the DID is
+        # derived from, so the first one fixes both "registered before" and the key.
+        registration = state.registration(str(self.issuer_did))
+        if registration is None or registration.position >= position:
             return "unknown submitter DID"
-        if not verify(doc.verification_key, self.signing_payload(), self.submitter_signature):
+        key = registration.tx.document.verification_key
+        if not verify(key, self.signing_payload(), self.submitter_signature):
             return "bad submitter signature"
-        return self._rule(state)
+        return None
 
 
 @dataclass(frozen=True)
@@ -188,18 +195,18 @@ class DefineSchema(_IssuerSigned):
             schema.name, schema.version, list(schema.attribute_names),
         )
 
-    def check(self, state: "RegistryState") -> str | None:
+    def candidates(self, state: "RegistryState") -> list:
+        return state.schemas.setdefault(self.schema.schema_id, [])
+
+    def cause(self, state: "RegistryState", position: int) -> str | None:
         if not schema_is_well_formed(self.schema):
             return "malformed schema"
-        return super().check(state)
+        return super().cause(state, position)
 
-    def _rule(self, state: "RegistryState") -> str | None:
-        if self.schema.schema_id in state.schemas:
+    def rule(self, state: "RegistryState") -> str | None:
+        if state.schema(self.schema.schema_id) is not None:
             return "duplicate schema"
         return None
-
-    def apply(self, state: "RegistryState") -> None:
-        state.schemas[self.schema.schema_id] = self.schema
 
 
 @dataclass(frozen=True)
@@ -217,13 +224,13 @@ class AnchorCredential(_IssuerSigned):
         return anchor_credential_payload(self.credential_id, self.issuer_did,
                                          self.commitment_root)
 
-    def _rule(self, state: "RegistryState") -> str | None:
-        if self.credential_id in state.anchors:
+    def candidates(self, state: "RegistryState") -> list:
+        return state.anchors.setdefault(self.credential_id, [])
+
+    def rule(self, state: "RegistryState") -> str | None:
+        if state.anchor(self.credential_id) is not None:
             return "duplicate anchor"
         return None
-
-    def apply(self, state: "RegistryState") -> None:
-        state.anchors[self.credential_id] = self
 
 
 @dataclass(frozen=True)
@@ -239,18 +246,18 @@ class Revoke(_IssuerSigned):
     def signing_payload(self) -> bytes:
         return revoke_payload(self.credential_id, self.issuer_did)
 
-    def _rule(self, state: "RegistryState") -> str | None:
-        anchor = state.anchors.get(self.credential_id)
+    def candidates(self, state: "RegistryState") -> list:
+        return state.revokes.setdefault(self.credential_id, [])
+
+    def rule(self, state: "RegistryState") -> str | None:
+        anchor = state.anchor(self.credential_id)
         if anchor is None:
             return "unknown credential"
         if anchor.issuer_did != self.issuer_did:
             return "revoker is not the anchoring issuer"
-        if self.credential_id in state.revoked:
+        if state.revoked(self.credential_id):
             return "already revoked"
         return None
-
-    def apply(self, state: "RegistryState") -> None:
-        state.revoked.add(self.credential_id)
 
 
 KINDS = {cls.kind: cls for cls in (RegisterDid, DefineSchema, AnchorCredential, Revoke)}
@@ -280,30 +287,120 @@ def transactions_root(txs) -> bytes:
 # --- registry state --------------------------------------------------------------
 
 
+class _Entry:
+    """One indexed transaction, its chain position and, once known, whether it is valid there."""
+
+    __slots__ = ("position", "tx", "ok")
+
+    def __init__(self, position: int, tx, ok: bool | None):
+        self.position = position
+        self.tx = tx
+        self.ok = ok  # whether cause() is None there; None until a read needs it
+
+
 class RegistryState:
-    """Fold of all valid transactions; check() names why a transaction is not."""
+    """Index of the chain's transactions by the key they touch; reads resolve from it.
+
+    Each list holds the candidates for one key in chain order. A read answers as a
+    linear replay would - the latest self-certified registration, the first valid
+    schema or anchor, a valid revoke by the anchoring issuer after that anchor - and
+    runs each candidate's checks at most once. A candidate's checks depend only on
+    the chain before it, so appends never invalidate a memoized result.
+    """
 
     def __init__(self):
-        self.documents: dict = {}       # did str -> DidDocument
-        self.schemas: dict = {}         # schema_id bytes -> CredentialSchema
-        self.anchors: dict = {}         # credential_id bytes -> AnchorCredential
-        self.revoked: set = set()       # credential_id bytes
+        self.documents: dict = {}       # did str -> registrations
+        self.schemas: dict = {}         # schema_id bytes -> schema definitions
+        self.anchors: dict = {}         # credential_id bytes -> anchors
+        self.revokes: dict = {}         # credential_id bytes -> revokes
+        self.registrations: list = []   # every registration, in chain order
+        self.size = 0                   # transactions indexed: the next position
         self.ka_index: dict = {}        # key-agreement fingerprint -> did str
+        self._ka_of: dict = {}          # did str -> its fingerprint in ka_index
+        self._ka_replayed = 0           # registrations folded into ka_index
 
     def copy(self) -> "RegistryState":
+        """Copies of the containers, sharing their candidate lists.
+
+        Nothing in ssisim calls it; bench/baseline.py times it.
+        """
         clone = RegistryState()
-        clone.documents = dict(self.documents)
-        clone.schemas = dict(self.schemas)
-        clone.anchors = dict(self.anchors)
-        clone.revoked = set(self.revoked)
-        clone.ka_index = dict(self.ka_index)
+        clone.__dict__ = {name: copy.copy(value) for name, value in vars(self).items()}
         return clone
 
     def check(self, tx) -> str | None:
-        """None if the transaction is valid against this state, else the cause."""
+        """None if the transaction is valid at the end of the chain, else the cause."""
         if type(tx) not in KINDS.values():
             return f"unknown transaction type {type(tx).__name__}"
-        return tx.check(self)
+        return tx.cause(self, self.size) or tx.rule(self)
+
+    # -- index
+
+    def push(self, tx, ok: bool | None = None) -> None:
+        """Index tx at the next position; pass ok=True if it was just checked there."""
+        entry = _Entry(self.size, tx, ok)
+        tx.candidates(self).append(entry)
+        if type(tx) is RegisterDid:
+            self.registrations.append(entry)
+        self.size += 1
+
+    def pop(self, tx) -> None:
+        """Undo the push of tx, which must be the last one."""
+        tx.candidates(self).pop()
+        if type(tx) is RegisterDid:
+            self.registrations.pop()
+        self.size -= 1
+
+    # -- resolution
+
+    def _first_valid(self, entries) -> _Entry | None:
+        """The first entry whose transaction is valid at its position; checks run once."""
+        for entry in entries:
+            if entry.ok is None:
+                entry.ok = entry.tx.cause(self, entry.position) is None
+            if entry.ok:
+                return entry
+        return None
+
+    def registration(self, did: str) -> _Entry | None:
+        """The first registration of did that passes self-certification."""
+        return self._first_valid(self.documents.get(did, ()))
+
+    def document(self, did: str) -> DidDocument | None:
+        """The latest registration of did that passes self-certification."""
+        entry = self._first_valid(reversed(self.documents.get(did, ())))
+        return entry.tx.document if entry else None
+
+    def schema(self, schema_id: bytes) -> CredentialSchema | None:
+        entry = self._first_valid(self.schemas.get(schema_id, ()))
+        return entry.tx.schema if entry else None
+
+    def anchor(self, credential_id: bytes) -> AnchorCredential | None:
+        entry = self._first_valid(self.anchors.get(credential_id, ()))
+        return entry.tx if entry else None
+
+    def revoked(self, credential_id: bytes) -> bool:
+        """True iff a valid revoke by the anchoring issuer follows the winning anchor."""
+        revokes = self.revokes.get(credential_id)
+        anchor = revokes and self._first_valid(self.anchors.get(credential_id, ()))
+        if not anchor:
+            return False
+        after = (entry for entry in revokes if entry.position > anchor.position
+                 and entry.tx.issuer_did == anchor.tx.issuer_did)
+        return self._first_valid(after) is not None
+
+    def key_agreement_did(self, fingerprint: str) -> str | None:
+        """Replay new registrations into ka_index; a re-registration moves its DID's entry."""
+        for entry in self.registrations[self._ka_replayed:]:
+            if self._first_valid((entry,)):
+                doc = entry.tx.document
+                did = str(doc.did)
+                if did in self._ka_of:
+                    self.ka_index.pop(self._ka_of[did], None)
+                new = self._ka_of[did] = key_fingerprint(doc.key_agreement_key)
+                self.ka_index[new] = did
+        self._ka_replayed = len(self.registrations)
+        return self.ka_index.get(fingerprint)
 
 
 # --- blocks ----------------------------------------------------------------------
@@ -363,6 +460,16 @@ def build_block(index: int, prev_hash: bytes, timestamp: int, txs,
 # --- the ledger ------------------------------------------------------------------
 
 
+class _ChainClock(LogicalClock):
+    """The clock of a loaded chain: running out of ticks is the chain's limit, not a setting."""
+
+    def tick(self) -> int:
+        if self.value >= MAX_INT:
+            raise ClockExhausted(
+                "the ledger's last block timestamp is 2^64-1, so it cannot take another block")
+        return super().tick()
+
+
 class Ledger:
     """Single-process chain; appends are serialized through this object."""
 
@@ -377,7 +484,7 @@ class Ledger:
         self.clock = clock
         self._operator: KeyPair | None = None
         self._state = RegistryState()
-        self._folded = 0
+        self._indexed = 0  # blocks pushed into _state
 
     # -- construction
 
@@ -389,7 +496,7 @@ class Ledger:
         if not txs:
             raise EmptyWriterSet("genesis requires at least one writer document")
         for i, tx in enumerate(txs):
-            cause = tx.check(RegistryState())
+            cause = tx.cause(RegistryState(), 0)
             if cause is not None:
                 raise InvalidTransaction(i, cause)
         clock = clock or LogicalClock(0)
@@ -401,9 +508,7 @@ class Ledger:
             writer_did=txs[0].document.did,
             writer_signature=_GENESIS_SIGNATURE,
         )
-        ledger = cls(blocks=[block], mode=mode, clock=clock)
-        ledger._ensure_state()
-        return ledger
+        return cls(blocks=[block], mode=mode, clock=clock)
 
     def attach_writer(self, writer: KeyPair) -> None:
         """Hold a writer key so submit() can seal blocks for engine operations."""
@@ -421,26 +526,33 @@ class Ledger:
             raise NotPermissioned(f"{writer_did} is not in the writer set")
         if not txs:
             raise EmptyBatch("a block needs at least one transaction")
-        self._ensure_state()
-        staged = self._state.copy()
-        for i, tx in enumerate(txs):
-            cause = staged.check(tx)
-            if cause is not None:
-                raise InvalidTransaction(i, cause)
-            tx.apply(staged)
-        last = self.blocks[-1]
-        block = build_block(
-            index=last.index + 1,
-            prev_hash=last.block_hash,
-            timestamp=self.clock.tick(),
-            txs=txs,
-            writer_did=writer_did,
-            writer_signature=None,
-            writer_key=writer.private_key,
-        )
+        state = self._index()
+        # Each transaction is checked against the chain plus the ones staged before
+        # it, then indexed as valid; any failure pops the staged ones again.
+        staged = 0
+        try:
+            for i, tx in enumerate(txs):
+                cause = state.check(tx)
+                if cause is not None:
+                    raise InvalidTransaction(i, cause)
+                state.push(tx, ok=True)
+                staged += 1
+            last = self.blocks[-1]
+            block = build_block(
+                index=last.index + 1,
+                prev_hash=last.block_hash,
+                timestamp=self.clock.tick(),
+                txs=txs,
+                writer_did=writer_did,
+                writer_signature=None,
+                writer_key=writer.private_key,
+            )
+        except BaseException:
+            for tx in reversed(txs[:staged]):
+                state.pop(tx)
+            raise
         self.blocks.append(block)
-        self._state = staged
-        self._folded = len(self.blocks)
+        self._indexed = len(self.blocks)
         return block
 
     def submit(self, txs) -> LedgerBlock:
@@ -483,16 +595,14 @@ class Ledger:
 
     def resolve_did(self, did: Did, reader_did: Did | None = None) -> DidDocument:
         self._check_read_access(reader_did)
-        self._ensure_state()
-        doc = self._state.documents.get(str(did))
+        doc = self._index().document(str(did))
         if doc is None:
             raise UnknownDid(f"{did} is not registered")
         return doc
 
     def lookup_schema(self, schema_id: bytes, reader_did: Did | None = None) -> CredentialSchema:
         self._check_read_access(reader_did)
-        self._ensure_state()
-        schema = self._state.schemas.get(schema_id)
+        schema = self._index().schema(schema_id)
         if schema is None:
             raise UnknownSchema(f"schema {schema_id.hex()} is not defined")
         return schema
@@ -500,24 +610,22 @@ class Ledger:
     def credential_status(self, credential_id: bytes,
                           reader_did: Did | None = None) -> CredentialStatus:
         self._check_read_access(reader_did)
-        self._ensure_state()
-        if credential_id not in self._state.anchors:
+        state = self._index()
+        if state.anchor(credential_id) is None:
             return CredentialStatus.UNKNOWN
-        if credential_id in self._state.revoked:
+        if state.revoked(credential_id):
             return CredentialStatus.REVOKED
         return CredentialStatus.ACTIVE
 
     def credential_anchor(self, credential_id: bytes,
                           reader_did: Did | None = None) -> AnchorCredential | None:
         self._check_read_access(reader_did)
-        self._ensure_state()
-        return self._state.anchors.get(credential_id)
+        return self._index().anchor(credential_id)
 
     def find_did_by_key_agreement(self, fingerprint: str,
                                   reader_did: Did | None = None) -> Did | None:
         self._check_read_access(reader_did)
-        self._ensure_state()
-        did = self._state.ka_index.get(fingerprint)
+        did = self._index().key_agreement_did(fingerprint)
         return Did.parse(did) if did else None
 
     def _check_read_access(self, reader_did: Did | None) -> None:
@@ -525,14 +633,16 @@ class Ledger:
             if reader_did is None or str(reader_did) not in self.writer_set:
                 raise NotPermissioned("private-permissioned ledger: reads require writer membership")
 
-    def _ensure_state(self) -> None:
-        # Invalid transactions are skipped, never applied: a writer-signed block
-        # cannot smuggle a document that fails self-certification into the registry.
-        while self._folded < len(self.blocks):
-            for tx in self.blocks[self._folded].transactions:
-                if self._state.check(tx) is None:
-                    tx.apply(self._state)
-            self._folded += 1
+    def _index(self) -> RegistryState:
+        """The registry state with every block indexed, also ones appended to blocks directly."""
+        # Indexing runs no check: reads skip invalid candidates, so a writer-signed
+        # block cannot smuggle a document that fails self-certification into the registry.
+        while self._indexed < len(self.blocks):
+            for tx in self.blocks[self._indexed].transactions:
+                if type(tx) in KINDS.values():
+                    self._state.push(tx)
+            self._indexed += 1
+        return self._state
 
     # -- serialization
 
@@ -554,7 +664,7 @@ class Ledger:
         blocks = _load_blocks(obj["blocks"], "blocks")
         if not blocks:
             raise ParseError("ledger has no blocks")
-        ledger = cls(blocks=blocks, mode=mode, clock=LogicalClock(blocks[-1].timestamp))
+        ledger = cls(blocks=blocks, mode=mode, clock=_ChainClock(blocks[-1].timestamp))
         if not ledger.writer_set:
             raise ParseError("genesis block registers no writers")
         report = ledger.validate_chain()

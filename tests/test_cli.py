@@ -46,13 +46,14 @@ def run_script(*args):
     )
 
 
-def bootstrap(run, paths):
+def bootstrap(run, paths, clock_start=0):
     """Operator + issuer + holder wallets, initialized ledger, registered DIDs."""
     run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
     run("wallet-init", "--seed", "bb" * 32, "--wallet", paths["issuer"])
     code, out, _ = run("wallet-init", "--seed", "cc" * 32, "--wallet", paths["alice"])
     alice_did = json.loads(out)["did"]
-    run("ledger-init", "--writer-wallet", paths["op"], "--ledger", paths["ledger"])
+    run("ledger-init", "--writer-wallet", paths["op"], "--ledger", paths["ledger"],
+        f"--clock-start={clock_start}")
     run("did-register", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
         "--writer-wallet", paths["op"])
     run("did-register", "--wallet", paths["alice"], "--ledger", paths["ledger"],
@@ -181,6 +182,37 @@ class TestLedgerValidate:
         assert "Traceback" not in proc.stderr
 
 
+class TestExhaustedLedgerClock:
+    def test_writes_to_a_ledger_at_the_last_timestamp_exit_2(self, run, paths):
+        # ledger-init ticks twice, each did-register twice and schema-define once,
+        # so the schema's block carries the timestamp 2^64-1
+        alice_did = bootstrap(run, paths, clock_start=2**64 - 8)
+        code, out, _ = run(
+            "schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+            "--writer-wallet", paths["op"], "--name", "T", "--attr", "a")
+        assert code == 0
+        schema_id = json.loads(out)["schema_id"]
+        ledger = json.loads(Path(paths["ledger"]).read_bytes())
+        assert ledger["blocks"][-1]["timestamp"] == 2**64 - 1
+        before = Path(paths["ledger"]).read_bytes()
+
+        proc = run_script("did-register", "--wallet", paths["alice"],
+                          "--ledger", paths["ledger"], "--writer-wallet", paths["op"])
+        assert proc.returncode == 2
+        assert "cannot take another block" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        code, _, err = run(
+            "schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+            "--writer-wallet", paths["op"], "--name", "U", "--attr", "a")
+        assert (code, "cannot take another block" in err) == (2, True)
+        code, _, err = run(
+            "issue", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+            "--writer-wallet", paths["op"], "--schema-id", schema_id,
+            "--holder-did", alice_did, "--value", "a=1", "--out", paths["vc"])
+        assert (code, "cannot take another block" in err) == (2, True)
+        assert Path(paths["ledger"]).read_bytes() == before
+
+
 class TestScenarioCommands:
     def test_healthcare_accepts_and_prints_six_steps(self, run):
         code, out, _ = run("healthcare", "--seed", "11" * 32)
@@ -237,6 +269,10 @@ class TestScenarioCommands:
         proc = run_script("healthcare", "--clock-start=-5")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+        # a scenario's clock is configuration, also when only its ticks pass 2^64-1
+        for start in (2**64 - 1, 2**64):
+            code, _, err = run("healthcare", f"--clock-start={start}")
+            assert (code, "2^64-1" in err) == (1, True)
         # the start fits, but the genesis block's tick passes 2^64-1
         run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
         proc = run_script("ledger-init", "--writer-wallet", paths["op"],

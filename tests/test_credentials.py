@@ -317,3 +317,20 @@ class TestVerifyCredential:
         assert report.verdict == "reject:commitment_root"
         assert dict(report.checks) == {
             "schema_known": True, "commitment_root": False, "status_active": True}
+
+    def test_anchor_of_another_root_rejects_on_commitment_root(self, ledger, issuer, holder,
+                                                                patient_schema, rng, clock):
+        offline = build_credential(issuer, derive_did(holder.public_key), patient_schema,
+                                   dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
+        assert verify_credential(ledger, offline).verdict == "reject:commitment_root"
+        anchor_as(issuer, replace(offline, commitment_root=b"\x00" * 32), ledger)
+        report = verify_credential(ledger, offline)
+        assert [name for name, passed in report.checks if not passed] == ["commitment_root"]
+
+    def test_anchor_by_another_did_rejects_on_commitment_root(self, ledger, issuer, holder,
+                                                               patient_schema, rng, clock):
+        offline = build_credential(issuer, derive_did(holder.public_key), patient_schema,
+                                   dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
+        anchor_as(holder, offline, ledger)
+        report = verify_credential(ledger, offline)
+        assert [name for name, passed in report.checks if not passed] == ["commitment_root"]

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from ssisim.credentials import (
     Presentation,
     RevealedAttribute,
     create_presentation,
+    make_schema,
 )
 from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
@@ -17,6 +19,8 @@ from ssisim.errors import (
     InvalidTransaction,
     NotPermissioned,
     ParseError,
+    UnknownDid,
+    UnknownSchema,
 )
 from ssisim.identity import (
     DidDocument,
@@ -25,6 +29,7 @@ from ssisim.identity import (
     encrypt_for,
     generate_keypair,
     key_agreement_public,
+    key_fingerprint,
     make_did_document,
     sign,
 )
@@ -33,12 +38,14 @@ from ssisim.ledger import (
     AnchorCredential,
     ChainFault,
     CredentialStatus,
+    DefineSchema,
     Ledger,
     LedgerBlock,
     LedgerMode,
     RegisterDid,
     Revoke,
     anchor_credential_payload,
+    build_block,
     parse_transaction,
     revoke_payload,
 )
@@ -422,6 +429,7 @@ class TestKeyAgreementIndex:
 
 def replay_registry(ledger):
     """Brute-force linear replay of all transactions, independent of Ledger's fold."""
+    from ssisim.credentials import schema_is_well_formed
     from ssisim.identity import verify
     from ssisim.ledger import DefineSchema
 
@@ -443,7 +451,7 @@ def replay_registry(ledger):
                     continue
                 docs[str(doc.did)] = doc
             elif isinstance(tx, DefineSchema):
-                if tx.schema.schema_id in schemas:
+                if tx.schema.schema_id in schemas or not schema_is_well_formed(tx.schema):
                     continue
                 if signed_by_registered_issuer(tx.schema.issuer_did, tx):
                     schemas[tx.schema.schema_id] = tx.schema
@@ -512,3 +520,221 @@ class TestReadOracleEquivalence:
                     else CredentialStatus.UNKNOWN
                 )
                 assert led.credential_status(cid) is expected
+
+
+def replay_key_agreement(ledger):
+    """Linear replay of the key-agreement index: a re-registration moves its DID's entry."""
+    docs, index = {}, {}
+    for block in ledger.blocks:
+        for tx in block.transactions:
+            if isinstance(tx, RegisterDid) and tx.document.verify_self():
+                did = str(tx.document.did)
+                if did in docs:
+                    index.pop(key_fingerprint(docs[did].key_agreement_key), None)
+                docs[did] = tx.document
+                index[key_fingerprint(tx.document.key_agreement_key)] = did
+    return index
+
+
+class TestAdversarialOracle:
+    """Reads agree with the replay on ledgers whose blocks skip append-time checks.
+
+    Writer-signed blocks go straight onto ``ledger.blocks``, so forged signatures,
+    anchors before their issuer's registration, duplicate and malformed schemas,
+    stray revokes and failed re-registrations all reach the chain.
+    """
+
+    def random_txs(self, rnd, rng, actors, forger, schemas, cids, clock):
+        """One to three transactions, each drawn from a menu of valid and invalid kinds."""
+        txs = []
+        for _ in range(rnd.randint(1, 3)):
+            actor = rnd.choice(actors)
+            did = derive_did(actor.public_key)
+            # who signs an issuer-signed transaction: usually its issuer, sometimes a forger
+            signer = actor if rnd.random() < 0.75 else forger
+            op = rnd.choice(["register", "register", "forged_register", "foreign_key_register",
+                             "moved_key_register", "register_then_anchor", "schema",
+                             "malformed_schema", "anchor", "anchor", "revoke", "revoke",
+                             "revoke"])
+            if op in ("register", "register_then_anchor"):
+                endpoint = (("agent", f"https://{rnd.randint(0, 9)}.example"),)
+                txs.append(RegisterDid(make_did_document(actor, endpoint,
+                                                         created_at=clock.tick())))
+            if op == "forged_register":
+                # the victim's DID and key, the forger's signature
+                doc = make_did_document(actor, created_at=clock.tick())
+                txs.append(RegisterDid(replace(doc, controller_signature=sign(
+                    forger.private_key, doc.signing_payload()))))
+            elif op == "moved_key_register":
+                # self-certified, with the forger's key-agreement key in place of its own
+                doc = replace(make_did_document(actor, created_at=clock.tick()),
+                              key_agreement_key=key_agreement_public(forger.private_key))
+                txs.append(RegisterDid(replace(doc, controller_signature=sign(
+                    actor.private_key, doc.signing_payload()))))
+            elif op == "foreign_key_register":
+                doc = make_did_document(forger, created_at=clock.tick())
+                txs.append(RegisterDid(replace(doc, did=did)))
+            elif op in ("schema", "malformed_schema"):
+                schema = rnd.choice(schemas)
+                if op == "malformed_schema":
+                    # same id, attribute names out of canonical order
+                    schema = replace(schema, attribute_names=schema.attribute_names[::-1])
+                unsigned = DefineSchema(schema=schema, submitter_signature=b"")
+                owner = next(a for a in actors
+                             if derive_did(a.public_key) == schema.issuer_did)
+                key = owner if signer is actor else forger
+                txs.append(replace(unsigned, submitter_signature=sign(
+                    key.private_key, unsigned.signing_payload())))
+            elif op in ("anchor", "register_then_anchor"):
+                cid = rnd.choice(cids)
+                root = rng.randbytes(32)
+                txs.append(AnchorCredential(
+                    credential_id=cid, issuer_did=did, commitment_root=root,
+                    submitter_signature=sign(signer.private_key,
+                                             anchor_credential_payload(cid, did, root))))
+            elif op == "revoke":
+                cid = rnd.choice(cids)
+                txs.append(Revoke(credential_id=cid, issuer_did=did,
+                                  submitter_signature=sign(signer.private_key,
+                                                           revoke_payload(cid, did))))
+        return txs
+
+    def assert_reads_agree(self, led, dids, schema_ids, cids, fingerprints):
+        docs, schemas, anchors, revoked = replay_registry(led)
+        for did in dids:
+            if str(did) in docs:
+                assert led.resolve_did(did) == docs[str(did)]
+            else:
+                with pytest.raises(UnknownDid):
+                    led.resolve_did(did)
+        for schema_id in schema_ids:
+            if schema_id in schemas:
+                assert led.lookup_schema(schema_id) == schemas[schema_id]
+            else:
+                with pytest.raises(UnknownSchema):
+                    led.lookup_schema(schema_id)
+        for cid in cids:
+            assert led.credential_anchor(cid) == anchors.get(cid)
+            expected = (CredentialStatus.REVOKED if cid in revoked
+                        else CredentialStatus.ACTIVE if cid in anchors
+                        else CredentialStatus.UNKNOWN)
+            assert led.credential_status(cid) is expected
+        index = replay_key_agreement(led)
+        for fingerprint in fingerprints:
+            expected = index.get(fingerprint)
+            found = led.find_did_by_key_agreement(fingerprint)
+            assert (str(found) if found else None) == expected
+
+    def test_reads_agree_with_replay_on_unchecked_blocks(self):
+        rnd = random.Random(20261018)
+        rng = DeterministicRng(b"adversarial-oracle".ljust(32, b"\x00"))
+        for _ in range(40):
+            clock = LogicalClock(0)
+            operator = generate_keypair(rng.randbytes(32))
+            led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())],
+                                 clock=clock)
+            led.attach_writer(operator)
+            actors = [generate_keypair(rng.randbytes(32)) for _ in range(3)]
+            forger = generate_keypair(rng.randbytes(32))
+            schemas = [make_schema(derive_did(a.public_key), "S", version, ["x", "y", "z"])
+                       for a in actors for version in (1, 2)]
+            cids = [rng.randbytes(32) for _ in range(3)]
+            reads = (
+                [derive_did(k.public_key) for k in [operator, forger, *actors]],
+                [s.schema_id for s in schemas] + [b"\xaa" * 32],
+                cids + [b"\xbb" * 32],
+                [key_fingerprint(key_agreement_public(k.private_key))
+                 for k in [operator, forger, *actors]],
+            )
+            for _ in range(rnd.randint(4, 14)):
+                txs = self.random_txs(rnd, rng, actors, forger, schemas, cids, clock)
+                if rnd.random() < 0.25:
+                    try:
+                        led.submit(txs)  # checked append: all or nothing
+                    except InvalidTransaction:
+                        pass
+                else:
+                    last = led.blocks[-1]
+                    led.blocks.append(build_block(
+                        index=last.index + 1, prev_hash=last.block_hash,
+                        timestamp=led.clock.tick(), txs=txs,
+                        writer_did=derive_did(operator.public_key),
+                        writer_signature=None, writer_key=operator.private_key))
+                if rnd.random() < 0.3:
+                    self.assert_reads_agree(led, *reads)
+            assert led.validate_chain().ok
+            self.assert_reads_agree(led, *reads)
+            self.assert_reads_agree(Ledger.from_bytes(led.to_bytes()), *reads)
+
+
+class TestVerificationCounts:
+    """Reads and appends run Ed25519 verifications for what they touch, not per block."""
+
+    @staticmethod
+    def build_file(blocks):
+        """A ledger file: genesis, the issuer's registration, then one anchor or revoke a block.
+
+        Every fourth anchor is revoked in the block after it.
+        """
+        clock = LogicalClock(0)
+        operator, issuer = seeded_keypair(b"operator"), seeded_keypair(b"issuer")
+        led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())],
+                             clock=clock)
+        led.attach_writer(operator)
+        led.submit([RegisterDid(make_did_document(issuer, created_at=clock.tick()))])
+        for i in range(blocks):
+            if len(led.blocks) == blocks:
+                break
+            cid = i.to_bytes(2, "big") * 16
+            led.submit([signed_anchor(issuer, cid, b"\x01" * 32)])
+            if i % 4 == 3 and len(led.blocks) < blocks:
+                led.submit([signed_revoke(issuer, cid)])
+        return led.to_bytes(), issuer, operator
+
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        import ssisim.identity
+        import ssisim.ledger
+
+        calls = []
+        real = ssisim.identity.verify
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ssisim.identity, "verify", counted)
+        monkeypatch.setattr(ssisim.ledger, "verify", counted)
+        return calls
+
+    def test_one_status_read_after_load_costs_the_same_on_any_length(self, verifications):
+        per_read = []
+        for blocks in (50, 400):
+            data, _, _ = self.build_file(blocks)
+            verifications.clear()
+            led = Ledger.from_bytes(data)
+            assert len(verifications) == blocks - 1  # writer signatures
+            verifications.clear()
+            assert led.credential_status((3).to_bytes(2, "big") * 16) is CredentialStatus.REVOKED
+            per_read.append(len(verifications))
+            verifications.clear()
+        # the issuer's registration, the anchor and the revoke
+        assert per_read == [3, 3]
+
+    def test_submit_costs_the_same_on_any_length_and_copies_no_state(self, verifications,
+                                                                     monkeypatch):
+        from ssisim.ledger import RegistryState
+
+        copies = []
+        monkeypatch.setattr(RegistryState, "copy", lambda state: copies.append(state))
+        per_submit = []
+        for blocks in (50, 400):
+            data, issuer, operator = self.build_file(blocks)
+            led = Ledger.from_bytes(data)
+            led.attach_writer(operator)
+            verifications.clear()
+            led.submit([signed_anchor(issuer, b"\xfe" * 32, b"\x02" * 32)])
+            per_submit.append(len(verifications))
+        # the issuer's registration and the new anchor's signature
+        assert per_submit == [2, 2]
+        assert copies == []

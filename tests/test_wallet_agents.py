@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from ssisim.agents import Agent, AuthResponse, MessageBus
+from ssisim.credentials import build_credential
 from ssisim.engine import define_schema, issue_credential, revoke_credential
 from ssisim.errors import (
     AuthFailure,
@@ -12,8 +14,8 @@ from ssisim.errors import (
     UnknownDid,
     WrongHolderKey,
 )
-from ssisim.identity import decrypt, derive_did, key_agreement_public, make_did_document
-from ssisim.ledger import RegisterDid
+from ssisim.identity import decrypt, derive_did, key_agreement_public, make_did_document, sign
+from ssisim.ledger import AnchorCredential, RegisterDid
 from ssisim.runtime import DeterministicRng
 from ssisim.wallet import wallet_create, wallet_load, wallet_save
 
@@ -182,6 +184,27 @@ class TestCredentialDelivery:
         agents["alice"].send_credential(agents["bob"].did, credential)
         with pytest.raises(WrongHolderKey):
             agents["bob"].receive_credential(agents["bob"].inbox.popleft())
+        assert agents["bob"].wallet.credentials == []
+
+    def test_credential_anchored_first_by_another_did_is_not_stored(self, world):
+        # carol anchors the id with a zero root before alice can anchor it herself
+        led, _, agents = world
+        issuer = agents["alice"].wallet.keypair
+        schema = define_schema(issuer, "Badge", 1, ["level", "team"], led)
+        credential = build_credential(issuer, agents["bob"].did, schema,
+                                      {"level": "gold", "team": "identity"},
+                                      DeterministicRng(b"issue".ljust(32, b"\x00")),
+                                      issuance_time=led.clock.tick())
+        carol = agents["carol"].wallet.keypair
+        unsigned = AnchorCredential(credential_id=credential.credential_id,
+                                    issuer_did=agents["carol"].did,
+                                    commitment_root=b"\x00" * 32, submitter_signature=b"")
+        led.submit([replace(unsigned, submitter_signature=sign(
+            carol.private_key, unsigned.signing_payload()))])
+        agents["alice"].send_credential(agents["bob"].did, credential)
+        report = agents["bob"].receive_credential(agents["bob"].inbox.popleft())
+        assert report.verdict == "reject:commitment_root"
+        assert [name for name, passed in report.checks if not passed] == ["commitment_root"]
         assert agents["bob"].wallet.credentials == []
 
     def test_garbage_plaintext_is_a_parse_error(self, world):
