@@ -315,8 +315,8 @@ class RegistryState:
         self.revokes: dict = {}         # credential_id bytes -> revokes
         self.registrations: list = []   # every registration, in chain order
         self.size = 0                   # transactions indexed: the next position
-        self.ka_index: dict = {}        # key-agreement fingerprint -> did str
-        self._ka_of: dict = {}          # did str -> its fingerprint in ka_index
+        self.ka_index: dict = {}        # key-agreement fingerprint -> did str that claimed it
+        self._ka_of: dict = {}          # did str -> its latest registration's fingerprint
         self._ka_replayed = 0           # registrations folded into ka_index
 
     def copy(self) -> "RegistryState":
@@ -390,15 +390,16 @@ class RegistryState:
         return self._first_valid(after) is not None
 
     def key_agreement_did(self, fingerprint: str) -> str | None:
-        """Replay new registrations into ka_index; a re-registration moves its DID's entry."""
+        """Replay new registrations into ka_index; the first DID to claim a fingerprint keeps it."""
         for entry in self.registrations[self._ka_replayed:]:
             if self._first_valid((entry,)):
                 doc = entry.tx.document
                 did = str(doc.did)
-                if did in self._ka_of:
-                    self.ka_index.pop(self._ka_of[did], None)
+                old = self._ka_of.get(did)
+                if self.ka_index.get(old) == did:  # drop only an entry that is still its own
+                    del self.ka_index[old]
                 new = self._ka_of[did] = key_fingerprint(doc.key_agreement_key)
-                self.ka_index[new] = did
+                self.ka_index.setdefault(new, did)
         self._ka_replayed = len(self.registrations)
         return self.ka_index.get(fingerprint)
 
@@ -495,10 +496,6 @@ class Ledger:
         txs = [RegisterDid(document=doc) for doc in writers]
         if not txs:
             raise EmptyWriterSet("genesis requires at least one writer document")
-        for i, tx in enumerate(txs):
-            cause = tx.cause(RegistryState(), 0)
-            if cause is not None:
-                raise InvalidTransaction(i, cause)
         clock = clock or LogicalClock(0)
         block = build_block(
             index=0,
@@ -508,22 +505,35 @@ class Ledger:
             writer_did=txs[0].document.did,
             writer_signature=_GENESIS_SIGNATURE,
         )
-        return cls(blocks=[block], mode=mode, clock=clock)
+        ledger = cls(blocks=[block], mode=mode, clock=clock)
+        report = ledger.validate_chain()
+        if not report.ok:
+            raise FirstInvalid(report.index, report.cause.value)
+        return ledger
 
     def attach_writer(self, writer: KeyPair) -> None:
         """Hold a writer key so submit() can seal blocks for engine operations."""
-        did = str(derive_did(writer.public_key))
-        if self.writer_set.get(did) != writer.public_key:
-            raise NotPermissioned(f"{did} is not in the writer set")
+        self._writer_did(writer)
         self._operator = writer
+
+    def _writer_did(self, writer: KeyPair) -> Did:
+        """The writer's DID, if the writer set holds it under this key."""
+        did = derive_did(writer.public_key)
+        if self.writer_set.get(str(did)) != writer.public_key:
+            raise NotPermissioned(f"{did} is not in the writer set")
+        return did
 
     # -- appends
 
+    def _seal(self, txs: tuple, writer_did: Did, writer: KeyPair) -> LedgerBlock:
+        """The next block: linked to the head, stamped by the clock, signed by the writer."""
+        last = self.blocks[-1]
+        return build_block(last.index + 1, last.block_hash, self.clock.tick(), txs,
+                           writer_did, None, writer.private_key)
+
     def append_block(self, txs, writer: KeyPair) -> LedgerBlock:
         txs = tuple(txs)
-        writer_did = derive_did(writer.public_key)
-        if self.writer_set.get(str(writer_did)) != writer.public_key:
-            raise NotPermissioned(f"{writer_did} is not in the writer set")
+        writer_did = self._writer_did(writer)
         if not txs:
             raise EmptyBatch("a block needs at least one transaction")
         state = self._index()
@@ -537,22 +547,19 @@ class Ledger:
                     raise InvalidTransaction(i, cause)
                 state.push(tx, ok=True)
                 staged += 1
-            last = self.blocks[-1]
-            block = build_block(
-                index=last.index + 1,
-                prev_hash=last.block_hash,
-                timestamp=self.clock.tick(),
-                txs=txs,
-                writer_did=writer_did,
-                writer_signature=None,
-                writer_key=writer.private_key,
-            )
+            block = self._seal(txs, writer_did, writer)
         except BaseException:
             for tx in reversed(txs[:staged]):
                 state.pop(tx)
             raise
         self.blocks.append(block)
         self._indexed = len(self.blocks)
+        return block
+
+    def append_unchecked(self, txs, writer: KeyPair) -> LedgerBlock:
+        """Seal txs with no registry check, as a stolen writer key can; reads skip invalid ones."""
+        block = self._seal(tuple(txs), self._writer_did(writer), writer)
+        self.blocks.append(block)
         return block
 
     def submit(self, txs) -> LedgerBlock:
@@ -583,9 +590,13 @@ class Ledger:
             if i == 0:
                 # Genesis is sealed by construction, not by key: its writers are
                 # being registered in this very block, so the signature slot is
-                # pinned to zero and integrity rests on the chain above it.
+                # pinned to zero and integrity rests on the chain above it. Each
+                # writer self-certifies instead, so no key can take a writer's DID.
                 if block.writer_signature != _GENESIS_SIGNATURE:
                     return ChainReport(ok=False, index=i, cause=ChainFault.BAD_SIGNATURE)
+                if not all(tx.document.verify_self() for tx in block.transactions
+                           if isinstance(tx, RegisterDid)):
+                    return ChainReport(ok=False, index=i, cause=ChainFault.BAD_WRITER)
             elif not verify(writer_key, block.block_hash, block.writer_signature):
                 return ChainReport(ok=False, index=i, cause=ChainFault.BAD_SIGNATURE)
             prev_hash = block.block_hash

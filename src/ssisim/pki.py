@@ -25,7 +25,7 @@ from .identity import (
     sign,
     verify,
 )
-from .ledger import Ledger, RegisterDid, build_block
+from .ledger import Ledger, RegisterDid
 from .runtime import DeterministicRng, LogicalClock
 from .serialization import encode_parts
 
@@ -353,8 +353,9 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
     """Attacker controls k of n writers and appends forged re-registrations.
 
     The forged documents reuse each victim's DID and verification key but
-    are signed with the attacker's key, so they are block-valid (a real
-    writer sealed them) yet fail self-certification at read time.
+    are signed with the attacker's key. A stolen writer key seals them with
+    Ledger.append_unchecked, so they are block-valid, yet they fail
+    self-certification at read time.
     """
     if config.writers < 1:
         raise ConfigError("ledger scenario needs at least one writer")
@@ -381,19 +382,8 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
         victim = victims[i % len(victims)]
         victim_did = derive_did(victim.public_key)
         forged_doc = _forged_document(victim, attacker, clock.tick())
-        stolen_writer = writer_keys[i % config.compromised]
-        last = ledger.blocks[-1]
-        block = build_block(
-            index=last.index + 1,
-            prev_hash=last.block_hash,
-            timestamp=ledger.clock.tick(),
-            txs=[RegisterDid(forged_doc)],
-            writer_did=derive_did(stolen_writer.public_key),
-            writer_signature=None,
-            writer_key=stolen_writer.private_key,
-        )
-        ledger.blocks.append(block)  # malicious writer skips append-time validation
-        if ledger.validate_chain().ok and ledger.resolve_did(victim_did) != originals[str(victim_did)]:
+        ledger.append_unchecked([RegisterDid(forged_doc)], writer_keys[i % config.compromised])
+        if ledger.resolve_did(victim_did) != originals[str(victim_did)]:
             accepted += 1
     return CompromiseReport(
         scenario="ledger-writer-compromise",

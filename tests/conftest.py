@@ -1,12 +1,26 @@
+from dataclasses import replace
+
 import pytest
 
-from ssisim.identity import generate_keypair, make_did_document
-from ssisim.ledger import Ledger, RegisterDid
+from ssisim.identity import derive_did, generate_keypair, make_did_document
+from ssisim.ledger import GENESIS_PREV_HASH, Ledger, LedgerMode, RegisterDid, build_block
 from ssisim.runtime import DeterministicRng, LogicalClock
 
 
 def seeded_keypair(tag: bytes):
     return generate_keypair(tag.ljust(32, b"\x00"))
+
+
+def hijacked_genesis_file() -> bytes:
+    """A ledger file whose genesis registers a victim's DID as a writer under the attacker's key.
+
+    Loaded unchecked, it would let the attacker seal blocks as the victim's DID.
+    """
+    victim, attacker = seeded_keypair(b"victim"), seeded_keypair(b"attacker")
+    forged = replace(make_did_document(attacker), did=derive_did(victim.public_key))
+    genesis = build_block(0, GENESIS_PREV_HASH, 0, [RegisterDid(forged)], forged.did,
+                          writer_signature=b"\x00" * 64)
+    return Ledger([genesis], LedgerMode.PUBLIC_PERMISSIONED, LogicalClock(0)).to_bytes()
 
 
 @pytest.fixture

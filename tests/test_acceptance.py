@@ -35,7 +35,6 @@ from ssisim.ledger import (
     RegisterDid,
     Revoke,
     anchor_credential_payload,
-    build_block,
     revoke_payload,
 )
 from ssisim.pki import CompromiseConfig, run_compromise_experiment
@@ -360,12 +359,7 @@ def test_criterion_8_registry_read_oracle_equivalence():
                         # must be skipped identically by fold and replay
                         doc = make_did_document(attacker, created_at=clock.tick())
                         forged = replace(doc, did=actor_did)
-                        last = ledger.blocks[-1]
-                        ledger.blocks.append(build_block(
-                            index=last.index + 1, prev_hash=last.block_hash,
-                            timestamp=ledger.clock.tick(), txs=[RegisterDid(forged)],
-                            writer_did=derive_did(operator.public_key),
-                            writer_signature=None, writer_key=operator.private_key))
+                        ledger.append_unchecked([RegisterDid(forged)], operator)
                 except SsiSimError:
                     pass
             docs, schemas, anchors, revoked = replay_registry(ledger)

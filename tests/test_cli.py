@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import ssisim
 from ssisim.cli import main
 
+from conftest import hijacked_genesis_file
+
 
 @pytest.fixture
 def run(capsys):
@@ -153,6 +155,12 @@ class TestLedgerValidate:
         report = json.loads(out)
         assert report["result"] == "FirstInvalid"
         assert report["cause"] == "HashMismatch"
+
+    def test_genesis_writer_under_a_foreign_key_exits_2(self, run, paths):
+        Path(paths["ledger"]).write_bytes(hijacked_genesis_file())
+        code, out, _ = run("ledger-validate", paths["ledger"])
+        assert code == 2
+        assert json.loads(out) == {"result": "FirstInvalid", "index": 0, "cause": "BadWriter"}
 
     def test_missing_file_exits_3(self, run, tmp_path):
         code, _, err = run("ledger-validate", str(tmp_path / "absent.json"))

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssisim.credentials import (
     Credential,
@@ -13,6 +15,7 @@ from ssisim.credentials import (
 )
 from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
+    ClockExhausted,
     EmptyBatch,
     EmptyWriterSet,
     FirstInvalid,
@@ -45,15 +48,15 @@ from ssisim.ledger import (
     RegisterDid,
     Revoke,
     anchor_credential_payload,
-    build_block,
     parse_transaction,
     revoke_payload,
 )
 from ssisim.merkle import PathStep
+from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
 from ssisim.serialization import canonical_json_bytes
 
-from conftest import seeded_keypair
+from conftest import hijacked_genesis_file, seeded_keypair
 
 
 def signed_anchor(issuer, credential_id, root):
@@ -96,6 +99,14 @@ class TestGenesis:
         with pytest.raises(EmptyWriterSet):
             Ledger.genesis([])
 
+    def test_writer_that_fails_self_certification_rejected(self, operator, clock):
+        victim = seeded_keypair(b"victim")
+        forged = replace(make_did_document(operator, created_at=clock.tick()),
+                         did=derive_did(victim.public_key))
+        with pytest.raises(FirstInvalid) as excinfo:
+            Ledger.genesis([forged], clock=clock)
+        assert (excinfo.value.index, excinfo.value.cause) == (0, "BadWriter")
+
     def test_determinism_under_fixed_clock(self, operator):
         def build():
             clock = LogicalClock(0)
@@ -125,6 +136,35 @@ class TestAppend:
     def test_empty_batch_rejected(self, ledger, operator):
         with pytest.raises(EmptyBatch):
             ledger.append_block([], operator)
+
+    def test_non_writer_cannot_append_unchecked(self, ledger, clock):
+        outsider = seeded_keypair(b"outsider")
+        before = ledger.to_bytes()
+        with pytest.raises(NotPermissioned):
+            ledger.append_unchecked(
+                [RegisterDid(make_did_document(outsider, created_at=clock.tick()))], outsider)
+        assert ledger.to_bytes() == before
+
+    def test_unchecked_append_seals_what_a_checked_one_refuses(self, ledger, operator, issuer,
+                                                              clock):
+        forged = replace(make_did_document(seeded_keypair(b"impostor"), created_at=clock.tick()),
+                         did=derive_did(issuer.public_key))
+        block = ledger.append_unchecked([RegisterDid(forged)], operator)
+        assert ledger.blocks[-1] is block
+        assert block.writer_did == derive_did(operator.public_key)
+        assert ledger.validate_chain().ok
+        assert ledger.resolve_did(forged.did).verification_key == issuer.public_key
+
+    def test_exhausted_clock_leaves_no_staged_transaction(self, operator):
+        led = Ledger.genesis([make_did_document(operator)], clock=LogicalClock(2**64 - 2))
+        led = Ledger.from_bytes(led.to_bytes())  # its clock is at 2^64-1 and cannot tick
+        led.attach_writer(operator)
+        newcomer = make_did_document(seeded_keypair(b"newcomer"))
+        with pytest.raises(ClockExhausted):
+            led.submit([RegisterDid(newcomer)])
+        assert len(led.blocks) == 1
+        with pytest.raises(UnknownDid):
+            led.resolve_did(newcomer.did)
 
     def test_revoke_by_wrong_issuer_rejected(self, ledger, operator, issuer, holder):
         anchor = signed_anchor(issuer, b"\x01" * 32, b"\x02" * 32)
@@ -316,6 +356,11 @@ class TestSerialization:
     def test_writer_set_is_rebuilt_from_genesis(self, ledger):
         imported = Ledger.from_bytes(ledger.to_bytes())
         assert imported.writer_set == ledger.writer_set
+
+    def test_genesis_writer_under_a_foreign_key_is_refused(self):
+        with pytest.raises(FirstInvalid) as excinfo:
+            Ledger.from_bytes(hijacked_genesis_file())
+        assert (excinfo.value.index, excinfo.value.cause) == (0, "BadWriter")
 
     def test_imported_ledger_answers_reads(self, ledger, issuer):
         imported = Ledger.from_bytes(ledger.to_bytes())
@@ -523,23 +568,28 @@ class TestReadOracleEquivalence:
 
 
 def replay_key_agreement(ledger):
-    """Linear replay of the key-agreement index: a re-registration moves its DID's entry."""
-    docs, index = {}, {}
+    """Linear replay of the key-agreement index: the first DID to claim a fingerprint keeps it.
+
+    A re-registration releases the fingerprint its DID holds, if any, and then holds its
+    new one unless another DID already does.
+    """
+    holds, index = {}, {}  # did -> the fingerprint it holds; fingerprint -> did
     for block in ledger.blocks:
         for tx in block.transactions:
             if isinstance(tx, RegisterDid) and tx.document.verify_self():
                 did = str(tx.document.did)
-                if did in docs:
-                    index.pop(key_fingerprint(docs[did].key_agreement_key), None)
-                docs[did] = tx.document
-                index[key_fingerprint(tx.document.key_agreement_key)] = did
+                index.pop(holds.pop(did, None), None)
+                fingerprint = key_fingerprint(tx.document.key_agreement_key)
+                if fingerprint not in index:
+                    index[fingerprint] = did
+                    holds[did] = fingerprint
     return index
 
 
 class TestAdversarialOracle:
     """Reads agree with the replay on ledgers whose blocks skip append-time checks.
 
-    Writer-signed blocks go straight onto ``ledger.blocks``, so forged signatures,
+    Writer-signed blocks are sealed with ``Ledger.append_unchecked``, so forged signatures,
     anchors before their issuer's registration, duplicate and malformed schemas,
     stray revokes and failed re-registrations all reach the chain.
     """
@@ -553,7 +603,8 @@ class TestAdversarialOracle:
             # who signs an issuer-signed transaction: usually its issuer, sometimes a forger
             signer = actor if rnd.random() < 0.75 else forger
             op = rnd.choice(["register", "register", "forged_register", "foreign_key_register",
-                             "moved_key_register", "register_then_anchor", "schema",
+                             "moved_key_register", "taken_key_register",
+                             "register_then_anchor", "schema",
                              "malformed_schema", "anchor", "anchor", "revoke", "revoke",
                              "revoke"])
             if op in ("register", "register_then_anchor"):
@@ -565,10 +616,11 @@ class TestAdversarialOracle:
                 doc = make_did_document(actor, created_at=clock.tick())
                 txs.append(RegisterDid(replace(doc, controller_signature=sign(
                     forger.private_key, doc.signing_payload()))))
-            elif op == "moved_key_register":
-                # self-certified, with the forger's key-agreement key in place of its own
+            elif op in ("moved_key_register", "taken_key_register"):
+                # self-certified, with the forger's or another actor's key-agreement key
+                owner = forger if op == "moved_key_register" else rnd.choice(actors)
                 doc = replace(make_did_document(actor, created_at=clock.tick()),
-                              key_agreement_key=key_agreement_public(forger.private_key))
+                              key_agreement_key=key_agreement_public(owner.private_key))
                 txs.append(RegisterDid(replace(doc, controller_signature=sign(
                     actor.private_key, doc.signing_payload()))))
             elif op == "foreign_key_register":
@@ -654,17 +706,52 @@ class TestAdversarialOracle:
                     except InvalidTransaction:
                         pass
                 else:
-                    last = led.blocks[-1]
-                    led.blocks.append(build_block(
-                        index=last.index + 1, prev_hash=last.block_hash,
-                        timestamp=led.clock.tick(), txs=txs,
-                        writer_did=derive_did(operator.public_key),
-                        writer_signature=None, writer_key=operator.private_key))
+                    led.append_unchecked(txs, operator)
                 if rnd.random() < 0.3:
                     self.assert_reads_agree(led, *reads)
             assert led.validate_chain().ok
             self.assert_reads_agree(led, *reads)
             self.assert_reads_agree(Ledger.from_bytes(led.to_bytes()), *reads)
+
+
+class TestUncheckedAppends:
+    """Forged re-registrations by a stolen writer key keep the chain valid and change no read."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(writers=st.integers(1, 3), forgeries=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2),
+                  st.sampled_from(["attacker_signature", "attacker_key"])),
+        min_size=1, max_size=6))
+    def test_forged_reregistrations_change_no_resolution(self, writers, forgeries):
+        clock = LogicalClock(0)
+        writer_keys = [seeded_keypair(b"writer-%d" % i) for i in range(writers)]
+        led = Ledger.genesis([make_did_document(k, created_at=clock.tick()) for k in writer_keys],
+                             clock=clock)
+        victims = [seeded_keypair(b"victim-%d" % i) for i in range(3)]
+        for victim in victims:
+            led.append_block([RegisterDid(make_did_document(victim, created_at=clock.tick()))],
+                             writer_keys[0])
+        dids = [derive_did(v.public_key) for v in victims]
+        originals = [led.resolve_did(did) for did in dids]
+        attacker = seeded_keypair(b"attacker")
+        for victim_index, writer_index, flavour in forgeries:
+            victim = victims[victim_index]
+            if flavour == "attacker_signature":
+                # the victim's DID and key under the attacker's signature
+                doc = make_did_document(victim, created_at=clock.tick())
+                forged = replace(doc, controller_signature=sign(attacker.private_key,
+                                                                doc.signing_payload()))
+            else:
+                # the attacker's own document under the victim's DID
+                forged = replace(make_did_document(attacker, created_at=clock.tick()),
+                                 did=dids[victim_index])
+            led.append_unchecked([RegisterDid(forged)], writer_keys[writer_index % writers])
+        assert led.validate_chain().ok
+        assert [led.resolve_did(did) for did in dids] == originals
+        data = led.to_bytes()
+        loaded = Ledger.from_bytes(data)
+        assert loaded.to_bytes() == data
+        assert [loaded.resolve_did(did) for did in dids] == originals
 
 
 class TestVerificationCounts:
@@ -713,13 +800,22 @@ class TestVerificationCounts:
             data, _, _ = self.build_file(blocks)
             verifications.clear()
             led = Ledger.from_bytes(data)
-            assert len(verifications) == blocks - 1  # writer signatures
+            # the writer signatures of every block but genesis, and the genesis
+            # writer's self-certification
+            assert len(verifications) == blocks
             verifications.clear()
             assert led.credential_status((3).to_bytes(2, "big") * 16) is CredentialStatus.REVOKED
             per_read.append(len(verifications))
             verifications.clear()
         # the issuer's registration, the anchor and the revoke
         assert per_read == [3, 3]
+
+    def test_ledger_compromise_checks_each_forgery_once(self, verifications):
+        report = run_compromise_experiment(CompromiseConfig(scenario="ledger", forgeries=100))
+        assert report.forged_rejected == 100
+        # the 3 genesis writers self-certify, the 3 victims' registrations are checked
+        # on append, and each forgery's resolve_did checks only the new registration
+        assert len(verifications) == 3 + 3 + 100
 
     def test_submit_costs_the_same_on_any_length_and_copies_no_state(self, verifications,
                                                                      monkeypatch):

@@ -135,6 +135,22 @@ class TestEnvelopeExchange:
         assert bus.transcript[0]["from_did"] == str(agents["alice"].did)
         assert bus.transcript[1]["to_did"] == str(agents["carol"].did)
 
+    def test_reregistration_cannot_take_the_senders_key_agreement_key(self, world):
+        # carol re-registers with alice's key-agreement key, then with her own
+        led, _, agents = world
+        carol = agents["carol"].wallet.keypair
+        alice_key = key_agreement_public(agents["alice"].wallet.keypair.private_key)
+        doc = replace(make_did_document(carol, created_at=led.clock.tick()),
+                      key_agreement_key=alice_key)
+        led.submit([RegisterDid(replace(doc, controller_signature=sign(
+            carol.private_key, doc.signing_payload())))])
+        env = agents["alice"].send_message(agents["bob"].did, "note", {"n": 1})
+        assert agents["bob"].open_envelope(env)["body"] == {"n": 1}
+        assert led.find_did_by_key_agreement(env.sender_key_id) == agents["alice"].did
+        led.submit([RegisterDid(make_did_document(carol, created_at=led.clock.tick()))])
+        env = agents["alice"].send_message(agents["bob"].did, "note", {"n": 2})
+        assert agents["bob"].open_envelope(env)["body"] == {"n": 2}
+
     def test_no_message_carries_private_key_bytes(self, world):
         from ssisim.serialization import canonical_json_bytes
 
