@@ -20,9 +20,7 @@ from .errors import (
 )
 from .identity import Did, make_did_document
 from .ledger import Ledger, LedgerMode, RegisterDid
-from .pki import CompromiseConfig, run_compromise_experiment
 from .runtime import LogicalClock
-from .scenarios import GovernmentConfig, HealthcareConfig, run_scenario
 from .serialization import canonical_json, load_json, parse_hex
 from .wallet import wallet_create, wallet_load, wallet_save
 
@@ -92,10 +90,14 @@ def _opt(ctx, local, key, flag):
 
 
 # --- scenarios -----------------------------------------------------------------
+# These commands import the scenarios (and the agents they drive) and the PKI
+# baseline themselves, so the registry commands do not pay for loading them.
 
 
 def _run_scenario(ctx, config_class, seed_hex, clock_start, **fields) -> None:
     """Print the transcript and exit 2 unless it accepts; unset flags keep class defaults."""
+    from .scenarios import run_scenario
+
     seed_hex = seed_hex or ctx.obj.get("seed")
     if seed_hex:
         fields["seed"] = _parse_seed(seed_hex)
@@ -114,6 +116,8 @@ def _run_scenario(ctx, config_class, seed_hex, clock_start, **fields) -> None:
 @click.pass_context
 def healthcare(ctx, seed_hex, clock_start, revoke_before_presentation, tamper_attribute):
     """Run the six-step patient/issuer-authority/provider flow."""
+    from .scenarios import HealthcareConfig
+
     _run_scenario(ctx, HealthcareConfig, seed_hex, clock_start,
                   revoke_before_presentation=revoke_before_presentation,
                   tamper_attribute=tamper_attribute)
@@ -122,12 +126,15 @@ def healthcare(ctx, seed_hex, clock_start, revoke_before_presentation, tamper_at
 @cli.command()
 @click.option("--seed", "seed_hex", type=str, default=None)
 @click.option("--clock-start", type=int, default=None)
-@click.option("--reveal", type=str, default=",".join(GovernmentConfig.reveal),
+@click.option("--reveal", type=str, default=None,
               help="Comma-separated attribute names, or 'all'.")
 @click.pass_context
 def government(ctx, seed_hex, clock_start, reveal):
     """Issue a nine-attribute national-ID credential, then disclose a subset."""
-    _run_scenario(ctx, GovernmentConfig, seed_hex, clock_start, reveal=_parse_reveal(reveal))
+    from .scenarios import GovernmentConfig
+
+    fields = {} if reveal is None else {"reveal": _parse_reveal(reveal)}
+    _run_scenario(ctx, GovernmentConfig, seed_hex, clock_start, **fields)
 
 
 @cli.command()
@@ -139,6 +146,8 @@ def government(ctx, seed_hex, clock_start, reveal):
 @click.pass_context
 def compare(ctx, scenario, forgeries, writers, compromised, seed_hex):
     """Contrast CA-key compromise with ledger writer compromise."""
+    from .pki import CompromiseConfig, run_compromise_experiment
+
     seed = _parse_seed(seed_hex or ctx.obj.get("seed") or "33" * 32)
     report = run_compromise_experiment(CompromiseConfig(
         scenario=scenario, forgeries=forgeries, writers=writers,

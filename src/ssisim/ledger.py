@@ -42,6 +42,7 @@ from .identity import (
     key_fingerprint,
     sign,
     verify,
+    verify_many,
 )
 from .runtime import LogicalClock
 from .serialization import (
@@ -571,36 +572,56 @@ class Ledger:
     # -- validation
 
     def validate_chain(self) -> ChainReport:
+        """The first faulty block and why, as a walk in chain order checking each in full finds it.
+
+        Pass 1 runs every check but the writer signatures, in chain order, up to
+        the first fault. Pass 2 verifies the signatures of the blocks before it
+        (verify_many spreads them over the CPUs); the first bad one comes earlier
+        in the chain, so it wins.
+        """
+        report = ChainReport(ok=True)
+        jobs = []  # (writer key, block hash, writer signature) of blocks 1.. before the fault
         prev_hash = GENESIS_PREV_HASH
         for i, block in enumerate(self.blocks):
-            # Both the tx root and the block hash must recompute: checking the
-            # block hash from the stored root alone would let a stale root hide
-            # transaction tampering, and vice versa.
-            if transactions_root(block.transactions) != block.tx_root:
-                return ChainReport(ok=False, index=i, cause=ChainFault.HASH_MISMATCH)
-            recomputed = block_hash_for(block.index, block.prev_hash, block.timestamp,
-                                        block.tx_root)
-            if recomputed != block.block_hash:
-                return ChainReport(ok=False, index=i, cause=ChainFault.HASH_MISMATCH)
-            if block.index != i or block.prev_hash != prev_hash:
-                return ChainReport(ok=False, index=i, cause=ChainFault.LINK_BROKEN)
-            writer_key = self.writer_set.get(str(block.writer_did))
-            if writer_key is None:
-                return ChainReport(ok=False, index=i, cause=ChainFault.BAD_WRITER)
-            if i == 0:
-                # Genesis is sealed by construction, not by key: its writers are
-                # being registered in this very block, so the signature slot is
-                # pinned to zero and integrity rests on the chain above it. Each
-                # writer self-certifies instead, so no key can take a writer's DID.
-                if block.writer_signature != _GENESIS_SIGNATURE:
-                    return ChainReport(ok=False, index=i, cause=ChainFault.BAD_SIGNATURE)
-                if not all(tx.document.verify_self() for tx in block.transactions
-                           if isinstance(tx, RegisterDid)):
-                    return ChainReport(ok=False, index=i, cause=ChainFault.BAD_WRITER)
-            elif not verify(writer_key, block.block_hash, block.writer_signature):
-                return ChainReport(ok=False, index=i, cause=ChainFault.BAD_SIGNATURE)
+            cause = self._block_fault(i, block, prev_hash)
+            if cause is not None:
+                report = ChainReport(ok=False, index=i, cause=cause)
+                break
+            if i > 0:
+                jobs.append((self.writer_set[str(block.writer_did)], block.block_hash,
+                             block.writer_signature))
             prev_hash = block.block_hash
-        return ChainReport(ok=True)
+        bad = verify_many(jobs)
+        if bad is not None:
+            return ChainReport(ok=False, index=bad + 1, cause=ChainFault.BAD_SIGNATURE)
+        return report
+
+    def _block_fault(self, i: int, block: LedgerBlock, prev_hash: bytes) -> ChainFault | None:
+        """Why block i, which should follow prev_hash, is faulty, writer signature aside."""
+        # Both the tx root and the block hash must recompute: checking the
+        # block hash from the stored root alone would let a stale root hide
+        # transaction tampering, and vice versa.
+        if transactions_root(block.transactions) != block.tx_root:
+            return ChainFault.HASH_MISMATCH
+        recomputed = block_hash_for(block.index, block.prev_hash, block.timestamp,
+                                    block.tx_root)
+        if recomputed != block.block_hash:
+            return ChainFault.HASH_MISMATCH
+        if block.index != i or block.prev_hash != prev_hash:
+            return ChainFault.LINK_BROKEN
+        if str(block.writer_did) not in self.writer_set:
+            return ChainFault.BAD_WRITER
+        if i == 0:
+            # Genesis is sealed by construction, not by key: its writers are
+            # being registered in this very block, so the signature slot is
+            # pinned to zero and integrity rests on the chain above it. Each
+            # writer self-certifies instead, so no key can take a writer's DID.
+            if block.writer_signature != _GENESIS_SIGNATURE:
+                return ChainFault.BAD_SIGNATURE
+            if not all(tx.document.verify_self() for tx in block.transactions
+                       if isinstance(tx, RegisterDid)):
+                return ChainFault.BAD_WRITER
+        return None
 
     # -- reads (public in public-permissioned mode)
 

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import pytest
@@ -58,3 +59,68 @@ def ledger(operator, issuer, holder, clock):
         RegisterDid(make_did_document(holder, created_at=clock.tick())),
     ])
     return led
+
+
+# A chain long enough that its check splits the writer signatures between this
+# process and a forked helper, and faults planted in it: (blocks whose writer
+# signature is tampered, blocks whose tx root is) -> the (index, cause) that a
+# walk in chain order, checking each block in full, reports first.
+LONG_CHAIN_BLOCKS = 400
+CHAIN_FAULTS = [
+    ((280,), (), (280, "BadSignature")),
+    ((4,), (), (4, "BadSignature")),
+    ((396,), (), (396, "BadSignature")),
+    ((4, 396), (), (4, "BadSignature")),
+    ((100,), (350,), (100, "BadSignature")),
+    ((350,), (300,), (300, "HashMismatch")),
+]
+
+
+@pytest.fixture(scope="session")
+def long_chain():
+    clock = LogicalClock(0)
+    operator = seeded_keypair(b"operator")
+    doc = make_did_document(operator, created_at=clock.tick())
+    led = Ledger.genesis([doc], clock=clock)
+    while len(led.blocks) < LONG_CHAIN_BLOCKS:
+        led.append_unchecked([RegisterDid(doc)], operator)
+    return led
+
+
+def tampered(ledger, signatures=(), roots=()) -> Ledger:
+    """A copy of ledger with a bit flipped in the writer signature or the tx root of some blocks."""
+    blocks = list(ledger.blocks)
+    for i in signatures:
+        blocks[i] = replace(blocks[i], writer_signature=flip_bit(blocks[i].writer_signature))
+    for i in roots:
+        blocks[i] = replace(blocks[i], tx_root=flip_bit(blocks[i].tx_root))
+    return Ledger(blocks, ledger.mode, LogicalClock(0))
+
+
+def flip_bit(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs as verify_many sees them; holds the pids of the helpers it forks.
+
+    Afterwards every helper must have been reaped and every pipe end closed.
+    """
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ssisim
 from ssisim.cli import main
 
-from conftest import hijacked_genesis_file
+from conftest import CHAIN_FAULTS, LONG_CHAIN_BLOCKS, hijacked_genesis_file, tampered
 
 
 @pytest.fixture
@@ -161,6 +161,24 @@ class TestLedgerValidate:
         code, out, _ = run("ledger-validate", paths["ledger"])
         assert code == 2
         assert json.loads(out) == {"result": "FirstInvalid", "index": 0, "cause": "BadWriter"}
+
+    def test_long_ledger_checked_with_a_helper_is_ok(self, run, tmp_path, long_chain, two_cpus):
+        path = tmp_path / "ledger.json"
+        path.write_bytes(long_chain.to_bytes())
+        assert run("ledger-validate", str(path)) == \
+            (0, f'{{"result":"Ok","blocks":{LONG_CHAIN_BLOCKS}}}', "")
+        assert len(two_cpus) == 1
+
+    @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
+    def test_long_ledger_prints_the_first_fault_in_chain_order(self, run, tmp_path, long_chain,
+                                                               two_cpus, signatures, roots,
+                                                               expected):
+        path = tmp_path / "ledger.json"
+        path.write_bytes(tampered(long_chain, signatures, roots).to_bytes())
+        index, cause = expected
+        assert run("ledger-validate", str(path)) == \
+            (2, f'{{"result":"FirstInvalid","index":{index},"cause":"{cause}"}}', "")
+        assert len(two_cpus) == 1
 
     def test_missing_file_exits_3(self, run, tmp_path):
         code, _, err = run("ledger-validate", str(tmp_path / "absent.json"))

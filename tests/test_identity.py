@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,11 @@ from ssisim.identity import (
     make_did_document,
     sign,
     verify,
+    verify_many,
 )
 from ssisim.runtime import DeterministicRng
+
+from conftest import flip_bit
 
 DID_RE = re.compile(r"^did:sim:[1-9A-HJ-NP-Za-km-z]+$")
 
@@ -122,6 +127,78 @@ class TestSignatures:
     def test_sign_verify_property(self, message):
         kp = generate_keypair(b"\x0a" * 32)
         assert verify(kp.public_key, message, sign(kp.private_key, message))
+
+
+class TestVerifyMany:
+    """verify_many names the first failing job, whether or not a forked helper verified it."""
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        key = generate_keypair(b"\x05" * 32)
+        messages = [i.to_bytes(4, "big") for i in range(300)]
+        return [(key.public_key, m, sign(key.private_key, m)) for m in messages]
+
+    @staticmethod
+    def with_faults(jobs, bad_signatures=(), bad_keys=()):
+        jobs = list(jobs)
+        for i in bad_signatures:
+            key, message, signature = jobs[i]
+            jobs[i] = (key, message, flip_bit(signature))
+        for i in bad_keys:
+            key, message, signature = jobs[i]
+            jobs[i] = (key[:31], message, signature)  # a malformed key
+        return jobs
+
+    @pytest.mark.parametrize("bad_signatures, bad_keys", [
+        ((), ()),
+        ((200,), ()),
+        ((), (250,)),
+        ((200,), (250,)),
+        ((20,), (250,)),
+        ((), (150, 299)),
+    ])
+    def test_faults_in_either_chunk_give_the_serial_answer(self, jobs, two_cpus,
+                                                           bad_signatures, bad_keys):
+        jobs = self.with_faults(jobs, bad_signatures, bad_keys)
+        expected = min((*bad_signatures, *bad_keys), default=None)
+        assert verify_many(jobs) == expected
+        assert next((i for i, job in enumerate(jobs) if not verify(*job)), None) == expected
+        assert len(two_cpus) == 1
+
+    @pytest.mark.parametrize("failure", ["raises", "short", "garbage"])
+    def test_a_failing_helper_changes_no_answer(self, jobs, two_cpus, monkeypatch, failure):
+        real_write = os.write
+
+        def write(fd, data):  # only the helpers write while verify_many runs
+            if failure == "raises":
+                raise OSError("pipe write failed")
+            real_write(fd, data[:10] if failure == "short" else b"\x07" * len(data))
+            return len(data)
+
+        monkeypatch.setattr(os, "write", write)
+        assert verify_many(jobs) is None
+        assert verify_many(self.with_faults(jobs, bad_keys=(250,))) == 250
+        assert len(two_cpus) == 2
+
+    def test_a_failed_fork_changes_no_answer(self, jobs, two_cpus, monkeypatch):
+        def fork():
+            raise OSError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert verify_many(self.with_faults(jobs, bad_keys=(250,))) == 250
+
+    def test_few_jobs_or_other_threads_keep_it_in_process(self, jobs, two_cpus):
+        assert verify_many(self.with_faults(jobs[:255], bad_signatures=(254,))) == 254
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verify_many(self.with_faults(jobs, bad_signatures=(254,))) == 254
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert two_cpus == []
 
 
 class TestEnvelopes:

@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import replace
 
@@ -56,7 +57,7 @@ from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
 from ssisim.serialization import canonical_json_bytes
 
-from conftest import hijacked_genesis_file, seeded_keypair
+from conftest import CHAIN_FAULTS, hijacked_genesis_file, seeded_keypair, tampered
 
 
 def signed_anchor(issuer, credential_id, root):
@@ -254,6 +255,24 @@ class TestValidateChain:
         report = led.validate_chain()
         assert not report.ok
         assert (report.index, report.cause) == (2, ChainFault.LINK_BROKEN)
+
+
+class TestParallelChainCheck:
+    """With a helper verifying part of the writer signatures, the report is still the serial one."""
+
+    def test_long_chain_is_ok(self, long_chain, two_cpus):
+        assert long_chain.validate_chain().ok
+        assert len(two_cpus) == 1
+
+    @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
+    def test_first_fault_in_chain_order_wins(self, long_chain, two_cpus, monkeypatch,
+                                             signatures, roots, expected):
+        led = tampered(long_chain, signatures, roots)
+        report = led.validate_chain()
+        assert (report.ok, report.index, report.cause) == (False, *expected)
+        assert len(two_cpus) == 1
+        monkeypatch.delattr(os, "fork")
+        assert led.validate_chain() == report
 
 
 class TestReads:
@@ -792,6 +811,8 @@ class TestVerificationCounts:
 
         monkeypatch.setattr(ssisim.identity, "verify", counted)
         monkeypatch.setattr(ssisim.ledger, "verify", counted)
+        # Forked helpers would verify part of a long chain where this list cannot see it.
+        monkeypatch.delattr(os, "fork")
         return calls
 
     def test_one_status_read_after_load_costs_the_same_on_any_length(self, verifications):
