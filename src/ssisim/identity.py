@@ -78,19 +78,36 @@ class KeyPair:
     key_id: str
 
 
+# Key objects and DIDs are memoized per process, keyed by the key bytes: one
+# issuer or writer key signs many times, and building an Ed25519 key from its
+# seed is about half the cost of a signature. The public functions check lengths
+# before a memo is consulted, so every wrong-length call raises.
+_MEMO_SIZE = 4096
+
+
+def _seed(private_key: bytes) -> bytes:
+    """The private key as hashable bytes; SeedLength unless it is SEED_LEN long."""
+    if len(private_key) != SEED_LEN:
+        raise SeedLength(f"private key must be {SEED_LEN} bytes")
+    return bytes(private_key)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _signing_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
 def generate_keypair(seed: bytes) -> KeyPair:
     """Deterministically derive a keypair from a 32-byte seed."""
     if len(seed) != SEED_LEN:
         raise SeedLength(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-    signing = Ed25519PrivateKey.from_private_bytes(seed)
-    public = signing.public_key().public_bytes_raw()
-    return KeyPair(public_key=public, private_key=bytes(seed), key_id=key_fingerprint(public))
+    seed = bytes(seed)
+    public = _signing_key(seed).public_key().public_bytes_raw()
+    return KeyPair(public_key=public, private_key=seed, key_id=key_fingerprint(public))
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
-    if len(private_key) != SEED_LEN:
-        raise SeedLength(f"private key must be {SEED_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(private_key).sign(message)
+    return _signing_key(_seed(private_key)).sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -183,17 +200,16 @@ def _join_helper(pid, read_fd, jobs) -> bytes:
     return data
 
 
-def key_agreement_private(private_key: bytes) -> bytes:
-    """X25519 private scalar derived from the signing seed."""
-    if len(private_key) != SEED_LEN:
-        raise SeedLength(f"private key must be {SEED_LEN} bytes")
-    return sha256(_KA_DOMAIN + private_key)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _key_agreement(seed: bytes) -> tuple:
+    """(X25519 private key, its public bytes), derived from the signing seed."""
+    private = X25519PrivateKey.from_private_bytes(sha256(_KA_DOMAIN + seed))
+    return private, private.public_key().public_bytes_raw()
 
 
 def key_agreement_public(private_key: bytes) -> bytes:
-    """X25519 public key matching key_agreement_private."""
-    scalar = key_agreement_private(private_key)
-    return X25519PrivateKey.from_private_bytes(scalar).public_key().public_bytes_raw()
+    """X25519 public key derived from the signing seed."""
+    return _key_agreement(_seed(private_key))[1]
 
 
 # --- DIDs ---------------------------------------------------------------------
@@ -210,7 +226,7 @@ class Did:
         return f"did:{self.method}:{self.identifier}"
 
     @classmethod
-    @functools.lru_cache(maxsize=4096)  # DIDs recur across a file; a ParseError is not cached
+    @functools.lru_cache(maxsize=_MEMO_SIZE)  # DIDs recur across a file; a ParseError is not cached
     def parse(cls, text: str) -> "Did":
         prefix = f"did:{DID_METHOD}:"
         if not text.startswith(prefix):
@@ -232,6 +248,11 @@ def derive_did(public_key: bytes) -> Did:
     """Pure function from a 32-byte public key to its DID."""
     if len(public_key) != PUBLIC_KEY_LEN:
         raise ParseError(f"public key must be {PUBLIC_KEY_LEN} bytes")
+    return _did_of(bytes(public_key))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _did_of(public_key: bytes) -> Did:
     return Did(method=DID_METHOD, identifier=b58encode(sha256(public_key)))
 
 
@@ -331,11 +352,8 @@ def encrypt_for(recipient_public: bytes, sender_private: bytes, plaintext: bytes
     is the sender's signing seed, from which the sender's X25519 key derives.
     """
     rng = rng or _default_rng
-    sender_scalar = key_agreement_private(sender_private)
-    sender_public = key_agreement_public(sender_private)
-    shared = X25519PrivateKey.from_private_bytes(sender_scalar).exchange(
-        X25519PublicKey.from_public_bytes(recipient_public)
-    )
+    sender_key, sender_public = _key_agreement(_seed(sender_private))
+    shared = sender_key.exchange(X25519PublicKey.from_public_bytes(recipient_public))
     nonce = rng.randbytes(NONCE_LEN)
     sender_key_id = key_fingerprint(sender_public)
     recipient_key_id = key_fingerprint(recipient_public)
@@ -353,12 +371,9 @@ def encrypt_for(recipient_public: bytes, sender_private: bytes, plaintext: bytes
 
 def decrypt(recipient_private: bytes, sender_public: bytes, envelope: Envelope) -> bytes:
     """Recover the plaintext or raise AuthFailure; never returns garbage."""
-    recipient_scalar = key_agreement_private(recipient_private)
-    recipient_public = key_agreement_public(recipient_private)
+    recipient_key, recipient_public = _key_agreement(_seed(recipient_private))
     try:
-        shared = X25519PrivateKey.from_private_bytes(recipient_scalar).exchange(
-            X25519PublicKey.from_public_bytes(sender_public)
-        )
+        shared = recipient_key.exchange(X25519PublicKey.from_public_bytes(sender_public))
         key = _envelope_key(shared, envelope.nonce, sender_public, recipient_public)
         return ChaCha20Poly1305(key).decrypt(
             _ZERO_AEAD_NONCE,

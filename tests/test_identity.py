@@ -1,13 +1,22 @@
+import hashlib
 import os
 import re
+import sys
 import threading
+from collections import Counter
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssisim.identity
+from ssisim.engine import define_schema, issue_credential, revoke_credential
 from ssisim.errors import AuthFailure, ParseError, SeedLength
 from ssisim.identity import (
+    DID_METHOD,
+    SEED_LEN,
     Did,
     derive_did,
     decrypt,
@@ -19,7 +28,10 @@ from ssisim.identity import (
     verify,
     verify_many,
 )
+from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
 from ssisim.runtime import DeterministicRng
+from ssisim.scenarios import HealthcareConfig, run_scenario
+from ssisim.serialization import b58encode
 
 from conftest import flip_bit
 
@@ -39,9 +51,25 @@ class TestKeypairs:
         assert a.public_key != b.public_key
 
     def test_seed_length_enforced(self):
-        for n in (0, 31, 33):
-            with pytest.raises(SeedLength):
-                generate_keypair(b"\x00" * n)
+        recipient_ka = key_agreement_public(b"\x01" * 32)
+        envelope = encrypt_for(recipient_ka, b"\x02" * 32, b"m")
+        uses = (
+            lambda key: sign(key, b"m"),
+            key_agreement_public,
+            lambda key: encrypt_for(recipient_ka, key, b"m"),
+            lambda key: decrypt(key, recipient_ka, envelope),
+        )
+        for n in range(65):
+            if n == SEED_LEN:
+                continue
+            for key in (b"\x00" * n, bytearray(n)):
+                # twice: a rejected key must not be remembered either way
+                for _ in range(2):
+                    with pytest.raises(SeedLength, match=f"^seed must be 32 bytes, got {n}$"):
+                        generate_keypair(key)
+                    for use in uses:
+                        with pytest.raises(SeedLength, match="^private key must be 32 bytes$"):
+                            use(key)
 
     def test_thousand_random_seeds_give_thousand_keys(self):
         # uniqueness sweep with a set-membership oracle
@@ -295,3 +323,130 @@ class TestDidDocuments:
             controller_signature=sign(other.private_key, doc.signing_payload()),
         )
         assert not forged.verify_self()
+
+
+# Seeds that share long prefixes and suffixes, so a memo keyed on part of the
+# key, on its length or on the call order answers with the wrong key.
+MEMO_SEEDS = [
+    b"\x00" * 32,
+    b"\x00" * 31 + b"\x01",
+    b"\x01" + b"\x00" * 31,
+    bytes(range(32)),
+]
+
+
+def _fresh_key_agreement_public(seed: bytes) -> bytes:
+    scalar = hashlib.sha256(b"ssisim/key-agreement/v1" + seed).digest()
+    return X25519PrivateKey.from_private_bytes(scalar).public_key().public_bytes_raw()
+
+
+class TestKeyMemo:
+    """Keys and DIDs are built once per process and answer as if built on each call."""
+
+    @given(st.lists(st.tuples(st.sampled_from(range(len(MEMO_SEEDS))) | st.binary(
+        min_size=32, max_size=32), st.booleans(), st.binary(max_size=128)),
+        min_size=2, max_size=12))
+    @settings(max_examples=60)
+    def test_memoized_keys_match_fresh_ones(self, steps):
+        previous = None
+        for which, as_bytearray, message in steps:
+            seed = MEMO_SEEDS[which] if isinstance(which, int) else which
+            key = bytearray(seed) if as_bytearray else seed
+            fresh = Ed25519PrivateKey.from_private_bytes(seed)
+            public = fresh.public_key().public_bytes_raw()
+            assert generate_keypair(key).public_key == public
+            assert sign(key, message) == fresh.sign(message)
+            assert derive_did(bytearray(public) if as_bytearray else public) == Did(
+                DID_METHOD, b58encode(hashlib.sha256(public).digest()))
+            assert key_agreement_public(key) == _fresh_key_agreement_public(seed)
+            if previous is not None:
+                envelope = encrypt_for(_fresh_key_agreement_public(previous), key, message)
+                assert decrypt(previous, _fresh_key_agreement_public(seed), envelope) == message
+                if previous != seed:
+                    with pytest.raises(AuthFailure):
+                        decrypt(key, _fresh_key_agreement_public(previous), envelope)
+            previous = seed
+
+    def test_threads_sharing_the_memo_get_the_right_keys(self):
+        seeds = MEMO_SEEDS + [bytes([i]) * 32 for i in range(2, 6)]
+        expected = {seed: Ed25519PrivateKey.from_private_bytes(seed).sign(b"m") for seed in seeds}
+        wrong = []
+
+        def worker(offset):
+            for i in range(200):
+                seed = seeds[(offset + i) % len(seeds)]
+                if i % 50 == 0:
+                    ssisim.identity._signing_key.cache_clear()
+                if sign(seed, b"m") != expected[seed]:
+                    wrong.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+class TestKeyBuildCounts:
+    """The same key signing or opening envelopes again does not rebuild its key object."""
+
+    class Counted:
+        """Stands in for a key class in identity's namespace and counts its builds."""
+
+        def __init__(self, real):
+            self.real = real
+            self.built = Counter()  # by the bytes a key was built from
+
+        def from_private_bytes(self, data):
+            self.built[bytes(data)] += 1
+            return self.real.from_private_bytes(data)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of Ed25519 and X25519 key builds in identity, by the bytes built from."""
+        counted = {}
+        for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
+            counted[name] = self.Counted(getattr(ssisim.identity, name))
+            monkeypatch.setattr(ssisim.identity, name, counted[name])
+        # Start from an empty memo: keys other tests built would not be counted.
+        for value in vars(ssisim.identity).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        return {name: c.built for name, c in counted.items()}
+
+    def test_one_issuer_builds_its_key_and_the_writers_once(self, ledger, operator, issuer,
+                                                            holder, rng, clock, builds):
+        schema = define_schema(issuer, "Counted", 1, ["a"], ledger)
+        holder_did = derive_did(holder.public_key)
+        credentials = [issue_credential(issuer, holder_did, schema, {"a": str(i)}, ledger,
+                                        rng=rng, clock=clock) for i in range(20)]
+        for credential in credentials[:5]:
+            revoke_credential(issuer, credential.credential_id, ledger)
+        # the issuer signs 46 times and the operator seals 26 blocks
+        assert builds["Ed25519PrivateKey"] == {issuer.private_key: 1, operator.private_key: 1}
+
+    def test_healthcare_builds_each_key_agreement_key_once(self, builds):
+        run = run_scenario(HealthcareConfig())
+        assert run.transcript.final_verdict == "accept"
+        x25519 = builds["X25519PrivateKey"]
+        # the operator and the three actors
+        assert len(x25519) == 4
+        assert set(x25519.values()) == {1}
+
+    def test_ca_compromise_builds_the_stolen_key_once(self, builds):
+        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
+        assert report.forged_accepted == 1000
+        # the same hierarchy again, from keys the run left in the memo
+        stolen = build_hierarchy(rng=DeterministicRng(CompromiseConfig.seed)).subordinate
+        ed25519 = builds["Ed25519PrivateKey"]
+        assert ed25519[stolen.keypair.private_key] == 1
+        # the root, the subordinate and one key per forged subject, each built once
+        assert len(ed25519) == 1002
+        assert set(ed25519.values()) == {1}
