@@ -17,7 +17,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -116,10 +116,27 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     Malformed keys or signatures return False, never raise.
     """
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-        return True
+        # Other types keep their own verdicts (a bytearray key fails, a bytearray
+        # message verifies), so only exact bytes reach the memo; the rest take
+        # the same check unmemoized.
+        if type(public_key) is type(message) is type(signature) is bytes:
+            return _verdict(public_key, message, signature)
+        return _verdict.__wrapped__(public_key, message, signature)
     except Exception:
         return False
+
+
+# Verdicts are memoized per process, keyed by the exact (key, message, signature)
+# bytes, as Bitcoin Core's signature cache is: a relying party meets the same
+# certificate or signature again and again. Only what Ed25519 decides is kept;
+# any other exception propagates uncached and verify maps it to False.
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    except (InvalidSignature, ValueError):  # a bad signature or a wrong-length key
+        return False
+    return True
 
 
 # Below two chunks of this size a forked helper costs more than it saves: a fork

@@ -21,6 +21,7 @@ from ssisim.errors import (
     DuplicateSchema,
     NotIssuer,
     NotSchemaOwner,
+    ParseError,
     SchemaMismatch,
     UnknownAttribute,
     UnknownCredential,
@@ -30,7 +31,7 @@ from ssisim.errors import (
 )
 from ssisim.identity import derive_did, sign
 from ssisim.ledger import AnchorCredential, CredentialStatus
-from ssisim.serialization import canonical_json_bytes
+from ssisim.serialization import canonical_json_bytes, load_json
 
 from conftest import seeded_keypair
 
@@ -195,6 +196,30 @@ class TestVerifyPresentation:
             "schema_known", "status_active", "issuer_signature", "merkle_proofs",
             "challenge_match", "holder_signature",
         }
+
+    def test_every_byte_mutation_after_an_honest_verify_rejects(self, ledger, credential,
+                                                                  holder):
+        # the honest verify fills the verdict memo, so no mutation may be answered from it
+        challenge = b"\x08" * 32
+        honest = create_presentation(credential, list(PATIENT_VALUES), challenge, holder)
+        data = canonical_json_bytes(honest.to_json_dict())
+        assert verify_presentation(ledger, Presentation.from_json_dict(load_json(data)),
+                                   challenge).accepted
+        accepted, failed_checks = [], set()
+        for position in range(len(data)):
+            for mask in (0x01, 0xFF):
+                mutated = data[:position] + bytes([data[position] ^ mask]) + data[position + 1:]
+                try:
+                    presentation = Presentation.from_json_dict(load_json(mutated))
+                except ParseError:
+                    continue
+                report = verify_presentation(ledger, presentation, challenge)
+                if report.accepted:
+                    accepted.append((position, mask))
+                failed_checks |= {name for name, passed in report.checks if not passed}
+        assert accepted == []
+        # mutations that parse reach every check, the two signature checks included
+        assert failed_checks == {name for name, _ in report.checks}
 
     def test_revoked_credential_rejects_on_status(self, ledger, issuer, credential, holder):
         pres = create_presentation(credential, ["dob"], b"\x05" * 32, holder)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import re
 import sys
@@ -6,13 +7,23 @@ import threading
 from collections import Counter
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssisim.engine
 import ssisim.identity
-from ssisim.engine import define_schema, issue_credential, revoke_credential
+from ssisim.credentials import create_presentation
+from ssisim.engine import (
+    define_schema,
+    issue_credential,
+    revoke_credential,
+    verify_presentation,
+)
 from ssisim.errors import AuthFailure, ParseError, SeedLength
 from ssisim.identity import (
     DID_METHOD,
@@ -380,22 +391,134 @@ class TestKeyMemo:
                 if sign(seed, b"m") != expected[seed]:
                     wrong.append(seed)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_in_threads(worker)
+        assert wrong == []
+
+
+def run_in_threads(worker, count=8):
+    """worker(k) for k in range(count), each in its own thread, switching every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _fresh_verdict(public_key, message, signature) -> bool:
+    """verify's answer with no memo: Ed25519 on a key built for this call."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    except Exception:
+        return False
+    return True
+
+
+# Keys whose seeds share prefixes and suffixes and messages that are prefixes of
+# each other, so a memo keyed on part of a triple answers for another one.
+VERDICT_TRIPLES = [
+    (key.public_key, message, sign(key.private_key, message))
+    for key in map(generate_keypair, MEMO_SEEDS[:3])
+    for message in (b"", b"m", b"m" * 40)
+]
+
+# Each form an argument of verify may take, made from its bytes. bytes() of the
+# int would be that many zero bytes, which the sweep's message is.
+ARGUMENT_FORMS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview(bytes)": memoryview,
+    "memoryview(bytearray)": lambda value: memoryview(bytearray(value)),
+    "str": lambda value: value.decode("latin-1"),
+    "int": len,
+    "None": lambda value: None,
+}
+BUFFER_FORMS = ("bytes", "bytearray", "memoryview(bytes)", "memoryview(bytearray)")
+
+
+class TestVerdictMemo:
+    """Verdicts are checked once per process and answer as if checked on each call."""
+
+    @given(st.lists(st.tuples(st.integers(0, len(VERDICT_TRIPLES) - 1),
+                              st.sampled_from([None, 0, 1, 2]), st.integers(0, 63),
+                              st.integers(1, 255)), min_size=2, max_size=20))
+    @settings(max_examples=80)
+    def test_memoized_verdicts_match_fresh_ones(self, steps):
+        for which, position, offset, mask in steps:
+            triple = list(VERDICT_TRIPLES[which])
+            if position is not None:  # one byte of the key, message or signature changed
+                value = bytearray(triple[position] or b"\x00")
+                value[offset % len(value)] ^= mask
+                triple[position] = bytes(value)
+            expected = _fresh_verdict(*triple)
+            assert expected is (position is None)
+            assert verify(*triple) is expected
+            assert verify(*triple) is expected
+
+    def test_argument_types_keep_their_verdicts(self):
+        key = generate_keypair(b"\x31" * 32)
+        message = bytes(5)
+        signature = sign(key.private_key, message)
+        assert verify(key.public_key, message, signature)  # now in the memo
+        table = {}
+        for forms in itertools.product(ARGUMENT_FORMS, repeat=3):
+            args = [ARGUMENT_FORMS[form](value)
+                    for form, value in zip(forms, (key.public_key, message, signature))]
+            expected = _fresh_verdict(*args)
+            table[forms] = verify(*args)
+            assert table[forms] is expected, forms
+            assert verify(*args) is expected, forms
+        assert table["bytearray", "bytes", "bytes"] is False
+        assert table["bytes", "bytearray", "bytes"] is True
+        # a key verifies only as bytes, a message or signature as any buffer
+        assert {forms for forms, ok in table.items() if ok} == {
+            ("bytes", m, s) for m in BUFFER_FORMS for s in BUFFER_FORMS}
+
+    def test_an_error_ed25519_did_not_decide_is_not_memoized(self, monkeypatch):
+        key = generate_keypair(b"\x32" * 32)
+        signature = sign(key.private_key, b"m")
+        ssisim.identity._verdict.cache_clear()
+        builds = []
+
+        class OutOfMemoryOnce:
+            @staticmethod
+            def from_public_bytes(data):
+                builds.append(data)
+                if len(builds) == 1:
+                    raise MemoryError
+                return Ed25519PublicKey.from_public_bytes(data)
+
+        monkeypatch.setattr(ssisim.identity, "Ed25519PublicKey", OutOfMemoryOnce)
+        assert verify(key.public_key, b"m", signature) is False
+        assert verify(key.public_key, b"m", signature) is True
+        assert verify(key.public_key, b"m", signature) is True
+        assert len(builds) == 2
+
+    def test_threads_sharing_the_memo_get_the_right_verdicts(self):
+        triples = VERDICT_TRIPLES + [(k, m, flip_bit(s)) for k, m, s in VERDICT_TRIPLES]
+        expected = [_fresh_verdict(*triple) for triple in triples]
+        wrong = []
+
+        def worker(offset):
+            for i in range(300):
+                which = (offset + i) % len(triples)
+                if i % 50 == 0:
+                    ssisim.identity._verdict.cache_clear()
+                if verify(*triples[which]) is not expected[which]:
+                    wrong.append(which)
+
+        run_in_threads(worker)
         assert wrong == []
 
 
 class TestKeyBuildCounts:
-    """The same key signing or opening envelopes again does not rebuild its key object."""
+    """The same key signing or opening envelopes again does not rebuild its key object,
+    and the same signature checked again does no Ed25519 work."""
 
     class Counted:
         """Stands in for a key class in identity's namespace and counts its builds."""
@@ -408,11 +531,16 @@ class TestKeyBuildCounts:
             self.built[bytes(data)] += 1
             return self.real.from_private_bytes(data)
 
+        def from_public_bytes(self, data):
+            self.built[bytes(data)] += 1
+            return self.real.from_public_bytes(data)
+
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts of Ed25519 and X25519 key builds in identity, by the bytes built from."""
+        """Counts of Ed25519 signing and verify keys and X25519 keys built in identity,
+        by the bytes built from; verify builds one verify key per Ed25519 check."""
         counted = {}
-        for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
+        for name in ("Ed25519PrivateKey", "Ed25519PublicKey", "X25519PrivateKey"):
             counted[name] = self.Counted(getattr(ssisim.identity, name))
             monkeypatch.setattr(ssisim.identity, name, counted[name])
         # Start from an empty memo: keys other tests built would not be counted.
@@ -450,3 +578,47 @@ class TestKeyBuildCounts:
         # the root, the subordinate and one key per forged subject, each built once
         assert len(ed25519) == 1002
         assert set(ed25519.values()) == {1}
+
+    def test_ca_compromise_checks_the_stolen_keys_certificate_once(self, builds):
+        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
+        assert report.forged_accepted == 1000
+        hierarchy = build_hierarchy(rng=DeterministicRng(CompromiseConfig.seed))
+        # every forgery is a new certificate under the stolen key; the stolen
+        # key's own certificate is checked against the root's key once
+        assert builds["Ed25519PublicKey"] == {hierarchy.subordinate.keypair.public_key: 1000,
+                                              hierarchy.root.keypair.public_key: 1}
+
+    def test_ledger_compromise_checks_each_signature_once(self, builds):
+        report = run_compromise_experiment(CompromiseConfig(scenario="ledger", forgeries=100))
+        assert report.forged_rejected == 100
+        # 3 genesis writers, 3 victims' registrations and every forgery: none repeats
+        assert sum(builds["Ed25519PublicKey"].values()) == 106
+
+    def test_healthcare_checks_each_signature_once(self, builds):
+        run = run_scenario(HealthcareConfig())
+        assert run.transcript.final_verdict == "accept"
+        # 10 checks, of which the verifier repeats 2 that the holder's agent made
+        assert sum(builds["Ed25519PublicKey"].values()) == 8
+
+    def test_verifying_a_presentation_again_does_no_ed25519_work(
+            self, ledger, issuer, holder, rng, clock, builds, monkeypatch):
+        schema = define_schema(issuer, "Counted", 1, ["a"], ledger)
+        credential = issue_credential(issuer, derive_did(holder.public_key), schema,
+                                      {"a": "1"}, ledger, rng=rng, clock=clock)
+        presentation = create_presentation(credential, ["a"], b"\x07" * 32, holder)
+        checks = []
+        real_verify = ssisim.engine.verify
+        monkeypatch.setattr(ssisim.engine, "verify",
+                            lambda *args: checks.append(args) or real_verify(*args))
+        verify_keys = builds["Ed25519PublicKey"]
+        verify_keys.clear()
+        assert verify_presentation(ledger, presentation, b"\x07" * 32).accepted
+        # the issuer's and the holder's signatures; the registry checked the rest on append
+        assert len(checks) == 2
+        assert verify_keys == {issuer.public_key: 1, holder.public_key: 1}
+        verify_keys.clear()
+        assert verify_presentation(ledger, presentation, b"\x07" * 32).accepted
+        # the issuer's and the holder's signatures are checked again, from the memo
+        assert len(checks) == 4
+        assert verify_keys == {}
+

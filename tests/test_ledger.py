@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssisim import identity
 from ssisim.credentials import (
     Credential,
     CredentialSchema,
@@ -57,7 +58,13 @@ from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
 from ssisim.serialization import canonical_json_bytes
 
-from conftest import CHAIN_FAULTS, hijacked_genesis_file, seeded_keypair, tampered
+from conftest import (
+    CHAIN_FAULTS,
+    LONG_CHAIN_BLOCKS,
+    hijacked_genesis_file,
+    seeded_keypair,
+    tampered,
+)
 
 
 def signed_anchor(issuer, credential_id, root):
@@ -267,6 +274,25 @@ class TestParallelChainCheck:
     @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
     def test_first_fault_in_chain_order_wins(self, long_chain, two_cpus, monkeypatch,
                                              signatures, roots, expected):
+        led = tampered(long_chain, signatures, roots)
+        report = led.validate_chain()
+        assert (report.ok, report.index, report.cause) == (False, *expected)
+        assert len(two_cpus) == 1
+        monkeypatch.delattr(os, "fork")
+        assert led.validate_chain() == report
+
+    @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
+    def test_faults_are_found_with_every_clean_verdict_memoized(self, long_chain, two_cpus,
+                                                                monkeypatch, signatures,
+                                                                roots, expected):
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            assert long_chain.validate_chain().ok
+            before = identity._verdict.cache_info()
+            assert long_chain.validate_chain().ok
+            after = identity._verdict.cache_info()
+            # 399 writer signatures and the genesis writer's self-certification
+            assert (after.hits - before.hits, after.misses) == (LONG_CHAIN_BLOCKS, before.misses)
         led = tampered(long_chain, signatures, roots)
         report = led.validate_chain()
         assert (report.ok, report.index, report.cause) == (False, *expected)
