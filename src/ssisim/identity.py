@@ -139,8 +139,9 @@ def _verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return True
 
 
-# Below two chunks of this size a forked helper costs more than it saves: a fork
-# takes ~4 ms, 128 verifications ~22 ms.
+# Below two chunks of this size a forked helper costs more than it saves. os.fork
+# of a ~40 MB process takes 1-3 ms, and the parent then takes a write fault on each
+# page it touches again (15-20 ms for 10,000 pages); 128 verifications take 20-40 ms.
 _MIN_CHUNK = 128
 
 
@@ -153,9 +154,11 @@ def verify_many(jobs: list) -> int | None:
     verifies the first and a forked helper each of the others. A chunk whose
     helper fails or answers short is verified here instead.
     """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    chunks = min(cpus, len(jobs) // _MIN_CHUNK)
+    chunks = 1  # fewer jobs than two chunks answer before the CPU set is read
+    if len(jobs) >= 2 * _MIN_CHUNK:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        chunks = min(cpus, len(jobs) // _MIN_CHUNK)
     if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return next((i for i, job in enumerate(jobs) if not verify(*job)), None)
     bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]

@@ -97,8 +97,18 @@ class ChainReport:
 # --- transactions ---------------------------------------------------------------
 # Each kind owns its JSON form, its canonical bytes, its index slot (candidates), the
 # checks that depend only on the chain before it (cause: None if they pass, else why)
-# and its rule against the current registry (rule, checked on append only).
+# and its rule against the current registry (rule, checked on append only). cause
+# runs its signature check last: a read verifies it there, an append defers it as a
+# (key, payload, signature) job and answers bad_signature if verify_many fails it.
 # RegisterDid writes its JSON by hand: the file holds the signature beside the document.
+
+
+def _check_signature(jobs: list | None, job: tuple, cause: str) -> str | None:
+    """Verify job now and name cause if it fails, or, given jobs, append it there instead."""
+    if jobs is not None:
+        jobs.append(job)
+        return None
+    return None if verify(*job) else cause
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,7 @@ class RegisterDid:
     document: DidDocument
 
     kind = "register_did"
+    bad_signature = "self-certification failed"
 
     @property
     def submitter_signature(self) -> bytes:
@@ -137,12 +148,14 @@ class RegisterDid:
     def candidates(self, state: "RegistryState") -> list:
         return state.documents.setdefault(str(self.document.did), [])
 
-    def cause(self, state: "RegistryState", position: int) -> str | None:
-        # verify_self binds the verification key to the DID, so a re-registration
-        # that passes it necessarily keeps the original key.
-        if not self.document.verify_self():
-            return "self-certification failed"
-        return None
+    def cause(self, state: "RegistryState", position: int, jobs: list | None = None) -> str | None:
+        # Self-certification binds the verification key to the DID, so a
+        # re-registration that passes it necessarily keeps the original key.
+        doc = self.document
+        if derive_did(doc.verification_key) != doc.did:
+            return self.bad_signature
+        return _check_signature(jobs, (doc.verification_key, doc.signing_payload(),
+                                       doc.controller_signature), self.bad_signature)
 
     def rule(self, state: "RegistryState") -> str | None:
         return None
@@ -161,19 +174,20 @@ def revoke_payload(credential_id: bytes, issuer_did: Did) -> bytes:
 class _IssuerSigned(Record):
     """The kinds an issuer signs: valid only after the issuer's registration, under its key."""
 
+    bad_signature = "bad submitter signature"
+
     def canonical_bytes(self) -> bytes:
         return self.signing_payload() + encode_bytes(self.submitter_signature)
 
-    def cause(self, state: "RegistryState", position: int) -> str | None:
-        # Every registration that passes verify_self carries the key the DID is
-        # derived from, so the first one fixes both "registered before" and the key.
+    def cause(self, state: "RegistryState", position: int, jobs: list | None = None) -> str | None:
+        # Every self-certified registration carries the key the DID is derived
+        # from, so the first one fixes both "registered before" and the key.
         registration = state.registration(str(self.issuer_did))
         if registration is None or registration.position >= position:
             return "unknown submitter DID"
         key = registration.tx.document.verification_key
-        if not verify(key, self.signing_payload(), self.submitter_signature):
-            return "bad submitter signature"
-        return None
+        return _check_signature(jobs, (key, self.signing_payload(), self.submitter_signature),
+                                self.bad_signature)
 
 
 @dataclass(frozen=True)
@@ -199,10 +213,10 @@ class DefineSchema(_IssuerSigned):
     def candidates(self, state: "RegistryState") -> list:
         return state.schemas.setdefault(self.schema.schema_id, [])
 
-    def cause(self, state: "RegistryState", position: int) -> str | None:
+    def cause(self, state: "RegistryState", position: int, jobs: list | None = None) -> str | None:
         if not schema_is_well_formed(self.schema):
             return "malformed schema"
-        return super().cause(state, position)
+        return super().cause(state, position, jobs)
 
     def rule(self, state: "RegistryState") -> str | None:
         if state.schema(self.schema.schema_id) is not None:
@@ -329,11 +343,15 @@ class RegistryState:
         clone.__dict__ = {name: copy.copy(value) for name, value in vars(self).items()}
         return clone
 
-    def check(self, tx) -> str | None:
-        """None if the transaction is valid at the end of the chain, else the cause."""
+    def check(self, tx, jobs: list) -> str | None:
+        """None if the transaction is valid at the end of the chain, else the cause.
+
+        The signature is left out: a transaction that reaches its signature check
+        appends that job to jobs instead, for the caller to verify.
+        """
         if type(tx) not in KINDS.values():
             return f"unknown transaction type {type(tx).__name__}"
-        return tx.cause(self, self.size) or tx.rule(self)
+        return tx.cause(self, self.size, jobs) or tx.rule(self)
 
     # -- index
 
@@ -538,16 +556,29 @@ class Ledger:
         if not txs:
             raise EmptyBatch("a block needs at least one transaction")
         state = self._index()
-        # Each transaction is checked against the chain plus the ones staged before
-        # it, then indexed as valid; any failure pops the staged ones again.
+        # Two passes, as in validate_chain. Pass 1 checks each transaction but its
+        # signature against the chain plus the ones staged before it, then indexes
+        # it as valid, up to the first fault. Pass 2 verifies the signatures pass 1
+        # reached, the faulting transaction's own included if its rule failed, as a
+        # serial check reads the signature first. The first bad one wins: it is at
+        # or before the fault, and any pass-1 result after it may rest on it. Any
+        # failure pops the staged transactions again.
+        jobs = []  # the signature of transaction k is jobs[k]
+        fault = None
         staged = 0
         try:
             for i, tx in enumerate(txs):
-                cause = state.check(tx)
+                cause = state.check(tx, jobs)
                 if cause is not None:
-                    raise InvalidTransaction(i, cause)
+                    fault = InvalidTransaction(i, cause)
+                    break
                 state.push(tx, ok=True)
                 staged += 1
+            bad = verify_many(jobs)
+            if bad is not None:
+                raise InvalidTransaction(bad, txs[bad].bad_signature)
+            if fault is not None:
+                raise fault
             block = self._seal(txs, writer_did, writer)
         except BaseException:
             for tx in reversed(txs[:staged]):

@@ -14,6 +14,7 @@ from ssisim.credentials import (
     RevealedAttribute,
     create_presentation,
     make_schema,
+    schema_is_well_formed,
 )
 from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
@@ -37,6 +38,7 @@ from ssisim.identity import (
     key_fingerprint,
     make_did_document,
     sign,
+    verify,
 )
 from ssisim.ledger import (
     KINDS,
@@ -61,6 +63,7 @@ from ssisim.serialization import canonical_json_bytes
 from conftest import (
     CHAIN_FAULTS,
     LONG_CHAIN_BLOCKS,
+    flip_bit,
     hijacked_genesis_file,
     seeded_keypair,
     tampered,
@@ -299,6 +302,206 @@ class TestParallelChainCheck:
         assert len(two_cpus) == 1
         monkeypatch.delattr(os, "fork")
         assert led.validate_chain() == report
+
+
+# A batch long enough that its append splits the submitter signatures between this
+# process and a forked helper, and faults planted in it: (anchors whose signature is
+# tampered, anchors an unregistered DID submits, anchors of the first anchor's
+# credential again) -> the (index, cause) that a serial check, taking each
+# transaction in full and in batch order, reports first.
+BATCH_SIZE = 400
+BATCH_FAULTS = [
+    ((4,), (), (), (4, "bad submitter signature")),
+    ((280,), (), (), (280, "bad submitter signature")),
+    ((396,), (), (), (396, "bad submitter signature")),
+    ((4, 396), (), (), (4, "bad submitter signature")),
+    ((100,), (350,), (), (100, "bad submitter signature")),
+    ((350,), (), (300,), (300, "duplicate anchor")),
+    ((300,), (), (300,), (300, "bad submitter signature")),
+]
+
+
+def batch_credential_id(i):
+    return i.to_bytes(2, "big") * 16
+
+
+@pytest.fixture(scope="module")
+def anchor_batch():
+    """BATCH_SIZE valid anchors by the issuer that the ledger fixture registers."""
+    issuer = seeded_keypair(b"issuer")
+    return [signed_anchor(issuer, batch_credential_id(i), b"\x07" * 32)
+            for i in range(BATCH_SIZE)]
+
+
+def faulty_batch(batch, signatures=(), strangers=(), duplicates=()):
+    txs = list(batch)
+    for i in strangers:
+        txs[i] = signed_anchor(seeded_keypair(b"stranger"), batch_credential_id(i), b"\x07" * 32)
+    for i in duplicates:
+        txs[i] = signed_anchor(seeded_keypair(b"issuer"), batch_credential_id(0), b"\x08" * 32)
+    for i in signatures:
+        txs[i] = replace(txs[i], submitter_signature=flip_bit(txs[i].submitter_signature))
+    return txs
+
+
+class TestParallelBatchCheck:
+    """With a helper verifying part of a batch's signatures, the refusal is the serial one."""
+
+    @staticmethod
+    def observed(led, batch):
+        """The blocks, the index size and every read that the batch could move."""
+        keys = [seeded_keypair(tag) for tag in (b"operator", b"issuer", b"holder", b"stranger")]
+        documents = []
+        for key in keys:
+            try:
+                documents.append(led.resolve_did(derive_did(key.public_key)))
+            except UnknownDid:
+                documents.append(None)
+        owners = [led.find_did_by_key_agreement(
+            key_fingerprint(key_agreement_public(key.private_key))) for key in keys]
+        return (list(led.blocks), led._state.size, documents, owners,
+                [led.credential_status(tx.credential_id) for tx in batch],
+                [led.credential_anchor(tx.credential_id) for tx in batch])
+
+    @pytest.mark.parametrize("signatures, strangers, duplicates, expected", BATCH_FAULTS)
+    def test_first_fault_in_batch_order_wins(self, ledger, anchor_batch, two_cpus, monkeypatch,
+                                             signatures, strangers, duplicates, expected):
+        txs = faulty_batch(anchor_batch, signatures, strangers, duplicates)
+        before = self.observed(ledger, anchor_batch)
+        with pytest.raises(InvalidTransaction) as parallel:
+            ledger.submit(txs)
+        assert (parallel.value.index, parallel.value.cause) == expected
+        assert len(two_cpus) == 1
+        assert self.observed(ledger, anchor_batch) == before
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(InvalidTransaction) as serial:
+            ledger.submit(txs)
+        assert (serial.value.index, serial.value.cause) == expected
+        assert self.observed(ledger, anchor_batch) == before
+        ledger.submit(anchor_batch)
+        assert all(ledger.credential_status(tx.credential_id) is CredentialStatus.ACTIVE
+                   for tx in anchor_batch)
+
+
+class BatchModel:
+    """A serial replay of checked appends: each transaction in full, in order, all or nothing."""
+
+    def __init__(self):
+        self.keys = {}  # did str -> the key of its first self-certified registration
+        self.schemas = set()
+        self.anchors = {}  # credential id -> issuer DID
+        self.revoked = set()
+
+    def append(self, txs):
+        """The (index, cause) of the first invalid transaction, or None once all are applied."""
+        keys, schemas = dict(self.keys), set(self.schemas)
+        anchors, revoked = dict(self.anchors), set(self.revoked)
+        for i, tx in enumerate(txs):
+            if isinstance(tx, RegisterDid):
+                if not tx.document.verify_self():
+                    return i, "self-certification failed"
+                keys.setdefault(str(tx.document.did), tx.document.verification_key)
+                continue
+            if isinstance(tx, DefineSchema) and not schema_is_well_formed(tx.schema):
+                return i, "malformed schema"
+            key = keys.get(str(tx.issuer_did))
+            if key is None:
+                return i, "unknown submitter DID"
+            if not verify(key, tx.signing_payload(), tx.submitter_signature):
+                return i, "bad submitter signature"
+            if isinstance(tx, DefineSchema):
+                if tx.schema.schema_id in schemas:
+                    return i, "duplicate schema"
+                schemas.add(tx.schema.schema_id)
+            elif isinstance(tx, AnchorCredential):
+                if tx.credential_id in anchors:
+                    return i, "duplicate anchor"
+                anchors[tx.credential_id] = tx.issuer_did
+            elif tx.credential_id not in anchors:
+                return i, "unknown credential"
+            elif anchors[tx.credential_id] != tx.issuer_did:
+                return i, "revoker is not the anchoring issuer"
+            elif tx.credential_id in revoked:
+                return i, "already revoked"
+            else:
+                revoked.add(tx.credential_id)
+        self.keys, self.schemas, self.anchors, self.revoked = keys, schemas, anchors, revoked
+        return None
+
+
+# Valid anchors and revokes come twice, so that batches more often reach the revoke rules.
+BATCH_OPS = ["register", "forged_register", "register_then_anchor", "anchor", "anchor",
+             "forged_anchor", "anchor_then_revoke", "anchor_then_revoke", "revoke", "revoke",
+             "forged_revoke", "schema", "malformed_schema"]
+
+
+class TestBatchReference:
+    """append_block seals or refuses a small batch exactly as a serial checker does."""
+
+    OPERATOR, ISSUER, HOLDER, NEWCOMER, FORGER = (
+        seeded_keypair(tag) for tag in (b"operator", b"issuer", b"holder", b"newcomer", b"forger"))
+
+    def transactions(self, op, actor, target, cids, clock):
+        """The transactions of one op; target 0 is a fresh credential id, 1 the latest one."""
+        did = derive_did(actor.public_key)
+        if target == 0 or op == "anchor_then_revoke":
+            cids.append(len(cids).to_bytes(32, "big"))
+        cid = cids[-1]
+        if op in ("register", "forged_register", "register_then_anchor"):
+            doc = make_did_document(actor, created_at=clock.tick())
+            if op == "forged_register":
+                doc = replace(doc, controller_signature=sign(self.FORGER.private_key,
+                                                             doc.signing_payload()))
+            txs = [RegisterDid(doc)]
+            if op == "register_then_anchor":
+                txs.append(signed_anchor(actor, cid, b"\x09" * 32))
+            return txs
+        signer = self.FORGER if op.startswith("forged") else actor
+        if op in ("schema", "malformed_schema"):
+            schema = make_schema(did, "S", 1 + target, ["x", "y"])
+            if op == "malformed_schema":
+                schema = replace(schema, attribute_names=schema.attribute_names[::-1])
+            unsigned = DefineSchema(schema=schema, submitter_signature=b"")
+            return [replace(unsigned, submitter_signature=sign(signer.private_key,
+                                                               unsigned.signing_payload()))]
+        anchor = AnchorCredential(
+            credential_id=cid, issuer_did=did, commitment_root=b"\x09" * 32,
+            submitter_signature=sign(signer.private_key,
+                                     anchor_credential_payload(cid, did, b"\x09" * 32)))
+        revoke = Revoke(credential_id=cid, issuer_did=did,
+                        submitter_signature=sign(signer.private_key, revoke_payload(cid, did)))
+        return {"anchor": [anchor], "forged_anchor": [anchor],
+                "anchor_then_revoke": [anchor, revoke],
+                "revoke": [revoke], "forged_revoke": [revoke]}[op]
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches=st.lists(st.lists(st.tuples(st.sampled_from(BATCH_OPS), st.integers(0, 2),
+                                               st.integers(0, 1)), min_size=1, max_size=8),
+                            min_size=1, max_size=3))
+    def test_outcome_matches_a_serial_check(self, batches):
+        clock = LogicalClock(0)
+        led = Ledger.genesis([make_did_document(self.OPERATOR, created_at=clock.tick())],
+                             clock=clock)
+        model = BatchModel()
+        cids = []
+        # The issuer has registered and anchored one credential, and the holder has
+        # registered; the newcomer has not.
+        base = [*self.transactions("register_then_anchor", self.ISSUER, 0, cids, clock),
+                *self.transactions("register", self.HOLDER, 1, cids, clock)]
+        assert model.append(base) is None
+        led.append_block(base, self.OPERATOR)
+        for ops in batches:
+            txs = [tx for op, who, target in ops
+                   for tx in self.transactions(
+                       op, (self.ISSUER, self.HOLDER, self.NEWCOMER)[who], target, cids,
+                       clock)][:8]
+            height = len(led.blocks)
+            try:
+                outcome = led.append_block(txs, self.OPERATOR).transactions
+            except InvalidTransaction as exc:
+                outcome = (exc.index, exc.cause)
+            assert outcome == (model.append(txs) or tuple(txs))
+            assert len(led.blocks) == height + (outcome == tuple(txs))
 
 
 class TestReads:
@@ -824,7 +1027,8 @@ class TestVerificationCounts:
         return led.to_bytes(), issuer, operator
 
     @pytest.fixture
-    def verifications(self, monkeypatch):
+    def counted(self, monkeypatch):
+        """The arguments of every verification this process runs."""
         import ssisim.identity
         import ssisim.ledger
 
@@ -837,9 +1041,13 @@ class TestVerificationCounts:
 
         monkeypatch.setattr(ssisim.identity, "verify", counted)
         monkeypatch.setattr(ssisim.ledger, "verify", counted)
+        return calls
+
+    @pytest.fixture
+    def verifications(self, counted, monkeypatch):
         # Forked helpers would verify part of a long chain where this list cannot see it.
         monkeypatch.delattr(os, "fork")
-        return calls
+        return counted
 
     def test_one_status_read_after_load_costs_the_same_on_any_length(self, verifications):
         per_read = []
@@ -881,3 +1089,22 @@ class TestVerificationCounts:
         # the issuer's registration and the new anchor's signature
         assert per_submit == [2, 2]
         assert copies == []
+
+    def test_a_batch_verifies_each_submitter_signature_once(self, verifications, ledger,
+                                                            anchor_batch):
+        verifications.clear()
+        ledger.submit(anchor_batch)
+        assert [args[2] for args in verifications] == [
+            tx.submitter_signature for tx in anchor_batch]
+        verifications.clear()
+        assert all(ledger.credential_status(tx.credential_id) is CredentialStatus.ACTIVE
+                   for tx in anchor_batch)
+        assert verifications == []
+
+    def test_a_helper_verifies_the_second_half_of_a_batch(self, counted, ledger, anchor_batch,
+                                                          two_cpus):
+        counted.clear()
+        ledger.submit(anchor_batch)
+        assert len(two_cpus) == 1
+        assert [args[2] for args in counted] == [
+            tx.submitter_signature for tx in anchor_batch[:BATCH_SIZE // 2]]
