@@ -154,11 +154,10 @@ def verify_many(jobs: list) -> int | None:
     verifies the first and a forked helper each of the others. A chunk whose
     helper fails or answers short is verified here instead.
     """
-    chunks = 1  # fewer jobs than two chunks answer before the CPU set is read
-    if len(jobs) >= 2 * _MIN_CHUNK:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        chunks = min(cpus, len(jobs) // _MIN_CHUNK)
+    # Fewer jobs than two chunks answer before the CPU set is read.
+    cpus = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1) if len(jobs) >= 2 * _MIN_CHUNK else 1)
+    chunks = min(cpus, len(jobs) // _MIN_CHUNK)
     if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return next((i for i, job in enumerate(jobs) if not verify(*job)), None)
     bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
@@ -310,11 +309,20 @@ class DidDocument(Record):
             self.created_at,
         )
 
+    def self_certification_job(self) -> tuple | None:
+        """The (key, payload, signature) that self-certifies the document, or None.
+
+        None means the DID is not the one derived from the verification key;
+        otherwise the document self-certifies iff verify(*job) holds.
+        """
+        if derive_did(self.verification_key) != self.did:
+            return None
+        return self.verification_key, self.signing_payload(), self.controller_signature
+
     def verify_self(self) -> bool:
         """Self-certification: signature under its own key, DID bound to it."""
-        if derive_did(self.verification_key) != self.did:
-            return False
-        return verify(self.verification_key, self.signing_payload(), self.controller_signature)
+        job = self.self_certification_job()
+        return job is not None and verify(*job)
 
 
 def make_did_document(keypair: KeyPair, service_endpoints=(), created_at: int = 0) -> DidDocument:

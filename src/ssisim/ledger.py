@@ -98,17 +98,10 @@ class ChainReport:
 # Each kind owns its JSON form, its canonical bytes, its index slot (candidates), the
 # checks that depend only on the chain before it (cause: None if they pass, else why)
 # and its rule against the current registry (rule, checked on append only). cause
-# runs its signature check last: a read verifies it there, an append defers it as a
-# (key, payload, signature) job and answers bad_signature if verify_many fails it.
+# leaves the signature to its caller: its last step appends the (key, payload,
+# signature) job to jobs, and the transaction is valid there only if that job
+# verifies. If it does not, bad_signature is the cause.
 # RegisterDid writes its JSON by hand: the file holds the signature beside the document.
-
-
-def _check_signature(jobs: list | None, job: tuple, cause: str) -> str | None:
-    """Verify job now and name cause if it fails, or, given jobs, append it there instead."""
-    if jobs is not None:
-        jobs.append(job)
-        return None
-    return None if verify(*job) else cause
 
 
 @dataclass(frozen=True)
@@ -148,14 +141,14 @@ class RegisterDid:
     def candidates(self, state: "RegistryState") -> list:
         return state.documents.setdefault(str(self.document.did), [])
 
-    def cause(self, state: "RegistryState", position: int, jobs: list | None = None) -> str | None:
+    def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         # Self-certification binds the verification key to the DID, so a
         # re-registration that passes it necessarily keeps the original key.
-        doc = self.document
-        if derive_did(doc.verification_key) != doc.did:
+        job = self.document.self_certification_job()
+        if job is None:
             return self.bad_signature
-        return _check_signature(jobs, (doc.verification_key, doc.signing_payload(),
-                                       doc.controller_signature), self.bad_signature)
+        jobs.append(job)
+        return None
 
     def rule(self, state: "RegistryState") -> str | None:
         return None
@@ -179,15 +172,15 @@ class _IssuerSigned(Record):
     def canonical_bytes(self) -> bytes:
         return self.signing_payload() + encode_bytes(self.submitter_signature)
 
-    def cause(self, state: "RegistryState", position: int, jobs: list | None = None) -> str | None:
+    def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         # Every self-certified registration carries the key the DID is derived
         # from, so the first one fixes both "registered before" and the key.
         registration = state.registration(str(self.issuer_did))
         if registration is None or registration.position >= position:
             return "unknown submitter DID"
         key = registration.tx.document.verification_key
-        return _check_signature(jobs, (key, self.signing_payload(), self.submitter_signature),
-                                self.bad_signature)
+        jobs.append((key, self.signing_payload(), self.submitter_signature))
+        return None
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ class DefineSchema(_IssuerSigned):
     def candidates(self, state: "RegistryState") -> list:
         return state.schemas.setdefault(self.schema.schema_id, [])
 
-    def cause(self, state: "RegistryState", position: int, jobs: list | None = None) -> str | None:
+    def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         if not schema_is_well_formed(self.schema):
             return "malformed schema"
         return super().cause(state, position, jobs)
@@ -310,7 +303,7 @@ class _Entry:
     def __init__(self, position: int, tx, ok: bool | None):
         self.position = position
         self.tx = tx
-        self.ok = ok  # whether cause() is None there; None until a read needs it
+        self.ok = ok  # cause() is None and its job verifies there; None until a read needs it
 
 
 class RegistryState:
@@ -376,7 +369,9 @@ class RegistryState:
         """The first entry whose transaction is valid at its position; checks run once."""
         for entry in entries:
             if entry.ok is None:
-                entry.ok = entry.tx.cause(self, entry.position) is None
+                jobs = []
+                entry.ok = (entry.tx.cause(self, entry.position, jobs) is None
+                            and all(verify(*job) for job in jobs))
             if entry.ok:
                 return entry
         return None
@@ -561,14 +556,19 @@ class Ledger:
         # it as valid, up to the first fault. Pass 2 verifies the signatures pass 1
         # reached, the faulting transaction's own included if its rule failed, as a
         # serial check reads the signature first. The first bad one wins: it is at
-        # or before the fault, and any pass-1 result after it may rest on it. Any
-        # failure pops the staged transactions again.
+        # or before the fault, and any pass-1 result after it may rest on it. A
+        # check that raises (a hand-built transaction with a key of the wrong
+        # length) is such a fault too. Any failure pops the staged transactions again.
         jobs = []  # the signature of transaction k is jobs[k]
         fault = None
         staged = 0
         try:
             for i, tx in enumerate(txs):
-                cause = state.check(tx, jobs)
+                try:
+                    cause = state.check(tx, jobs)
+                except Exception as exc:
+                    fault = exc
+                    break
                 if cause is not None:
                     fault = InvalidTransaction(i, cause)
                     break

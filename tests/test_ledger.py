@@ -310,14 +310,19 @@ class TestParallelChainCheck:
 # credential again) -> the (index, cause) that a serial check, taking each
 # transaction in full and in batch order, reports first.
 BATCH_SIZE = 400
+# (bad signatures, unknown submitters, duplicate anchors, registrations whose key has
+# the wrong length, the refusal). Such a registration can only be built in code; its
+# check raises ParseError, which a bad signature before it must still beat.
 BATCH_FAULTS = [
-    ((4,), (), (), (4, "bad submitter signature")),
-    ((280,), (), (), (280, "bad submitter signature")),
-    ((396,), (), (), (396, "bad submitter signature")),
-    ((4, 396), (), (), (4, "bad submitter signature")),
-    ((100,), (350,), (), (100, "bad submitter signature")),
-    ((350,), (), (300,), (300, "duplicate anchor")),
-    ((300,), (), (300,), (300, "bad submitter signature")),
+    ((4,), (), (), (), (4, "bad submitter signature")),
+    ((280,), (), (), (), (280, "bad submitter signature")),
+    ((396,), (), (), (), (396, "bad submitter signature")),
+    ((4, 396), (), (), (), (4, "bad submitter signature")),
+    ((100,), (350,), (), (), (100, "bad submitter signature")),
+    ((350,), (), (300,), (), (300, "duplicate anchor")),
+    ((300,), (), (300,), (), (300, "bad submitter signature")),
+    ((100,), (), (), (350,), (100, "bad submitter signature")),
+    ((), (), (), (350,), ParseError),
 ]
 
 
@@ -333,8 +338,11 @@ def anchor_batch():
             for i in range(BATCH_SIZE)]
 
 
-def faulty_batch(batch, signatures=(), strangers=(), duplicates=()):
+def faulty_batch(batch, signatures=(), strangers=(), duplicates=(), malformed=()):
     txs = list(batch)
+    for i in malformed:
+        doc = make_did_document(seeded_keypair(b"newcomer"))
+        txs[i] = RegisterDid(document=replace(doc, verification_key=doc.verification_key[:31]))
     for i in strangers:
         txs[i] = signed_anchor(seeded_keypair(b"stranger"), batch_credential_id(i), b"\x07" * 32)
     for i in duplicates:
@@ -363,20 +371,29 @@ class TestParallelBatchCheck:
                 [led.credential_status(tx.credential_id) for tx in batch],
                 [led.credential_anchor(tx.credential_id) for tx in batch])
 
-    @pytest.mark.parametrize("signatures, strangers, duplicates, expected", BATCH_FAULTS)
+    @staticmethod
+    def refusal(led, txs):
+        """(index, cause) of the InvalidTransaction refusing txs, or the type of a ParseError."""
+        try:
+            led.submit(txs)
+        except InvalidTransaction as exc:
+            return exc.index, exc.cause
+        except ParseError as exc:
+            return type(exc)
+        pytest.fail("the faulty batch was sealed")
+
+    @pytest.mark.parametrize("signatures, strangers, duplicates, malformed, expected",
+                             BATCH_FAULTS)
     def test_first_fault_in_batch_order_wins(self, ledger, anchor_batch, two_cpus, monkeypatch,
-                                             signatures, strangers, duplicates, expected):
-        txs = faulty_batch(anchor_batch, signatures, strangers, duplicates)
+                                             signatures, strangers, duplicates, malformed,
+                                             expected):
+        txs = faulty_batch(anchor_batch, signatures, strangers, duplicates, malformed)
         before = self.observed(ledger, anchor_batch)
-        with pytest.raises(InvalidTransaction) as parallel:
-            ledger.submit(txs)
-        assert (parallel.value.index, parallel.value.cause) == expected
+        assert self.refusal(ledger, txs) == expected
         assert len(two_cpus) == 1
         assert self.observed(ledger, anchor_batch) == before
         monkeypatch.delattr(os, "fork")
-        with pytest.raises(InvalidTransaction) as serial:
-            ledger.submit(txs)
-        assert (serial.value.index, serial.value.cause) == expected
+        assert self.refusal(ledger, txs) == expected
         assert self.observed(ledger, anchor_batch) == before
         ledger.submit(anchor_batch)
         assert all(ledger.credential_status(tx.credential_id) is CredentialStatus.ACTIVE
