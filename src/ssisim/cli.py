@@ -5,19 +5,13 @@ Exit codes: 0 success or Accept, 1 usage or configuration error,
 2 verification/validation failure, 3 I/O or parse failure.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
-import click
-
 from .credentials import Credential, Presentation, create_presentation
 from .engine import define_schema, issue_credential, verify_presentation
-from .errors import (
-    ConfigError,
-    FirstInvalid,
-    ParseError,
-    SsiSimError,
-)
+from .errors import ConfigError, FirstInvalid, ParseError, SsiSimError
 from .identity import Did, make_did_document
 from .ledger import Ledger, LedgerMode, RegisterDid
 from .runtime import LogicalClock
@@ -25,8 +19,19 @@ from .serialization import canonical_json, load_json, parse_hex
 from .wallet import wallet_create, wallet_load, wallet_save
 
 
+def _echo(text: str, stream) -> None:
+    """Write a line as UTF-8 whatever the locale; a stream with no byte layer takes text."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text + "\n")
+        return
+    stream.flush()
+    buffer.write((text + "\n").encode("utf-8", "backslashreplace"))
+    buffer.flush()
+
+
 def _print_json(obj) -> None:
-    click.echo(canonical_json(obj))
+    _echo(canonical_json(obj), sys.stdout)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -60,33 +65,66 @@ def _parse_pairs(pairs, what: str) -> dict:
     values = {}
     for pair in pairs:
         if "=" not in pair:
-            raise click.UsageError(f"{what} must look like name=value, got {pair!r}")
+            raise ConfigError(f"{what} must look like name=value, got {pair!r}")
         name, value = pair.split("=", 1)
         values[name] = value
     return values
 
 
-@click.group()
-@click.option("--ledger", "ledger_path", type=str, default=None, help="Ledger file path.")
-@click.option("--wallet", "wallet_path", type=str, default=None, help="Wallet file path.")
-@click.option("--seed", "seed_hex", type=str, default=None, help="32-byte hex seed.")
-@click.option("--clock-start", type=int, default=0, help="Logical clock start value.")
-@click.pass_context
-def cli(ctx, ledger_path, wallet_path, seed_hex, clock_start):
-    """Self-sovereign identity sandbox: scenarios, registry, wallets, PKI baseline."""
-    ctx.obj = {
-        "ledger": ledger_path,
-        "wallet": wallet_path,
-        "seed": seed_hex,
-        "clock_start": clock_start,
-    }
-
-
-def _opt(ctx, local, key, flag):
-    value = local if local is not None else ctx.obj.get(key)
+def _given(value, what: str):
     if value is None:
-        raise click.UsageError(f"missing {flag}")
+        raise ConfigError(f"missing {what}")
     return value
+
+
+# --- parser ------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes whole flag names only, offers --help but no -h, and raises usage errors."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_PARSER = _Parser(
+    prog="ssisim",
+    description="Self-sovereign identity sandbox: scenarios, registry, wallets, PKI baseline.")
+_PARSER.add_argument("--ledger", help="Ledger file path.")
+_PARSER.add_argument("--wallet", help="Wallet file path.")
+_PARSER.add_argument("--seed", help="32-byte hex seed.")
+_PARSER.add_argument("--clock-start", type=int, default=0, help="Logical clock start value.")
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _arg(*names, **settings):
+    return names, settings
+
+
+# A command's copy of a global flag sets its value only when given, so it
+# overrides the global value and otherwise leaves it in place.
+_LEDGER = _arg("--ledger", default=argparse.SUPPRESS)
+_WALLET = _arg("--wallet", default=argparse.SUPPRESS)
+_SEED = _arg("--seed", default=argparse.SUPPRESS)
+_CLOCK_START = _arg("--clock-start", type=int, default=argparse.SUPPRESS)
+_WRITER = _arg("--writer-wallet", required=True)
+_REVEAL_HELP = "Comma-separated attribute names, or 'all'."
+
+
+def _command(*options, name=None):
+    """Register the decorated function as a subcommand taking options; it returns the exit code."""
+    def register(run):
+        parser = _COMMANDS.add_parser(name or run.__name__, help=run.__doc__,
+                                      description=run.__doc__)
+        for names, settings in options:
+            parser.add_argument(*names, **settings)
+        parser.set_defaults(run=run)
+        return run
+    return register
 
 
 # --- scenarios -----------------------------------------------------------------
@@ -94,223 +132,188 @@ def _opt(ctx, local, key, flag):
 # baseline themselves, so the registry commands do not pay for loading them.
 
 
-def _run_scenario(ctx, config_class, seed_hex, clock_start, **fields) -> None:
-    """Print the transcript and exit 2 unless it accepts; unset flags keep class defaults."""
+def _run_scenario(args, config_class, **fields) -> int:
+    """Print the transcript; exit 2 unless it accepts. Unset flags keep class defaults."""
     from .scenarios import run_scenario
 
-    seed_hex = seed_hex or ctx.obj.get("seed")
-    if seed_hex:
-        fields["seed"] = _parse_seed(seed_hex)
-    start = clock_start if clock_start is not None else ctx.obj["clock_start"]
-    transcript = run_scenario(config_class(clock_start=start, **fields)).transcript
+    if args.seed:
+        fields["seed"] = _parse_seed(args.seed)
+    transcript = run_scenario(config_class(clock_start=args.clock_start, **fields)).transcript
     _print_json(transcript.to_json_dict())
-    if transcript.final_verdict != "accept":
-        ctx.exit(2)
+    return 0 if transcript.final_verdict == "accept" else 2
 
 
-@cli.command()
-@click.option("--seed", "seed_hex", type=str, default=None)
-@click.option("--clock-start", type=int, default=None)
-@click.option("--revoke-before-presentation", is_flag=True, default=False)
-@click.option("--tamper-attribute", type=str, default=None)
-@click.pass_context
-def healthcare(ctx, seed_hex, clock_start, revoke_before_presentation, tamper_attribute):
+@_command(_SEED, _CLOCK_START, _arg("--revoke-before-presentation", action="store_true"),
+          _arg("--tamper-attribute"))
+def healthcare(args) -> int:
     """Run the six-step patient/issuer-authority/provider flow."""
     from .scenarios import HealthcareConfig
 
-    _run_scenario(ctx, HealthcareConfig, seed_hex, clock_start,
-                  revoke_before_presentation=revoke_before_presentation,
-                  tamper_attribute=tamper_attribute)
+    return _run_scenario(args, HealthcareConfig,
+                         revoke_before_presentation=args.revoke_before_presentation,
+                         tamper_attribute=args.tamper_attribute)
 
 
-@cli.command()
-@click.option("--seed", "seed_hex", type=str, default=None)
-@click.option("--clock-start", type=int, default=None)
-@click.option("--reveal", type=str, default=None,
-              help="Comma-separated attribute names, or 'all'.")
-@click.pass_context
-def government(ctx, seed_hex, clock_start, reveal):
+@_command(_SEED, _CLOCK_START, _arg("--reveal", help=_REVEAL_HELP))
+def government(args) -> int:
     """Issue a nine-attribute national-ID credential, then disclose a subset."""
     from .scenarios import GovernmentConfig
 
-    fields = {} if reveal is None else {"reveal": _parse_reveal(reveal)}
-    _run_scenario(ctx, GovernmentConfig, seed_hex, clock_start, **fields)
+    fields = {} if args.reveal is None else {"reveal": _parse_reveal(args.reveal)}
+    return _run_scenario(args, GovernmentConfig, **fields)
 
 
-@cli.command()
-@click.option("--scenario", type=click.Choice(["ca", "ledger"]), required=True)
-@click.option("--forgeries", type=int, required=True)
-@click.option("--writers", type=int, default=3)
-@click.option("--compromised", type=int, default=1)
-@click.option("--seed", "seed_hex", type=str, default=None)
-@click.pass_context
-def compare(ctx, scenario, forgeries, writers, compromised, seed_hex):
+@_command(_arg("--scenario", choices=["ca", "ledger"], required=True),
+          _arg("--forgeries", type=int, required=True),
+          _arg("--writers", type=int, default=3),
+          _arg("--compromised", type=int, default=1),
+          _SEED)
+def compare(args) -> int:
     """Contrast CA-key compromise with ledger writer compromise."""
     from .pki import CompromiseConfig, run_compromise_experiment
 
-    seed = _parse_seed(seed_hex or ctx.obj.get("seed") or "33" * 32)
     report = run_compromise_experiment(CompromiseConfig(
-        scenario=scenario, forgeries=forgeries, writers=writers,
-        compromised=compromised, seed=seed,
+        scenario=args.scenario, forgeries=args.forgeries, writers=args.writers,
+        compromised=args.compromised, seed=_parse_seed(args.seed or "33" * 32),
     ))
     _print_json(report.to_json_dict())
+    return 0
 
 
 # --- wallet and registry utilities ------------------------------------------------
 
 
-@cli.command("wallet-init")
-@click.option("--seed", "seed_hex", type=str, default=None)
-@click.option("--wallet", "wallet_path", type=str, default=None)
-@click.pass_context
-def wallet_init(ctx, seed_hex, wallet_path):
+@_command(_SEED, _WALLET, name="wallet-init")
+def wallet_init(args) -> int:
     """Create a wallet file deterministically from a seed."""
-    seed = _parse_seed(_opt(ctx, seed_hex, "seed", "--seed"))
-    path = _opt(ctx, wallet_path, "wallet", "--wallet")
+    seed = _parse_seed(_given(args.seed, "--seed"))
+    path = _given(args.wallet, "--wallet")
     wallet = wallet_create(seed)
     _write_bytes(path, wallet_save(wallet))
     _print_json({"did": str(wallet.did), "key_id": wallet.keypair.key_id, "wallet": path})
+    return 0
 
 
-@cli.command("ledger-init")
-@click.option("--writer-wallet", "writer_path", type=str, required=True)
-@click.option("--ledger", "ledger_path", type=str, default=None)
-@click.option("--mode", type=click.Choice([m.value for m in LedgerMode]),
-              default=LedgerMode.PUBLIC_PERMISSIONED.value)
-@click.option("--clock-start", type=int, default=None)
-@click.pass_context
-def ledger_init(ctx, writer_path, ledger_path, mode, clock_start):
+@_command(_WRITER, _LEDGER,
+          _arg("--mode", choices=[m.value for m in LedgerMode],
+               default=LedgerMode.PUBLIC_PERMISSIONED.value),
+          _CLOCK_START, name="ledger-init")
+def ledger_init(args) -> int:
     """Start a chain whose genesis registers the writer wallet's DID."""
-    path = _opt(ctx, ledger_path, "ledger", "--ledger")
-    start = clock_start if clock_start is not None else ctx.obj["clock_start"]
-    writer = _load_wallet(writer_path)
-    clock = LogicalClock(start)
+    path = _given(args.ledger, "--ledger")
+    writer = _load_wallet(args.writer_wallet)
+    clock = LogicalClock(args.clock_start)
     doc = make_did_document(writer.keypair, created_at=clock.tick())
-    ledger = Ledger.genesis([doc], mode=LedgerMode(mode), clock=clock)
+    ledger = Ledger.genesis([doc], mode=LedgerMode(args.mode), clock=clock)
     _write_bytes(path, ledger.to_bytes())
     _print_json({"ledger": path, "writer_did": str(doc.did), "blocks": len(ledger.blocks)})
+    return 0
 
 
-@cli.command("did-register")
-@click.option("--wallet", "wallet_path", type=str, default=None)
-@click.option("--ledger", "ledger_path", type=str, default=None)
-@click.option("--writer-wallet", "writer_path", type=str, required=True)
-@click.option("--endpoint", "endpoints", type=str, multiple=True,
-              help="Service endpoint as name=uri; repeatable.")
-@click.pass_context
-def did_register(ctx, wallet_path, ledger_path, writer_path, endpoints):
+@_command(_WALLET, _LEDGER, _WRITER,
+          _arg("--endpoint", action="append", default=[],
+               help="Service endpoint as name=uri; repeatable."),
+          name="did-register")
+def did_register(args) -> int:
     """Register the wallet's DID document on the ledger."""
-    wallet = _load_wallet(_opt(ctx, wallet_path, "wallet", "--wallet"))
-    path = _opt(ctx, ledger_path, "ledger", "--ledger")
+    wallet = _load_wallet(_given(args.wallet, "--wallet"))
+    path = _given(args.ledger, "--ledger")
     ledger = _load_ledger(path)
-    writer = _load_wallet(writer_path)
+    writer = _load_wallet(args.writer_wallet)
     doc = make_did_document(
         wallet.keypair,
-        tuple(_parse_pairs(endpoints, "--endpoint").items()),
+        tuple(_parse_pairs(args.endpoint, "--endpoint").items()),
         created_at=ledger.clock.tick(),
     )
     ledger.append_block([RegisterDid(doc)], writer.keypair)
     _write_bytes(path, ledger.to_bytes())
     _print_json({"did": str(doc.did), "blocks": len(ledger.blocks)})
+    return 0
 
 
-@cli.command("schema-define")
-@click.option("--wallet", "wallet_path", type=str, default=None, help="Issuer wallet.")
-@click.option("--ledger", "ledger_path", type=str, default=None)
-@click.option("--writer-wallet", "writer_path", type=str, required=True)
-@click.option("--name", required=True)
-@click.option("--version", type=int, default=1)
-@click.option("--attr", "attrs", multiple=True, required=True)
-@click.pass_context
-def schema_define(ctx, wallet_path, ledger_path, writer_path, name, version, attrs):
+@_command(_arg("--wallet", default=argparse.SUPPRESS, help="Issuer wallet."), _LEDGER, _WRITER,
+          _arg("--name", required=True),
+          _arg("--version", type=int, default=1),
+          _arg("--attr", action="append", required=True),
+          name="schema-define")
+def schema_define(args) -> int:
     """Anchor a credential schema owned by the issuer wallet."""
-    issuer = _load_wallet(_opt(ctx, wallet_path, "wallet", "--wallet"))
-    path = _opt(ctx, ledger_path, "ledger", "--ledger")
+    issuer = _load_wallet(_given(args.wallet, "--wallet"))
+    path = _given(args.ledger, "--ledger")
     ledger = _load_ledger(path)
-    ledger.attach_writer(_load_wallet(writer_path).keypair)
-    schema = define_schema(issuer.keypair, name, version, list(attrs), ledger)
+    ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
+    schema = define_schema(issuer.keypair, args.name, args.version, args.attr, ledger)
     _write_bytes(path, ledger.to_bytes())
     _print_json(schema.to_json_dict())
+    return 0
 
 
-@cli.command("issue")
-@click.option("--wallet", "wallet_path", type=str, default=None, help="Issuer wallet.")
-@click.option("--ledger", "ledger_path", type=str, default=None)
-@click.option("--writer-wallet", "writer_path", type=str, required=True)
-@click.option("--schema-id", "schema_id_hex", required=True)
-@click.option("--holder-did", "holder_did", required=True)
-@click.option("--value", "values", multiple=True, required=True,
-              help="Attribute as name=value; repeatable.")
-@click.option("--out", "out_path", required=True, help="Credential file (.vc.json).")
-@click.pass_context
-def issue(ctx, wallet_path, ledger_path, writer_path, schema_id_hex, holder_did, values,
-          out_path):
+@_command(_arg("--wallet", default=argparse.SUPPRESS, help="Issuer wallet."), _LEDGER, _WRITER,
+          _arg("--schema-id", required=True),
+          _arg("--holder-did", required=True),
+          _arg("--value", action="append", required=True,
+               help="Attribute as name=value; repeatable."),
+          _arg("--out", required=True, help="Credential file (.vc.json)."))
+def issue(args) -> int:
     """Issue a credential and anchor its commitment root."""
-    issuer = _load_wallet(_opt(ctx, wallet_path, "wallet", "--wallet"))
-    path = _opt(ctx, ledger_path, "ledger", "--ledger")
+    issuer = _load_wallet(_given(args.wallet, "--wallet"))
+    path = _given(args.ledger, "--ledger")
     ledger = _load_ledger(path)
-    ledger.attach_writer(_load_wallet(writer_path).keypair)
-    schema = ledger.lookup_schema(parse_hex(schema_id_hex, 32, "--schema-id"))
+    ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
+    schema = ledger.lookup_schema(parse_hex(args.schema_id, 32, "--schema-id"))
     credential = issue_credential(
-        issuer.keypair, Did.parse(holder_did), schema,
-        _parse_pairs(values, "--value"), ledger,
+        issuer.keypair, Did.parse(args.holder_did), schema,
+        _parse_pairs(args.value, "--value"), ledger,
     )
     _write_bytes(path, ledger.to_bytes())
-    _write_bytes(out_path, canonical_json(credential.to_json_dict()).encode("utf-8"))
-    _print_json({"credential_id": credential.credential_id.hex(), "credential": out_path})
+    _write_bytes(args.out, canonical_json(credential.to_json_dict()).encode("utf-8"))
+    _print_json({"credential_id": credential.credential_id.hex(), "credential": args.out})
+    return 0
 
 
-@cli.command("present")
-@click.option("--wallet", "wallet_path", type=str, default=None, help="Holder wallet.")
-@click.option("--credential", "credential_path", required=True)
-@click.option("--reveal", default="all", help="Comma-separated attribute names, or 'all'.")
-@click.option("--challenge", "challenge_hex", required=True, help="32-byte hex nonce.")
-@click.option("--out", "out_path", required=True, help="Presentation file (.vp.json).")
-@click.pass_context
-def present(ctx, wallet_path, credential_path, reveal, challenge_hex, out_path):
+@_command(_arg("--wallet", default=argparse.SUPPRESS, help="Holder wallet."),
+          _arg("--credential", required=True),
+          _arg("--reveal", default="all", help=_REVEAL_HELP),
+          _arg("--challenge", required=True, help="32-byte hex nonce."),
+          _arg("--out", required=True, help="Presentation file (.vp.json)."))
+def present(args) -> int:
     """Build a selective-disclosure presentation bound to a challenge."""
-    holder = _load_wallet(_opt(ctx, wallet_path, "wallet", "--wallet"))
-    credential = Credential.from_json_dict(load_json(_read_bytes(credential_path)))
-    names = _parse_reveal(reveal)
+    holder = _load_wallet(_given(args.wallet, "--wallet"))
+    credential = Credential.from_json_dict(load_json(_read_bytes(args.credential)))
+    names = _parse_reveal(args.reveal)
     if names is None:
         names = [n for n, _ in credential.attributes]
     presentation = create_presentation(
-        credential, names, parse_hex(challenge_hex, 32, "--challenge"), holder.keypair,
+        credential, names, parse_hex(args.challenge, 32, "--challenge"), holder.keypair,
     )
-    _write_bytes(out_path, canonical_json(presentation.to_json_dict()).encode("utf-8"))
-    _print_json({"presentation": out_path, "revealed": sorted(names)})
+    _write_bytes(args.out, canonical_json(presentation.to_json_dict()).encode("utf-8"))
+    _print_json({"presentation": args.out, "revealed": sorted(names)})
+    return 0
 
 
-@cli.command("verify")
-@click.option("--presentation", "presentation_path", required=True)
-@click.option("--challenge", "challenge_hex", required=True)
-@click.option("--ledger", "ledger_path", type=str, default=None)
-@click.pass_context
-def verify_cmd(ctx, presentation_path, challenge_hex, ledger_path):
+@_command(_arg("--presentation", required=True), _arg("--challenge", required=True), _LEDGER,
+          name="verify")
+def verify_cmd(args) -> int:
     """Verify a presentation against the registry; exit 2 on Reject."""
-    ledger = _load_ledger(_opt(ctx, ledger_path, "ledger", "--ledger"))
-    presentation = Presentation.from_json_dict(load_json(_read_bytes(presentation_path)))
+    ledger = _load_ledger(_given(args.ledger, "--ledger"))
+    presentation = Presentation.from_json_dict(load_json(_read_bytes(args.presentation)))
     report = verify_presentation(ledger, presentation,
-                                 parse_hex(challenge_hex, 32, "--challenge"))
+                                 parse_hex(args.challenge, 32, "--challenge"))
     _print_json(report.to_json_dict())
-    if not report.accepted:
-        ctx.exit(2)
+    return 0 if report.accepted else 2
 
 
-@cli.command("ledger-validate")
-@click.argument("ledger_file", required=False)
-@click.pass_context
-def ledger_validate(ctx, ledger_file):
+@_command(_arg("ledger_file", nargs="?"), name="ledger-validate")
+def ledger_validate(args) -> int:
     """Validate a ledger file's chain; exit 2 and print FirstInvalid on failure."""
-    path = ledger_file or ctx.obj.get("ledger")
-    if path is None:
-        raise click.UsageError("missing ledger path")
+    path = _given(args.ledger_file or args.ledger, "ledger path")
     try:
         ledger = Ledger.from_bytes(_read_bytes(path))
     except FirstInvalid as exc:
         _print_json({"result": "FirstInvalid", "index": exc.index, "cause": exc.cause})
-        ctx.exit(2)
+        return 2
     _print_json({"result": "Ok", "blocks": len(ledger.blocks)})
+    return 0
 
 
 # --- entry points ------------------------------------------------------------------
@@ -319,33 +322,18 @@ def ledger_validate(ctx, ledger_file):
 def main(argv=None) -> int:
     """Run the CLI and map domain errors onto the documented exit codes."""
     try:
-        # With standalone_mode off, click returns ctx.exit codes instead of
-        # calling sys.exit, so thread them through.
-        rv = cli.main(args=argv, standalone_mode=False)
-        return rv if isinstance(rv, int) else 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
-        return 1
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # only --help exits, once it has printed the help
+        return exc.code
     except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except FirstInvalid as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+        error, code = exc, 1
+    except (ParseError, OSError) as exc:
+        error, code = exc, 3
     except SsiSimError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+        error, code = exc, 2
+    _echo(f"error: {error}", sys.stderr)
+    return code
 
 
 def entry() -> None:

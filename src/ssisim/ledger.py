@@ -95,7 +95,7 @@ class ChainReport:
 
 
 # --- transactions ---------------------------------------------------------------
-# Each kind owns its JSON form, its canonical bytes, its index slot (candidates), the
+# Each kind owns its JSON form, its canonical bytes, its index slot (slot), the
 # checks that depend only on the chain before it (cause: None if they pass, else why)
 # and its rule against the current registry (rule, checked on append only). cause
 # leaves the signature to its caller: its last step appends the (key, payload,
@@ -138,8 +138,8 @@ class RegisterDid:
         return cls(document=DidDocument.from_json_dict(obj["document"], "document",
                                                        controller_signature=signature))
 
-    def candidates(self, state: "RegistryState") -> list:
-        return state.documents.setdefault(str(self.document.did), [])
+    def slot(self, state: "RegistryState") -> tuple:
+        return state.documents, str(self.document.did)
 
     def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         # Self-certification binds the verification key to the DID, so a
@@ -203,8 +203,8 @@ class DefineSchema(_IssuerSigned):
             schema.name, schema.version, list(schema.attribute_names),
         )
 
-    def candidates(self, state: "RegistryState") -> list:
-        return state.schemas.setdefault(self.schema.schema_id, [])
+    def slot(self, state: "RegistryState") -> tuple:
+        return state.schemas, self.schema.schema_id
 
     def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         if not schema_is_well_formed(self.schema):
@@ -232,8 +232,8 @@ class AnchorCredential(_IssuerSigned):
         return anchor_credential_payload(self.credential_id, self.issuer_did,
                                          self.commitment_root)
 
-    def candidates(self, state: "RegistryState") -> list:
-        return state.anchors.setdefault(self.credential_id, [])
+    def slot(self, state: "RegistryState") -> tuple:
+        return state.anchors, self.credential_id
 
     def rule(self, state: "RegistryState") -> str | None:
         if state.anchor(self.credential_id) is not None:
@@ -254,8 +254,8 @@ class Revoke(_IssuerSigned):
     def signing_payload(self) -> bytes:
         return revoke_payload(self.credential_id, self.issuer_did)
 
-    def candidates(self, state: "RegistryState") -> list:
-        return state.revokes.setdefault(self.credential_id, [])
+    def slot(self, state: "RegistryState") -> tuple:
+        return state.revokes, self.credential_id
 
     def rule(self, state: "RegistryState") -> str | None:
         anchor = state.anchor(self.credential_id)
@@ -351,14 +351,18 @@ class RegistryState:
     def push(self, tx, ok: bool | None = None) -> None:
         """Index tx at the next position; pass ok=True if it was just checked there."""
         entry = _Entry(self.size, tx, ok)
-        tx.candidates(self).append(entry)
+        index, key = tx.slot(self)
+        index.setdefault(key, []).append(entry)
         if type(tx) is RegisterDid:
             self.registrations.append(entry)
         self.size += 1
 
     def pop(self, tx) -> None:
-        """Undo the push of tx, which must be the last one."""
-        tx.candidates(self).pop()
+        """Undo the push of tx, which must be the last one, and drop a list it empties."""
+        index, key = tx.slot(self)
+        index[key].pop()
+        if not index[key]:
+            del index[key]
         if type(tx) is RegisterDid:
             self.registrations.pop()
         self.size -= 1

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,27 +28,42 @@ def run(capsys):
     return invoke
 
 
+FILE_NAMES = {
+    "op": "op.json",
+    "issuer": "issuer.json",
+    "alice": "alice.json",
+    "ledger": "ledger.json",
+    "vc": "cred.vc.json",
+    "vp": "pres.vp.json",
+}
+
+
 @pytest.fixture
 def paths(tmp_path):
-    return {
-        "op": str(tmp_path / "op.json"),
-        "issuer": str(tmp_path / "issuer.json"),
-        "alice": str(tmp_path / "alice.json"),
-        "ledger": str(tmp_path / "ledger.json"),
-        "vc": str(tmp_path / "cred.vc.json"),
-        "vp": str(tmp_path / "pres.vp.json"),
-    }
+    return {key: str(tmp_path / name) for key, name in FILE_NAMES.items()}
 
 
-def run_script(*args):
-    """Run the CLI in a child process, so an uncaught exception shows as a traceback."""
-    # The child process imports the same ssisim sources as this test run.
+def quiet(*args):
+    """Run main in process with both streams redirected to text-only buffers, as the bench does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue().strip(), err.getvalue().strip()
+
+
+def run_python(*args, **env):
+    """Run python in a child process that imports the same ssisim sources as this test run."""
     src = str(Path(ssisim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ssisim.cli", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        [sys.executable, *args], capture_output=True, text=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
     )
+
+
+def run_script(*args, **env):
+    """Run the CLI in a child process, so an uncaught exception shows as a traceback."""
+    return run_python("-m", "ssisim.cli", *args, **env)
 
 
 def bootstrap(run, paths, clock_start=0):
@@ -329,3 +347,188 @@ class TestInstalledScript:
         proc = run_script("compare", "--scenario", "ca", "--forgeries", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["forged_accepted"] == 2
+
+
+class TestUsage:
+    """The command line's contract on malformed and edge-case input."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["no-such-command"],
+        ["compare"],                                            # a required option is missing
+        ["compare", "--scenario", "dns", "--forgeries", "1"],   # not a choice
+        ["compare", "--scenario", "ca", "--forgeries", "x"],    # not an integer
+        ["compare", "--scen", "ca", "--forgeries", "1"],        # an abbreviation
+        ["ledger-validate", "a", "b"],                          # an extra positional
+        ["ledger-validate"],                                    # no path and no --ledger
+        ["-h"],
+        ["--clock-start", "x", "healthcare"],
+        ["--ledger", "ledger.json"],                            # no command
+        ["healthcare", "--ledger", "ledger.json"],              # not a healthcare flag
+        ["healthcare", "--revoke-before-presentation=x"],
+        ["healthcare", "government"],
+    ])
+    def test_usage_errors_exit_1_with_nothing_on_stdout(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err
+
+    @pytest.mark.parametrize("argv, shows", [
+        (["--help"], "ledger-validate"),
+        (["verify", "--help"], "--presentation"),
+    ])
+    def test_help_goes_to_stdout_and_exits_0(self, run, argv, shows):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert shows in out
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["healthcare", "--clock-start=-5"], "logical clock start -5 "),
+        (["--clock-start=-5", "healthcare"], "logical clock start -5 "),
+        (["healthcare", "--clock-start", "-5"], "logical clock start -5 "),
+        (["healthcare", "--tamper-attribute=-x"], "unknown attribute '-x'"),
+    ])
+    def test_a_value_that_starts_with_a_dash_stays_a_value(self, run, argv, cause):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert cause in err
+
+    def test_a_value_without_an_equals_sign_is_a_usage_error(self, run, paths):
+        alice_did = bootstrap(run, paths)
+        _, out, _ = run("schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+                        "--writer-wallet", paths["op"], "--name", "T", "--attr", "a")
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run(
+            "issue", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+            "--writer-wallet", paths["op"], "--schema-id", json.loads(out)["schema_id"],
+            "--holder-did", alice_did, "--value", "a", "--out", paths["vc"])
+        assert (code, out) == (1, "")
+        assert "name=value" in err
+        assert Path(paths["ledger"]).read_bytes() == before
+
+    @pytest.mark.parametrize("argv, wins", [
+        (["ledger-init", "--ledger", "{local}"], "local"),
+        (["--ledger", "{global}", "ledger-init"], "global"),
+        (["--ledger", "{global}", "ledger-init", "--ledger", "{local}"], "local"),
+    ])
+    def test_a_local_flag_overrides_the_global_one(self, run, tmp_path, argv, wins):
+        op = str(tmp_path / "op.json")
+        run("wallet-init", "--seed", "aa" * 32, "--wallet", op)
+        files = {name: str(tmp_path / f"{name}.json") for name in ("global", "local")}
+        code, out, _ = run(*[arg.format(**files) for arg in argv], "--writer-wallet", op)
+        assert code == 0
+        assert json.loads(out)["ledger"] == files[wins]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["op.json",
+                                                                           f"{wins}.json"])
+
+    def test_ledger_validate_takes_the_global_ledger_unless_given_a_path(self, run, paths):
+        bootstrap(run, paths)
+        assert run("--ledger", paths["ledger"], "ledger-validate")[0] == 0
+        assert run("--ledger", paths["vc"], "ledger-validate", paths["ledger"])[0] == 0
+        assert run("--ledger", paths["ledger"], "ledger-validate", paths["vc"])[0] == 3
+
+
+class TestStreams:
+    """Output is UTF-8 whatever the locale, and a text-only stream gets it as text."""
+
+    ASCII = {"PYTHONIOENCODING": "ascii", "LC_ALL": "C"}
+
+    def test_stdout_is_utf8_under_an_ascii_locale(self, run, paths, tmp_path):
+        bootstrap(run, paths)
+        results = []
+        for i, env in enumerate([{}, self.ASCII]):
+            ledger = shutil.copy(paths["ledger"], tmp_path / f"copy{i}.json")
+            proc = run_script("schema-define", "--wallet", paths["issuer"],
+                              "--ledger", str(ledger), "--writer-wallet", paths["op"],
+                              "--name", "B✓", "--attr", "a", **env)
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, err) == (0, "")
+        assert '"name":"B✓"' in out
+
+    def test_stderr_is_utf8_under_an_ascii_locale(self):
+        proc = run_script("government", "--reveal", "blüt", **self.ASCII)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "blüt" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_text_only_streams_get_the_output(self, tmp_path):
+        wallet = str(tmp_path / "w.json")
+        code, out, err = quiet("wallet-init", "--seed", "ab" * 32, "--wallet", wallet)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["wallet"] == wallet
+        code, out, err = quiet("ledger-validate", str(tmp_path / "absent.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+
+class TestImports:
+    def test_the_cli_loads_no_click_and_no_scenario_code(self):
+        proc = run_python("-c", "import sys, ssisim.cli; print(sorted(set(sys.modules) & "
+                                "{'click', 'ssisim.pki', 'ssisim.scenarios', 'ssisim.agents'}))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# The structural argv fuzz draws from these. Relative paths name the files of the
+# directory it runs in, which holds the files that FILE_NAMES names and nothing else.
+COMMANDS = ["healthcare", "government", "compare", "wallet-init", "ledger-init", "did-register",
+            "schema-define", "issue", "present", "verify", "ledger-validate"]
+GLOBAL_FLAGS = ["--ledger", "--wallet", "--seed", "--clock-start"]
+VALUE_FLAGS = GLOBAL_FLAGS + [
+    "--tamper-attribute", "--reveal", "--scenario", "--writer-wallet", "--mode", "--endpoint",
+    "--name", "--version", "--attr", "--schema-id", "--holder-did", "--value", "--out",
+    "--credential", "--challenge", "--presentation"]
+COUNT_FLAGS = ["--forgeries", "--writers", "--compromised"]  # kept small, so runs stay short
+VALUES = ["", "-5", str(2**64), "ab" * 32, "not hex", "ca", "ledger", ".", "absent.json",
+          *FILE_NAMES.values()]
+COUNTS = ["0", "1", "3", "-5", "", "x"]
+
+
+def flag(names, values):
+    """A flag with a value, as `--flag value` or `--flag=value`."""
+    return st.tuples(st.sampled_from(names), st.sampled_from(values), st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+
+ARGV = st.tuples(
+    st.lists(flag(GLOBAL_FLAGS, VALUES), max_size=3),
+    st.sampled_from([*COMMANDS, "bogus"]).map(lambda command: [command]),
+    st.lists(st.one_of(flag(VALUE_FLAGS, VALUES), flag(COUNT_FLAGS, COUNTS),
+                       st.just(["--revoke-before-presentation"]),
+                       st.just(["--help"]),
+                       st.sampled_from(VALUES).map(lambda stray: [stray])),
+             max_size=8),
+).map(lambda parts: [token for group in (*parts[0], parts[1], *parts[2]) for token in group])
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """A directory with wallets, a bootstrapped ledger, a credential and a presentation."""
+    root = tmp_path_factory.mktemp("argv")
+    paths = {key: str(root / name) for key, name in FILE_NAMES.items()}
+    alice_did = bootstrap(quiet, paths)
+    _, out, _ = quiet("schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+                      "--writer-wallet", paths["op"], "--name", "T", "--attr", "a")
+    quiet("issue", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+          "--writer-wallet", paths["op"], "--schema-id", json.loads(out)["schema_id"],
+          "--holder-did", alice_did, "--value", "a=1", "--out", paths["vc"])
+    quiet("present", "--wallet", paths["alice"], "--credential", paths["vc"],
+          "--challenge", "ab" * 32, "--out", paths["vp"])
+    assert all(Path(path).exists() for path in paths.values())
+    return root
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=ARGV)
+    def test_any_argv_maps_to_an_exit_code(self, argv_dir, argv):
+        cwd = os.getcwd()
+        os.chdir(argv_dir)
+        try:
+            code = quiet(*argv)[0]
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"main({argv!r}) raised {exc!r}")
+        finally:
+            os.chdir(cwd)
+        assert type(code) is int and code in {0, 1, 2, 3}

@@ -204,6 +204,33 @@ class TestAppend:
         ledger.submit([signed_anchor(issuer, b"\x05" * 32, b"\x06" * 32)])
         assert [b.block_hash for b in ledger.blocks[: len(prefix)]] == prefix
 
+    def test_refused_batches_leave_the_index_as_they_found_it(self, ledger, issuer, clock):
+        anchored = [signed_anchor(issuer, batch_credential_id(i), b"\x07" * 32) for i in range(3)]
+        ledger.submit(anchored)
+        issuer_did = derive_did(issuer.public_key)
+        schemas = [DefineSchema(schema=make_schema(issuer_did, "S", version, ["x"]),
+                                submitter_signature=b"") for version in (1, 2, 3)]
+        batches = [
+            [signed_anchor(issuer, batch_credential_id(i), b"\x07" * 32) for i in range(3, 103)],
+            [signed_revoke(issuer, tx.credential_id) for tx in anchored],
+            [replace(tx, submitter_signature=sign(issuer.private_key, tx.signing_payload()))
+             for tx in schemas],
+            [RegisterDid(make_did_document(seeded_keypair(b"newcomer%d" % i),
+                                           created_at=clock.tick())) for i in range(3)],
+        ]
+
+        def index():
+            state = ledger._index()
+            return {name: {key: list(entries) for key, entries in getattr(state, name).items()}
+                    for name in ("documents", "schemas", "anchors", "revokes")}
+
+        before = index()
+        for batch in batches:
+            with pytest.raises(InvalidTransaction) as excinfo:
+                ledger.submit([*batch, anchored[0]])
+            assert excinfo.value.cause == "duplicate anchor"
+            assert index() == before
+
 
 class TestValidateChain:
     def build_chain(self, n_extra=4):
