@@ -71,6 +71,15 @@ def _parse_pairs(pairs, what: str) -> dict:
     return values
 
 
+def _text(value: str) -> str:
+    """A text flag's value, which ends up signed: argv bytes that are not UTF-8 are refused."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not valid UTF-8: {value!r}") from None
+    return value
+
+
 def _given(value, what: str):
     if value is None:
         raise ConfigError(f"missing {what}")
@@ -211,7 +220,7 @@ def ledger_init(args) -> int:
 
 
 @_command(_WALLET, _LEDGER, _WRITER,
-          _arg("--endpoint", action="append", default=[],
+          _arg("--endpoint", action="append", default=[], type=_text,
                help="Service endpoint as name=uri; repeatable."),
           name="did-register")
 def did_register(args) -> int:
@@ -232,9 +241,9 @@ def did_register(args) -> int:
 
 
 @_command(_arg("--wallet", default=argparse.SUPPRESS, help="Issuer wallet."), _LEDGER, _WRITER,
-          _arg("--name", required=True),
+          _arg("--name", required=True, type=_text),
           _arg("--version", type=int, default=1),
-          _arg("--attr", action="append", required=True),
+          _arg("--attr", action="append", required=True, type=_text),
           name="schema-define")
 def schema_define(args) -> int:
     """Anchor a credential schema owned by the issuer wallet."""
@@ -251,7 +260,7 @@ def schema_define(args) -> int:
 @_command(_arg("--wallet", default=argparse.SUPPRESS, help="Issuer wallet."), _LEDGER, _WRITER,
           _arg("--schema-id", required=True),
           _arg("--holder-did", required=True),
-          _arg("--value", action="append", required=True,
+          _arg("--value", action="append", required=True, type=_text,
                help="Attribute as name=value; repeatable."),
           _arg("--out", required=True, help="Credential file (.vc.json)."))
 def issue(args) -> int:

@@ -33,43 +33,64 @@ def sha256(data: bytes) -> bytes:
 # --- binary canonical encoding ----------------------------------------------
 
 
-def encode_int(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("canonical integers are non-negative")
-    return struct.pack(">Q", value)
+_U64 = struct.Struct(">Q").pack  # every integer, length and count prefix of the binary rule
 
 
 def encode_bytes(data: bytes) -> bytes:
-    return struct.pack(">Q", len(data)) + data
-
-
-def encode_str(text: str) -> bytes:
-    return encode_bytes(text.encode("utf-8"))
+    return _U64(len(data)) + data
 
 
 def encode_parts(*parts) -> bytes:
     """Concatenate heterogeneous fields under the canonical binary rule.
 
     ints -> 8-byte big-endian; bytes -> length-prefixed; str -> UTF-8
-    length-prefixed; list/tuple -> count-prefixed sequence of items.
+    length-prefixed; list/tuple -> count-prefixed sequence of items. A
+    subclass encodes as its base type's value (a str enum as its value);
+    bool, float, None, bytearray, memoryview, dict and any other type raise
+    TypeError, a negative int ValueError, an int above 2^64-1 struct.error
+    and a str with a lone surrogate UnicodeEncodeError.
     """
-    out = bytearray()
+    out = []
+    _encode_into(out, parts)
+    return b"".join(out)
+
+
+def _encode_into(out: list, parts) -> None:
+    """Append the encoding of each part to out, dispatching on its exact type."""
+    append = out.append
     for part in parts:
-        if isinstance(part, bool):
-            raise TypeError("bool is not a canonical field type")
-        if isinstance(part, int):
-            out += encode_int(part)
-        elif isinstance(part, bytes):
-            out += encode_bytes(part)
-        elif isinstance(part, str):
-            out += encode_str(part)
-        elif isinstance(part, (list, tuple)):
-            out += encode_int(len(part))
-            for item in part:
-                out += encode_parts(item)
+        kind = type(part)
+        if kind is str:
+            data = part.encode("utf-8")
+            append(_U64(len(data)))
+            append(data)
+        elif kind is bytes:
+            append(_U64(len(part)))
+            append(part)
+        elif kind is int:
+            if part < 0:
+                raise ValueError("canonical integers are non-negative")
+            append(_U64(part))
+        elif kind is list or kind is tuple:
+            append(_U64(len(part)))
+            _encode_into(out, part)
         else:
-            raise TypeError(f"cannot canonically encode {type(part).__name__}")
-    return bytes(out)
+            _encode_other(out, part)
+
+
+# The slow path: a subclass is matched in this order and encoded as a value of its
+# base type. str.__str__ gives a str enum member's value, where str() gives its name.
+_BASES = ((int, int.__index__), (bytes, bytes), (str, str.__str__), ((list, tuple), list))
+
+
+def _encode_other(out: list, part) -> None:
+    if isinstance(part, bool):
+        raise TypeError("bool is not a canonical field type")
+    for base, value in _BASES:
+        if isinstance(part, base):
+            _encode_into(out, (value(part),))
+            return
+    raise TypeError(f"cannot canonically encode {type(part).__name__}")
 
 
 # --- base58 (Bitcoin alphabet, no checksum) ----------------------------------

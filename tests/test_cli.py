@@ -428,6 +428,45 @@ class TestUsage:
         assert run("--ledger", paths["ledger"], "ledger-validate", paths["vc"])[0] == 3
 
 
+class TestNonUtf8Argv:
+    """Argv bytes that are not UTF-8 reach a text flag as a lone surrogate; that is a usage error."""
+
+    BAD = "\udcff"  # how Python decodes the argv byte 0xff
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--name", ["schema-define", "--wallet", "{issuer}", "--name", "{bad}", "--attr", "a"]),
+        ("--attr", ["schema-define", "--wallet", "{issuer}", "--name", "U", "--attr", "{bad}"]),
+        ("--endpoint", ["did-register", "--wallet", "{alice}", "--endpoint", "{bad}=https://a"]),
+        ("--endpoint", ["did-register", "--wallet", "{alice}", "--endpoint", "agent=x{bad}"]),
+        ("--value", ["issue", "--wallet", "{issuer}", "--value", "a={bad}"]),
+        ("--value", ["issue", "--wallet", "{issuer}", "--value", "{bad}=1"]),
+    ])
+    def test_a_text_flag_that_is_not_utf8_exits_1(self, run, paths, flag, argv):
+        alice_did = bootstrap(run, paths)
+        _, out, _ = run("schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+                        "--writer-wallet", paths["op"], "--name", "T", "--attr", "a")
+        if argv[0] == "issue":
+            argv = argv + ["--schema-id", json.loads(out)["schema_id"],
+                           "--holder-did", alice_did, "--out", paths["vc"]]
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run(*[arg.format(bad=self.BAD, **paths) for arg in argv],
+                             "--ledger", paths["ledger"], "--writer-wallet", paths["op"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument {flag}: not valid UTF-8: ")
+        assert len(err.splitlines()) == 1
+        assert Path(paths["ledger"]).read_bytes() == before
+        assert not Path(paths["vc"]).exists()
+
+    def test_the_raw_byte_from_a_shell_exits_1_without_a_traceback(self, run, paths):
+        bootstrap(run, paths)
+        proc = run_python("-m", "ssisim.cli", "schema-define", "--wallet", paths["issuer"],
+                          "--ledger", paths["ledger"], "--writer-wallet", paths["op"],
+                          "--name", b"\xff", "--attr", "a")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: argument --name: not valid UTF-8: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestStreams:
     """Output is UTF-8 whatever the locale, and a text-only stream gets it as text."""
 
@@ -480,6 +519,9 @@ VALUE_FLAGS = GLOBAL_FLAGS + [
     "--name", "--version", "--attr", "--schema-id", "--holder-did", "--value", "--out",
     "--credential", "--challenge", "--presentation"]
 COUNT_FLAGS = ["--forgeries", "--writers", "--compromised"]  # kept small, so runs stay short
+TEXT_FLAGS = ["--name", "--attr", "--endpoint", "--value", "--reveal", "--tamper-attribute",
+              "--holder-did"]
+TEXT_VALUES = ["a", "a=1", "\udcff", "a=\udcff", "\udcff=a"]  # 0xff in argv decodes to \udcff
 VALUES = ["", "-5", str(2**64), "ab" * 32, "not hex", "ca", "ledger", ".", "absent.json",
           *FILE_NAMES.values()]
 COUNTS = ["0", "1", "3", "-5", "", "x"]
@@ -495,6 +537,7 @@ ARGV = st.tuples(
     st.lists(flag(GLOBAL_FLAGS, VALUES), max_size=3),
     st.sampled_from([*COMMANDS, "bogus"]).map(lambda command: [command]),
     st.lists(st.one_of(flag(VALUE_FLAGS, VALUES), flag(COUNT_FLAGS, COUNTS),
+                       flag(TEXT_FLAGS, TEXT_VALUES),
                        st.just(["--revoke-before-presentation"]),
                        st.just(["--help"]),
                        st.sampled_from(VALUES).map(lambda stray: [stray])),
@@ -522,6 +565,12 @@ def argv_dir(tmp_path_factory):
 class TestArgvFuzz:
     @settings(max_examples=150, deadline=None)
     @given(argv=ARGV)
+    @example(argv=["schema-define", "--wallet", "issuer.json", "--ledger", "ledger.json",
+                   "--writer-wallet", "op.json", "--name", "\udcff", "--attr", "a"])
+    @example(argv=["schema-define", "--wallet", "issuer.json", "--ledger", "ledger.json",
+                   "--writer-wallet", "op.json", "--name", "U", "--attr", "\udcff"])
+    @example(argv=["did-register", "--wallet", "alice.json", "--ledger", "ledger.json",
+                   "--writer-wallet", "op.json", "--endpoint", "a=\udcff"])
     def test_any_argv_maps_to_an_exit_code(self, argv_dir, argv):
         cwd = os.getcwd()
         os.chdir(argv_dir)

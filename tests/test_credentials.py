@@ -1,7 +1,10 @@
+import sys
 from dataclasses import replace
 
 import pytest
 
+import ssisim.identity
+import ssisim.serialization
 from ssisim.credentials import (
     Credential,
     Presentation,
@@ -41,6 +44,24 @@ AADHAAR_ATTRS = [
 ]
 
 PATIENT_VALUES = {"name": "Alice Example", "dob": "1990-04-12", "patient_number": "PN-42"}
+
+
+def count_calls(monkeypatch, *functions) -> dict:
+    """Count calls to each function by name, made through any ssisim module that holds it."""
+    calls = {function.__name__: 0 for function in functions}
+
+    def counting(function):
+        def wrapper(*args):
+            calls[function.__name__] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        for function in functions:
+            if name.startswith("ssisim") and vars(module).get(function.__name__) is function:
+                monkeypatch.setattr(module, function.__name__, counting(function))
+    return calls
 
 
 def anchor_as(submitter, credential, ledger):
@@ -220,6 +241,22 @@ class TestVerifyPresentation:
         assert accepted == []
         # mutations that parse reach every check, the two signature checks included
         assert failed_checks == {name for name, _ in report.checks}
+
+    def test_a_warm_verify_encodes_each_payload_once(self, ledger, credential, holder,
+                                                      monkeypatch):
+        """Registry reads resolved, a fresh presentation costs 5 encodes and 2 verifies.
+
+        The encodes are the credential payload, the 2 revealed commitment leaves, the
+        revealed-set hash and the presentation payload; a payload cache would lower them.
+        """
+        first = create_presentation(credential, ["name", "dob"], b"\x0a" * 32, holder)
+        assert verify_presentation(ledger, first, b"\x0a" * 32).accepted
+        fresh = create_presentation(credential, ["name", "dob"], b"\x0b" * 32, holder)
+        assert fresh.holder_signature != first.holder_signature
+        calls = count_calls(monkeypatch, ssisim.serialization.encode_parts,
+                            ssisim.identity.verify)
+        assert verify_presentation(ledger, fresh, b"\x0b" * 32).accepted
+        assert calls == {"encode_parts": 5, "verify": 2}
 
     def test_revoked_credential_rejects_on_status(self, ledger, issuer, credential, holder):
         pres = create_presentation(credential, ["dob"], b"\x05" * 32, holder)

@@ -1,18 +1,41 @@
+import struct
+from dataclasses import replace
+from enum import Enum, IntEnum
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ssisim.credentials
+import ssisim.ledger
+from ssisim.agents import auth_signing_payload
+from ssisim.credentials import (
+    RevealedAttribute,
+    commitment_leaf,
+    credential_signing_payload,
+    make_schema,
+    presentation_signing_payload,
+    revealed_set_hash,
+    schema_id_for,
+)
 from ssisim.errors import ParseError
+from ssisim.identity import _envelope_aad, derive_did, make_did_document, sign
+from ssisim.ledger import AnchorCredential, DefineSchema, RegisterDid, Revoke, block_hash_for
+from ssisim.pki import Certificate, csr_signing_payload
 from ssisim.serialization import (
     b58decode,
     b58encode,
     canonical_json,
+    encode_bytes,
     encode_parts,
     expect_int,
     expect_object,
     load_json,
     parse_hex,
 )
+
+from conftest import seeded_keypair
 
 
 class TestBase58:
@@ -55,6 +78,283 @@ class TestCanonicalEncoding:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             encode_parts(True)
+
+
+def reference_encode(*parts) -> bytes:
+    """The binary rule as a plain recursive isinstance chain: the oracle for encode_parts."""
+    out = bytearray()
+    for part in parts:
+        if isinstance(part, bool):
+            raise TypeError("bool is not a canonical field type")
+        if isinstance(part, int):
+            if part < 0:
+                raise ValueError("canonical integers are non-negative")
+            out += struct.pack(">Q", part)
+        elif isinstance(part, bytes):
+            out += struct.pack(">Q", len(part)) + part
+        elif isinstance(part, str):
+            data = part.encode("utf-8")
+            out += struct.pack(">Q", len(data)) + data
+        elif isinstance(part, (list, tuple)):
+            out += struct.pack(">Q", len(part))
+            out += reference_encode(*part)
+        else:
+            raise TypeError(f"cannot canonically encode {type(part).__name__}")
+    return bytes(out)
+
+
+class Kind(str, Enum):
+    ANCHOR = "anchor_credential"
+
+
+class Level(IntEnum):
+    HIGH = 2**40
+
+
+class Text(str):
+    pass
+
+
+class Blob(bytes):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Row(tuple):
+    pass
+
+
+SCALARS = st.one_of(st.text(), st.binary(), st.integers(0, 2**64 - 1),
+                    st.sampled_from([Kind.ANCHOR, Level.HIGH, Text("tëxt"), Blob(b"\x00b")]))
+FIELDS = st.recursive(SCALARS, lambda items: st.one_of(
+    st.lists(items, max_size=4), st.lists(items, max_size=4).map(tuple),
+    st.lists(items, max_size=4).map(Items), st.lists(items, max_size=4).map(Row)),
+    max_leaves=16)
+
+# Each value the binary rule refuses, with what it raises, top-level or nested.
+REFUSED = [
+    (True, TypeError), (False, TypeError), (1.0, TypeError), (None, TypeError),
+    (bytearray(b"a"), TypeError), (memoryview(b"a"), TypeError), ({"a": 1}, TypeError),
+    (-1, ValueError), (2**64, struct.error), ("a\udcff", UnicodeEncodeError),
+]
+
+
+class TestOnePassKernel:
+    """encode_parts equals the recursive reference on every field it takes, and refuses alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(FIELDS, max_size=6))
+    @example(parts=["Zoë ✓", b"", 0, 2**64 - 1, [], (["a", (b"b", 1)],)])
+    def test_matches_the_reference(self, parts):
+        assert encode_parts(*parts) == reference_encode(*parts)
+
+    @pytest.mark.parametrize("subclass, base", [
+        (Kind.ANCHOR, "anchor_credential"), (Level.HIGH, 2**40), (Text("t"), "t"),
+        (Blob(b"b"), b"b"), (Items(["a", 1]), ["a", 1]), (Row(("a", 1)), ("a", 1)),
+    ])
+    def test_a_subclass_encodes_as_its_base_type(self, subclass, base):
+        assert encode_parts(subclass) == encode_parts(base) == reference_encode(subclass)
+        assert encode_parts([subclass]) == encode_parts([base])
+
+    @pytest.mark.parametrize("value, error", REFUSED)
+    def test_refused_values_raise_as_the_reference_does(self, value, error):
+        for parts in ([value], ["ok", [value]], [("ok", (1, value))]):
+            with pytest.raises(error):
+                reference_encode(*parts)
+            with pytest.raises(error):
+                encode_parts(*parts)
+
+    def test_the_largest_integer_fits_and_the_next_does_not(self):
+        assert encode_parts(2**64 - 1) == b"\xff" * 8
+        assert encode_parts([2**64 - 1]) == b"\x00" * 7 + b"\x01" + b"\xff" * 8
+        for parts in ([2**64], [[2**64]]):
+            with pytest.raises(struct.error):
+                encode_parts(*parts)
+
+    def test_encode_bytes_is_the_rule_for_one_byte_string(self):
+        assert encode_bytes(b"abc") == encode_parts(b"abc") == b"\x00" * 7 + b"\x03abc"
+
+
+def _unhashed(module, name, build):
+    """The preimage that build() would hash: module.name, a hash function, is patched out."""
+    with mock.patch.object(module, name, lambda data: data):
+        return build()
+
+
+def _signed(tx, keypair):
+    return replace(tx, submitter_signature=sign(keypair.private_key, tx.signing_payload()))
+
+
+def known_payloads() -> dict:
+    """One signing payload or hash preimage per context string, from fixed keys and values."""
+    issuer, holder = seeded_keypair(b"issuer"), seeded_keypair(b"holder")
+    issuer_did, holder_did = derive_did(issuer.public_key), derive_did(holder.public_key)
+    document = make_did_document(holder, (("agent", "https://holder.example/ü"),),
+                                 created_at=7)
+    schema = make_schema(issuer_did, "Patient ✓", 2, ["name", "dob"])
+    cid, root = b"\x11" * 32, b"\x22" * 32
+    revealed = (RevealedAttribute("dob", "1990-04-12", b"\x33" * 16, ()),
+                RevealedAttribute("name", "Zoë", b"\x44" * 16, ()))
+    return {
+        "tx/register_did": RegisterDid(document).canonical_bytes(),
+        "tx/define_schema": _signed(DefineSchema(schema, b""), issuer).canonical_bytes(),
+        "tx/anchor_credential": _signed(AnchorCredential(cid, issuer_did, root, b""),
+                                        issuer).canonical_bytes(),
+        "tx/revoke": _signed(Revoke(cid, issuer_did, b""), issuer).canonical_bytes(),
+        "block": _unhashed(ssisim.ledger, "sha256",
+                           lambda: block_hash_for(3, b"\x55" * 32, 2**40 + 1, b"\x66" * 32)),
+        "did-document": document.signing_payload(),
+        "schema": _unhashed(ssisim.credentials, "sha256",
+                            lambda: schema_id_for(issuer_did, "Patient ✓", 2, ("dob", "name"))),
+        "credential": credential_signing_payload(cid, schema.schema_id, issuer_did, holder_did,
+                                                 root, 2**33),
+        "commitment-leaf": _unhashed(ssisim.credentials, "leaf_hash",
+                                     lambda: commitment_leaf("name", "Zoë", b"\x44" * 16)),
+        "revealed-set": _unhashed(ssisim.credentials, "sha256", lambda: revealed_set_hash(revealed)),
+        "presentation": presentation_signing_payload(cid, b"\x77" * 32, b"\x88" * 32),
+        "certificate": Certificate(9, "subject é", holder.public_key, "root-ca", 5, 2**63,
+                                   b"").signing_payload(),
+        "csr": csr_signing_payload("subject é", holder.public_key),
+        "did-auth": auth_signing_payload(b"\x99" * 32, issuer_did),
+        "envelope-aad": _envelope_aad(issuer.key_id, holder.key_id),
+    }
+
+
+# Computed with the recursive encoder this kernel replaced; the bytes must never move.
+KNOWN_PAYLOADS = {
+    "tx/register_did": (
+        "000000000000000c73736973696d2f74782f7631000000000000000c72656769"
+        "737465725f64696400000000000000ef000000000000001673736973696d2f64"
+        "69642d646f63756d656e742f763100000000000000336469643a73696d3a6d43"
+        "6b3351596d61563856316f69617965734e5a6e6850794472626746314542375a"
+        "37384867535765744600000000000000207d766b9eba60232effe0c1034ae3d7"
+        "bdb4e5e0075d79d634c1ed2f79de09a3d30000000000000020a50fd604321da8"
+        "5ed6f712163fb128656daed0f53df0463cc10e2bfca26a783f00000000000000"
+        "01000000000000000200000000000000056167656e7400000000000000196874"
+        "7470733a2f2f686f6c6465722e6578616d706c652fc3bc000000000000000700"
+        "00000000000040f63c5c8879e01b1471d41ce606260405f63b9e4878c228f2c6"
+        "97fa545a3790c0c7eba655657ed4923df87184fa9f0447c67fa7770b7af35040"
+        "6afc5beb9b7f00"
+    ),
+    "tx/define_schema": (
+        "000000000000000c73736973696d2f74782f7631000000000000000d64656669"
+        "6e655f736368656d610000000000000020256425e9d9d9223a2defff7666ad3c"
+        "145d1a2e179c107d637e532abd602be6ec00000000000000346469643a73696d"
+        "3a374a6261396a6942727745684a516a615743464a623839796d684646546f75"
+        "57315267525270786a32746467000000000000000b50617469656e7420e29c93"
+        "000000000000000200000000000000020000000000000003646f620000000000"
+        "0000046e616d650000000000000040bb9e34188884b8f5271479b61a1e84a1c9"
+        "286e9a89b4dc1c77c99f95d968e74abf1d60e0947ec9b749c2de31618fb05bc3"
+        "e559b00931c0dccd0dd71a4aba5908"
+    ),
+    "tx/anchor_credential": (
+        "000000000000000c73736973696d2f74782f76310000000000000011616e6368"
+        "6f725f63726564656e7469616c00000000000000201111111111111111111111"
+        "1111111111111111111111111111111111111111110000000000000034646964"
+        "3a73696d3a374a6261396a6942727745684a516a615743464a623839796d6846"
+        "46546f7557315267525270786a32746467000000000000002022222222222222"
+        "2222222222222222222222222222222222222222222222222200000000000000"
+        "4064e93a3083f69cf7a04edad900d62084559867e780fb0d1614801768dc6db0"
+        "9992235dda1d7a9229569020fbf01c406d6d12d7cdf2baf142cb0ce53e8ca29a"
+        "01"
+    ),
+    "tx/revoke": (
+        "000000000000000c73736973696d2f74782f763100000000000000067265766f"
+        "6b65000000000000002011111111111111111111111111111111111111111111"
+        "1111111111111111111100000000000000346469643a73696d3a374a6261396a"
+        "6942727745684a516a615743464a623839796d684646546f7557315267525270"
+        "786a327464670000000000000040b9cdb1a1e12a257c0089e7e237257e106b71"
+        "6fea870336414ab883068c0b5bb089aea80f8675d25989b29fe0d6aaa08645e4"
+        "d27d384c0ec6977763ade6a4150e"
+    ),
+    "block": (
+        "000000000000000f73736973696d2f626c6f636b2f7631000000000000000300"
+        "0000000000002055555555555555555555555555555555555555555555555555"
+        "5555555555555500000100000000010000000000000020666666666666666666"
+        "6666666666666666666666666666666666666666666666"
+    ),
+    "did-document": (
+        "000000000000001673736973696d2f6469642d646f63756d656e742f76310000"
+        "0000000000336469643a73696d3a6d436b3351596d61563856316f6961796573"
+        "4e5a6e6850794472626746314542375a37384867535765744600000000000000"
+        "207d766b9eba60232effe0c1034ae3d7bdb4e5e0075d79d634c1ed2f79de09a3"
+        "d30000000000000020a50fd604321da85ed6f712163fb128656daed0f53df046"
+        "3cc10e2bfca26a783f0000000000000001000000000000000200000000000000"
+        "056167656e74000000000000001968747470733a2f2f686f6c6465722e657861"
+        "6d706c652fc3bc0000000000000007"
+    ),
+    "schema": (
+        "000000000000001073736973696d2f736368656d612f76310000000000000034"
+        "6469643a73696d3a374a6261396a6942727745684a516a615743464a62383979"
+        "6d684646546f7557315267525270786a32746467000000000000000b50617469"
+        "656e7420e29c9300000000000000020000000000000002000000000000000364"
+        "6f6200000000000000046e616d65"
+    ),
+    "credential": (
+        "000000000000001473736973696d2f63726564656e7469616c2f763100000000"
+        "0000002011111111111111111111111111111111111111111111111111111111"
+        "111111110000000000000020256425e9d9d9223a2defff7666ad3c145d1a2e17"
+        "9c107d637e532abd602be6ec00000000000000346469643a73696d3a374a6261"
+        "396a6942727745684a516a615743464a623839796d684646546f755731526752"
+        "5270786a3274646700000000000000336469643a73696d3a6d436b3351596d61"
+        "563856316f69617965734e5a6e6850794472626746314542375a373848675357"
+        "6574460000000000000020222222222222222222222222222222222222222222"
+        "22222222222222222222220000000200000000"
+    ),
+    "commitment-leaf": (
+        "00000000000000046e616d6500000000000000045a6fc3ab0000000000000010"
+        "44444444444444444444444444444444"
+    ),
+    "revealed-set": (
+        "000000000000000200000000000000030000000000000003646f620000000000"
+        "00000a313939302d30342d313200000000000000103333333333333333333333"
+        "3333333333000000000000000300000000000000046e616d6500000000000000"
+        "045a6fc3ab000000000000001044444444444444444444444444444444"
+    ),
+    "presentation": (
+        "000000000000001673736973696d2f70726573656e746174696f6e2f76310000"
+        "0000000000201111111111111111111111111111111111111111111111111111"
+        "1111111111110000000000000020777777777777777777777777777777777777"
+        "7777777777777777777777777777000000000000002088888888888888888888"
+        "88888888888888888888888888888888888888888888"
+    ),
+    "certificate": (
+        "000000000000001573736973696d2f63657274696669636174652f7631000000"
+        "0000000009000000000000000a7375626a65637420c3a900000000000000207d"
+        "766b9eba60232effe0c1034ae3d7bdb4e5e0075d79d634c1ed2f79de09a3d300"
+        "00000000000007726f6f742d636100000000000000058000000000000000"
+    ),
+    "csr": (
+        "000000000000000d73736973696d2f6373722f7631000000000000000a737562"
+        "6a65637420c3a900000000000000207d766b9eba60232effe0c1034ae3d7bdb4"
+        "e5e0075d79d634c1ed2f79de09a3d3"
+    ),
+    "did-auth": (
+        "000000000000001273736973696d2f6469642d617574682f7631000000000000"
+        "0020999999999999999999999999999999999999999999999999999999999999"
+        "999900000000000000346469643a73696d3a374a6261396a6942727745684a51"
+        "6a615743464a623839796d684646546f7557315267525270786a32746467"
+    ),
+    "envelope-aad": (
+        "0000000000000010356461383135653338323834303262380000000000000010"
+        "30623532643531396665653634323165"
+    ),
+}
+
+
+class TestKnownPayloads:
+    @pytest.mark.parametrize("name", sorted(KNOWN_PAYLOADS))
+    def test_payload_bytes_are_pinned(self, name):
+        assert known_payloads()[name].hex() == "".join(KNOWN_PAYLOADS[name])
+
+    @pytest.mark.parametrize("name", ["tx", "block", "did-document", "schema", "credential",
+                                      "presentation", "certificate", "csr", "did-auth"])
+    def test_every_context_string_has_a_pinned_payload(self, name):
+        context = encode_parts(f"ssisim/{name}/v1")
+        assert any(data.startswith(context) for data in known_payloads().values())
 
 
 class TestStrictJson:
