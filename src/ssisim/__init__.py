@@ -62,7 +62,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "pki": ("CaHierarchy", "Certificate", "CompromiseConfig", "CompromiseReport", "Csr",
             "build_hierarchy", "ca_issue", "make_csr", "ra_approve",
-            "run_compromise_experiment", "submit_csr", "verify_certificate"),
+            "run_compromise_experiment", "submit_csr", "verify_certificate",
+            "verify_certificates"),
     "scenarios": ("GovernmentConfig", "HealthcareConfig", "ScenarioTranscript",
                   "run_government_scenario", "run_healthcare_scenario"),
 }

@@ -145,21 +145,28 @@ def _verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
 _MIN_CHUNK = 128
 
 
-def verify_many(jobs: list) -> int | None:
-    """The index of the first (public_key, message, signature) job that fails verify, or None.
+def _chunk_count(jobs: int) -> int:
+    """How many contiguous chunks verify_each splits jobs into; below 2 it forks nothing."""
+    if jobs < 2 * _MIN_CHUNK or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, jobs // _MIN_CHUNK)
 
-    The answer is the serial one on any CPU count. Given two chunks of
-    _MIN_CHUNK jobs or more, a CPU for each and os.fork in a single-threaded
-    process, the jobs are split into one contiguous chunk per CPU: this process
-    verifies the first and a forked helper each of the others. A chunk whose
-    helper fails or answers short is verified here instead.
+
+def verify_each(jobs: list) -> bytes:
+    """One 0/1 verdict per (public_key, message, signature) job, in order.
+
+    The answer is bytes(verify(*job) for job in jobs) on any CPU count.
+    Given two chunks of _MIN_CHUNK jobs or more, a CPU for each and os.fork
+    in a single-threaded process, the jobs are split into one contiguous
+    chunk per CPU: this process verifies the first and a forked helper each
+    of the others. A chunk whose helper fails or answers short is verified
+    here instead.
     """
-    # Fewer jobs than two chunks answer before the CPU set is read.
-    cpus = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1) if len(jobs) >= 2 * _MIN_CHUNK else 1)
-    chunks = min(cpus, len(jobs) // _MIN_CHUNK)
-    if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return next((i for i, job in enumerate(jobs) if not verify(*job)), None)
+    chunks = _chunk_count(len(jobs))
+    if chunks < 2:
+        return _verdicts(jobs)
     bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
     parts = [jobs[start:stop] for start, stop in zip(bounds, bounds[1:])]
     helpers = []
@@ -174,7 +181,19 @@ def verify_many(jobs: list) -> int | None:
             if pid is not None:
                 os.close(read_fd)  # a helper blocked on a full pipe then exits
                 os.waitpid(pid, 0)
-    index = verdicts.find(0)
+    return verdicts
+
+
+def verify_many(jobs: list) -> int | None:
+    """The index of the first (public_key, message, signature) job that fails verify, or None.
+
+    Jobs that verify_each would not split are checked here in order, up to
+    the first failure; the others go to verify_each, so the answer is the
+    serial one on any CPU count.
+    """
+    if _chunk_count(len(jobs)) < 2:
+        return next((i for i, job in enumerate(jobs) if not verify(*job)), None)
+    index = verify_each(jobs).find(0)
     return None if index < 0 else index
 
 

@@ -37,6 +37,7 @@ from ssisim.identity import (
     make_did_document,
     sign,
     verify,
+    verify_each,
     verify_many,
 )
 from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
@@ -233,6 +234,96 @@ class TestVerifyMany:
         thread.start()
         try:
             assert verify_many(self.with_faults(jobs, bad_signatures=(254,))) == 254
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert two_cpus == []
+
+
+class TestVerifyEach:
+    """verify_each gives every job its serial verdict, whether or not a forked helper checked it."""
+
+    LENGTHS = (0, 1, 255, 256, 257, 600)
+    # Each fault leaves a job that fails verify, except a bytearray message, which verifies.
+    FAULTS = {
+        "wrong-length key": lambda key, message, signature: (key[:31], message, signature),
+        "flipped signature": lambda key, message, signature: (key, message,
+                                                              flip_bit(signature)),
+        "other message": lambda key, message, signature: (key, message + b"!", signature),
+        "bytearray key": lambda key, message, signature: (bytearray(key), message, signature),
+        "bytearray message": lambda key, message, signature: (key, bytearray(message),
+                                                              signature),
+    }
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        key = generate_keypair(b"\x06" * 32)
+        messages = [b"each" + i.to_bytes(4, "big") for i in range(max(self.LENGTHS))]
+        return [(key.public_key, m, sign(key.private_key, m)) for m in messages]
+
+    @pytest.fixture(params=["two CPUs", "no fork"])
+    def helpers(self, request, monkeypatch):
+        """The pids of the helpers forked under two CPUs; None with os.fork removed."""
+        if request.param == "no fork":
+            monkeypatch.delattr(os, "fork")
+            return None
+        return request.getfixturevalue("two_cpus")
+
+    @classmethod
+    def faulted(cls, jobs, length, fault):
+        """The first length jobs, with the fault at the first and last jobs and either
+        side of the boundary between two chunks; and the set of faulted indexes."""
+        jobs = list(jobs[:length])
+        where = {0, length // 2 - 1, length // 2, length - 1} & set(range(length))
+        for i in where:
+            jobs[i] = cls.FAULTS[fault](*jobs[i])
+        return jobs, where
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    def test_verdicts_are_the_serial_ones(self, jobs, helpers, length, fault):
+        jobs, where = self.faulted(jobs, length, fault) if fault else (jobs[:length], set())
+        verdicts = verify_each(jobs)
+        assert verdicts == bytes(verify(*job) for job in jobs)
+        failing = set() if fault == "bytearray message" else where
+        assert verdicts == bytes(i not in failing for i in range(length))
+        if helpers is not None:
+            assert len(helpers) == (length >= 256)
+
+    @pytest.mark.parametrize("length", [256, 600])
+    @pytest.mark.parametrize("failure", ["raises", "short", "garbage"])
+    def test_a_failing_helper_changes_no_verdict(self, jobs, two_cpus, monkeypatch, length,
+                                                 failure):
+        real_write = os.write
+
+        def write(fd, data):  # only the helpers write while verify_each runs
+            if failure == "raises":
+                raise OSError("pipe write failed")
+            real_write(fd, data[:10] if failure == "short" else b"\x07" * len(data))
+            return len(data)
+
+        monkeypatch.setattr(os, "write", write)
+        for fault in self.FAULTS:
+            faulted, _ = self.faulted(jobs, length, fault)
+            assert verify_each(faulted) == bytes(verify(*job) for job in faulted)
+        assert len(two_cpus) == len(self.FAULTS)
+
+    def test_a_failed_fork_changes_no_verdict(self, jobs, two_cpus, monkeypatch):
+        def fork():
+            raise OSError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+        faulted, where = self.faulted(jobs, 600, "flipped signature")
+        assert verify_each(faulted) == bytes(i not in where for i in range(600))
+
+    def test_other_threads_keep_it_in_process(self, jobs, two_cpus):
+        faulted, where = self.faulted(jobs, 600, "wrong-length key")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verify_each(faulted) == bytes(i not in where for i in range(600))
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -579,7 +670,9 @@ class TestKeyBuildCounts:
         assert len(ed25519) == 1002
         assert set(ed25519.values()) == {1}
 
-    def test_ca_compromise_checks_the_stolen_keys_certificate_once(self, builds):
+    def test_ca_compromise_checks_the_stolen_keys_certificate_once(self, builds, monkeypatch):
+        # A forked helper would check half the forgeries where these counts cannot see it.
+        monkeypatch.delattr(os, "fork")
         report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
         assert report.forged_accepted == 1000
         hierarchy = build_hierarchy(rng=DeterministicRng(CompromiseConfig.seed))

@@ -1,7 +1,9 @@
+import os
 from dataclasses import replace
 
 import pytest
 
+import ssisim.pki
 from ssisim.errors import (
     BadProofOfPossession,
     ConfigError,
@@ -10,6 +12,8 @@ from ssisim.errors import (
 )
 from ssisim.identity import generate_keypair
 from ssisim.pki import (
+    CertStatus,
+    CertVerdict,
     CompromiseConfig,
     VerdictCause,
     build_hierarchy,
@@ -21,8 +25,11 @@ from ssisim.pki import (
     submit_csr,
     va_revoke,
     verify_certificate,
+    verify_certificates,
 )
 from ssisim.runtime import DeterministicRng, LogicalClock
+
+from conftest import flip_bit
 
 
 @pytest.fixture
@@ -187,3 +194,126 @@ class TestCompromiseExperiment:
         with pytest.raises(ConfigError):
             run_compromise_experiment(
                 CompromiseConfig(scenario="ledger", forgeries=1, writers=2, compromised=3))
+
+
+class TestBatchVerification:
+    """verify_certificates gives each certificate verify_certificate's verdict, in order."""
+
+    NOW = 50
+
+    @classmethod
+    def table(cls, hierarchy, clock):
+        """(certificate, expected cause, None if valid) for each case, with the clock at NOW:
+        one per VerdictCause, a valid certificate, one the root issued, and two that fail
+        more than one check, to pin the order of the checks."""
+        while clock.now() < cls.NOW:
+            clock.tick()
+        sub, root = hierarchy.subordinate, hierarchy.root
+
+        def signed(issuer_name, signer, not_before=0, not_after=1000, status=CertStatus.VALID):
+            serial = hierarchy.next_serial()
+            cert = issue_signed_certificate(
+                issuer_name, signer, serial=serial, subject_name=f"s{serial}.example",
+                subject_public_key=subject(b"victim").public_key,
+                not_before=not_before, not_after=not_after,
+            )
+            if status is not None:
+                hierarchy.va[cert.serial] = status
+            return cert
+
+        revoked = CertStatus.REVOKED
+        return [
+            (signed(sub.name, sub.keypair), None),
+            (signed(root.name, root.keypair), None),
+            (signed(sub.name, subject(b"rogue-ca")), VerdictCause.CHAIN_BROKEN),
+            (signed("who-dis-ca", sub.keypair), VerdictCause.CHAIN_BROKEN),
+            (signed(sub.name, sub.keypair, not_before=cls.NOW + 1), VerdictCause.NOT_YET_VALID),
+            (signed(sub.name, sub.keypair, not_after=cls.NOW - 1), VerdictCause.EXPIRED),
+            (signed(sub.name, sub.keypair, status=None), VerdictCause.UNKNOWN_SERIAL),
+            (signed(sub.name, sub.keypair, status=revoked), VerdictCause.REVOKED),
+            (signed(sub.name, sub.keypair, not_after=cls.NOW - 1, status=revoked),
+             VerdictCause.EXPIRED),
+            (signed(sub.name, subject(b"rogue-ca"), not_before=cls.NOW + 1, status=None),
+             VerdictCause.CHAIN_BROKEN),
+        ]
+
+    @staticmethod
+    def break_subordinate(hierarchy):
+        """Leave the subordinate's own certificate with a signature the root did not make."""
+        cert = hierarchy.subordinate.certificate
+        hierarchy.subordinate.certificate = replace(
+            cert, issuer_signature=flip_bit(cert.issuer_signature))
+
+    @pytest.fixture(params=["root-signed subordinate", "broken subordinate"])
+    def cases(self, request, hierarchy, clock):
+        """(certificates, the verdicts expected on them)."""
+        table = self.table(hierarchy, clock)
+        certificates = [cert for cert, _ in table]
+        causes = [cause for _, cause in table]
+        if request.param == "broken subordinate":
+            self.break_subordinate(hierarchy)
+            # only what the root issued itself still chains to it
+            causes = [cause if cert.issuer_name == hierarchy.root.name
+                      else VerdictCause.CHAIN_BROKEN for cert, cause in table]
+        return certificates, [CertVerdict(valid=cause is None, cause=cause) for cause in causes]
+
+    def test_the_table_gives_the_expected_single_verdicts(self, hierarchy, clock, cases):
+        certificates, expected = cases
+        assert [verify_certificate(hierarchy, cert, clock) for cert in certificates] == expected
+
+    def test_a_batch_gives_the_single_verdicts(self, hierarchy, clock, cases, two_cpus):
+        certificates, expected = cases
+        assert verify_certificates(hierarchy, certificates, clock) == expected
+        assert verify_certificates(hierarchy, certificates[::-1], clock) == expected[::-1]
+        assert verify_certificates(hierarchy, [], clock) == []
+        assert two_cpus == []
+
+    def test_a_batch_split_over_two_cpus_gives_the_single_verdicts(self, hierarchy, clock,
+                                                                   cases, two_cpus):
+        certificates, expected = cases
+        sub = hierarchy.subordinate
+        padding = [issue_signed_certificate(
+            sub.name, sub.keypair, serial=hierarchy.next_serial(), subject_name=f"pad-{i}",
+            subject_public_key=subject(b"victim").public_key, not_before=0, not_after=1000,
+        ) for i in range(256)]
+        for cert in padding:
+            hierarchy.va[cert.serial] = CertStatus.VALID
+        padded = certificates + padding + certificates  # the table in both chunks
+        singles = [verify_certificate(hierarchy, cert, clock) for cert in padded]
+        assert singles[:len(expected)] == singles[-len(expected):] == expected
+        assert verify_certificates(hierarchy, padded, clock) == singles
+        assert len(two_cpus) == 1
+
+
+class TestBatchedCompromiseRun:
+    """The CA run issues its forgeries, then checks them in windows; its report is unchanged."""
+
+    @staticmethod
+    def serial_report(monkeypatch, forgeries):
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            return run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
+
+    @pytest.mark.parametrize("forgeries, helpers", [(1000, 1), (255, 0)])
+    def test_a_window_of_256_forgeries_or_more_forks_one_helper(self, two_cpus, monkeypatch,
+                                                                forgeries, helpers):
+        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
+        assert len(two_cpus) == helpers
+        assert report.forged_accepted == forgeries
+        assert report == self.serial_report(monkeypatch, forgeries)
+
+    def test_windows_bound_each_batch(self, two_cpus, monkeypatch):
+        batches = []
+        real = ssisim.pki.verify_certificates
+
+        def counted(hierarchy, certificates, clock):
+            batches.append(len(certificates))
+            return real(hierarchy, certificates, clock)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ssisim.pki, "verify_certificates", counted)
+            patch.setattr(ssisim.pki, "_CHECK_WINDOW", 300)
+            report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
+        assert batches == [300, 300, 300, 100]
+        assert len(two_cpus) == 3
+        assert report == self.serial_report(monkeypatch, 1000)
