@@ -184,19 +184,6 @@ def verify_each(jobs: list) -> bytes:
     return verdicts
 
 
-def verify_many(jobs: list) -> int | None:
-    """The index of the first (public_key, message, signature) job that fails verify, or None.
-
-    Jobs that verify_each would not split are checked here in order, up to
-    the first failure; the others go to verify_each, so the answer is the
-    serial one on any CPU count.
-    """
-    if _chunk_count(len(jobs)) < 2:
-        return next((i for i, job in enumerate(jobs) if not verify(*job)), None)
-    index = verify_each(jobs).find(0)
-    return None if index < 0 else index
-
-
 def _verdicts(jobs) -> bytes:
     return bytes(verify(*job) for job in jobs)
 

@@ -42,7 +42,7 @@ from .identity import (
     key_fingerprint,
     sign,
     verify,
-    verify_many,
+    verify_each,
 )
 from .runtime import LogicalClock
 from .serialization import (
@@ -112,10 +112,6 @@ class RegisterDid:
 
     kind = "register_did"
     bad_signature = "self-certification failed"
-
-    @property
-    def submitter_signature(self) -> bytes:
-        return self.document.controller_signature
 
     def canonical_bytes(self) -> bytes:
         return (
@@ -558,11 +554,12 @@ class Ledger:
         # Two passes, as in validate_chain. Pass 1 checks each transaction but its
         # signature against the chain plus the ones staged before it, then indexes
         # it as valid, up to the first fault. Pass 2 verifies the signatures pass 1
-        # reached, the faulting transaction's own included if its rule failed, as a
-        # serial check reads the signature first. The first bad one wins: it is at
-        # or before the fault, and any pass-1 result after it may rest on it. A
-        # check that raises (a hand-built transaction with a key of the wrong
-        # length) is such a fault too. Any failure pops the staged transactions again.
+        # reached as one verify_each batch, the faulting transaction's own included
+        # if its rule failed, as a serial check reads the signature first. The first
+        # bad one wins: it is at or before the fault, and any pass-1 result after it
+        # may rest on it. A check that raises (a hand-built transaction with a key of
+        # the wrong length) is such a fault too. Any failure pops the staged
+        # transactions again.
         jobs = []  # the signature of transaction k is jobs[k]
         fault = None
         staged = 0
@@ -578,8 +575,8 @@ class Ledger:
                     break
                 state.push(tx, ok=True)
                 staged += 1
-            bad = verify_many(jobs)
-            if bad is not None:
+            bad = verify_each(jobs).find(0)
+            if bad >= 0:
                 raise InvalidTransaction(bad, txs[bad].bad_signature)
             if fault is not None:
                 raise fault
@@ -610,9 +607,9 @@ class Ledger:
         """The first faulty block and why, as a walk in chain order checking each in full finds it.
 
         Pass 1 runs every check but the writer signatures, in chain order, up to
-        the first fault. Pass 2 verifies the signatures of the blocks before it
-        (verify_many spreads them over the CPUs); the first bad one comes earlier
-        in the chain, so it wins.
+        the first fault. Pass 2 verifies the signatures of all the blocks before it
+        as one verify_each batch, which spreads them over the CPUs; the first bad
+        one comes earlier in the chain, so it wins.
         """
         report = ChainReport(ok=True)
         jobs = []  # (writer key, block hash, writer signature) of blocks 1.. before the fault
@@ -626,8 +623,8 @@ class Ledger:
                 jobs.append((self.writer_set[str(block.writer_did)], block.block_hash,
                              block.writer_signature))
             prev_hash = block.block_hash
-        bad = verify_many(jobs)
-        if bad is not None:
+        bad = verify_each(jobs).find(0)
+        if bad >= 0:
             return ChainReport(ok=False, index=bad + 1, cause=ChainFault.BAD_SIGNATURE)
         return report
 

@@ -3,7 +3,10 @@
 The hierarchy exists to be broken: the compromise harness in this module
 contrasts what a stolen CA key buys an attacker (everything, including
 the certificate database the CA maintains) with what a stolen ledger
-writer key buys (nothing, because registrations self-certify).
+writer key buys through appends (nothing, because registrations
+self-certify). Appends are all the harness tries. The same key can re-seal
+the chain's history, leaving a revoke out, and anyone can truncate a ledger
+file; both still load until a verified head is pinned (ROADMAP item 3).
 """
 
 from dataclasses import dataclass, replace
@@ -75,17 +78,6 @@ class Certificate:
             self.issuer_name, self.not_before, self.not_after,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "serial": self.serial,
-            "subject_name": self.subject_name,
-            "subject_public_key": self.subject_public_key.hex(),
-            "issuer_name": self.issuer_name,
-            "not_before": self.not_before,
-            "not_after": self.not_after,
-            "issuer_signature": self.issuer_signature.hex(),
-        }
-
 
 def issue_signed_certificate(issuer_name: str, issuer_key: KeyPair, serial: int,
                              subject_name: str, subject_public_key: bytes,
@@ -153,9 +145,9 @@ class CaHierarchy:
         self.va: dict = {}          # serial -> CertStatus
         self._requests: dict = {}   # request_id -> (Csr, RequestState)
         self._next_request_id = 1
-        self._next_serial = 1
         for node in (root, subordinate):
             self.va[node.certificate.serial] = CertStatus.VALID
+        self._next_serial = max(root.certificate.serial, subordinate.certificate.serial) + 1
 
     def node_by_name(self, name: str) -> CaNode | None:
         if name == self.root.name:
@@ -188,13 +180,11 @@ def build_hierarchy(rng=None, clock: LogicalClock | None = None,
         subject_public_key=sub_key.public_key,
         not_before=now, not_after=now + cert_lifetime,
     )
-    hierarchy = CaHierarchy(
+    return CaHierarchy(
         root=CaNode(name="root-ca", keypair=root_key, certificate=root_cert),
         subordinate=CaNode(name="issuing-ca", keypair=sub_key, certificate=sub_cert),
         cert_lifetime=cert_lifetime,
     )
-    hierarchy._next_serial = 3
-    return hierarchy
 
 
 # --- the Fig-4 style request flow ---------------------------------------------------

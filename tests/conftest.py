@@ -103,7 +103,7 @@ def flip_bit(data: bytes) -> bytes:
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs as verify_many sees them; holds the pids of the helpers it forks.
+    """Two CPUs as verify_each sees them; holds the pids of the helpers it forks.
 
     Afterwards every helper must have been reaped and every pipe end closed.
     """

@@ -225,6 +225,38 @@ class TestLedgerValidate:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda obj: {**obj, "blocks": []}, "ledger has no blocks"),
+        (lambda obj: [], "ledger: expected object"),
+        (lambda obj: {**obj, "mode": 1}, "mode: expected string"),
+        (lambda obj: {**obj, "blocks": {}}, "blocks: expected array"),
+        (lambda obj: {**obj, "blocks": [{**obj["blocks"][0], "transactions": []}]},
+         "genesis block registers no writers"),
+    ], ids=["no blocks", "top-level list", "numeric mode", "blocks object",
+            "genesis without writers"])
+    def test_malformed_ledger_file_exits_3(self, run, paths, edit, cause):
+        run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
+        run("ledger-init", "--writer-wallet", paths["op"], "--ledger", paths["ledger"])
+        ledger = Path(paths["ledger"])
+        ledger.write_bytes(json.dumps(edit(json.loads(ledger.read_bytes()))).encode())
+        proc = run_script("ledger-validate", paths["ledger"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {cause}\n")
+        assert "Traceback" not in proc.stderr
+
+    def test_wallet_with_a_blob_that_is_not_base64_exits_3(self, run, paths):
+        bootstrap(run, paths)
+        wallet = Path(paths["alice"])
+        obj = json.loads(wallet.read_bytes())
+        obj["other_data"] = [{"label": "note", "blob": "not base64!"}]
+        wallet.write_bytes(json.dumps(obj).encode())
+        before = Path(paths["ledger"]).read_bytes()
+        proc = run_script("did-register", "--wallet", paths["alice"], "--ledger",
+                          paths["ledger"], "--writer-wallet", paths["op"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "other_data[0].blob: invalid base64" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert Path(paths["ledger"]).read_bytes() == before
+
 
 class TestExhaustedLedgerClock:
     def test_writes_to_a_ledger_at_the_last_timestamp_exit_2(self, run, paths):
@@ -301,6 +333,21 @@ class TestScenarioCommands:
         assert code == 0
         report = json.loads(out)
         assert report["forged_accepted"] == 0
+
+    def test_compare_ledger_without_writers_exits_1(self):
+        proc = run_script("compare", "--scenario", "ledger", "--writers", "0",
+                          "--forgeries", "5")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "at least one writer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_compare_ledger_with_no_compromised_writer_rejects_every_forgery(self):
+        proc = run_script("compare", "--scenario", "ledger", "--compromised", "0",
+                          "--forgeries", "5")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {
+            "scenario": "ledger-writer-compromise", "forged_accepted": 0,
+            "forged_rejected": 5, "total_forgeries": 5, "writers": 3, "compromised": 0}
 
     def test_compare_zero_forgeries(self, run):
         code, out, _ = run("compare", "--scenario", "ca", "--forgeries", "0")

@@ -360,6 +360,12 @@ class TestTamperCheck:
     def test_credential_json_roundtrip(self, credential):
         assert Credential.from_json_dict(credential.to_json_dict()) == credential
 
+    def test_salts_must_match_the_attributes_in_count(self, credential):
+        value = credential.to_json_dict()
+        for salts in (value["salts"][:-1], value["salts"] + value["salts"][:1]):
+            with pytest.raises(ParseError, match="one salt per attribute"):
+                Credential.from_json_dict({**value, "salts": salts})
+
 
 class TestVerifyCredential:
     def test_fresh_credential_accepts_with_all_checks(self, ledger, credential):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import os
@@ -5,6 +6,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -38,7 +40,6 @@ from ssisim.identity import (
     sign,
     verify,
     verify_each,
-    verify_many,
 )
 from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
 from ssisim.runtime import DeterministicRng
@@ -169,78 +170,6 @@ class TestSignatures:
         assert verify(kp.public_key, message, sign(kp.private_key, message))
 
 
-class TestVerifyMany:
-    """verify_many names the first failing job, whether or not a forked helper verified it."""
-
-    @pytest.fixture(scope="class")
-    def jobs(self):
-        key = generate_keypair(b"\x05" * 32)
-        messages = [i.to_bytes(4, "big") for i in range(300)]
-        return [(key.public_key, m, sign(key.private_key, m)) for m in messages]
-
-    @staticmethod
-    def with_faults(jobs, bad_signatures=(), bad_keys=()):
-        jobs = list(jobs)
-        for i in bad_signatures:
-            key, message, signature = jobs[i]
-            jobs[i] = (key, message, flip_bit(signature))
-        for i in bad_keys:
-            key, message, signature = jobs[i]
-            jobs[i] = (key[:31], message, signature)  # a malformed key
-        return jobs
-
-    @pytest.mark.parametrize("bad_signatures, bad_keys", [
-        ((), ()),
-        ((200,), ()),
-        ((), (250,)),
-        ((200,), (250,)),
-        ((20,), (250,)),
-        ((), (150, 299)),
-    ])
-    def test_faults_in_either_chunk_give_the_serial_answer(self, jobs, two_cpus,
-                                                           bad_signatures, bad_keys):
-        jobs = self.with_faults(jobs, bad_signatures, bad_keys)
-        expected = min((*bad_signatures, *bad_keys), default=None)
-        assert verify_many(jobs) == expected
-        assert next((i for i, job in enumerate(jobs) if not verify(*job)), None) == expected
-        assert len(two_cpus) == 1
-
-    @pytest.mark.parametrize("failure", ["raises", "short", "garbage"])
-    def test_a_failing_helper_changes_no_answer(self, jobs, two_cpus, monkeypatch, failure):
-        real_write = os.write
-
-        def write(fd, data):  # only the helpers write while verify_many runs
-            if failure == "raises":
-                raise OSError("pipe write failed")
-            real_write(fd, data[:10] if failure == "short" else b"\x07" * len(data))
-            return len(data)
-
-        monkeypatch.setattr(os, "write", write)
-        assert verify_many(jobs) is None
-        assert verify_many(self.with_faults(jobs, bad_keys=(250,))) == 250
-        assert len(two_cpus) == 2
-
-    def test_a_failed_fork_changes_no_answer(self, jobs, two_cpus, monkeypatch):
-        def fork():
-            raise OSError("no process left")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert verify_many(self.with_faults(jobs, bad_keys=(250,))) == 250
-
-    def test_few_jobs_or_other_threads_keep_it_in_process(self, jobs, two_cpus):
-        assert verify_many(self.with_faults(jobs[:255], bad_signatures=(254,))) == 254
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            assert verify_many(self.with_faults(jobs, bad_signatures=(254,))) == 254
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert two_cpus == []
-
-
 class TestVerifyEach:
     """verify_each gives every job its serial verdict, whether or not a forked helper checked it."""
 
@@ -318,6 +247,8 @@ class TestVerifyEach:
         assert verify_each(faulted) == bytes(i not in where for i in range(600))
 
     def test_other_threads_keep_it_in_process(self, jobs, two_cpus):
+        few = jobs[:254] + [self.FAULTS["flipped signature"](*jobs[254])]
+        assert verify_each(few).find(0) == 254  # the ledger's first-bad-signature read
         faulted, where = self.faulted(jobs, 600, "wrong-length key")
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -329,6 +260,52 @@ class TestVerifyEach:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert two_cpus == []
+
+
+class TestOneForkPath:
+    """Every fork goes through identity.verify_each, as the README says."""
+
+    SRC = Path(ssisim.identity.__file__).parent
+
+    @classmethod
+    def calls(cls, names):
+        """(module, enclosing function, name) of every call in the package to a name in names."""
+        found = []
+
+        def visit(node, module, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.append((module, function, name))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, function)
+
+        for path in sorted(cls.SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        return found
+
+    def test_only_fork_helper_forks(self):
+        assert self.calls({"fork", "forkpty", "posix_spawn", "posix_spawnp"}) == [
+            ("identity", "_fork_helper", "fork")]
+
+    def test_only_verify_each_starts_a_helper(self):
+        assert self.calls({"_fork_helper"}) == [("identity", "verify_each", "_fork_helper")]
+
+    def test_no_module_imports_another_way_to_start_a_process(self):
+        for path in self.SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    assert module.split(".")[0] not in {
+                        "multiprocessing", "concurrent", "subprocess"}, (path.name, module)
 
 
 class TestEnvelopes:

@@ -148,6 +148,25 @@ class TestAppend:
         with pytest.raises(EmptyBatch):
             ledger.append_block([], operator)
 
+    def test_submit_without_a_writer_key_is_refused(self, operator, clock):
+        led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())], clock=clock)
+        newcomer = make_did_document(seeded_keypair(b"newcomer"), created_at=clock.tick())
+        with pytest.raises(NotPermissioned):
+            led.submit([RegisterDid(newcomer)])
+        assert len(led.blocks) == 1
+
+    def test_an_object_of_no_known_kind_is_refused_and_leaves_nothing_indexed(
+            self, ledger, operator, clock):
+        newcomer = make_did_document(seeded_keypair(b"newcomer"), created_at=clock.tick())
+        before = len(ledger.blocks), ledger._index().size
+        with pytest.raises(InvalidTransaction) as excinfo:
+            ledger.append_block([RegisterDid(newcomer), object()], operator)
+        assert (excinfo.value.index, excinfo.value.cause) == (
+            1, "unknown transaction type object")
+        assert (len(ledger.blocks), ledger._index().size) == before
+        with pytest.raises(UnknownDid):
+            ledger.resolve_did(newcomer.did)
+
     def test_non_writer_cannot_append_unchecked(self, ledger, clock):
         outsider = seeded_keypair(b"outsider")
         before = ledger.to_bytes()
@@ -1108,6 +1127,16 @@ class TestVerificationCounts:
             verifications.clear()
         # the issuer's registration, the anchor and the revoke
         assert per_read == [3, 3]
+
+    def test_a_refused_file_costs_what_the_valid_one_does(self, verifications):
+        data, _, _ = self.build_file(150)
+        bad = tampered(Ledger.from_bytes(data), signatures=(4,)).to_bytes()
+        verifications.clear()
+        with pytest.raises(FirstInvalid) as excinfo:
+            Ledger.from_bytes(bad)
+        assert (excinfo.value.index, excinfo.value.cause) == (4, "BadSignature")
+        # every writer signature, also those after the bad one, and genesis
+        assert len(verifications) == 150
 
     def test_ledger_compromise_checks_each_forgery_once(self, verifications):
         report = run_compromise_experiment(CompromiseConfig(scenario="ledger", forgeries=100))

@@ -79,6 +79,22 @@ class TestCsrFlow:
         with pytest.raises(UnknownApproval):
             ca_issue(hierarchy, Approval(request_id=999), clock)
 
+    def test_a_pending_request_is_not_issued(self, hierarchy, clock):
+        from ssisim.pki import Approval
+
+        rid = submit_csr(hierarchy, make_csr(subject(b"server-a"), "a.example"))
+        va = dict(hierarchy.va)
+        with pytest.raises(UnknownApproval, match="is pending, not approved"):
+            ca_issue(hierarchy, Approval(request_id=rid), clock)
+        assert hierarchy.va == va
+        assert ca_issue(hierarchy, ra_approve(hierarchy, rid), clock).serial == 3
+
+    def test_revoking_an_unknown_serial_is_refused(self, hierarchy):
+        va = dict(hierarchy.va)
+        with pytest.raises(UnknownRequest):
+            va_revoke(hierarchy, 99)
+        assert hierarchy.va == va
+
 
 class TestIssuanceAndVerification:
     def issue(self, hierarchy, clock, tag=b"server-a", name="a.example"):

@@ -14,7 +14,14 @@ from ssisim.errors import (
     UnknownDid,
     WrongHolderKey,
 )
-from ssisim.identity import decrypt, derive_did, key_agreement_public, make_did_document, sign
+from ssisim.identity import (
+    decrypt,
+    derive_did,
+    encrypt_for,
+    key_agreement_public,
+    make_did_document,
+    sign,
+)
 from ssisim.ledger import AnchorCredential, RegisterDid
 from ssisim.runtime import DeterministicRng
 from ssisim.wallet import wallet_create, wallet_load, wallet_save
@@ -151,6 +158,23 @@ class TestEnvelopeExchange:
         env = agents["alice"].send_message(agents["bob"].did, "note", {"n": 2})
         assert agents["bob"].open_envelope(env)["body"] == {"n": 2}
 
+    def test_an_envelope_from_an_unregistered_key_names_no_sender(self, world):
+        _, _, agents = world
+        bob = agents["bob"]
+        bob_ka = key_agreement_public(bob.wallet.keypair.private_key)
+        env = encrypt_for(bob_ka, seeded_keypair(b"ghost").private_key, b'{"body":{},"kind":"x"}')
+        with pytest.raises(UnknownDid):
+            bob.open_envelope(env)
+
+    @pytest.mark.parametrize("plaintext", [
+        b"[]", b'"note"', b'{"kind":"note"}', b'{"body":{},"extra":1,"kind":"note"}'])
+    def test_a_plaintext_that_is_not_kind_and_body_is_a_parse_error(self, world, plaintext):
+        _, _, agents = world
+        bob_ka = key_agreement_public(agents["bob"].wallet.keypair.private_key)
+        env = encrypt_for(bob_ka, agents["alice"].wallet.keypair.private_key, plaintext)
+        with pytest.raises(ParseError, match="'kind' and 'body'"):
+            agents["bob"].open_envelope(env)
+
     def test_no_message_carries_private_key_bytes(self, world):
         from ssisim.serialization import canonical_json_bytes
 
@@ -228,6 +252,13 @@ class TestCredentialDelivery:
         env = agents["alice"].send_message(agents["bob"].did, "credential", {"not": "a vc"})
         with pytest.raises(ParseError):
             agents["bob"].receive_credential(env)
+
+    def test_a_message_of_another_kind_is_a_parse_error(self, world):
+        _, _, agents = world
+        env = agents["alice"].send_message(agents["bob"].did, "note", {"text": "hi"})
+        with pytest.raises(ParseError, match="expected a credential message"):
+            agents["bob"].receive_credential(env)
+        assert agents["bob"].wallet.credentials == []
 
     def test_misaddressed_envelope_fails_authentication(self, world):
         led, _, agents = world
