@@ -1,8 +1,9 @@
 """Agents exchange encrypted envelopes over an in-process bus and run DID-Auth.
 
-The bus is the whole transport: FIFO queues keyed by DID, plus a
-transcript of every delivery. Agents never put private key material in
-any message; everything a peer needs is resolved from the ledger.
+The bus is the whole transport: FIFO queues keyed by DID. Agents never
+put private key material in any message; everything a peer needs is
+resolved from the ledger. A DID-Auth challenge names the DID it was issued
+to, and only that DID's answer can spend it.
 """
 
 from collections import deque
@@ -13,14 +14,8 @@ from .engine import verify_credential
 from .errors import ParseError, StaleChallenge, UnknownDid, WrongHolderKey
 from .identity import Did, Envelope, decrypt, encrypt_for, sign, verify
 from .ledger import Ledger
-from .runtime import LogicalClock, SystemRng
-from .serialization import (
-    canonical_json_bytes,
-    encode_parts,
-    expect_str,
-    load_json,
-    sha256,
-)
+from .runtime import LogicalClock
+from .serialization import canonical_json_bytes, encode_parts, expect_str, load_json
 from .wallet import Wallet
 
 CHALLENGE_TTL_TICKS = 100
@@ -31,6 +26,7 @@ _AUTH_CONTEXT = "ssisim/did-auth/v1"
 @dataclass(frozen=True)
 class AuthChallenge:
     verifier_did: Did
+    subject_did: Did
     nonce: bytes
     issued_at: int
 
@@ -47,46 +43,34 @@ def auth_signing_payload(nonce: bytes, verifier_did: Did) -> bytes:
 
 
 class MessageBus:
-    """Delivers envelopes to registered agents and logs each step."""
+    """Delivers envelopes to the inboxes of registered agents."""
 
     def __init__(self):
         self._agents: dict = {}
-        self.transcript: list = []
 
     def register(self, agent: "Agent") -> None:
         self._agents[str(agent.did)] = agent
 
-    def deliver(self, sender_did: Did, recipient_did: Did, kind: str,
-                envelope: Envelope) -> None:
+    def deliver(self, recipient_did: Did, envelope: Envelope) -> None:
         recipient = self._agents.get(str(recipient_did))
         if recipient is None:
             raise UnknownDid(f"no agent registered for {recipient_did}")
         recipient.inbox.append(envelope)
-        self.transcript.append({
-            "step": len(self.transcript) + 1,
-            "from_did": str(sender_did),
-            "to_did": str(recipient_did),
-            "kind": kind,
-            "payload_hash": sha256(canonical_json_bytes(envelope.to_json_dict())).hex(),
-        })
 
 
 class Agent:
     """Acts for one wallet: sends/receives envelopes, answers DID-Auth."""
 
-    def __init__(self, wallet: Wallet, ledger_view: Ledger, bus: MessageBus | None = None,
-                 rng=None, clock: LogicalClock | None = None,
-                 challenge_ttl: int = CHALLENGE_TTL_TICKS):
+    def __init__(self, wallet: Wallet, ledger_view: Ledger, bus: MessageBus, rng,
+                 clock: LogicalClock):
         self.wallet = wallet
         self.ledger_view = ledger_view
         self.inbox: deque = deque()
         self.bus = bus
-        self.rng = rng or SystemRng()
-        self.clock = clock or LogicalClock(0)
-        self.challenge_ttl = challenge_ttl
+        self.rng = rng
+        self.clock = clock
         self._outstanding: dict = {}  # nonce -> AuthChallenge
-        if bus is not None:
-            bus.register(self)
+        bus.register(self)
 
     @property
     def did(self) -> Did:
@@ -100,8 +84,7 @@ class Agent:
         plaintext = canonical_json_bytes({"kind": kind, "body": body})
         envelope = encrypt_for(recipient_doc.key_agreement_key,
                                self.wallet.keypair.private_key, plaintext, rng=self.rng)
-        if self.bus is not None:
-            self.bus.deliver(self.did, recipient_did, kind, envelope)
+        self.bus.deliver(recipient_did, envelope)
         return envelope
 
     def send_credential(self, recipient_did: Did, credential: Credential) -> Envelope:
@@ -141,6 +124,7 @@ class Agent:
         self.ledger_view.resolve_did(subject_did, reader_did=self.did)
         challenge = AuthChallenge(
             verifier_did=self.did,
+            subject_did=subject_did,
             nonce=self.rng.randbytes(32),
             issued_at=self.clock.now(),
         )
@@ -156,11 +140,11 @@ class Agent:
         )
 
     def did_auth_check(self, response: AuthResponse) -> bool:
-        """True iff the response signs an outstanding nonce; consumes the nonce."""
+        """True iff the challenged DID signs an outstanding nonce; consumes the nonce."""
         challenge = self._outstanding.get(response.nonce)
-        if challenge is None:
+        if challenge is None or response.subject_did != challenge.subject_did:
             return False
-        if self.clock.now() - challenge.issued_at > self.challenge_ttl:
+        if self.clock.now() - challenge.issued_at > CHALLENGE_TTL_TICKS:
             del self._outstanding[response.nonce]
             raise StaleChallenge("challenge expired")
         subject_doc = self.ledger_view.resolve_did(response.subject_did, reader_did=self.did)

@@ -269,7 +269,8 @@ def issue(args) -> int:
     path = _given(args.ledger, "--ledger")
     ledger = _load_ledger(path)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
-    schema = ledger.lookup_schema(parse_hex(args.schema_id, 32, "--schema-id"))
+    schema = ledger.lookup_schema(parse_hex(args.schema_id, 32, "--schema-id"),
+                                  reader_did=issuer.did)
     credential = issue_credential(
         issuer.keypair, Did.parse(args.holder_did), schema,
         _parse_pairs(args.value, "--value"), ledger,

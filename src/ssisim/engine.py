@@ -38,7 +38,7 @@ from .ledger import (
     Ledger,
     Revoke,
 )
-from .runtime import LogicalClock, SystemRng
+from .runtime import SystemRng
 
 
 def _signed(issuer: KeyPair, unsigned):
@@ -78,17 +78,15 @@ def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
 
 
 def issue_credential(issuer: KeyPair, holder_did, schema: CredentialSchema, values: dict,
-                     ledger: Ledger, rng=None, clock: LogicalClock | None = None) -> Credential:
-    """Issue to a registered holder and anchor the commitment root."""
+                     ledger: Ledger, rng=None) -> Credential:
+    """Issue to a registered holder, dated by the ledger clock; anchor the commitment root."""
     issuer_did = derive_did(issuer.public_key)
     if schema.issuer_did != issuer_did:
         raise NotSchemaOwner(f"schema belongs to {schema.issuer_did}, not {issuer_did}")
     ledger.resolve_did(issuer_did, reader_did=issuer_did)
     ledger.resolve_did(holder_did, reader_did=issuer_did)
-    rng = rng or SystemRng()
-    clock = clock or ledger.clock
-    credential = build_credential(issuer, holder_did, schema, values, rng,
-                                  issuance_time=clock.tick())
+    credential = build_credential(issuer, holder_did, schema, values, rng or SystemRng(),
+                                  issuance_time=ledger.clock.tick())
     tx = _signed(issuer, AnchorCredential(
         credential_id=credential.credential_id,
         issuer_did=issuer_did,

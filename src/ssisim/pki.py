@@ -9,7 +9,7 @@ the chain's history, leaving a revoke out, and anyone can truncate a ledger
 file; both still load until a verified head is pinned (ROADMAP item 3).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -36,7 +36,7 @@ from .serialization import encode_parts
 _CSR_CONTEXT = "ssisim/csr/v1"
 _CERT_CONTEXT = "ssisim/certificate/v1"
 
-DEFAULT_CERT_LIFETIME_TICKS = 1000
+CERT_LIFETIME_TICKS = 1000
 
 
 # --- certificate objects ---------------------------------------------------------
@@ -138,10 +138,9 @@ class Approval:
 class CaHierarchy:
     """Root plus one subordinate; the VA database is fed only by CA issuance."""
 
-    def __init__(self, root: CaNode, subordinate: CaNode, cert_lifetime: int):
+    def __init__(self, root: CaNode, subordinate: CaNode):
         self.root = root
         self.subordinate = subordinate
-        self.cert_lifetime = cert_lifetime
         self.va: dict = {}          # serial -> CertStatus
         self._requests: dict = {}   # request_id -> (Csr, RequestState)
         self._next_request_id = 1
@@ -162,8 +161,7 @@ class CaHierarchy:
         return serial
 
 
-def build_hierarchy(rng=None, clock: LogicalClock | None = None,
-                    cert_lifetime: int = DEFAULT_CERT_LIFETIME_TICKS) -> CaHierarchy:
+def build_hierarchy(rng=None, clock: LogicalClock | None = None) -> CaHierarchy:
     """One root and one subordinate: the smallest hierarchy with a real chain."""
     rng = rng or DeterministicRng(b"\x00" * 32)
     clock = clock or LogicalClock(0)
@@ -172,18 +170,17 @@ def build_hierarchy(rng=None, clock: LogicalClock | None = None,
     root_cert = issue_signed_certificate(
         "root-ca", root_key, serial=1, subject_name="root-ca",
         subject_public_key=root_key.public_key,
-        not_before=now, not_after=now + cert_lifetime,
+        not_before=now, not_after=now + CERT_LIFETIME_TICKS,
     )
     sub_key = generate_keypair(rng.randbytes(32))
     sub_cert = issue_signed_certificate(
         "root-ca", root_key, serial=2, subject_name="issuing-ca",
         subject_public_key=sub_key.public_key,
-        not_before=now, not_after=now + cert_lifetime,
+        not_before=now, not_after=now + CERT_LIFETIME_TICKS,
     )
     return CaHierarchy(
         root=CaNode(name="root-ca", keypair=root_key, certificate=root_cert),
         subordinate=CaNode(name="issuing-ca", keypair=sub_key, certificate=sub_cert),
-        cert_lifetime=cert_lifetime,
     )
 
 
@@ -226,7 +223,7 @@ def ca_issue(hierarchy: CaHierarchy, approval: Approval, clock: LogicalClock) ->
     certificate = issue_signed_certificate(
         ca.name, ca.keypair, serial=hierarchy.next_serial(),
         subject_name=csr.subject_name, subject_public_key=csr.subject_public_key,
-        not_before=now, not_after=now + hierarchy.cert_lifetime,
+        not_before=now, not_after=now + CERT_LIFETIME_TICKS,
     )
     hierarchy.va[certificate.serial] = CertStatus.VALID
     hierarchy._requests[approval.request_id] = (csr, RequestState.ISSUED)
@@ -303,16 +300,7 @@ class CompromiseReport:
     compromised: int | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "forged_accepted": self.forged_accepted,
-            "forged_rejected": self.forged_rejected,
-            "total_forgeries": self.total_forgeries,
-        }
-        if self.writers is not None:
-            out["writers"] = self.writers
-            out["compromised"] = self.compromised
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -361,7 +349,7 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
             forged.append(issue_signed_certificate(
                 stolen.name, stolen.keypair, serial=hierarchy.next_serial(),
                 subject_name=f"forged-subject-{i}", subject_public_key=mallory.public_key,
-                not_before=clock.now(), not_after=clock.now() + hierarchy.cert_lifetime,
+                not_before=clock.now(), not_after=clock.now() + CERT_LIFETIME_TICKS,
             ))
             hierarchy.va[forged[-1].serial] = CertStatus.VALID
         accepted += sum(v.valid for v in verify_certificates(hierarchy, forged, clock))

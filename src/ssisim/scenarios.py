@@ -60,13 +60,12 @@ class ScenarioConfig:
     """One run of the six-step issue -> present -> verify flow.
 
     A subclass is one scenario: it sets the default seed, NAME, SCHEMA_NAME,
-    DEFAULT_VALUES, their keys as ATTRIBUTES, and ACTORS as (issuer, holder,
-    verifier). reveal=None discloses every attribute.
+    DEFAULT_VALUES (the values it issues), their keys as ATTRIBUTES, and ACTORS
+    as (issuer, holder, verifier). reveal=None discloses every attribute.
     """
 
     seed: bytes
     clock_start: int = 0
-    values: dict | None = None
     reveal: tuple | None = None
     revoke_before_presentation: bool = False
     tamper_attribute: str | None = None
@@ -137,16 +136,13 @@ def _setup_world(seed: bytes, clock_start: int, actor_names):
         register_txs.append(RegisterDid(doc))
         agents[name] = Agent(wallet, ledger, bus=bus, rng=rng, clock=clock)
     ledger.submit(register_txs)
-    return rng, clock, ledger, agents
+    return rng, ledger, agents
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     """Run the six-step flow that config describes."""
-    values = dict(config.values or config.DEFAULT_VALUES)
-    missing = set(config.ATTRIBUTES) - set(values)
-    if missing:
-        raise ConfigError(f"missing values for attributes {sorted(missing)}")
-    rng, clock, ledger, agents = _setup_world(config.seed, config.clock_start, config.ACTORS)
+    values = config.DEFAULT_VALUES
+    rng, ledger, agents = _setup_world(config.seed, config.clock_start, config.ACTORS)
     issuer, holder, verifier = (agents[name] for name in config.ACTORS)
     transcript = ScenarioTranscript(scenario_name=config.NAME)
 
@@ -163,7 +159,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     schema = define_schema(issuer.wallet.keypair, config.SCHEMA_NAME, 1, config.ATTRIBUTES,
                            ledger)
     credential = issue_credential(issuer.wallet.keypair, holder.did, schema, values,
-                                  ledger, rng=rng, clock=clock)
+                                  ledger, rng=rng)
     anchor_block = ledger.blocks[-1]
     transcript.add_step(issuer.did, "anchor_schema_and_commitment",
                         anchor_block.block_hash, "ok")

@@ -128,7 +128,7 @@ def test_criterion_2_selective_disclosure_leak_freedom():
         rng, clock, ledger, _, issuer, holder, schema = build_world(
             b"criterion-2".ljust(32, b"\x00"), names)
         credential = issue_credential(issuer, derive_did(holder.public_key), schema,
-                                      values, ledger, rng=rng, clock=clock)
+                                      values, ledger, rng=rng)
         challenge = rng.randbytes(32)
         salt_by_name = {name: salt.hex().encode()
                         for (name, _), salt in zip(credential.attributes, credential.salts)}
@@ -153,7 +153,7 @@ def test_criterion_3_soundness_by_mutation():
         rng, clock, ledger, _, issuer, holder, schema = build_world(
             b"criterion-3".ljust(32, b"\x00"), names)
         credential = issue_credential(issuer, derive_did(holder.public_key), schema,
-                                      values, ledger, rng=rng, clock=clock)
+                                      values, ledger, rng=rng)
         challenge = rng.randbytes(32)
         reveal = list(schema.attribute_names)
 
@@ -206,7 +206,7 @@ def test_criterion_4_revocation_monotonicity():
         for _ in range(500):
             credential = issue_credential(
                 issuer, holder_did, schema,
-                {"attr_a": "a", "attr_b": "b"}, ledger, rng=rng, clock=clock)
+                {"attr_a": "a", "attr_b": "b"}, ledger, rng=rng)
             revoked = False
             for op in rnd.choices(["present", "revoke"], k=rnd.randint(1, 5)):
                 if op == "present":

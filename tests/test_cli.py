@@ -152,6 +152,27 @@ class TestEndToEndFlow:
         assert b"visible-value" in data
         assert b"hidden-value" not in data
 
+    def test_issue_on_a_private_ledger_reads_the_schema_as_the_issuer(self, run, paths):
+        # the genesis writer is the issuer, so it may read; verify names no reader
+        run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
+        _, out, _ = run("wallet-init", "--seed", "cc" * 32, "--wallet", paths["alice"])
+        alice_did = json.loads(out)["did"]
+        ledger = ("--ledger", paths["ledger"], "--writer-wallet", paths["op"])
+        writer = ("--wallet", paths["op"], *ledger)
+        assert run("ledger-init", *ledger, "--mode", "private-permissioned")[0] == 0
+        assert run("did-register", "--wallet", paths["alice"], *ledger)[0] == 0
+        code, out, _ = run("schema-define", *writer, "--name", "T", "--attr", "a")
+        assert code == 0
+        code, out, err = run("issue", *writer, "--schema-id", json.loads(out)["schema_id"],
+                             "--holder-did", alice_did, "--value", "a=1", "--out", paths["vc"])
+        assert (code, err) == (0, "")
+        run("present", "--wallet", paths["alice"], "--credential", paths["vc"],
+            "--challenge", "99" * 32, "--out", paths["vp"])
+        code, _, err = run("verify", "--presentation", paths["vp"],
+                           "--challenge", "99" * 32, "--ledger", paths["ledger"])
+        assert code == 2
+        assert "writer membership" in err
+
 
 class TestLedgerValidate:
     def test_fresh_ledger_is_ok(self, run, paths):
@@ -333,6 +354,18 @@ class TestScenarioCommands:
         assert code == 0
         report = json.loads(out)
         assert report["forged_accepted"] == 0
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (("--scenario", "ca", "--forgeries", "20"),
+         '{"scenario":"ca-compromise","forged_accepted":20,"forged_rejected":0,'
+         '"total_forgeries":20}\n'),
+        (("--scenario", "ledger", "--writers", "3", "--compromised", "1", "--forgeries", "20"),
+         '{"scenario":"ledger-writer-compromise","forged_accepted":0,"forged_rejected":20,'
+         '"total_forgeries":20,"writers":3,"compromised":1}\n'),
+    ])
+    def test_compare_prints_the_report_bytes(self, capsys, argv, stdout):
+        assert main(["compare", *argv]) == 0
+        assert capsys.readouterr().out == stdout
 
     def test_compare_ledger_without_writers_exits_1(self):
         proc = run_script("compare", "--scenario", "ledger", "--writers", "0",

@@ -84,7 +84,7 @@ def patient_schema(ledger, issuer):
 @pytest.fixture
 def credential(ledger, issuer, holder, patient_schema, rng, clock):
     return issue_credential(issuer, derive_did(holder.public_key), patient_schema,
-                            dict(PATIENT_VALUES), ledger, rng=rng, clock=clock)
+                            dict(PATIENT_VALUES), ledger, rng=rng)
 
 
 class TestDefineSchema:
@@ -131,24 +131,24 @@ class TestIssue:
         del values["dob"]
         with pytest.raises(SchemaMismatch):
             issue_credential(issuer, derive_did(holder.public_key), patient_schema, values,
-                             ledger, rng=rng, clock=clock)
+                             ledger, rng=rng)
 
     def test_extra_value_rejected(self, ledger, issuer, holder, patient_schema, rng, clock):
         values = dict(PATIENT_VALUES, blood_type="O+")
         with pytest.raises(SchemaMismatch):
             issue_credential(issuer, derive_did(holder.public_key), patient_schema, values,
-                             ledger, rng=rng, clock=clock)
+                             ledger, rng=rng)
 
     def test_only_schema_owner_can_issue(self, ledger, holder, patient_schema, rng, clock):
         with pytest.raises(NotSchemaOwner):
             issue_credential(holder, derive_did(holder.public_key), patient_schema,
-                             dict(PATIENT_VALUES), ledger, rng=rng, clock=clock)
+                             dict(PATIENT_VALUES), ledger, rng=rng)
 
     def test_unregistered_holder_rejected(self, ledger, issuer, patient_schema, rng, clock):
         ghost = derive_did(seeded_keypair(b"ghost").public_key)
         with pytest.raises(UnknownDid):
             issue_credential(issuer, ghost, patient_schema, dict(PATIENT_VALUES),
-                             ledger, rng=rng, clock=clock)
+                             ledger, rng=rng)
 
     def test_no_attribute_plaintext_reaches_the_ledger(self, ledger, credential):
         # privacy-leak scan over the full serialized ledger
@@ -188,7 +188,7 @@ class TestPresentations:
         schema = define_schema(issuer, "AadhaarID", 1, AADHAAR_ATTRS, ledger)
         values = {name: f"value-of-{name}-0x{name[::-1]}" for name in AADHAAR_ATTRS}
         credential = issue_credential(issuer, derive_did(holder.public_key), schema, values,
-                                      ledger, rng=rng, clock=clock)
+                                      ledger, rng=rng)
         pres = create_presentation(credential, ["date_of_birth"], b"\x02" * 32, holder)
         data = canonical_json_bytes(pres.to_json_dict())
         revealed_salt = pres.revealed[0].salt

@@ -622,7 +622,7 @@ class TestKeyBuildCounts:
         schema = define_schema(issuer, "Counted", 1, ["a"], ledger)
         holder_did = derive_did(holder.public_key)
         credentials = [issue_credential(issuer, holder_did, schema, {"a": str(i)}, ledger,
-                                        rng=rng, clock=clock) for i in range(20)]
+                                        rng=rng) for i in range(20)]
         for credential in credentials[:5]:
             revoke_credential(issuer, credential.credential_id, ledger)
         # the issuer signs 46 times and the operator seals 26 blocks
@@ -674,7 +674,7 @@ class TestKeyBuildCounts:
             self, ledger, issuer, holder, rng, clock, builds, monkeypatch):
         schema = define_schema(issuer, "Counted", 1, ["a"], ledger)
         credential = issue_credential(issuer, derive_did(holder.public_key), schema,
-                                      {"a": "1"}, ledger, rng=rng, clock=clock)
+                                      {"a": "1"}, ledger, rng=rng)
         presentation = create_presentation(credential, ["a"], b"\x07" * 32, holder)
         checks = []
         real_verify = ssisim.engine.verify

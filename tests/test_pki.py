@@ -12,6 +12,7 @@ from ssisim.errors import (
 )
 from ssisim.identity import generate_keypair
 from ssisim.pki import (
+    CERT_LIFETIME_TICKS,
     CertStatus,
     CertVerdict,
     CompromiseConfig,
@@ -141,7 +142,7 @@ class TestIssuanceAndVerification:
 
     def test_expired_certificate_is_invalid(self, hierarchy, clock):
         cert = self.issue(hierarchy, clock)
-        for _ in range(hierarchy.cert_lifetime + 1):
+        for _ in range(CERT_LIFETIME_TICKS + 1):
             clock.tick()
         verdict = verify_certificate(hierarchy, cert, clock)
         assert (verdict.valid, verdict.cause) == (False, VerdictCause.EXPIRED)
