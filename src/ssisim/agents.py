@@ -6,7 +6,7 @@ resolved from the ledger. A DID-Auth challenge names the DID it was issued
 to, and only that DID's answer can spend it.
 """
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 from .credentials import Credential, VerificationReport
@@ -19,6 +19,8 @@ from .serialization import canonical_json_bytes, encode_parts, expect_str, load_
 from .wallet import Wallet
 
 CHALLENGE_TTL_TICKS = 100
+# An agent holds at most this many unanswered challenges: issuing one more drops the oldest.
+MAX_OUTSTANDING_CHALLENGES = 1024
 
 _AUTH_CONTEXT = "ssisim/did-auth/v1"
 
@@ -69,7 +71,7 @@ class Agent:
         self.bus = bus
         self.rng = rng
         self.clock = clock
-        self._outstanding: dict = {}  # nonce -> AuthChallenge
+        self._outstanding = OrderedDict()  # nonce -> AuthChallenge, oldest first
         bus.register(self)
 
     @property
@@ -120,13 +122,24 @@ class Agent:
     # -- DID-Auth
 
     def did_auth_challenge(self, subject_did: Did) -> AuthChallenge:
-        """Issue a fresh single-use nonce for the subject to sign."""
+        """Issue a fresh single-use nonce for the subject to sign.
+
+        First drop every expired challenge, and the oldest ones while
+        MAX_OUTSTANDING_CHALLENGES are held; answers to them then fail.
+        """
         self.ledger_view.resolve_did(subject_did, reader_did=self.did)
+        now = self.clock.now()
+        # The clock is monotone, so the oldest challenge, and every expired one, leads.
+        outstanding = self._outstanding
+        while outstanding and (
+                len(outstanding) >= MAX_OUTSTANDING_CHALLENGES
+                or now - next(iter(outstanding.values())).issued_at > CHALLENGE_TTL_TICKS):
+            outstanding.popitem(last=False)
         challenge = AuthChallenge(
             verifier_did=self.did,
             subject_did=subject_did,
             nonce=self.rng.randbytes(32),
-            issued_at=self.clock.now(),
+            issued_at=now,
         )
         self._outstanding[challenge.nonce] = challenge
         return challenge

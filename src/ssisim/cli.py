@@ -302,13 +302,16 @@ def present(args) -> int:
 
 
 @_command(_arg("--presentation", required=True), _arg("--challenge", required=True), _LEDGER,
+          _arg("--wallet", default=argparse.SUPPRESS, help="Verifier wallet: read as its DID."),
           name="verify")
 def verify_cmd(args) -> int:
     """Verify a presentation against the registry; exit 2 on Reject."""
     ledger = _load_ledger(_given(args.ledger, "--ledger"))
     presentation = Presentation.from_json_dict(load_json(_read_bytes(args.presentation)))
+    reader_did = _load_wallet(args.wallet).did if args.wallet else None
     report = verify_presentation(ledger, presentation,
-                                 parse_hex(args.challenge, 32, "--challenge"))
+                                 parse_hex(args.challenge, 32, "--challenge"),
+                                 reader_did=reader_did)
     _print_json(report.to_json_dict())
     return 0 if report.accepted else 2
 

@@ -145,51 +145,46 @@ def _verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
 _MIN_CHUNK = 128
 
 
-def _chunk_count(jobs: int) -> int:
-    """How many contiguous chunks verify_each splits jobs into; below 2 it forks nothing."""
-    if jobs < 2 * _MIN_CHUNK or not hasattr(os, "fork") or threading.active_count() > 1:
+def _chunk_count(items: int) -> int:
+    """How many contiguous chunks split_each splits items into; below 2 it forks nothing."""
+    if items < 2 * _MIN_CHUNK or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(cpus, jobs // _MIN_CHUNK)
+    return min(cpus, items // _MIN_CHUNK)
 
 
-def verify_each(jobs: list) -> bytes:
-    """One 0/1 verdict per (public_key, message, signature) job, in order.
+def split_each(work, items: list, width: int) -> bytes:
+    """work(items), where work(chunk) gives exactly width bytes per item of chunk, in order.
 
-    The answer is bytes(verify(*job) for job in jobs) on any CPU count.
-    Given two chunks of _MIN_CHUNK jobs or more, a CPU for each and os.fork
-    in a single-threaded process, the jobs are split into one contiguous
-    chunk per CPU: this process verifies the first and a forked helper each
-    of the others. A chunk whose helper fails or answers short is verified
-    here instead.
+    Given two chunks of _MIN_CHUNK items or more, a CPU for each and os.fork
+    in a single-threaded process, the items are split into one contiguous
+    chunk per CPU: this process runs work on the first and a forked helper on
+    each of the others. A chunk whose helper fails or answers short is run
+    here instead. This is the only place the package forks.
     """
-    chunks = _chunk_count(len(jobs))
+    chunks = _chunk_count(len(items))
     if chunks < 2:
-        return _verdicts(jobs)
-    bounds = [len(jobs) * k // chunks for k in range(chunks + 1)]
-    parts = [jobs[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        return work(items)
+    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
+    parts = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
     helpers = []
     try:
         for part in parts[1:]:
-            helpers.append((*_fork_helper(part), part))
-        verdicts = _verdicts(parts[0])
+            helpers.append((*_fork_helper(work, part), part))
+        answer = work(parts[0])
         while helpers:
-            verdicts += _join_helper(*helpers.pop(0))
+            answer += _join_helper(work, width, *helpers.pop(0))
     finally:
         for pid, read_fd, _ in helpers:  # left only on an exception
             if pid is not None:
                 os.close(read_fd)  # a helper blocked on a full pipe then exits
                 os.waitpid(pid, 0)
-    return verdicts
+    return answer
 
 
-def _verdicts(jobs) -> bytes:
-    return bytes(verify(*job) for job in jobs)
-
-
-def _fork_helper(jobs) -> tuple:
-    """(pid, read end) of a process that writes one 0/1 byte per job; (None, None) if fork fails."""
+def _fork_helper(work, items) -> tuple:
+    """(pid, read end) of a process that writes work(items); (None, None) if fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -201,7 +196,7 @@ def _fork_helper(jobs) -> tuple:
         code = 1
         try:
             os.close(read_fd)
-            view = memoryview(_verdicts(jobs))
+            view = memoryview(work(items))
             while view:
                 view = view[os.write(write_fd, view):]
             code = 0
@@ -211,18 +206,35 @@ def _fork_helper(jobs) -> tuple:
     return pid, read_fd
 
 
-def _join_helper(pid, read_fd, jobs) -> bytes:
-    """The helper's verdicts on jobs, reaping it; verified here if it failed or answered short."""
+def _join_helper(work, width, pid, read_fd, items) -> bytes:
+    """The helper's answer on items, reaping it; run here if it failed or answered short."""
     if pid is None:
-        return _verdicts(jobs)
+        return work(items)
     try:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    if status != 0 or len(data) != len(jobs) or not set(data) <= {0, 1}:
-        return _verdicts(jobs)
+    if status != 0 or len(data) != width * len(items):
+        return work(items)
     return data
+
+
+def verify_each(jobs: list) -> bytes:
+    """One 0/1 verdict per (public_key, message, signature) job, in order.
+
+    The answer is bytes(verify(*job) for job in jobs) on any CPU count: the
+    jobs are split over the CPUs by split_each, and an answer with a byte
+    other than 0 or 1 is verified here again.
+    """
+    verdicts = split_each(_verdicts, jobs, 1)
+    if not set(verdicts) <= {0, 1}:
+        return _verdicts(jobs)
+    return verdicts
+
+
+def _verdicts(jobs) -> bytes:
+    return bytes(verify(*job) for job in jobs)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

@@ -15,14 +15,12 @@ order: the dump and the strict parse are both built from it.
 
 import hashlib
 import json
-import re
 import struct
 
 from .errors import ParseError
 
 B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(B58_ALPHABET)}
-_HEX_RE = re.compile(r"^[0-9a-f]*$")
 MAX_INT = 2**64 - 1  # the largest integer the binary rule's 8 bytes hold
 
 
@@ -176,9 +174,12 @@ def expect_list(value, where: str) -> list:
 def parse_hex(value, length: int | None, where: str) -> bytes:
     """Strict lowercase-hex decode; `length` is the expected byte count."""
     text = expect_str(value, where)
-    if len(text) % 2 != 0 or not _HEX_RE.fullmatch(text):
-        raise ParseError(f"{where}: expected lowercase hex")
-    data = bytes.fromhex(text)
+    try:
+        data = bytes.fromhex(text)
+        if data.hex() != text:  # fromhex also takes uppercase digits and whitespace
+            raise ValueError(text)
+    except ValueError:
+        raise ParseError(f"{where}: expected lowercase hex") from None
     if length is not None and len(data) != length:
         raise ParseError(f"{where}: expected {length} bytes, got {len(data)}")
     return data

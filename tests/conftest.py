@@ -103,7 +103,7 @@ def flip_bit(data: bytes) -> bytes:
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs as verify_each sees them; holds the pids of the helpers it forks.
+    """Two CPUs as split_each sees them; holds the pids of the helpers it forks.
 
     Afterwards every helper must have been reaped and every pipe end closed.
     """
@@ -124,3 +124,12 @@ def two_cpus(monkeypatch):
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.fixture(params=["two CPUs", "no fork"])
+def helpers(request, monkeypatch):
+    """The pids of the helpers forked under two CPUs (see two_cpus); None with os.fork removed."""
+    if request.param == "no fork":
+        monkeypatch.delattr(os, "fork")
+        return None
+    return request.getfixturevalue("two_cpus")

@@ -152,8 +152,10 @@ class TestEndToEndFlow:
         assert b"visible-value" in data
         assert b"hidden-value" not in data
 
-    def test_issue_on_a_private_ledger_reads_the_schema_as_the_issuer(self, run, paths):
-        # the genesis writer is the issuer, so it may read; verify names no reader
+    @staticmethod
+    def private_presentation(run, paths) -> tuple:
+        """The operator, the one writer, issues to alice on a private-permissioned ledger and
+        alice presents; the argv that verifies her presentation, with no reader named."""
         run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
         _, out, _ = run("wallet-init", "--seed", "cc" * 32, "--wallet", paths["alice"])
         alice_did = json.loads(out)["did"]
@@ -166,10 +168,24 @@ class TestEndToEndFlow:
         code, out, err = run("issue", *writer, "--schema-id", json.loads(out)["schema_id"],
                              "--holder-did", alice_did, "--value", "a=1", "--out", paths["vc"])
         assert (code, err) == (0, "")
-        run("present", "--wallet", paths["alice"], "--credential", paths["vc"],
-            "--challenge", "99" * 32, "--out", paths["vp"])
-        code, _, err = run("verify", "--presentation", paths["vp"],
-                           "--challenge", "99" * 32, "--ledger", paths["ledger"])
+        assert run("present", "--wallet", paths["alice"], "--credential", paths["vc"],
+                   "--challenge", "99" * 32, "--out", paths["vp"])[0] == 0
+        return ("verify", "--presentation", paths["vp"], "--challenge", "99" * 32,
+                "--ledger", paths["ledger"])
+
+    def test_issue_on_a_private_ledger_reads_the_schema_as_the_issuer(self, run, paths):
+        # the genesis writer is the issuer, so it may read; a verify with no wallet cannot
+        code, _, err = run(*self.private_presentation(run, paths))
+        assert code == 2
+        assert "writer membership" in err
+
+    def test_verify_on_a_private_ledger_reads_as_the_wallet(self, run, paths):
+        verify = self.private_presentation(run, paths)
+        for argv in (("--wallet", paths["op"], *verify), (*verify, "--wallet", paths["op"])):
+            code, out, err = run(*argv)
+            assert (code, json.loads(out)["verdict"], err) == (0, "accept", "")
+        # a wallet outside the writer set may not read a private ledger
+        code, _, err = run("--wallet", paths["alice"], *verify)
         assert code == 2
         assert "writer membership" in err
 

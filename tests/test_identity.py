@@ -38,6 +38,7 @@ from ssisim.identity import (
     key_agreement_public,
     make_did_document,
     sign,
+    split_each,
     verify,
     verify_each,
 )
@@ -191,14 +192,6 @@ class TestVerifyEach:
         messages = [b"each" + i.to_bytes(4, "big") for i in range(max(self.LENGTHS))]
         return [(key.public_key, m, sign(key.private_key, m)) for m in messages]
 
-    @pytest.fixture(params=["two CPUs", "no fork"])
-    def helpers(self, request, monkeypatch):
-        """The pids of the helpers forked under two CPUs; None with os.fork removed."""
-        if request.param == "no fork":
-            monkeypatch.delattr(os, "fork")
-            return None
-        return request.getfixturevalue("two_cpus")
-
     @classmethod
     def faulted(cls, jobs, length, fault):
         """The first length jobs, with the fault at the first and last jobs and either
@@ -262,8 +255,25 @@ class TestVerifyEach:
         assert two_cpus == []
 
 
+class TestSplitEach:
+    """What split_each leaves behind when work fails in this process."""
+
+    def test_no_helper_is_left_when_work_raises_here(self, helpers):
+        parent = os.getpid()
+
+        def work(items):
+            if os.getpid() == parent:
+                raise RuntimeError("work failed")
+            return bytes(1024) * len(items)  # more than a pipe holds: the helper blocks
+
+        with pytest.raises(RuntimeError, match="work failed"):
+            split_each(work, list(range(600)), 1024)
+        if helpers is not None:  # two_cpus checks that it was reaped and its pipe closed
+            assert len(helpers) == 1
+
+
 class TestOneForkPath:
-    """Every fork goes through identity.verify_each, as the README says."""
+    """Every fork goes through identity.split_each, as the README says."""
 
     SRC = Path(ssisim.identity.__file__).parent
 
@@ -291,8 +301,8 @@ class TestOneForkPath:
         assert self.calls({"fork", "forkpty", "posix_spawn", "posix_spawnp"}) == [
             ("identity", "_fork_helper", "fork")]
 
-    def test_only_verify_each_starts_a_helper(self):
-        assert self.calls({"_fork_helper"}) == [("identity", "verify_each", "_fork_helper")]
+    def test_only_split_each_starts_a_helper(self):
+        assert self.calls({"_fork_helper"}) == [("identity", "split_each", "_fork_helper")]
 
     def test_no_module_imports_another_way_to_start_a_process(self):
         for path in self.SRC.glob("*.py"):
@@ -636,7 +646,9 @@ class TestKeyBuildCounts:
         assert len(x25519) == 4
         assert set(x25519.values()) == {1}
 
-    def test_ca_compromise_builds_the_stolen_key_once(self, builds):
+    def test_ca_compromise_builds_the_stolen_key_once(self, builds, monkeypatch):
+        # A forked helper would forge half the certificates where these counts cannot see it.
+        monkeypatch.delattr(os, "fork")
         report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
         assert report.forged_accepted == 1000
         # the same hierarchy again, from keys the run left in the memo

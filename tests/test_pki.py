@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import ssisim.identity
 import ssisim.pki
 from ssisim.errors import (
     BadProofOfPossession,
@@ -16,6 +17,7 @@ from ssisim.pki import (
     CertStatus,
     CertVerdict,
     CompromiseConfig,
+    CompromiseReport,
     VerdictCause,
     build_hierarchy,
     ca_issue,
@@ -302,35 +304,114 @@ class TestBatchVerification:
         assert len(two_cpus) == 1
 
 
-class TestBatchedCompromiseRun:
-    """The CA run issues its forgeries, then checks them in windows; its report is unchanged."""
+class TestSplitCompromiseRun:
+    """The CA run forges each window over the CPUs, then checks it as one batch; its
+    report and certificates are those of forging each in turn in one process."""
 
     @staticmethod
-    def serial_report(monkeypatch, forgeries):
-        with monkeypatch.context() as patch:
-            patch.delattr(os, "fork")
-            return run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
+    def forged_in_turn(forgeries):
+        """The run's forged certificates, each forged as its seed and serial are drawn."""
+        rng = DeterministicRng(CompromiseConfig.seed)
+        hierarchy = build_hierarchy(rng=rng)
+        stolen, forged = hierarchy.subordinate, []
+        for i in range(forgeries):
+            mallory = generate_keypair(rng.randbytes(32))
+            forged.append(issue_signed_certificate(
+                stolen.name, stolen.keypair, serial=hierarchy.next_serial(),
+                subject_name=f"forged-subject-{i}", subject_public_key=mallory.public_key,
+                not_before=0, not_after=CERT_LIFETIME_TICKS,
+            ))
+        return forged
 
-    @pytest.mark.parametrize("forgeries, helpers", [(1000, 1), (255, 0)])
-    def test_a_window_of_256_forgeries_or_more_forks_one_helper(self, two_cpus, monkeypatch,
-                                                                forgeries, helpers):
-        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
-        assert len(two_cpus) == helpers
-        assert report.forged_accepted == forgeries
-        assert report == self.serial_report(monkeypatch, forgeries)
-
-    def test_windows_bound_each_batch(self, two_cpus, monkeypatch):
-        batches = []
+    @staticmethod
+    def run(monkeypatch, forgeries):
+        """(The run's report, the windows of certificates it checked.)"""
+        windows = []
         real = ssisim.pki.verify_certificates
 
-        def counted(hierarchy, certificates, clock):
-            batches.append(len(certificates))
+        def recorded(hierarchy, certificates, clock):
+            windows.append(list(certificates))
             return real(hierarchy, certificates, clock)
 
         with monkeypatch.context() as patch:
-            patch.setattr(ssisim.pki, "verify_certificates", counted)
-            patch.setattr(ssisim.pki, "_CHECK_WINDOW", 300)
-            report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
-        assert batches == [300, 300, 300, 100]
-        assert len(two_cpus) == 3
-        assert report == self.serial_report(monkeypatch, 1000)
+            patch.setattr(ssisim.pki, "verify_certificates", recorded)
+            report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
+        return report, windows
+
+    @staticmethod
+    def all_accepted(forgeries):
+        return CompromiseReport(scenario="ca-compromise", forged_accepted=forgeries,
+                                forged_rejected=0, total_forgeries=forgeries)
+
+    @pytest.mark.parametrize("forgeries", [0, 255, 256, 1000])
+    def test_certificates_are_the_serial_ones(self, helpers, monkeypatch, forgeries):
+        report, windows = self.run(monkeypatch, forgeries)
+        assert report == self.all_accepted(forgeries)
+        assert windows == ([self.forged_in_turn(forgeries)] if forgeries else [])
+        if helpers is not None:  # one to forge and one to check
+            assert len(helpers) == 2 * (forgeries >= 256)
+
+    @pytest.mark.parametrize("window, forgeries", [(300, 1000), (256, 513), (255, 510)])
+    def test_window_edges_keep_the_serial_certificates(self, helpers, monkeypatch, window,
+                                                       forgeries):
+        monkeypatch.setattr(ssisim.pki, "_CHECK_WINDOW", window)
+        report, windows = self.run(monkeypatch, forgeries)
+        assert report == self.all_accepted(forgeries)
+        serial = self.forged_in_turn(forgeries)
+        assert windows == [serial[at:at + window] for at in range(0, forgeries, window)]
+        if helpers is not None:
+            assert len(helpers) == 2 * sum(len(w) >= 256 for w in windows)
+
+    def test_windows_bound_each_batch(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(ssisim.pki, "_CHECK_WINDOW", 300)
+        report, windows = self.run(monkeypatch, 1000)
+        assert [len(w) for w in windows] == [300, 300, 300, 100]
+        assert len(two_cpus) == 6
+        assert report == self.all_accepted(1000)
+
+    @pytest.mark.parametrize("failure", ["fork raises", "exits non-zero", "answers short"])
+    def test_a_failing_forger_changes_no_byte(self, two_cpus, monkeypatch, failure):
+        if failure == "fork raises":
+            def fork():
+                raise OSError("no process left")
+
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            real_write = os.write  # only helpers write or exit while the run goes on
+
+            def write(fd, data):
+                if failure == "answers short":
+                    real_write(fd, data[:10])
+                else:  # a whole answer, but garbage, so only the exit code can refuse it
+                    real_write(fd, b"\x07" * len(data))
+                return len(data)
+
+            monkeypatch.setattr(os, "write", write)
+            if failure == "exits non-zero":
+                real_exit = os._exit
+                monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or 3))
+        report, windows = self.run(monkeypatch, 1000)
+        assert report == self.all_accepted(1000)
+        assert windows == [self.forged_in_turn(1000)]
+        assert len(two_cpus) == (0 if failure == "fork raises" else 2)
+
+    def test_no_helper_forks_again(self, two_cpus, monkeypatch, tmp_path):
+        log = tmp_path / "forks"
+        counted_fork = os.fork
+
+        def fork():  # a helper's fork would append here too, though not to two_cpus
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        widths = []
+        for module in (ssisim.identity, ssisim.pki):
+            real = module.split_each
+            monkeypatch.setattr(module, "split_each", lambda work, items, width, real=real:
+                                widths.append(width) or real(work, items, width))
+        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
+        assert report == self.all_accepted(1000)
+        assert widths == [96, 1]  # forge, then check
+        assert log.read_text().split() == [str(os.getpid())] * 2
+        assert len(two_cpus) == 2

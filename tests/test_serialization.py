@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import replace
 from enum import Enum, IntEnum
@@ -31,6 +32,7 @@ from ssisim.serialization import (
     encode_parts,
     expect_int,
     expect_object,
+    expect_str,
     load_json,
     parse_hex,
 )
@@ -357,6 +359,37 @@ class TestKnownPayloads:
         assert any(data.startswith(context) for data in known_payloads().values())
 
 
+def regex_parse_hex(value, length, where):
+    """parse_hex as it was before it dropped its regex: the reference for its refusals."""
+    text = expect_str(value, where)
+    if len(text) % 2 != 0 or not re.fullmatch(r"^[0-9a-f]*$", text):
+        raise ParseError(f"{where}: expected lowercase hex")
+    data = bytes.fromhex(text)
+    if length is not None and len(data) != length:
+        raise ParseError(f"{where}: expected {length} bytes, got {len(data)}")
+    return data
+
+
+def hex_outcome(parse, value, length):
+    """parse's bytes, or the text of the ParseError it raised."""
+    try:
+        return parse(value, length, "x")
+    except ParseError as exc:
+        return str(exc)
+
+
+HEX_CASES = [
+    ("", None), ("", 0), ("", 1), ("0aff", 2), ("0aff", None), ("0aff", 3), ("0aff", 1),
+    ("0af", None), ("a", 1),  # odd length
+    ("0AFF", 2), ("0aFf", 2), ("AB", None),  # uppercase
+    (" 0aff", 2), ("0a ff", 2), ("0aff ", 2), ("0a\tff", 2), ("  ", None),  # whitespace
+    ("ab\n", 1), ("ab\n\n", None), ("\nab", 1),
+    ("\u0661\u0662", 1), ("\uff10\uff10", 1), ("0\u0663", 1), ("ü0", None),  # not ASCII
+    ("0g", 1), ("0x0a", None), ("--", 1),
+    (None, 1), (12, 1), (b"0aff", 2), (["0a"], 1), (True, None),  # not a str
+]
+
+
 class TestStrictJson:
     def test_canonical_json_is_compact_and_ordered(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"b":1,"a":2}'
@@ -376,6 +409,17 @@ class TestStrictJson:
             parse_hex("0af", None, "x")
         with pytest.raises(ParseError):
             parse_hex("0aff", 3, "x")
+
+    @pytest.mark.parametrize("value, length", HEX_CASES)
+    def test_parse_hex_refuses_as_the_regex_did(self, value, length):
+        assert hex_outcome(parse_hex, value, length) == hex_outcome(
+            regex_parse_hex, value, length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="09afAF \t\n\x0b\u0663\uff10g", max_size=8),
+           length=st.sampled_from([None, 0, 1, 2, 3]))
+    def test_parse_hex_matches_the_regex_on_any_text(self, text, length):
+        assert hex_outcome(parse_hex, text, length) == hex_outcome(regex_parse_hex, text, length)
 
     def test_expect_int_takes_exactly_the_canonical_range(self):
         assert expect_int(0, "x") == 0

@@ -3,7 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from ssisim.agents import CHALLENGE_TTL_TICKS, Agent, AuthResponse, MessageBus
+from ssisim.agents import (
+    CHALLENGE_TTL_TICKS,
+    MAX_OUTSTANDING_CHALLENGES,
+    Agent,
+    AuthResponse,
+    MessageBus,
+)
 from ssisim.credentials import build_credential
 from ssisim.engine import define_schema, issue_credential, revoke_credential
 from ssisim.errors import (
@@ -320,6 +326,29 @@ class TestDidAuth:
             bob.clock.tick()
         with pytest.raises(StaleChallenge):
             bob.did_auth_check(response)
+
+    def test_a_new_challenge_drops_the_expired_ones(self, world):
+        _, _, agents = world
+        alice, bob = agents["alice"], agents["bob"]
+        unanswered = [bob.did_auth_challenge(alice.did) for _ in range(1000)]
+        for _ in range(CHALLENGE_TTL_TICKS + 200):
+            bob.clock.tick()
+        # still held, so still stale
+        with pytest.raises(StaleChallenge):
+            bob.did_auth_check(alice.did_auth_respond(unanswered[0]))
+        fresh = bob.did_auth_challenge(alice.did)
+        assert list(bob._outstanding) == [fresh.nonce]
+        # a dropped nonce fails as one never issued does
+        assert bob.did_auth_check(alice.did_auth_respond(unanswered[-1])) is False
+        assert bob.did_auth_check(alice.did_auth_respond(fresh)) is True
+
+    def test_a_full_agent_drops_its_oldest_challenge(self, world):
+        _, _, agents = world
+        alice, bob = agents["alice"], agents["bob"]
+        held = [bob.did_auth_challenge(alice.did) for _ in range(MAX_OUTSTANDING_CHALLENGES + 2)]
+        assert list(bob._outstanding) == [c.nonce for c in held[2:]]
+        assert bob.did_auth_check(alice.did_auth_respond(held[1])) is False
+        assert bob.did_auth_check(alice.did_auth_respond(held[2])) is True
 
     def test_unknown_nonce_fails(self, world):
         from ssisim.identity import sign
