@@ -102,7 +102,7 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
     """Check a presentation against the registry; failures land in the report."""
     checks = []
 
-    anchor = ledger.credential_anchor(presentation.credential_id, reader_did=reader_did)
+    anchor, status = ledger.credential_record(presentation.credential_id, reader_did=reader_did)
     root = anchor.commitment_root if anchor is not None else None
 
     schema = _schema(ledger, presentation.schema_id, reader_did)
@@ -111,7 +111,6 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
                    and schema.issuer_did == presentation.issuer_did
                    and revealed_names <= set(schema.attribute_names)))
 
-    status = ledger.credential_status(presentation.credential_id, reader_did=reader_did)
     checks.append(("status_active", status is CredentialStatus.ACTIVE))
 
     anchored_by_issuer = anchor is not None and anchor.issuer_did == presentation.issuer_did
@@ -154,12 +153,11 @@ def verify_credential(ledger: Ledger, credential: Credential,
                    and schema.attribute_names == tuple(n for n, _ in credential.attributes)))
     # tamper_check verifies the issuer signature against the ledger key; the anchor
     # must then carry this root and name this issuer.
-    anchor = ledger.credential_anchor(credential.credential_id, reader_did=reader_did)
+    anchor, status = ledger.credential_record(credential.credential_id, reader_did=reader_did)
     checks.append(("commitment_root", tamper_check(credential, ledger, reader_did=reader_did)
                    and anchor is not None
                    and anchor.commitment_root == credential.commitment_root
                    and anchor.issuer_did == credential.issuer_did))
-    status = ledger.credential_status(credential.credential_id, reader_did=reader_did)
     checks.append(("status_active", status is CredentialStatus.ACTIVE))
     return VerificationReport(checks=tuple(checks))
 
@@ -167,12 +165,12 @@ def verify_credential(ledger: Ledger, credential: Credential,
 def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> None:
     """Permanently flip the credential to Revoked; only the anchoring issuer may."""
     issuer_did = derive_did(issuer.public_key)
-    anchor = ledger.credential_anchor(credential_id, reader_did=issuer_did)
+    anchor, status = ledger.credential_record(credential_id, reader_did=issuer_did)
     if anchor is None:
         raise UnknownCredential(f"credential {credential_id.hex()} was never anchored")
     if anchor.issuer_did != issuer_did:
         raise NotIssuer(f"{issuer_did} did not anchor this credential")
-    if ledger.credential_status(credential_id, reader_did=issuer_did) is CredentialStatus.REVOKED:
+    if status is CredentialStatus.REVOKED:
         raise UnknownTransition("credential is already revoked")
     tx = _signed(issuer, Revoke(
         credential_id=credential_id,

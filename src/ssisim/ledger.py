@@ -232,7 +232,7 @@ class AnchorCredential(_IssuerSigned):
         return state.anchors, self.credential_id
 
     def rule(self, state: "RegistryState") -> str | None:
-        if state.anchor(self.credential_id) is not None:
+        if state.credential(self.credential_id)[0] is not None:
             return "duplicate anchor"
         return None
 
@@ -254,12 +254,12 @@ class Revoke(_IssuerSigned):
         return state.revokes, self.credential_id
 
     def rule(self, state: "RegistryState") -> str | None:
-        anchor = state.anchor(self.credential_id)
+        anchor, status = state.credential(self.credential_id)
         if anchor is None:
             return "unknown credential"
         if anchor.issuer_did != self.issuer_did:
             return "revoker is not the anchoring issuer"
-        if state.revoked(self.credential_id):
+        if status is CredentialStatus.REVOKED:
             return "already revoked"
         return None
 
@@ -389,19 +389,18 @@ class RegistryState:
         entry = self._first_valid(self.schemas.get(schema_id, ()))
         return entry.tx.schema if entry else None
 
-    def anchor(self, credential_id: bytes) -> AnchorCredential | None:
-        entry = self._first_valid(self.anchors.get(credential_id, ()))
-        return entry.tx if entry else None
-
-    def revoked(self, credential_id: bytes) -> bool:
-        """True iff a valid revoke by the anchoring issuer follows the winning anchor."""
-        revokes = self.revokes.get(credential_id)
-        anchor = revokes and self._first_valid(self.anchors.get(credential_id, ()))
-        if not anchor:
-            return False
-        after = (entry for entry in revokes if entry.position > anchor.position
+    def credential(self, credential_id: bytes) -> tuple[AnchorCredential | None, CredentialStatus]:
+        """The winning anchor, or None, and the credential's status: revoked iff a
+        valid revoke by the anchoring issuer follows that anchor."""
+        anchor = self._first_valid(self.anchors.get(credential_id, ()))
+        if anchor is None:
+            return None, CredentialStatus.UNKNOWN
+        after = (entry for entry in self.revokes.get(credential_id, ())
+                 if entry.position > anchor.position
                  and entry.tx.issuer_did == anchor.tx.issuer_did)
-        return self._first_valid(after) is not None
+        if self._first_valid(after) is None:
+            return anchor.tx, CredentialStatus.ACTIVE
+        return anchor.tx, CredentialStatus.REVOKED
 
     def key_agreement_did(self, fingerprint: str) -> str | None:
         """Replay new registrations into ka_index; the first DID to claim a fingerprint keeps it."""
@@ -671,20 +670,19 @@ class Ledger:
             raise UnknownSchema(f"schema {schema_id.hex()} is not defined")
         return schema
 
+    def credential_record(self, credential_id: bytes, reader_did: Did | None = None
+                          ) -> tuple[AnchorCredential | None, CredentialStatus]:
+        """The credential's winning anchor, or None, and its status, in one read."""
+        self._check_read_access(reader_did)
+        return self._index().credential(credential_id)
+
     def credential_status(self, credential_id: bytes,
                           reader_did: Did | None = None) -> CredentialStatus:
-        self._check_read_access(reader_did)
-        state = self._index()
-        if state.anchor(credential_id) is None:
-            return CredentialStatus.UNKNOWN
-        if state.revoked(credential_id):
-            return CredentialStatus.REVOKED
-        return CredentialStatus.ACTIVE
+        return self.credential_record(credential_id, reader_did)[1]
 
     def credential_anchor(self, credential_id: bytes,
                           reader_did: Did | None = None) -> AnchorCredential | None:
-        self._check_read_access(reader_did)
-        return self._index().anchor(credential_id)
+        return self.credential_record(credential_id, reader_did)[0]
 
     def find_did_by_key_agreement(self, fingerprint: str,
                                   reader_did: Did | None = None) -> Did | None:

@@ -6,7 +6,6 @@ key id, and key material against each other.
 """
 
 import base64
-import binascii
 from dataclasses import dataclass, field
 
 from .credentials import Credential
@@ -89,7 +88,9 @@ def wallet_load(data: bytes) -> Wallet:
         blob_text = expect_str(item_obj["blob"], "blob")
         try:
             blob = base64.b64decode(blob_text, validate=True)
-        except binascii.Error as exc:
+        except ValueError as exc:  # binascii.Error, or a character outside ASCII
             raise ParseError(f"other_data[{i}].blob: invalid base64: {exc}") from None
+        if base64.b64encode(blob).decode("ascii") != blob_text:  # decoding skips pad bits
+            raise ParseError(f"other_data[{i}].blob: non-canonical base64 {blob_text!r}")
         other_data.append((expect_str(item_obj["label"], "label"), blob))
     return Wallet(keypair=keypair, did=did, credentials=credentials, other_data=other_data)

@@ -280,19 +280,34 @@ class TestLedgerValidate:
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {cause}\n")
         assert "Traceback" not in proc.stderr
 
-    def test_wallet_with_a_blob_that_is_not_base64_exits_3(self, run, paths):
+    @staticmethod
+    def register_with_blob(run, paths, blob):
+        """did-register with alice's wallet holding one blob; the ledger must not change."""
         bootstrap(run, paths)
         wallet = Path(paths["alice"])
         obj = json.loads(wallet.read_bytes())
-        obj["other_data"] = [{"label": "note", "blob": "not base64!"}]
+        obj["other_data"] = [{"label": "note", "blob": blob}]
         wallet.write_bytes(json.dumps(obj).encode())
         before = Path(paths["ledger"]).read_bytes()
         proc = run_script("did-register", "--wallet", paths["alice"], "--ledger",
                           paths["ledger"], "--writer-wallet", paths["op"])
+        assert Path(paths["ledger"]).read_bytes() == before
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def test_wallet_with_a_blob_that_is_not_base64_exits_3(self, run, paths):
+        proc = self.register_with_blob(run, paths, "not base64!")
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "other_data[0].blob: invalid base64" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert Path(paths["ledger"]).read_bytes() == before
+
+    @pytest.mark.parametrize("blob, cause", [
+        ("QR==", "non-canonical base64 'QR=='"),
+        ("\u00e9", "invalid base64: string argument should contain only ASCII characters"),
+    ], ids=["pad bits set", "not ASCII"])
+    def test_wallet_with_a_blob_that_would_not_save_back_exits_3(self, run, paths, blob, cause):
+        proc = self.register_with_blob(run, paths, blob)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", f"error: other_data[0].blob: {cause}\n")
 
 
 class TestExhaustedLedgerClock:

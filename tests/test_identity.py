@@ -318,6 +318,14 @@ class TestOneForkPath:
                         "multiprocessing", "concurrent", "subprocess"}, (path.name, module)
 
 
+class TestOneCredentialRead:
+    """The package reads a credential's anchor and status together, via credential_record."""
+
+    def test_no_module_but_the_ledger_calls_the_projections(self):
+        calls = TestOneForkPath.calls({"credential_anchor", "credential_status"})
+        assert [call for call in calls if call[0] != "ledger"] == []
+
+
 class TestEnvelopes:
     def setup_method(self):
         self.sender = generate_keypair(b"\x11" * 32)

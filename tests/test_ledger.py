@@ -917,7 +917,7 @@ class TestAdversarialOracle:
                              "moved_key_register", "taken_key_register",
                              "register_then_anchor", "schema",
                              "malformed_schema", "anchor", "anchor", "revoke", "revoke",
-                             "revoke"])
+                             "revoke", "revoke_then_anchor"])
             if op in ("register", "register_then_anchor"):
                 endpoint = (("agent", f"https://{rnd.randint(0, 9)}.example"),)
                 txs.append(RegisterDid(make_did_document(actor, endpoint,
@@ -948,9 +948,14 @@ class TestAdversarialOracle:
                 key = owner if signer is actor else forger
                 txs.append(replace(unsigned, submitter_signature=sign(
                     key.private_key, unsigned.signing_payload())))
-            elif op in ("anchor", "register_then_anchor"):
+            elif op in ("anchor", "register_then_anchor", "revoke_then_anchor"):
                 cid = rnd.choice(cids)
                 root = rng.randbytes(32)
+                if op == "revoke_then_anchor":
+                    # a revoke counts only after the winning anchor, so this one never does
+                    txs.append(Revoke(credential_id=cid, issuer_did=did,
+                                      submitter_signature=sign(signer.private_key,
+                                                               revoke_payload(cid, did))))
                 txs.append(AnchorCredential(
                     credential_id=cid, issuer_did=did, commitment_root=root,
                     submitter_signature=sign(signer.private_key,
@@ -977,10 +982,11 @@ class TestAdversarialOracle:
                 with pytest.raises(UnknownSchema):
                     led.lookup_schema(schema_id)
         for cid in cids:
-            assert led.credential_anchor(cid) == anchors.get(cid)
             expected = (CredentialStatus.REVOKED if cid in revoked
                         else CredentialStatus.ACTIVE if cid in anchors
                         else CredentialStatus.UNKNOWN)
+            assert led.credential_record(cid) == (anchors.get(cid), expected)
+            assert led.credential_anchor(cid) == anchors.get(cid)
             assert led.credential_status(cid) is expected
         index = replay_key_agreement(led)
         for fingerprint in fingerprints:
@@ -1127,6 +1133,48 @@ class TestVerificationCounts:
             verifications.clear()
         # the issuer's registration, the anchor and the revoke
         assert per_read == [3, 3]
+
+    def test_each_engine_check_reads_the_credential_once(self, verifications, monkeypatch,
+                                                         ledger, operator, issuer, holder, rng):
+        import ssisim.engine
+        from ssisim.engine import revoke_credential, verify_credential, verify_presentation
+
+        monkeypatch.setattr(ssisim.engine, "verify", identity.verify)  # the counting one
+        reads = []
+        record = Ledger.credential_record
+
+        def counted_record(led, credential_id, *args, **kw):
+            reads.append(credential_id)
+            return record(led, credential_id, *args, **kw)
+
+        monkeypatch.setattr(Ledger, "credential_record", counted_record)
+        schema = define_schema(issuer, "Badge", 1, ["level", "since"], ledger)
+        credential = issue_credential(issuer, derive_did(holder.public_key), schema,
+                                      {"level": "3", "since": "2020"}, ledger, rng=rng)
+        presentation = create_presentation(credential, ["level"], b"\x09" * 32, holder)
+        data = ledger.to_bytes()
+        checks = {
+            "verify_presentation": lambda led: verify_presentation(
+                led, presentation, b"\x09" * 32).accepted,
+            "verify_credential": lambda led: verify_credential(led, credential).accepted,
+            "revoke_credential": lambda led: revoke_credential(
+                issuer, credential.credential_id, led) is None,
+        }
+        counts = {}
+        for name, check in checks.items():
+            led = Ledger.from_bytes(data)
+            led.attach_writer(operator)
+            verifications.clear()
+            reads.clear()
+            assert check(led)
+            assert reads == [credential.credential_id]
+            counts[name] = len(verifications)
+        # Nothing is memoized on a fresh load. Each check verifies the issuer's
+        # registration and the anchor. A presentation adds the schema, the issuer and
+        # holder signatures and the holder's registration; a credential adds the schema
+        # and the issuer signature; a revoke adds its own signature.
+        assert counts == {"verify_presentation": 6, "verify_credential": 4,
+                          "revoke_credential": 3}
 
     def test_a_refused_file_costs_what_the_valid_one_does(self, verifications):
         data, _, _ = self.build_file(150)

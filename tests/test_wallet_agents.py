@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -83,6 +84,17 @@ class TestWalletFiles:
             tampered[field] = bad
             with pytest.raises(ParseError):
                 wallet_load(json.dumps(tampered).encode())
+
+    @pytest.mark.parametrize("blob, cause", [
+        ("QR==", "non-canonical base64 'QR=='"),
+        ("QUJ=", "non-canonical base64 'QUJ='"),
+        ("\u00e9", "invalid base64"),
+    ], ids=["pad bits set", "one pad char, bits set", "not ASCII"])
+    def test_a_blob_save_would_not_write_back_is_a_parse_error(self, blob, cause):
+        obj = json.loads(wallet_save(wallet_create(b"\x37" * 32)))
+        obj["other_data"] = [{"label": "note", "blob": blob}]
+        with pytest.raises(ParseError, match=re.escape(f"other_data[0].blob: {cause}")):
+            wallet_load(json.dumps(obj).encode())
 
     def test_garbage_input_is_a_parse_error(self):
         for data in (b"", b"{}", b"not json"):
