@@ -15,7 +15,7 @@ from .errors import ConfigError, FirstInvalid, ParseError, SsiSimError
 from .identity import Did, make_did_document
 from .ledger import Ledger, LedgerMode, RegisterDid
 from .runtime import LogicalClock
-from .serialization import canonical_json, load_json, parse_hex
+from .serialization import canonical_json, parse_hex
 from .wallet import wallet_create, wallet_load, wallet_save
 
 
@@ -276,7 +276,7 @@ def issue(args) -> int:
         _parse_pairs(args.value, "--value"), ledger,
     )
     _write_bytes(path, ledger.to_bytes())
-    _write_bytes(args.out, canonical_json(credential.to_json_dict()).encode("utf-8"))
+    _write_bytes(args.out, credential.to_bytes())
     _print_json({"credential_id": credential.credential_id.hex(), "credential": args.out})
     return 0
 
@@ -289,14 +289,14 @@ def issue(args) -> int:
 def present(args) -> int:
     """Build a selective-disclosure presentation bound to a challenge."""
     holder = _load_wallet(_given(args.wallet, "--wallet"))
-    credential = Credential.from_json_dict(load_json(_read_bytes(args.credential)))
+    credential = Credential.from_bytes(_read_bytes(args.credential))
     names = _parse_reveal(args.reveal)
     if names is None:
         names = [n for n, _ in credential.attributes]
     presentation = create_presentation(
         credential, names, parse_hex(args.challenge, 32, "--challenge"), holder.keypair,
     )
-    _write_bytes(args.out, canonical_json(presentation.to_json_dict()).encode("utf-8"))
+    _write_bytes(args.out, presentation.to_bytes())
     _print_json({"presentation": args.out, "revealed": sorted(names)})
     return 0
 
@@ -307,7 +307,7 @@ def present(args) -> int:
 def verify_cmd(args) -> int:
     """Verify a presentation against the registry; exit 2 on Reject."""
     ledger = _load_ledger(_given(args.ledger, "--ledger"))
-    presentation = Presentation.from_json_dict(load_json(_read_bytes(args.presentation)))
+    presentation = Presentation.from_bytes(_read_bytes(args.presentation))
     reader_did = _load_wallet(args.wallet).did if args.wallet else None
     report = verify_presentation(ledger, presentation,
                                  parse_hex(args.challenge, 32, "--challenge"),

@@ -50,13 +50,11 @@ from .serialization import (
     MAX_INT,
     STR,
     Record,
-    canonical_json_bytes,
     encode_bytes,
     encode_parts,
     expect_object,
     expect_str,
     list_codec,
-    load_json,
     parse_hex,
     record_codec,
     sha256,
@@ -443,7 +441,30 @@ class LedgerBlock(Record):
     )
 
 
-_dump_blocks, _load_blocks = list_codec(record_codec(LedgerBlock))
+def _load_mode(value, where: str) -> LedgerMode:
+    text = expect_str(value, where)
+    try:
+        return LedgerMode(text)
+    except ValueError:
+        raise ParseError(f"unknown ledger mode {text!r}") from None
+
+
+@dataclass(frozen=True)
+class LedgerFile(Record):
+    """The ledger file: the mode flag, then the chain, which holds at least one block."""
+
+    mode: LedgerMode
+    blocks: tuple
+
+    JSON = (("mode", (lambda mode: mode.value, _load_mode)),
+            ("blocks", list_codec(record_codec(LedgerBlock))))
+
+    @classmethod
+    def from_json_dict(cls, value, where: str = "ledger") -> "LedgerFile":
+        file = super().from_json_dict(value, where)
+        if not file.blocks:
+            raise ParseError("ledger has no blocks")
+        return file
 
 
 def block_hash_for(index: int, prev_hash: bytes, timestamp: int, tx_root: bytes) -> bytes:
@@ -709,24 +730,13 @@ class Ledger:
     # -- serialization
 
     def to_bytes(self) -> bytes:
-        return canonical_json_bytes({
-            "mode": self.mode.value,
-            "blocks": _dump_blocks(self.blocks),
-        })
+        return LedgerFile(mode=self.mode, blocks=tuple(self.blocks)).to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Ledger":
-        obj = load_json(data)
-        obj = expect_object(obj, ("mode", "blocks"), "ledger")
-        mode_text = expect_str(obj["mode"], "mode")
-        try:
-            mode = LedgerMode(mode_text)
-        except ValueError:
-            raise ParseError(f"unknown ledger mode {mode_text!r}") from None
-        blocks = _load_blocks(obj["blocks"], "blocks")
-        if not blocks:
-            raise ParseError("ledger has no blocks")
-        ledger = cls(blocks=blocks, mode=mode, clock=_ChainClock(blocks[-1].timestamp))
+        file = LedgerFile.from_bytes(data)
+        ledger = cls(blocks=file.blocks, mode=file.mode,
+                     clock=_ChainClock(file.blocks[-1].timestamp))
         if not ledger.writer_set:
             raise ParseError("genesis block registers no writers")
         report = ledger.validate_chain()

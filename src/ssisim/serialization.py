@@ -10,9 +10,11 @@ JSON rule (all exported files): UTF-8, compact separators, object keys
 in the documented fixed order for each type, binary fields as lowercase
 hex. Exports are bit-exact, so they are safe for golden tests. A type's
 `JSON` table (see `Record`) is the one definition of its keys and their
-order: the dump and the strict parse are both built from it.
+order: the dump and the strict parse are both built from it. Imports take
+canonical bytes only, so every file that loads re-exports to its exact bytes.
 """
 
+import base64
 import hashlib
 import json
 import struct
@@ -129,16 +131,28 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def load_json(data: bytes):
+    """Parse canonical JSON: bytes its own dump would not reproduce are a ParseError.
+
+    That refuses whitespace, escape variants, number forms and duplicate keys.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from None
     try:
-        return json.loads(text)
+        obj = json.loads(text)
+        canonical = canonical_json_bytes(obj)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
+    except UnicodeEncodeError:
+        raise ParseError("not valid JSON: a string holds a lone surrogate") from None
+    if canonical != data:
+        offset = next((i for i, (a, b) in enumerate(zip(data, canonical)) if a != b),
+                      min(len(data), len(canonical)))
+        raise ParseError(f"not canonical JSON: differs from its canonical form at byte {offset}")
+    return obj
 
 
 # --- strict field extraction --------------------------------------------------
@@ -198,6 +212,25 @@ def hex_codec(length: int | None) -> tuple:
     return bytes.hex, lambda value, where: parse_hex(value, length, where)
 
 
+def _dump_base64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _load_base64(value, where: str) -> bytes:
+    text = expect_str(value, where)
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ParseError(f"{where}: invalid base64: {exc}") from None
+    if _dump_base64(data) != text:  # decoding skips the unused pad bits
+        raise ParseError(f"{where}: non-canonical base64 {text!r}")
+    return data
+
+
+# Bytes as standard padded base64, exactly as b64encode writes them.
+BASE64 = (_dump_base64, _load_base64)
+
+
 def list_codec(item: tuple) -> tuple:
     """A JSON array of `item`, held as a tuple."""
     dump, load = item
@@ -208,15 +241,16 @@ def list_codec(item: tuple) -> tuple:
     return lambda items: [dump(x) for x in items], load_list
 
 
-def pairs_codec(first: str, second: str) -> tuple:
-    """(str, str) pairs as an array of {first: ..., second: ...} objects."""
+def pairs_codec(first: str, second: str, codec: tuple = STR) -> tuple:
+    """(str, value) pairs as an array of {first: ..., second: ...}; `codec` holds the value."""
     keys = (first, second)
+    dump, load = codec
 
     def load_pair(value, where: str) -> tuple:
         obj = expect_object(value, keys, where)
-        return expect_str(obj[first], first), expect_str(obj[second], second)
+        return expect_str(obj[first], f"{where}.{first}"), load(obj[second], f"{where}.{second}")
 
-    return list_codec((lambda pair: dict(zip(keys, pair)), load_pair))
+    return list_codec((lambda pair: {first: pair[0], second: dump(pair[1])}, load_pair))
 
 
 def record_codec(cls) -> tuple:
@@ -249,6 +283,13 @@ class Record:
 
     def to_json_dict(self) -> dict:
         return {key: dump(getattr(self, attr)) for key, attr, dump in self._dumps}
+
+    def to_bytes(self) -> bytes:
+        return canonical_json_bytes(self.to_json_dict())
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        return cls.from_json_dict(load_json(data))
 
     @classmethod
     def from_json_dict(cls, value, where: str | None = None, **extra):

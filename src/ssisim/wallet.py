@@ -5,38 +5,60 @@ round-trips are byte-identical. Loading cross-checks the stored DID,
 key id, and key material against each other.
 """
 
-import base64
 from dataclasses import dataclass, field
 
 from .credentials import Credential
-from .errors import KeyMismatch, ParseError
+from .errors import KeyMismatch
 from .identity import (
+    DID,
+    KEY_ID,
+    PUBLIC_KEY_LEN,
+    SEED_LEN,
     Did,
     KeyPair,
-    SEED_LEN,
     derive_did,
     generate_keypair,
 )
-from .serialization import (
-    canonical_json_bytes,
-    expect_list,
-    expect_object,
-    expect_str,
-    list_codec,
-    load_json,
-    parse_hex,
-    record_codec,
-)
-
-_dump_credentials, _load_credentials = list_codec(record_codec(Credential))
+from .serialization import BASE64, Record, hex_codec, list_codec, pairs_codec, record_codec
 
 
 @dataclass
-class Wallet:
-    keypair: KeyPair
+class Wallet(Record):
     did: Did
+    public_key: bytes
+    private_key: bytes
+    key_id: str
     credentials: list = field(default_factory=list)
     other_data: list = field(default_factory=list)  # of (label, blob bytes)
+
+    JSON = (
+        ("did", DID),
+        ("public_key", hex_codec(PUBLIC_KEY_LEN)),
+        ("private_key", hex_codec(SEED_LEN)),
+        ("key_id", KEY_ID),
+        ("credentials", list_codec(record_codec(Credential))),
+        ("other_data", pairs_codec("label", "blob", BASE64)),
+    )
+
+    def __post_init__(self):
+        self.credentials = list(self.credentials)
+        self.other_data = list(self.other_data)
+
+    @property
+    def keypair(self) -> KeyPair:
+        return KeyPair(self.public_key, self.private_key, self.key_id)
+
+    @classmethod
+    def from_json_dict(cls, value, where: str = "wallet") -> "Wallet":
+        wallet = super().from_json_dict(value, where)
+        keypair = generate_keypair(wallet.private_key)
+        if keypair.public_key != wallet.public_key:
+            raise KeyMismatch("stored public key does not derive from the private key")
+        if keypair.key_id != wallet.key_id:
+            raise KeyMismatch("stored key id does not match the public key")
+        if derive_did(wallet.public_key) != wallet.did:
+            raise KeyMismatch("stored DID does not match the public key")
+        return wallet
 
     def add_credential(self, credential: Credential) -> None:
         self.credentials.append(credential)
@@ -47,50 +69,13 @@ class Wallet:
 
 def wallet_create(seed: bytes) -> Wallet:
     keypair = generate_keypair(seed)
-    return Wallet(keypair=keypair, did=derive_did(keypair.public_key))
+    return Wallet(did=derive_did(keypair.public_key), public_key=keypair.public_key,
+                  private_key=keypair.private_key, key_id=keypair.key_id)
 
 
 def wallet_save(wallet: Wallet) -> bytes:
-    return canonical_json_bytes({
-        "did": str(wallet.did),
-        "public_key": wallet.keypair.public_key.hex(),
-        "private_key": wallet.keypair.private_key.hex(),
-        "key_id": wallet.keypair.key_id,
-        "credentials": _dump_credentials(wallet.credentials),
-        "other_data": [
-            {"label": label, "blob": base64.b64encode(blob).decode("ascii")}
-            for label, blob in wallet.other_data
-        ],
-    })
+    return wallet.to_bytes()
 
 
 def wallet_load(data: bytes) -> Wallet:
-    obj = load_json(data)
-    obj = expect_object(
-        obj, ("did", "public_key", "private_key", "key_id", "credentials", "other_data"),
-        "wallet",
-    )
-    private_key = parse_hex(obj["private_key"], SEED_LEN, "private_key")
-    public_key = parse_hex(obj["public_key"], SEED_LEN, "public_key")
-    key_id = parse_hex(obj["key_id"], 8, "key_id").hex()
-    did = Did.parse(expect_str(obj["did"], "did"))
-    keypair = generate_keypair(private_key)
-    if keypair.public_key != public_key:
-        raise KeyMismatch("stored public key does not derive from the private key")
-    if keypair.key_id != key_id:
-        raise KeyMismatch("stored key id does not match the public key")
-    if derive_did(public_key) != did:
-        raise KeyMismatch("stored DID does not match the public key")
-    credentials = list(_load_credentials(obj["credentials"], "credentials"))
-    other_data = []
-    for i, item in enumerate(expect_list(obj["other_data"], "other_data")):
-        item_obj = expect_object(item, ("label", "blob"), f"other_data[{i}]")
-        blob_text = expect_str(item_obj["blob"], "blob")
-        try:
-            blob = base64.b64decode(blob_text, validate=True)
-        except ValueError as exc:  # binascii.Error, or a character outside ASCII
-            raise ParseError(f"other_data[{i}].blob: invalid base64: {exc}") from None
-        if base64.b64encode(blob).decode("ascii") != blob_text:  # decoding skips pad bits
-            raise ParseError(f"other_data[{i}].blob: non-canonical base64 {blob_text!r}")
-        other_data.append((expect_str(item_obj["label"], "label"), blob))
-    return Wallet(keypair=keypair, did=did, credentials=credentials, other_data=other_data)
+    return Wallet.from_bytes(data)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ssisim
 from ssisim.cli import main
+from ssisim.serialization import canonical_json_bytes
 
 from conftest import CHAIN_FAULTS, LONG_CHAIN_BLOCKS, hijacked_genesis_file, tampered
 
@@ -275,7 +276,7 @@ class TestLedgerValidate:
         run("wallet-init", "--seed", "aa" * 32, "--wallet", paths["op"])
         run("ledger-init", "--writer-wallet", paths["op"], "--ledger", paths["ledger"])
         ledger = Path(paths["ledger"])
-        ledger.write_bytes(json.dumps(edit(json.loads(ledger.read_bytes()))).encode())
+        ledger.write_bytes(canonical_json_bytes(edit(json.loads(ledger.read_bytes()))))
         proc = run_script("ledger-validate", paths["ledger"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {cause}\n")
         assert "Traceback" not in proc.stderr
@@ -287,7 +288,7 @@ class TestLedgerValidate:
         wallet = Path(paths["alice"])
         obj = json.loads(wallet.read_bytes())
         obj["other_data"] = [{"label": "note", "blob": blob}]
-        wallet.write_bytes(json.dumps(obj).encode())
+        wallet.write_bytes(canonical_json_bytes(obj))
         before = Path(paths["ledger"]).read_bytes()
         proc = run_script("did-register", "--wallet", paths["alice"], "--ledger",
                           paths["ledger"], "--writer-wallet", paths["op"])

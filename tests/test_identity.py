@@ -318,6 +318,23 @@ class TestOneForkPath:
                         "multiprocessing", "concurrent", "subprocess"}, (path.name, module)
 
 
+class TestOneFileCodec:
+    """Files are read through Record.from_bytes: only serialization parses JSON and checks keys."""
+
+    def test_only_from_bytes_and_the_agents_parse_json(self):
+        assert TestOneForkPath.calls({"load_json"}) == [
+            ("agents", "open_envelope", "load_json"),
+            ("serialization", "from_bytes", "load_json")]
+
+    def test_only_serialization_and_register_did_check_keys(self):
+        # the ledger's one call is RegisterDid.from_json_dict: its file form puts the
+        # document's signature beside the document, which a Record table cannot declare
+        assert TestOneForkPath.calls({"expect_object"}) == [
+            ("ledger", "from_json_dict", "expect_object"),
+            ("serialization", "load_pair", "expect_object"),
+            ("serialization", "from_json_dict", "expect_object")]
+
+
 class TestOneCredentialRead:
     """The package reads a credential's anchor and status together, via credential_record."""
 

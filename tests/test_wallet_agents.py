@@ -31,6 +31,7 @@ from ssisim.identity import (
 )
 from ssisim.ledger import AnchorCredential, RegisterDid
 from ssisim.runtime import DeterministicRng
+from ssisim.serialization import canonical_json_bytes
 from ssisim.wallet import wallet_create, wallet_load, wallet_save
 
 from conftest import seeded_keypair
@@ -66,7 +67,7 @@ class TestWalletFiles:
         obj = json.loads(wallet_save(wallet_create(b"\x33" * 32)))
         obj["did"] = str(other.did)
         with pytest.raises(KeyMismatch):
-            wallet_load(json.dumps(obj).encode())
+            wallet_load(canonical_json_bytes(obj))
 
     def test_every_top_level_field_tamper_is_caught(self):
         # field-tamper oracle: replacing any identity field with another
@@ -78,12 +79,12 @@ class TestWalletFiles:
             tampered = dict(base)
             tampered[field] = donor[field]
             with pytest.raises(KeyMismatch):
-                wallet_load(json.dumps(tampered).encode())
+                wallet_load(canonical_json_bytes(tampered))
         for field, bad in (("credentials", [{"junk": 1}]), ("other_data", [{"junk": 1}])):
             tampered = dict(base)
             tampered[field] = bad
             with pytest.raises(ParseError):
-                wallet_load(json.dumps(tampered).encode())
+                wallet_load(canonical_json_bytes(tampered))
 
     @pytest.mark.parametrize("blob, cause", [
         ("QR==", "non-canonical base64 'QR=='"),
@@ -94,7 +95,15 @@ class TestWalletFiles:
         obj = json.loads(wallet_save(wallet_create(b"\x37" * 32)))
         obj["other_data"] = [{"label": "note", "blob": blob}]
         with pytest.raises(ParseError, match=re.escape(f"other_data[0].blob: {cause}")):
-            wallet_load(json.dumps(obj).encode())
+            wallet_load(canonical_json_bytes(obj))
+
+    def test_a_label_with_a_lone_surrogate_is_a_parse_error(self):
+        # such a wallet used to load, and then could never be saved
+        wallet = wallet_create(b"\x38" * 32)
+        wallet.add_other_data("note", b"")
+        data = wallet_save(wallet).replace(b'"note"', b'"\\ud800"')
+        with pytest.raises(ParseError, match="lone surrogate"):
+            wallet_load(data)
 
     def test_garbage_input_is_a_parse_error(self):
         for data in (b"", b"{}", b"not json"):
@@ -186,8 +195,6 @@ class TestEnvelopeExchange:
             agents["bob"].open_envelope(env)
 
     def test_no_message_carries_private_key_bytes(self, world):
-        from ssisim.serialization import canonical_json_bytes
-
         _, bus, agents = world
         envelopes = []
         for i in range(3):
