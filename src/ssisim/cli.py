@@ -6,6 +6,8 @@ Exit codes: 0 success or Accept, 1 usage or configuration error,
 """
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +50,28 @@ def _load_wallet(path: str):
 
 def _load_ledger(path: str) -> Ledger:
     return Ledger.from_bytes(_read_bytes(path))
+
+
+def _load_for_append(path: str) -> tuple:
+    """(ledger, save): save() appends the blocks added to ledger since to its file, in place.
+
+    Ledger.from_bytes accepts only canonical bytes and LedgerFile writes the
+    chain last, so the file ends in the chain's closing "]}". save() writes
+    the new blocks over those two bytes and closes the chain again, rewriting
+    no earlier byte: the file then equals ledger.to_bytes(). A write cut short
+    after its first byte leaves a file the strict parser refuses.
+    """
+    data = _read_bytes(path)
+    ledger = Ledger.from_bytes(data)
+    end, height = len(data) - 2, len(ledger.blocks)
+
+    def save() -> None:
+        with open(path, "r+b") as file:
+            file.seek(end)
+            file.write(b"".join(b"," + block.to_bytes() for block in ledger.blocks[height:])
+                       + b"]}")
+
+    return ledger, save
 
 
 def _parse_seed(seed_hex: str) -> bytes:
@@ -227,7 +251,7 @@ def did_register(args) -> int:
     """Register the wallet's DID document on the ledger."""
     wallet = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
-    ledger = _load_ledger(path)
+    ledger, save = _load_for_append(path)
     writer = _load_wallet(args.writer_wallet)
     doc = make_did_document(
         wallet.keypair,
@@ -235,7 +259,7 @@ def did_register(args) -> int:
         created_at=ledger.clock.tick(),
     )
     ledger.append_block([RegisterDid(doc)], writer.keypair)
-    _write_bytes(path, ledger.to_bytes())
+    save()
     _print_json({"did": str(doc.did), "blocks": len(ledger.blocks)})
     return 0
 
@@ -249,10 +273,10 @@ def schema_define(args) -> int:
     """Anchor a credential schema owned by the issuer wallet."""
     issuer = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
-    ledger = _load_ledger(path)
+    ledger, save = _load_for_append(path)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
     schema = define_schema(issuer.keypair, args.name, args.version, args.attr, ledger)
-    _write_bytes(path, ledger.to_bytes())
+    save()
     _print_json(schema.to_json_dict())
     return 0
 
@@ -267,7 +291,7 @@ def issue(args) -> int:
     """Issue a credential and anchor its commitment root."""
     issuer = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
-    ledger = _load_ledger(path)
+    ledger, save = _load_for_append(path)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
     schema = ledger.lookup_schema(parse_hex(args.schema_id, 32, "--schema-id"),
                                   reader_did=issuer.did)
@@ -275,8 +299,10 @@ def issue(args) -> int:
         issuer.keypair, Did.parse(args.holder_did), schema,
         _parse_pairs(args.value, "--value"), ledger,
     )
-    _write_bytes(path, ledger.to_bytes())
+    # The credential file first: an anchor whose credential and salts were lost
+    # could never be presented.
     _write_bytes(args.out, credential.to_bytes())
+    save()
     _print_json({"credential_id": credential.credential_id.hex(), "credential": args.out})
     return 0
 
@@ -350,7 +376,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The ssisim command: main() in a process that ends when it returns.
+
+    The heap dies with the process, so the cyclic collector stays off and,
+    once both streams are flushed, the process leaves through os._exit with
+    no interpreter teardown: atexit handlers do not run. An exception that
+    escapes main leaves the normal way, with its traceback.
+    """
+    gc.disable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import ssisim
 from ssisim.cli import main
+from ssisim.ledger import Ledger
 from ssisim.serialization import canonical_json_bytes
 
 from conftest import CHAIN_FAULTS, LONG_CHAIN_BLOCKS, hijacked_genesis_file, tampered
@@ -189,6 +191,87 @@ class TestEndToEndFlow:
         code, _, err = run("--wallet", paths["alice"], *verify)
         assert code == 2
         assert "writer membership" in err
+
+
+def define_patient_schema(run, paths) -> str:
+    code, out, _ = run(
+        "schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+        "--writer-wallet", paths["op"], "--name", "PatientID",
+        "--attr", "name", "--attr", "dob", "--attr", "patient_number")
+    assert code == 0
+    return json.loads(out)["schema_id"]
+
+
+def issue_argv(paths, schema_id, holder_did, out=None) -> list:
+    return ["issue", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+            "--writer-wallet", paths["op"], "--schema-id", schema_id, "--holder-did", holder_did,
+            "--value", "name=Alice Example", "--value", "dob=1990-04-12",
+            "--value", "patient_number=PN-1", "--out", out or paths["vc"]]
+
+
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and "\n" not in err and "Traceback" not in err
+
+
+class TestSpliceAppends:
+    """Write commands append their blocks in place, before the file's closing "]}"."""
+
+    # sha256 of the ledger file after bootstrap's ledger-init and two did-registers,
+    # then define_patient_schema: the bytes that re-serializing the whole chain wrote
+    HASHES = ["f409fed5ad3cd5fa956d30a6f4cc935af5e55ab363dc5ab377a3699ee722ee6e",
+              "49195787a8e2a3fc2a9a7bad3d77b53a772f5c46da5bc691b489da87b9b3cf7a",
+              "d235c09b57a490128ccf70f39c4189a5744e935baebad6c282c627f9bdc11e55",
+              "5a08f31b1a61eb72f605722d6bc525aac18749d0083d711d6a6c2fdef2449d40"]
+
+    def test_each_write_leaves_the_bytes_of_to_bytes_and_keeps_the_earlier_ones(self, run,
+                                                                                  paths):
+        files = []
+
+        def after_write(*args):
+            result = run(*args)
+            if args[0] in {"ledger-init", "did-register", "schema-define", "issue"}:
+                files.append(Path(paths["ledger"]).read_bytes())
+            return result
+
+        alice_did = bootstrap(after_write, paths)
+        schema_id = define_patient_schema(after_write, paths)
+        assert after_write(*issue_argv(paths, schema_id, alice_did))[0] == 0
+        assert [hashlib.sha256(data).hexdigest() for data in files[:-1]] == self.HASHES
+        for height, (before, data) in enumerate(zip(files, files[1:]), start=2):
+            ledger = Ledger.from_bytes(data)
+            assert data == ledger.to_bytes()
+            assert len(ledger.blocks) == height
+            assert data[:len(before) - 2] == before[:-2]
+
+    def test_a_torn_append_exits_3_and_every_earlier_block_stays(self, run, paths, tmp_path):
+        alice_did = bootstrap(run, paths)
+        schema_id = define_patient_schema(run, paths)
+        data = Path(paths["ledger"]).read_bytes()
+        assert run(*issue_argv(paths, schema_id, alice_did))[0] == 0
+        new = Path(paths["ledger"]).read_bytes()
+        head = len(data) - 2
+        assert new[:head] == data[:head]
+        tail = new[head:]
+        torn_path = tmp_path / "torn.json"
+        for j in range(len(tail) + 1):
+            torn_path.write_bytes(data[:head] + tail[:j] + data[head + j:])
+            code, out, err = run("ledger-validate", str(torn_path))
+            if j in (0, len(tail)):
+                blocks = len(Ledger.from_bytes(data if j == 0 else new).blocks)
+                assert (code, out, err) == (0, f'{{"result":"Ok","blocks":{blocks}}}', ""), j
+            else:
+                assert (code, out) == (3, ""), j
+                assert one_error_line(err), j
+
+    def test_issue_writes_its_credential_before_it_anchors(self, run, paths, tmp_path):
+        alice_did = bootstrap(run, paths)
+        schema_id = define_patient_schema(run, paths)
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run(*issue_argv(paths, schema_id, alice_did,
+                                         out=str(tmp_path / "absent" / "cred.vc.json")))
+        assert (code, out) == (3, "")
+        assert one_error_line(err)
+        assert Path(paths["ledger"]).read_bytes() == before
 
 
 class TestLedgerValidate:
@@ -459,6 +542,64 @@ class TestInstalledScript:
         proc = run_script("compare", "--scenario", "ca", "--forgeries", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["forged_accepted"] == 2
+
+
+class TestExitPath:
+    """The ssisim process leaves through os._exit, after flushing both streams in full."""
+
+    # Pipes buffer the streams by block, unless the environment turns that off.
+    BUFFERED = {"PYTHONUNBUFFERED": ""}
+
+    @pytest.fixture(scope="class")
+    def chain_files(self, tmp_path_factory, long_chain):
+        # long enough that the check forks a helper inside the child, given two CPUs
+        folder = tmp_path_factory.mktemp("chains")
+        good, bad = folder / "good.json", folder / "bad.json"
+        good.write_bytes(long_chain.to_bytes())
+        bad.write_bytes(tampered(long_chain, (396,)).to_bytes())
+        return good, bad
+
+    @pytest.mark.parametrize("argv, code, report", [
+        (["ledger-validate", "{dir}/good.json"], 0,
+         {"result": "Ok", "blocks": LONG_CHAIN_BLOCKS}),
+        (["compare"], 1, None),
+        (["ledger-validate", "{dir}/bad.json"], 2,
+         {"result": "FirstInvalid", "index": 396, "cause": "BadSignature"}),
+        (["ledger-validate", "{dir}/absent.json"], 3, None),
+    ])
+    def test_each_exit_code_leaves_complete_streams(self, chain_files, argv, code, report):
+        proc = run_script(*[arg.format(dir=chain_files[0].parent) for arg in argv],
+                          **self.BUFFERED)
+        assert proc.returncode == code
+        if report is None:
+            assert proc.stdout == ""
+            assert one_error_line(proc.stderr.rstrip("\n"))
+        else:
+            assert proc.stdout == canonical_json_bytes(report).decode() + "\n"
+            assert proc.stderr == ""
+
+    def test_help_is_printed_in_full(self, run, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, help_text, _ = run("--help")
+        assert code == 0
+        proc = run_script("--help", COLUMNS="80", **self.BUFFERED)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_text + "\n", "")
+
+    def test_main_runs_without_the_collector_and_no_teardown_follows(self):
+        proc = run_python("-c", "import atexit, gc, ssisim.cli as cli\n"
+                                "atexit.register(print, 'teardown')\n"
+                                "cli.main = lambda: print(gc.isenabled()) or 5\n"
+                                "cli.entry()", **self.BUFFERED)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (5, "False\n", "")
+
+    def test_an_exception_that_escapes_main_exits_with_its_traceback(self):
+        proc = run_python("-c", "import ssisim.cli as cli\n"
+                                "def boom(): raise RuntimeError('boom')\n"
+                                "cli.main = boom\n"
+                                "cli.entry()")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.endswith("RuntimeError: boom\n")
 
 
 class TestUsage:

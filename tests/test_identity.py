@@ -335,6 +335,21 @@ class TestOneFileCodec:
             ("serialization", "from_json_dict", "expect_object")]
 
 
+class TestOneProcessExit:
+    """Only the ssisim command's entry point turns the collector off or skips teardown.
+
+    So no library caller, in process or under a test, runs with the collector off.
+    """
+
+    def test_only_cli_entry_touches_the_collector(self):
+        assert TestOneForkPath.calls({"disable", "enable", "freeze", "collect"}) == [
+            ("cli", "entry", "disable")]
+
+    def test_only_cli_entry_and_the_fork_helper_exit_without_teardown(self):
+        assert TestOneForkPath.calls({"_exit"}) == [
+            ("cli", "entry", "_exit"), ("identity", "_fork_helper", "_exit")]
+
+
 class TestOneCredentialRead:
     """The package reads a credential's anchor and status together, via credential_record."""
 
