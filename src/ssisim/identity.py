@@ -154,28 +154,36 @@ def _chunk_count(items: int) -> int:
     return min(cpus, items // _MIN_CHUNK)
 
 
-def split_each(work, items: list, width: int) -> bytes:
-    """work(items), where work(chunk) gives exactly width bytes per item of chunk, in order.
+_splitting = False  # split_each is running, in this process or in the parent of this helper
+
+
+def split_each(work, items: list) -> bytes:
+    """work(items), where work(chunk) gives one 0/1 byte per item of chunk, in order.
 
     Given two chunks of _MIN_CHUNK items or more, a CPU for each and os.fork
     in a single-threaded process, the items are split into one contiguous
     chunk per CPU: this process runs work on the first and a forked helper on
-    each of the others. A chunk whose helper fails or answers short is run
-    here instead. This is the only place the package forks.
+    each of the others. A helper's answer counts only if it exits 0 having
+    written one byte per item, each 0 or 1; any other chunk is run here
+    instead. A split that starts inside a split, here or in a helper, runs
+    in process. This is the only place the package forks.
     """
-    chunks = _chunk_count(len(items))
-    if chunks < 2:
+    global _splitting
+    if _splitting:
         return work(items)
+    chunks = _chunk_count(len(items))
     bounds = [len(items) * k // chunks for k in range(chunks + 1)]
     parts = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
     helpers = []
+    _splitting = True
     try:
         for part in parts[1:]:
             helpers.append((*_fork_helper(work, part), part))
         answer = work(parts[0])
         while helpers:
-            answer += _join_helper(work, width, *helpers.pop(0))
+            answer += _join_helper(work, *helpers.pop(0))
     finally:
+        _splitting = False
         for pid, read_fd, _ in helpers:  # left only on an exception
             if pid is not None:
                 os.close(read_fd)  # a helper blocked on a full pipe then exits
@@ -206,8 +214,8 @@ def _fork_helper(work, items) -> tuple:
     return pid, read_fd
 
 
-def _join_helper(work, width, pid, read_fd, items) -> bytes:
-    """The helper's answer on items, reaping it; run here if it failed or answered short."""
+def _join_helper(work, pid, read_fd, items) -> bytes:
+    """The helper's answer on items, reaping it; run here unless it is one 0/1 byte per item."""
     if pid is None:
         return work(items)
     try:
@@ -215,7 +223,7 @@ def _join_helper(work, width, pid, read_fd, items) -> bytes:
             data = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    if status != 0 or len(data) != width * len(items):
+    if status != 0 or len(data) != len(items) or not set(data) <= {0, 1}:
         return work(items)
     return data
 
@@ -224,13 +232,9 @@ def verify_each(jobs: list) -> bytes:
     """One 0/1 verdict per (public_key, message, signature) job, in order.
 
     The answer is bytes(verify(*job) for job in jobs) on any CPU count: the
-    jobs are split over the CPUs by split_each, and an answer with a byte
-    other than 0 or 1 is verified here again.
+    jobs are split over the CPUs by split_each.
     """
-    verdicts = split_each(_verdicts, jobs, 1)
-    if not set(verdicts) <= {0, 1}:
-        return _verdicts(jobs)
-    return verdicts
+    return split_each(_verdicts, jobs)
 
 
 def _verdicts(jobs) -> bytes:

@@ -7,7 +7,8 @@ writer key buys through appends (nothing, because registrations
 self-certify). Appends are all the harness tries. The same key can re-seal
 the chain's history, leaving a revoke out, and anyone can truncate a ledger
 file; both still load until a verified head is pinned (ROADMAP item 3).
-The CA run forges each window of certificates on all CPUs, then checks it.
+The CA run splits each window of forgeries over the CPUs once: each chunk
+forges its certificates and checks them, and answers one validity byte each.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -20,8 +21,6 @@ from .errors import (
     UnknownRequest,
 )
 from .identity import (
-    PUBLIC_KEY_LEN,
-    SIGNATURE_LEN,
     DidDocument,
     KeyPair,
     derive_did,
@@ -326,14 +325,10 @@ def run_compromise_experiment(config: CompromiseConfig) -> CompromiseReport:
     raise ConfigError(f"unknown scenario {config.scenario!r} (expected 'ca' or 'ledger')")
 
 
-# The CA run forges this many certificates, then checks them as one batch:
-# enough for split_each to spread a run of 1,000 over the CPUs, few enough to
-# bound the memory a run of any size holds at once.
+# The CA run forges and checks this many certificates as one batch: enough for
+# split_each to spread a run of 1,000 over the CPUs, few enough to bound the
+# memory a run of any size holds at once.
 _CHECK_WINDOW = 4096
-
-# What forging returns per certificate: the forged subject's key and the
-# stolen CA's signature.
-_FORGED_LEN = PUBLIC_KEY_LEN + SIGNATURE_LEN
 
 
 def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
@@ -342,11 +337,12 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
     Forged certificates follow the normal wire shape but bypass the RA
     entirely; since the CA maintains the VA database, the attacker's
     issuance also plants the serial there. For each window, this process
-    draws every forgery's seed and serial and plants its VA entry; the
-    forging itself (one key build and one signature each) is split over the
-    CPUs; then the window is checked as one batch. No forging or check draws
-    from the rng or moves the clock, so the report and every certificate are
-    those of forging and checking each forgery in turn.
+    draws every forgery's seed and serial and plants its VA entry; then the
+    window is split over the CPUs once, and each chunk forges its
+    certificates (one key build and one signature each) and checks them as
+    one batch. No forging or check draws from the rng or moves the clock, so
+    the report and every certificate are those of forging and checking each
+    forgery in turn.
     """
     rng = DeterministicRng(config.seed)
     clock = LogicalClock(0)
@@ -354,17 +350,14 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
     stolen = hierarchy.subordinate
     now = clock.now()
 
-    def forge(orders) -> bytes:
-        """The subject key and issuer signature of each (subject name, seed, serial)."""
-        fields = []
-        for subject_name, seed, serial in orders:
-            cert = issue_signed_certificate(
-                stolen.name, stolen.keypair, serial=serial, subject_name=subject_name,
-                subject_public_key=generate_keypair(seed).public_key,
-                not_before=now, not_after=now + CERT_LIFETIME_TICKS,
-            )
-            fields += (cert.subject_public_key, cert.issuer_signature)
-        return b"".join(fields)
+    def forge_and_check(orders) -> bytes:
+        """1 for each (subject name, seed, serial) whose forged certificate is valid, else 0."""
+        forged = [issue_signed_certificate(
+            stolen.name, stolen.keypair, serial=serial, subject_name=subject_name,
+            subject_public_key=generate_keypair(seed).public_key,
+            not_before=now, not_after=now + CERT_LIFETIME_TICKS,
+        ) for subject_name, seed, serial in orders]
+        return bytes(v.valid for v in verify_certificates(hierarchy, forged, clock))
 
     accepted = 0
     for start in range(0, config.forgeries, _CHECK_WINDOW):
@@ -372,14 +365,7 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
         for i in range(start, min(start + _CHECK_WINDOW, config.forgeries)):
             orders.append((f"forged-subject-{i}", rng.randbytes(32), hierarchy.next_serial()))
             hierarchy.va[orders[-1][2]] = CertStatus.VALID
-        data = split_each(forge, orders, _FORGED_LEN)
-        forged = [Certificate(
-            serial=serial, subject_name=subject_name,
-            subject_public_key=data[at:at + PUBLIC_KEY_LEN], issuer_name=stolen.name,
-            not_before=now, not_after=now + CERT_LIFETIME_TICKS,
-            issuer_signature=data[at + PUBLIC_KEY_LEN:at + _FORGED_LEN],
-        ) for at, (subject_name, _, serial) in zip(range(0, len(data), _FORGED_LEN), orders)]
-        accepted += sum(v.valid for v in verify_certificates(hierarchy, forged, clock))
+        accepted += sum(split_each(forge_and_check, orders))
     return CompromiseReport(
         scenario="ca-compromise",
         forged_accepted=accepted,

@@ -126,6 +126,22 @@ def two_cpus(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
+@pytest.fixture
+def fork_log(two_cpus, monkeypatch, tmp_path):
+    """A file every fork appends its caller's pid to, a helper's fork too (see two_cpus)."""
+    log = tmp_path / "forks"
+    log.touch()
+    counted_fork = os.fork
+
+    def fork():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return counted_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return log
+
+
 @pytest.fixture(params=["two CPUs", "no fork"])
 def helpers(request, monkeypatch):
     """The pids of the helpers forked under two CPUs (see two_cpus); None with os.fork removed."""

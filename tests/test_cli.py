@@ -55,12 +55,15 @@ def quiet(*args):
 
 
 def run_python(*args, **env):
-    """Run python in a child process that imports the same ssisim sources as this test run."""
+    """Run python in a child process that imports the same ssisim sources as this test run.
+
+    The child's streams are buffered by block, as on any pipe, so output lost at exit shows.
+    """
     src = str(Path(ssisim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, encoding="utf-8",
-        env={**os.environ, "PYTHONPATH": pythonpath, **env},
+        env={**os.environ, "PYTHONUNBUFFERED": "", "PYTHONPATH": pythonpath, **env},
     )
 
 
@@ -547,9 +550,6 @@ class TestInstalledScript:
 class TestExitPath:
     """The ssisim process leaves through os._exit, after flushing both streams in full."""
 
-    # Pipes buffer the streams by block, unless the environment turns that off.
-    BUFFERED = {"PYTHONUNBUFFERED": ""}
-
     @pytest.fixture(scope="class")
     def chain_files(self, tmp_path_factory, long_chain):
         # long enough that the check forks a helper inside the child, given two CPUs
@@ -568,8 +568,7 @@ class TestExitPath:
         (["ledger-validate", "{dir}/absent.json"], 3, None),
     ])
     def test_each_exit_code_leaves_complete_streams(self, chain_files, argv, code, report):
-        proc = run_script(*[arg.format(dir=chain_files[0].parent) for arg in argv],
-                          **self.BUFFERED)
+        proc = run_script(*[arg.format(dir=chain_files[0].parent) for arg in argv])
         assert proc.returncode == code
         if report is None:
             assert proc.stdout == ""
@@ -582,14 +581,14 @@ class TestExitPath:
         monkeypatch.setenv("COLUMNS", "80")
         code, help_text, _ = run("--help")
         assert code == 0
-        proc = run_script("--help", COLUMNS="80", **self.BUFFERED)
+        proc = run_script("--help", COLUMNS="80")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_text + "\n", "")
 
     def test_main_runs_without_the_collector_and_no_teardown_follows(self):
         proc = run_python("-c", "import atexit, gc, ssisim.cli as cli\n"
                                 "atexit.register(print, 'teardown')\n"
                                 "cli.main = lambda: print(gc.isenabled()) or 5\n"
-                                "cli.entry()", **self.BUFFERED)
+                                "cli.entry()")
         assert (proc.returncode, proc.stdout, proc.stderr) == (5, "False\n", "")
 
     def test_an_exception_that_escapes_main_exits_with_its_traceback(self):

@@ -256,7 +256,11 @@ class TestVerifyEach:
 
 
 class TestSplitEach:
-    """What split_each leaves behind when work fails in this process."""
+    """What split_each leaves behind when work fails in this process, and splits in splits."""
+
+    @staticmethod
+    def parity(items):
+        return bytes(item % 2 for item in items)
 
     def test_no_helper_is_left_when_work_raises_here(self, helpers):
         parent = os.getpid()
@@ -267,9 +271,20 @@ class TestSplitEach:
             return bytes(1024) * len(items)  # more than a pipe holds: the helper blocks
 
         with pytest.raises(RuntimeError, match="work failed"):
-            split_each(work, list(range(600)), 1024)
-        if helpers is not None:  # two_cpus checks that it was reaped and its pipe closed
-            assert len(helpers) == 1
+            split_each(work, list(range(600)))
+        assert split_each(self.parity, list(range(600))) == self.parity(range(600))
+        if helpers is not None:  # two_cpus checks that each was reaped and its pipe closed
+            assert len(helpers) == 2  # the split after the failed one forks again
+
+    @pytest.mark.parametrize("outer", [10, 600])
+    def test_a_split_inside_a_split_runs_in_process(self, fork_log, two_cpus, outer):
+        def work(items):  # 600 items or more: alone, each inner split would fork
+            return split_each(self.parity, list(items) * 2 + list(range(600)))[:len(items)]
+
+        assert split_each(work, list(range(outer))) == self.parity(range(outer))
+        assert fork_log.read_text().split() == [str(os.getpid())] * (outer >= 256)
+        assert split_each(self.parity, list(range(600))) == self.parity(range(600))
+        assert len(two_cpus) == (outer >= 256) + 1  # the split after the outer one forks again
 
 
 class TestOneForkPath:

@@ -1,4 +1,5 @@
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -305,8 +306,9 @@ class TestBatchVerification:
 
 
 class TestSplitCompromiseRun:
-    """The CA run forges each window over the CPUs, then checks it as one batch; its
-    report and certificates are those of forging each in turn in one process."""
+    """The CA run splits each window over the CPUs once, and each chunk forges and checks
+    its certificates; its report and certificates are those of forging each in turn in
+    one process."""
 
     @staticmethod
     def forged_in_turn(forgeries):
@@ -324,19 +326,39 @@ class TestSplitCompromiseRun:
         return forged
 
     @staticmethod
-    def run(monkeypatch, forgeries):
-        """(The run's report, the windows of certificates it checked.)"""
-        windows = []
+    def run(monkeypatch, tmp_path, forgeries):
+        """(The run's report, the (pid, certificates) of each check in serial order.)
+
+        Each check writes its certificates to a file of its own, so a helper's
+        checks are seen too.
+        """
+        log = tmp_path / "checks"
+        log.mkdir()
         real = ssisim.pki.verify_certificates
 
         def recorded(hierarchy, certificates, clock):
-            windows.append(list(certificates))
+            record = log / f"{certificates[0].serial:08d}-{os.getpid()}"
+            record.write_bytes(pickle.dumps(certificates))
             return real(hierarchy, certificates, clock)
 
         with monkeypatch.context() as patch:
             patch.setattr(ssisim.pki, "verify_certificates", recorded)
             report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
-        return report, windows
+        return report, [(int(record.name.split("-")[1]), pickle.loads(record.read_bytes()))
+                        for record in sorted(log.iterdir())]
+
+    @staticmethod
+    def checks(windows, helpers):
+        """The (pid, certificates) checks of windows, each of 256 or more split in
+        halves with its helper's pid from helpers; all here if helpers is None."""
+        pids, checks = iter(helpers or ()), []
+        for window in windows:
+            if helpers is None or len(window) < 256:
+                checks.append((os.getpid(), window))
+            else:
+                half = len(window) // 2
+                checks += [(os.getpid(), window[:half]), (next(pids), window[half:])]
+        return checks
 
     @staticmethod
     def all_accepted(forgeries):
@@ -344,33 +366,36 @@ class TestSplitCompromiseRun:
                                 forged_rejected=0, total_forgeries=forgeries)
 
     @pytest.mark.parametrize("forgeries", [0, 255, 256, 1000])
-    def test_certificates_are_the_serial_ones(self, helpers, monkeypatch, forgeries):
-        report, windows = self.run(monkeypatch, forgeries)
+    def test_certificates_are_the_serial_ones(self, helpers, monkeypatch, tmp_path, forgeries):
+        report, checks = self.run(monkeypatch, tmp_path, forgeries)
         assert report == self.all_accepted(forgeries)
-        assert windows == ([self.forged_in_turn(forgeries)] if forgeries else [])
-        if helpers is not None:  # one to forge and one to check
-            assert len(helpers) == 2 * (forgeries >= 256)
+        windows = [self.forged_in_turn(forgeries)] if forgeries else []
+        assert checks == self.checks(windows, helpers)
+        if helpers is not None:  # one helper, which forges and checks half the window
+            assert len(helpers) == (forgeries >= 256)
 
     @pytest.mark.parametrize("window, forgeries", [(300, 1000), (256, 513), (255, 510)])
-    def test_window_edges_keep_the_serial_certificates(self, helpers, monkeypatch, window,
-                                                       forgeries):
+    def test_window_edges_keep_the_serial_certificates(self, helpers, monkeypatch, tmp_path,
+                                                       window, forgeries):
         monkeypatch.setattr(ssisim.pki, "_CHECK_WINDOW", window)
-        report, windows = self.run(monkeypatch, forgeries)
+        report, checks = self.run(monkeypatch, tmp_path, forgeries)
         assert report == self.all_accepted(forgeries)
         serial = self.forged_in_turn(forgeries)
-        assert windows == [serial[at:at + window] for at in range(0, forgeries, window)]
+        windows = [serial[at:at + window] for at in range(0, forgeries, window)]
+        assert checks == self.checks(windows, helpers)
         if helpers is not None:
-            assert len(helpers) == 2 * sum(len(w) >= 256 for w in windows)
+            assert len(helpers) == sum(len(w) >= 256 for w in windows)
 
-    def test_windows_bound_each_batch(self, two_cpus, monkeypatch):
+    def test_windows_bound_each_batch(self, two_cpus, monkeypatch, tmp_path):
         monkeypatch.setattr(ssisim.pki, "_CHECK_WINDOW", 300)
-        report, windows = self.run(monkeypatch, 1000)
-        assert [len(w) for w in windows] == [300, 300, 300, 100]
-        assert len(two_cpus) == 6
+        report, checks = self.run(monkeypatch, tmp_path, 1000)
+        assert [len(certificates) for _, certificates in checks] == [150] * 6 + [100]
+        assert len(two_cpus) == 3
         assert report == self.all_accepted(1000)
 
-    @pytest.mark.parametrize("failure", ["fork raises", "exits non-zero", "answers short"])
-    def test_a_failing_forger_changes_no_byte(self, two_cpus, monkeypatch, failure):
+    @pytest.mark.parametrize("failure", ["fork raises", "exits non-zero", "answers short",
+                                         "exits 0 with garbage"])
+    def test_a_failing_forger_changes_no_byte(self, two_cpus, monkeypatch, tmp_path, failure):
         if failure == "fork raises":
             def fork():
                 raise OSError("no process left")
@@ -382,36 +407,39 @@ class TestSplitCompromiseRun:
             def write(fd, data):
                 if failure == "answers short":
                     real_write(fd, data[:10])
-                else:  # a whole answer, but garbage, so only the exit code can refuse it
+                elif failure == "exits non-zero":  # a well-formed answer, all rejected
+                    real_write(fd, bytes(len(data)))
+                else:
                     real_write(fd, b"\x07" * len(data))
                 return len(data)
 
             monkeypatch.setattr(os, "write", write)
-            if failure == "exits non-zero":
+            if failure == "exits non-zero":  # so only the exit code can refuse the answer
                 real_exit = os._exit
                 monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or 3))
-        report, windows = self.run(monkeypatch, 1000)
+        report, checks = self.run(monkeypatch, tmp_path, 1000)
         assert report == self.all_accepted(1000)
-        assert windows == [self.forged_in_turn(1000)]
-        assert len(two_cpus) == (0 if failure == "fork raises" else 2)
+        forged = self.forged_in_turn(1000)
+        here = [certificates for pid, certificates in checks if pid == os.getpid()]
+        assert here == [forged[:500], forged[500:]]  # the helper's half again, in process
+        assert len(checks) == len(here) + len(two_cpus)
+        assert len(two_cpus) == (0 if failure == "fork raises" else 1)
 
-    def test_no_helper_forks_again(self, two_cpus, monkeypatch, tmp_path):
-        log = tmp_path / "forks"
-        counted_fork = os.fork
-
-        def fork():  # a helper's fork would append here too, though not to two_cpus
-            with open(log, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return counted_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        widths = []
+    def test_no_helper_forks_again(self, fork_log, two_cpus, monkeypatch, tmp_path):
+        splits = tmp_path / "splits"
         for module in (ssisim.identity, ssisim.pki):
             real = module.split_each
-            monkeypatch.setattr(module, "split_each", lambda work, items, width, real=real:
-                                widths.append(width) or real(work, items, width))
+
+            def counted(work, items, real=real):  # a helper's split is logged here too
+                with open(splits, "a") as out:
+                    out.write(f"{os.getpid()}:{len(items)}\n")
+                return real(work, items)
+
+            monkeypatch.setattr(module, "split_each", counted)
         report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
         assert report == self.all_accepted(1000)
-        assert widths == [96, 1]  # forge, then check
-        assert log.read_text().split() == [str(os.getpid())] * 2
-        assert len(two_cpus) == 2
+        parent, (helper,) = os.getpid(), two_cpus
+        # the window's split, then each chunk's check splits its 500 signatures in process
+        assert sorted(splits.read_text().split()) == sorted(
+            [f"{parent}:1000", f"{parent}:500", f"{helper}:500"])
+        assert fork_log.read_text().split() == [str(parent)]
