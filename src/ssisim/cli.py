@@ -91,6 +91,8 @@ def _parse_pairs(pairs, what: str) -> dict:
         if "=" not in pair:
             raise ConfigError(f"{what} must look like name=value, got {pair!r}")
         name, value = pair.split("=", 1)
+        if name in values:
+            raise ConfigError(f"{what} names {name!r} more than once")
         values[name] = value
     return values
 

@@ -21,15 +21,7 @@ from .credentials import (
     revealed_proofs_ok,
     revealed_set_hash,
 )
-from .errors import (
-    DuplicateSchema,
-    NotIssuer,
-    NotSchemaOwner,
-    UnknownCredential,
-    UnknownDid,
-    UnknownSchema,
-    UnknownTransition,
-)
+from .errors import NotSchemaOwner, UnknownDid, UnknownSchema
 from .identity import KeyPair, derive_did, sign, verify
 from .ledger import (
     AnchorCredential,
@@ -70,8 +62,6 @@ def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
     issuer_did = derive_did(issuer.public_key)
     ledger.resolve_did(issuer_did, reader_did=issuer_did)
     schema = make_schema(issuer_did, name, version, attribute_names)
-    if _schema(ledger, schema.schema_id, issuer_did) is not None:
-        raise DuplicateSchema(f"schema {schema.schema_id.hex()} already anchored")
     tx = _signed(issuer, DefineSchema(schema=schema, submitter_signature=b""))
     ledger.submit([tx])
     return schema
@@ -165,13 +155,7 @@ def verify_credential(ledger: Ledger, credential: Credential,
 def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> None:
     """Permanently flip the credential to Revoked; only the anchoring issuer may."""
     issuer_did = derive_did(issuer.public_key)
-    anchor, status = ledger.credential_record(credential_id, reader_did=issuer_did)
-    if anchor is None:
-        raise UnknownCredential(f"credential {credential_id.hex()} was never anchored")
-    if anchor.issuer_did != issuer_did:
-        raise NotIssuer(f"{issuer_did} did not anchor this credential")
-    if status is CredentialStatus.REVOKED:
-        raise UnknownTransition("credential is already revoked")
+    ledger.resolve_did(issuer_did, reader_did=issuer_did)
     tx = _signed(issuer, Revoke(
         credential_id=credential_id,
         issuer_did=issuer_did,

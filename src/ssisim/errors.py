@@ -76,8 +76,8 @@ class DuplicateAttribute(SsiSimError):
     """Schema attribute names must be nonempty and unique."""
 
 
-class DuplicateSchema(SsiSimError):
-    """A schema with this id is already anchored."""
+class DuplicateSchema(InvalidTransaction):
+    """An InvalidTransaction: a schema with this id is already anchored."""
 
 
 class SchemaMismatch(SsiSimError):
@@ -96,16 +96,16 @@ class WrongHolderKey(SsiSimError):
     """A presenting key or a receiving agent does not match the credential's holder DID."""
 
 
-class NotIssuer(SsiSimError):
-    """Only the anchoring issuer may revoke a credential."""
+class NotIssuer(InvalidTransaction):
+    """An InvalidTransaction: only the anchoring issuer may revoke a credential."""
 
 
-class UnknownCredential(SsiSimError):
-    """Credential id was never anchored on the ledger."""
+class UnknownCredential(InvalidTransaction):
+    """An InvalidTransaction: the revoked credential id was never anchored on the ledger."""
 
 
-class UnknownTransition(SsiSimError):
-    """Credential status change is not allowed from the current state."""
+class UnknownTransition(InvalidTransaction):
+    """An InvalidTransaction: the credential is already revoked."""
 
 
 # --- wallets and agents -----------------------------------------------------

@@ -23,14 +23,18 @@ from enum import Enum
 from .credentials import HASH, SIGNATURE, CredentialSchema, schema_is_well_formed
 from .errors import (
     ClockExhausted,
+    DuplicateSchema,
     EmptyBatch,
     EmptyWriterSet,
     FirstInvalid,
     InvalidTransaction,
+    NotIssuer,
     NotPermissioned,
     ParseError,
+    UnknownCredential,
     UnknownDid,
     UnknownSchema,
+    UnknownTransition,
 )
 from .identity import (
     DID,
@@ -263,6 +267,14 @@ class Revoke(_IssuerSigned):
 
 
 KINDS = {cls.kind: cls for cls in (RegisterDid, DefineSchema, AnchorCredential, Revoke)}
+
+# The rule causes append_block raises as their own InvalidTransaction subclass.
+_REFUSALS = {
+    "duplicate schema": DuplicateSchema,
+    "unknown credential": UnknownCredential,
+    "revoker is not the anchoring issuer": NotIssuer,
+    "already revoked": UnknownTransition,
+}
 
 
 def parse_transaction(value, where: str = "transaction"):
@@ -591,7 +603,7 @@ class Ledger:
                     fault = exc
                     break
                 if cause is not None:
-                    fault = InvalidTransaction(i, cause)
+                    fault = _REFUSALS.get(cause, InvalidTransaction)(i, cause)
                     break
                 state.push(tx, ok=True)
                 staged += 1

@@ -276,6 +276,17 @@ class TestSpliceAppends:
         assert one_error_line(err)
         assert Path(paths["ledger"]).read_bytes() == before
 
+    def test_a_second_schema_define_is_refused_by_the_ledger(self, run, paths):
+        bootstrap(run, paths)
+        define_patient_schema(run, paths)
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run(
+            "schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+            "--writer-wallet", paths["op"], "--name", "PatientID",
+            "--attr", "name", "--attr", "dob", "--attr", "patient_number")
+        assert (code, out, err) == (2, "", "error: transaction 0: duplicate schema")
+        assert Path(paths["ledger"]).read_bytes() == before
+
 
 class TestLedgerValidate:
     def test_fresh_ledger_is_ok(self, run, paths):
@@ -657,6 +668,28 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert "name=value" in err
         assert Path(paths["ledger"]).read_bytes() == before
+
+    @pytest.mark.parametrize("flag, pairs", [
+        ("--value", ["a=1", "a=2"]),
+        ("--endpoint", ["agent=https://a.example", "hub=https://h.example",
+                        "agent=https://b.example"]),
+    ])
+    def test_a_repeated_name_is_a_usage_error(self, run, paths, flag, pairs):
+        alice_did = bootstrap(run, paths)
+        _, out, _ = run("schema-define", "--wallet", paths["issuer"], "--ledger", paths["ledger"],
+                        "--writer-wallet", paths["op"], "--name", "T", "--attr", "a")
+        if flag == "--value":
+            argv = ["issue", "--wallet", paths["issuer"], "--schema-id",
+                    json.loads(out)["schema_id"], "--holder-did", alice_did, "--out", paths["vc"]]
+        else:
+            argv = ["did-register", "--wallet", paths["alice"]]
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run(*argv, "--ledger", paths["ledger"], "--writer-wallet", paths["op"],
+                             *[arg for pair in pairs for arg in (flag, pair)])
+        name = pairs[0].split("=")[0]
+        assert (code, out, err) == (1, "", f"error: {flag} names {name!r} more than once")
+        assert Path(paths["ledger"]).read_bytes() == before
+        assert not Path(paths["vc"]).exists()
 
     @pytest.mark.parametrize("argv, wins", [
         (["ledger-init", "--ledger", "{local}"], "local"),

@@ -23,6 +23,7 @@ from ssisim.errors import (
     DuplicateAttribute,
     DuplicateSchema,
     NotIssuer,
+    NotPermissioned,
     NotSchemaOwner,
     ParseError,
     SchemaMismatch,
@@ -32,8 +33,14 @@ from ssisim.errors import (
     UnknownTransition,
     WrongHolderKey,
 )
-from ssisim.identity import derive_did, sign
-from ssisim.ledger import AnchorCredential, CredentialStatus
+from ssisim.identity import derive_did, make_did_document, sign
+from ssisim.ledger import (
+    AnchorCredential,
+    CredentialStatus,
+    Ledger,
+    LedgerMode,
+    RegisterDid,
+)
 from ssisim.serialization import canonical_json_bytes, load_json
 
 from conftest import seeded_keypair
@@ -109,6 +116,14 @@ class TestDefineSchema:
     def test_duplicate_schema_rejected(self, ledger, issuer, patient_schema):
         with pytest.raises(DuplicateSchema):
             define_schema(issuer, "PatientID", 1, ["name", "dob", "patient_number"], ledger)
+
+    def test_duplicate_schema_is_refused_by_the_ledger(self, ledger, issuer, patient_schema):
+        data = ledger.to_bytes()
+        with pytest.raises(DuplicateSchema) as excinfo:
+            define_schema(issuer, "PatientID", 1, ["name", "dob", "patient_number"], ledger)
+        assert str(excinfo.value) == "transaction 0: duplicate schema"
+        assert (excinfo.value.index, excinfo.value.cause) == (0, "duplicate schema")
+        assert ledger.to_bytes() == data
 
     def test_unregistered_issuer_rejected(self, ledger):
         with pytest.raises(UnknownDid):
@@ -330,6 +345,50 @@ class TestRevoke:
     def test_unknown_credential(self, ledger, issuer):
         with pytest.raises(UnknownCredential):
             revoke_credential(issuer, b"\xee" * 32, ledger)
+
+    @pytest.mark.parametrize("case, error, cause", [
+        ("unknown", UnknownCredential, "unknown credential"),
+        ("foreign", NotIssuer, "revoker is not the anchoring issuer"),
+        ("second", UnknownTransition, "already revoked"),
+    ])
+    def test_the_ledger_refuses_for_the_engine(self, ledger, issuer, holder, credential,
+                                               case, error, cause):
+        if case == "second":
+            revoke_credential(issuer, credential.credential_id, ledger)
+        credential_id = b"\xee" * 32 if case == "unknown" else credential.credential_id
+        data = ledger.to_bytes()
+        with pytest.raises(error) as excinfo:
+            revoke_credential(holder if case == "foreign" else issuer, credential_id, ledger)
+        assert str(excinfo.value) == f"transaction 0: {cause}"
+        assert (excinfo.value.index, excinfo.value.cause) == (0, cause)
+        assert ledger.to_bytes() == data
+
+    def test_unregistered_issuer_is_an_unknown_did(self, ledger, issuer, credential):
+        nobody = seeded_keypair(b"nobody")
+        data = ledger.to_bytes()
+        for credential_id in (credential.credential_id, b"\xee" * 32):
+            with pytest.raises(UnknownDid):
+                revoke_credential(nobody, credential_id, ledger)
+        assert ledger.to_bytes() == data
+        assert ledger.credential_status(credential.credential_id) is CredentialStatus.ACTIVE
+
+    def test_non_writer_on_a_private_ledger_is_not_permissioned(self, operator, issuer, clock):
+        led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())],
+                             mode=LedgerMode.PRIVATE_PERMISSIONED, clock=clock)
+        led.attach_writer(operator)
+        led.submit([RegisterDid(make_did_document(issuer, created_at=clock.tick()))])
+        unsigned = AnchorCredential(credential_id=b"\x0e" * 32,
+                                    issuer_did=derive_did(issuer.public_key),
+                                    commitment_root=b"\x01" * 32, submitter_signature=b"")
+        led.submit([replace(unsigned, submitter_signature=sign(issuer.private_key,
+                                                               unsigned.signing_payload()))])
+        data = led.to_bytes()
+        with pytest.raises(NotPermissioned):
+            revoke_credential(issuer, b"\x0e" * 32, led)
+        assert led.to_bytes() == data
+        operator_did = derive_did(operator.public_key)
+        assert led.credential_status(b"\x0e" * 32,
+                                     reader_did=operator_did) is CredentialStatus.ACTIVE
 
 
 class TestTamperCheck:

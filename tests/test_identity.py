@@ -333,6 +333,28 @@ class TestOneForkPath:
                         "multiprocessing", "concurrent", "subprocess"}, (path.name, module)
 
 
+class TestOneRuleHome:
+    """The registry rule errors belong to the ledger: its kinds' rule()s are their one check."""
+
+    RULE_ERRORS = {"DuplicateSchema", "UnknownCredential", "NotIssuer", "UnknownTransition"}
+
+    def test_only_the_ledger_names_the_rule_errors(self):
+        naming = set()
+        for path in TestOneForkPath.SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                else:
+                    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                if names & self.RULE_ERRORS:
+                    naming.add(path.stem)
+        assert naming == {"ledger"}
+
+    def test_no_module_builds_a_rule_error_by_name(self):
+        # append_block builds them from the cause a rule() returns, through one table
+        assert TestOneForkPath.calls(self.RULE_ERRORS) == []
+
+
 class TestOneFileCodec:
     """Files are read through Record.from_bytes: only serialization parses JSON and checks keys."""
 

@@ -19,14 +19,18 @@ from ssisim.credentials import (
 from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
     ClockExhausted,
+    DuplicateSchema,
     EmptyBatch,
     EmptyWriterSet,
     FirstInvalid,
     InvalidTransaction,
+    NotIssuer,
     NotPermissioned,
     ParseError,
+    UnknownCredential,
     UnknownDid,
     UnknownSchema,
+    UnknownTransition,
 )
 from ssisim.identity import (
     DidDocument,
@@ -249,6 +253,75 @@ class TestAppend:
                 ledger.submit([*batch, anchored[0]])
             assert excinfo.value.cause == "duplicate anchor"
             assert index() == before
+
+
+def signed_schema(issuer):
+    unsigned = DefineSchema(schema=make_schema(derive_did(issuer.public_key), "S", 1, ["x"]),
+                            submitter_signature=b"")
+    return replace(unsigned, submitter_signature=sign(issuer.private_key,
+                                                      unsigned.signing_payload()))
+
+
+class TestTypedRefusals:
+    """Each registry rule lives in its kind's rule(); append_block raises its refusal type."""
+
+    ISSUER, HOLDER = seeded_keypair(b"issuer"), seeded_keypair(b"holder")  # as `ledger` has
+    CID = b"\x0c" * 32
+    ANCHOR = signed_anchor(ISSUER, CID, b"\x01" * 32)
+    # (submitted first, the refused transaction, its refusal type, its cause)
+    RULES = {
+        "duplicate schema": ([signed_schema(ISSUER)], signed_schema(ISSUER),
+                             DuplicateSchema, "duplicate schema"),
+        "unknown credential": ([], signed_revoke(ISSUER, CID),
+                               UnknownCredential, "unknown credential"),
+        "foreign issuer": ([ANCHOR], signed_revoke(HOLDER, CID),
+                           NotIssuer, "revoker is not the anchoring issuer"),
+        "second revoke": ([ANCHOR, signed_revoke(ISSUER, CID)], signed_revoke(ISSUER, CID),
+                          UnknownTransition, "already revoked"),
+    }
+
+    @staticmethod
+    def snapshot(ledger):
+        """The chain bytes, the clock and every index list, to compare after a refusal."""
+        state = ledger._index()
+        return (ledger.to_bytes(), ledger.clock.value, state.size,
+                {name: {key: list(entries) for key, entries in getattr(state, name).items()}
+                 for name in ("documents", "schemas", "anchors", "revokes")})
+
+    @pytest.mark.parametrize("via", ["append_block", "submit"])
+    @pytest.mark.parametrize("staged", [0, 2])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_broken_rule_raises_its_type(self, ledger, operator, rule, staged, via):
+        submitted, refused, error, cause = self.RULES[rule]
+        for tx in submitted:
+            ledger.submit([tx])
+        before = self.snapshot(ledger)
+        batch = [signed_anchor(self.ISSUER, batch_credential_id(i), b"\x07" * 32)
+                 for i in range(staged)] + [refused]
+        append = (ledger.submit if via == "submit"
+                  else lambda txs: ledger.append_block(txs, operator))
+        with pytest.raises(InvalidTransaction) as excinfo:
+            append(batch)
+        assert type(excinfo.value) is error
+        assert (excinfo.value.index, excinfo.value.cause) == (staged, cause)
+        assert str(excinfo.value) == f"transaction {staged}: {cause}"
+        assert self.snapshot(ledger) == before
+
+    def test_other_refusals_stay_plain(self, ledger):
+        schema = signed_schema(self.ISSUER)
+        ledger.submit([self.ANCHOR, schema])
+        refused = [
+            (self.ANCHOR, "duplicate anchor"),
+            (signed_revoke(seeded_keypair(b"stranger"), self.CID), "unknown submitter DID"),
+            # a bad signature outranks the rule its transaction also breaks
+            (replace(schema, submitter_signature=flip_bit(schema.submitter_signature)),
+             "bad submitter signature"),
+        ]
+        for tx, cause in refused:
+            with pytest.raises(InvalidTransaction) as excinfo:
+                ledger.submit([tx])
+            assert type(excinfo.value) is InvalidTransaction
+            assert (excinfo.value.index, excinfo.value.cause) == (0, cause)
 
 
 class TestValidateChain:
@@ -1139,15 +1212,22 @@ class TestVerificationCounts:
         import ssisim.engine
         from ssisim.engine import revoke_credential, verify_credential, verify_presentation
 
+        from ssisim.ledger import RegistryState
+
         monkeypatch.setattr(ssisim.engine, "verify", identity.verify)  # the counting one
-        reads = []
-        record = Ledger.credential_record
+        reads, records = [], []  # RegistryState.credential and Ledger.credential_record calls
 
-        def counted_record(led, credential_id, *args, **kw):
-            reads.append(credential_id)
-            return record(led, credential_id, *args, **kw)
+        def counting(cls, method, log):
+            real = getattr(cls, method)
 
-        monkeypatch.setattr(Ledger, "credential_record", counted_record)
+            def counted(self, credential_id, *args, **kw):
+                log.append(credential_id)
+                return real(self, credential_id, *args, **kw)
+
+            monkeypatch.setattr(cls, method, counted)
+
+        counting(RegistryState, "credential", reads)
+        counting(Ledger, "credential_record", records)
         schema = define_schema(issuer, "Badge", 1, ["level", "since"], ledger)
         credential = issue_credential(issuer, derive_did(holder.public_key), schema,
                                       {"level": "3", "since": "2020"}, ledger, rng=rng)
@@ -1166,8 +1246,11 @@ class TestVerificationCounts:
             led.attach_writer(operator)
             verifications.clear()
             reads.clear()
+            records.clear()
             assert check(led)
             assert reads == [credential.credential_id]
+            # a revoke reads the credential only in Revoke.rule, on append
+            assert records == ([] if name == "revoke_credential" else reads)
             counts[name] = len(verifications)
         # Nothing is memoized on a fresh load. Each check verifies the issuer's
         # registration and the anchor. A presentation adds the schema, the issuer and
