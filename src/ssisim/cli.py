@@ -44,6 +44,12 @@ def _write_bytes(path: str, data: bytes) -> None:
     Path(path).write_bytes(data)
 
 
+def _create_bytes(path: str, data: bytes) -> None:
+    """Write a new file; an existing one raises FileExistsError and keeps its bytes."""
+    with open(path, "xb") as file:
+        file.write(data)
+
+
 def _load_wallet(path: str):
     return wallet_load(_read_bytes(path))
 
@@ -59,7 +65,9 @@ def _load_for_append(path: str) -> tuple:
     chain last, so the file ends in the chain's closing "]}". save() writes
     the new blocks over those two bytes and closes the chain again, rewriting
     no earlier byte: the file then equals ledger.to_bytes(). A write cut short
-    after its first byte leaves a file the strict parser refuses.
+    after its first byte leaves a file the strict parser refuses. save() first
+    checks that the file still has the length it read and ends in "]}", so an
+    append made to it since the read is not written over.
     """
     data = _read_bytes(path)
     ledger = Ledger.from_bytes(data)
@@ -67,6 +75,9 @@ def _load_for_append(path: str) -> tuple:
 
     def save() -> None:
         with open(path, "r+b") as file:
+            file.seek(end)
+            if file.read(3) != b"]}":  # the closing bytes it read, and then the end
+                raise OSError(f"{path} changed since it was read; nothing was written")
             file.seek(end)
             file.write(b"".join(b"," + block.to_bytes() for block in ledger.blocks[height:])
                        + b"]}")
@@ -79,10 +90,14 @@ def _parse_seed(seed_hex: str) -> bytes:
 
 
 def _parse_reveal(reveal: str) -> tuple | None:
-    """Comma-separated attribute names; 'all' is None, which reveals every attribute."""
+    """Comma-separated attribute names, each once; 'all' is None, which reveals every attribute."""
     if reveal == "all":
         return None
-    return tuple(name.strip() for name in reveal.split(",") if name.strip())
+    names = tuple(name.strip() for name in reveal.split(",") if name.strip())
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"--reveal names {name!r} more than once")
+    return names
 
 
 def _parse_pairs(pairs, what: str) -> dict:
@@ -224,7 +239,7 @@ def wallet_init(args) -> int:
     seed = _parse_seed(_given(args.seed, "--seed"))
     path = _given(args.wallet, "--wallet")
     wallet = wallet_create(seed)
-    _write_bytes(path, wallet_save(wallet))
+    _create_bytes(path, wallet_save(wallet))
     _print_json({"did": str(wallet.did), "key_id": wallet.keypair.key_id, "wallet": path})
     return 0
 
@@ -240,7 +255,7 @@ def ledger_init(args) -> int:
     clock = LogicalClock(args.clock_start)
     doc = make_did_document(writer.keypair, created_at=clock.tick())
     ledger = Ledger.genesis([doc], mode=LedgerMode(args.mode), clock=clock)
-    _write_bytes(path, ledger.to_bytes())
+    _create_bytes(path, ledger.to_bytes())
     _print_json({"ledger": path, "writer_did": str(doc.did), "blocks": len(ledger.blocks)})
     return 0
 

@@ -321,7 +321,7 @@ class VerificationReport:
 
     @property
     def accepted(self) -> bool:
-        return all(passed for _, passed in self.checks)
+        return self.reject_cause is None
 
     @property
     def reject_cause(self) -> str | None:

@@ -1,8 +1,21 @@
-"""Exception hierarchy shared across the package.
+"""The refusal vocabulary shared across the package.
 
 Every domain error derives from SsiSimError so callers (and the CLI) can
-distinguish contract violations from programming bugs.
+distinguish contract violations from programming bugs. The chain and
+certificate checks answer a Verdict instead of raising.
 """
+
+from dataclasses import dataclass
+from enum import Enum
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Accepted, or refused for which cause (an enum of the checking module) and where."""
+
+    ok: bool
+    cause: Enum | None = None
+    index: int | None = None  # the first faulty block of a chain; None for a certificate
 
 
 class SsiSimError(Exception):

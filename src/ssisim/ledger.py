@@ -35,6 +35,7 @@ from .errors import (
     UnknownDid,
     UnknownSchema,
     UnknownTransition,
+    Verdict,
 )
 from .identity import (
     DID,
@@ -87,13 +88,6 @@ class ChainFault(str, Enum):
     LINK_BROKEN = "LinkBroken"
     BAD_WRITER = "BadWriter"
     BAD_SIGNATURE = "BadSignature"
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    ok: bool
-    index: int | None = None
-    cause: ChainFault | None = None
 
 
 # --- transactions ---------------------------------------------------------------
@@ -551,11 +545,7 @@ class Ledger:
             writer_did=txs[0].document.did,
             writer_signature=_GENESIS_SIGNATURE,
         )
-        ledger = cls(blocks=[block], mode=mode, clock=clock)
-        report = ledger.validate_chain()
-        if not report.ok:
-            raise FirstInvalid(report.index, report.cause.value)
-        return ledger
+        return cls(blocks=[block], mode=mode, clock=clock)._checked()
 
     def attach_writer(self, writer: KeyPair) -> None:
         """Hold a writer key so submit() can seal blocks for engine operations."""
@@ -635,7 +625,7 @@ class Ledger:
 
     # -- validation
 
-    def validate_chain(self) -> ChainReport:
+    def validate_chain(self) -> Verdict:
         """The first faulty block and why, as a walk in chain order checking each in full finds it.
 
         Pass 1 runs every check but the writer signatures, in chain order, up to
@@ -643,13 +633,11 @@ class Ledger:
         as one verify_each batch, which spreads them over the CPUs; the first bad
         one comes earlier in the chain, so it wins.
         """
-        report = ChainReport(ok=True)
         jobs = []  # (writer key, block hash, writer signature) of blocks 1.. before the fault
         prev_hash = GENESIS_PREV_HASH
-        for i, block in enumerate(self.blocks):
+        for i, block in enumerate(self.blocks):  # a ledger holds at least its genesis block
             cause = self._block_fault(i, block, prev_hash)
             if cause is not None:
-                report = ChainReport(ok=False, index=i, cause=cause)
                 break
             if i > 0:
                 jobs.append((self.writer_set[str(block.writer_did)], block.block_hash,
@@ -657,8 +645,15 @@ class Ledger:
             prev_hash = block.block_hash
         bad = verify_each(jobs).find(0)
         if bad >= 0:
-            return ChainReport(ok=False, index=bad + 1, cause=ChainFault.BAD_SIGNATURE)
-        return report
+            return Verdict(ok=False, cause=ChainFault.BAD_SIGNATURE, index=bad + 1)
+        return Verdict(ok=True) if cause is None else Verdict(ok=False, cause=cause, index=i)
+
+    def _checked(self) -> "Ledger":
+        """This ledger, if its chain is valid; else FirstInvalid names the first faulty block."""
+        verdict = self.validate_chain()
+        if not verdict.ok:
+            raise FirstInvalid(verdict.index, verdict.cause.value)
+        return self
 
     def _block_fault(self, i: int, block: LedgerBlock, prev_hash: bytes) -> ChainFault | None:
         """Why block i, which should follow prev_hash, is faulty, writer signature aside."""
@@ -751,7 +746,4 @@ class Ledger:
                      clock=_ChainClock(file.blocks[-1].timestamp))
         if not ledger.writer_set:
             raise ParseError("genesis block registers no writers")
-        report = ledger.validate_chain()
-        if not report.ok:
-            raise FirstInvalid(report.index, report.cause.value)
-        return ledger
+        return ledger._checked()

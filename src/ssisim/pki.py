@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     UnknownApproval,
     UnknownRequest,
+    Verdict,
 )
 from .identity import (
     DidDocument,
@@ -109,12 +110,6 @@ class VerdictCause(str, Enum):
     EXPIRED = "Expired"
     UNKNOWN_SERIAL = "UnknownSerial"
     REVOKED = "Revoked"
-
-
-@dataclass(frozen=True)
-class CertVerdict:
-    valid: bool
-    cause: VerdictCause | None = None
 
 
 # --- hierarchy -------------------------------------------------------------------
@@ -239,17 +234,17 @@ def va_revoke(hierarchy: CaHierarchy, serial: int) -> None:
     hierarchy.va[serial] = CertStatus.REVOKED
 
 
-_CHAIN_BROKEN = CertVerdict(valid=False, cause=VerdictCause.CHAIN_BROKEN)
+_CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN)
 
 
 def verify_certificate(hierarchy: CaHierarchy, certificate: Certificate,
-                       clock: LogicalClock) -> CertVerdict:
+                       clock: LogicalClock) -> Verdict:
     """Valid iff the chain reaches the root, the window holds, and the VA agrees."""
     return verify_certificates(hierarchy, [certificate], clock)[0]
 
 
 def verify_certificates(hierarchy: CaHierarchy, certificates: list[Certificate],
-                        clock: LogicalClock) -> list[CertVerdict]:
+                        clock: LogicalClock) -> list[Verdict]:
     """verify_certificate's verdict on each certificate, in order.
 
     The issuer signatures are checked as one batch through verify_each, and
@@ -276,18 +271,16 @@ def verify_certificates(hierarchy: CaHierarchy, certificates: list[Certificate],
     return verdicts
 
 
-def _window_and_status(hierarchy: CaHierarchy, certificate: Certificate, now: int) -> CertVerdict:
-    """The verdict on a certificate whose chain reaches the root."""
-    if now < certificate.not_before:
-        return CertVerdict(valid=False, cause=VerdictCause.NOT_YET_VALID)
-    if now > certificate.not_after:
-        return CertVerdict(valid=False, cause=VerdictCause.EXPIRED)
+def _window_and_status(hierarchy: CaHierarchy, certificate: Certificate, now: int) -> Verdict:
+    """The verdict on a certificate whose chain reaches the root: its first failed check."""
     status = hierarchy.va.get(certificate.serial)
-    if status is None:
-        return CertVerdict(valid=False, cause=VerdictCause.UNKNOWN_SERIAL)
-    if status is CertStatus.REVOKED:
-        return CertVerdict(valid=False, cause=VerdictCause.REVOKED)
-    return CertVerdict(valid=True)
+    for failed, cause in ((now < certificate.not_before, VerdictCause.NOT_YET_VALID),
+                          (now > certificate.not_after, VerdictCause.EXPIRED),
+                          (status is None, VerdictCause.UNKNOWN_SERIAL),
+                          (status is CertStatus.REVOKED, VerdictCause.REVOKED)):
+        if failed:
+            return Verdict(ok=False, cause=cause)
+    return Verdict(ok=True)
 
 
 # --- compromise harness -------------------------------------------------------------
@@ -357,7 +350,7 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
             subject_public_key=generate_keypair(seed).public_key,
             not_before=now, not_after=now + CERT_LIFETIME_TICKS,
         ) for subject_name, seed, serial in orders]
-        return bytes(v.valid for v in verify_certificates(hierarchy, forged, clock))
+        return bytes(v.ok for v in verify_certificates(hierarchy, forged, clock))
 
     accepted = 0
     for start in range(0, config.forgeries, _CHECK_WINDOW):

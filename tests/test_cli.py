@@ -14,11 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssisim
+from ssisim import cli
 from ssisim.cli import main
-from ssisim.ledger import Ledger
+from ssisim.errors import UnknownDid
+from ssisim.identity import make_did_document
+from ssisim.ledger import Ledger, RegisterDid
 from ssisim.serialization import canonical_json_bytes
+from ssisim.wallet import wallet_load
 
-from conftest import CHAIN_FAULTS, LONG_CHAIN_BLOCKS, hijacked_genesis_file, tampered
+from conftest import (CHAIN_FAULTS, LONG_CHAIN_BLOCKS, hijacked_genesis_file, seeded_keypair,
+                      tampered)
 
 
 @pytest.fixture
@@ -106,6 +111,15 @@ class TestWalletInit:
         code, _, _ = run("wallet-init", "--seed", "xyz", "--wallet", str(tmp_path / "w.json"))
         assert code == 3
 
+    def test_an_existing_wallet_is_not_overwritten(self, run, tmp_path):
+        wallet = str(tmp_path / "w.json")
+        assert run("wallet-init", "--seed", "ab" * 32, "--wallet", wallet)[0] == 0
+        before = Path(wallet).read_bytes()
+        code, out, err = run("wallet-init", "--seed", "cd" * 32, "--wallet", wallet)
+        assert (code, out) == (3, "")
+        assert one_error_line(err) and wallet in err
+        assert Path(wallet).read_bytes() == before
+
 
 class TestEndToEndFlow:
     def test_issue_present_verify(self, run, paths):
@@ -178,6 +192,17 @@ class TestEndToEndFlow:
                    "--challenge", "99" * 32, "--out", paths["vp"])[0] == 0
         return ("verify", "--presentation", paths["vp"], "--challenge", "99" * 32,
                 "--ledger", paths["ledger"])
+
+    @pytest.mark.parametrize("reveal", ["dob,dob", "dob, name ,dob"])
+    def test_present_refuses_a_repeated_reveal_name(self, run, paths, reveal):
+        alice_did = bootstrap(run, paths)
+        schema_id = define_patient_schema(run, paths)
+        assert run(*issue_argv(paths, schema_id, alice_did))[0] == 0
+        code, out, err = run(
+            "present", "--wallet", paths["alice"], "--credential", paths["vc"],
+            "--reveal", reveal, "--challenge", "99" * 32, "--out", paths["vp"])
+        assert (code, out, err) == (1, "", "error: --reveal names 'dob' more than once")
+        assert not Path(paths["vp"]).exists()
 
     def test_issue_on_a_private_ledger_reads_the_schema_as_the_issuer(self, run, paths):
         # the genesis writer is the issuer, so it may read; a verify with no wallet cannot
@@ -265,6 +290,43 @@ class TestSpliceAppends:
             else:
                 assert (code, out) == (3, ""), j
                 assert one_error_line(err), j
+
+    def test_ledger_init_does_not_overwrite_a_ledger(self, run, paths):
+        bootstrap(run, paths)
+        define_patient_schema(run, paths)
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run("ledger-init", "--writer-wallet", paths["op"],
+                             "--ledger", paths["ledger"])
+        assert (code, out) == (3, "")
+        assert one_error_line(err) and paths["ledger"] in err
+        assert Path(paths["ledger"]).read_bytes() == before
+        assert len(Ledger.from_bytes(before).blocks) == 4
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_save_after_another_append_to_the_file_is_refused(self, run, paths, first):
+        bootstrap(run, paths)
+        op = wallet_load(Path(paths["op"]).read_bytes()).keypair
+        # two appends loaded from the same bytes, with blocks of different lengths:
+        # written over each other, the longer loses the shorter's DID, the shorter
+        # leaves a tail that no load accepts
+        appends = []
+        for tag, endpoints in ((b"short", ()), (b"long", (("agent", "https://x.example/" * 4),))):
+            ledger, save = cli._load_for_append(paths["ledger"])
+            doc = make_did_document(seeded_keypair(tag), endpoints,
+                                    created_at=ledger.clock.tick())
+            ledger.append_block([RegisterDid(doc)], op)
+            appends.append((doc, save))
+        (kept, save_first), (lost, save_second) = appends[first], appends[1 - first]
+        save_first()
+        after = Path(paths["ledger"]).read_bytes()
+        with pytest.raises(OSError, match="nothing was written") as excinfo:
+            save_second()
+        assert paths["ledger"] in str(excinfo.value)
+        assert Path(paths["ledger"]).read_bytes() == after
+        ledger = Ledger.from_bytes(after)
+        assert ledger.resolve_did(kept.did) == kept
+        with pytest.raises(UnknownDid):
+            ledger.resolve_did(lost.did)
 
     def test_issue_writes_its_credential_before_it_anchors(self, run, paths, tmp_path):
         alice_did = bootstrap(run, paths)
@@ -465,6 +527,11 @@ class TestScenarioCommands:
     def test_government_reveal_all(self, run):
         code, out, _ = run("government", "--reveal", "all")
         assert code == 0
+
+    @pytest.mark.parametrize("reveal", ["name,name", "name, gender,name"])
+    def test_government_repeated_reveal_exits_1(self, run, reveal):
+        code, out, err = run("government", "--reveal", reveal)
+        assert (code, out, err) == (1, "", "error: --reveal names 'name' more than once")
 
     def test_government_unknown_reveal_exits_2(self, run):
         code, _, err = run("government", "--reveal", "blood_type")

@@ -11,12 +11,12 @@ from ssisim.errors import (
     ConfigError,
     UnknownApproval,
     UnknownRequest,
+    Verdict,
 )
 from ssisim.identity import generate_keypair
 from ssisim.pki import (
     CERT_LIFETIME_TICKS,
     CertStatus,
-    CertVerdict,
     CompromiseConfig,
     CompromiseReport,
     VerdictCause,
@@ -108,7 +108,7 @@ class TestIssuanceAndVerification:
     def test_fresh_certificate_chains_to_root(self, hierarchy, clock):
         cert = self.issue(hierarchy, clock)
         assert cert.issuer_name == "issuing-ca"
-        assert verify_certificate(hierarchy, cert, clock).valid
+        assert verify_certificate(hierarchy, cert, clock).ok
 
     def test_va_registers_new_serials_as_valid(self, hierarchy, clock):
         from ssisim.pki import CertStatus
@@ -125,7 +125,7 @@ class TestIssuanceAndVerification:
         cert = self.issue(hierarchy, clock)
         va_revoke(hierarchy, cert.serial)
         verdict = verify_certificate(hierarchy, cert, clock)
-        assert (verdict.valid, verdict.cause) == (False, VerdictCause.REVOKED)
+        assert (verdict.ok, verdict.cause) == (False, VerdictCause.REVOKED)
 
     def test_outside_signer_breaks_the_chain(self, hierarchy, clock):
         rogue = subject(b"rogue-ca")
@@ -135,20 +135,20 @@ class TestIssuanceAndVerification:
             not_before=0, not_after=1000,
         )
         verdict = verify_certificate(hierarchy, forged, clock)
-        assert (verdict.valid, verdict.cause) == (False, VerdictCause.CHAIN_BROKEN)
+        assert (verdict.ok, verdict.cause) == (False, VerdictCause.CHAIN_BROKEN)
 
     def test_unknown_issuer_name_breaks_the_chain(self, hierarchy, clock):
         cert = self.issue(hierarchy, clock)
         renamed = replace(cert, issuer_name="who-dis-ca")
         verdict = verify_certificate(hierarchy, renamed, clock)
-        assert (verdict.valid, verdict.cause) == (False, VerdictCause.CHAIN_BROKEN)
+        assert (verdict.ok, verdict.cause) == (False, VerdictCause.CHAIN_BROKEN)
 
     def test_expired_certificate_is_invalid(self, hierarchy, clock):
         cert = self.issue(hierarchy, clock)
         for _ in range(CERT_LIFETIME_TICKS + 1):
             clock.tick()
         verdict = verify_certificate(hierarchy, cert, clock)
-        assert (verdict.valid, verdict.cause) == (False, VerdictCause.EXPIRED)
+        assert (verdict.ok, verdict.cause) == (False, VerdictCause.EXPIRED)
 
     def test_unregistered_serial_is_invalid(self, hierarchy, clock):
         ca = hierarchy.subordinate
@@ -158,7 +158,7 @@ class TestIssuanceAndVerification:
             not_before=0, not_after=1000,
         )
         verdict = verify_certificate(hierarchy, offbook, clock)
-        assert (verdict.valid, verdict.cause) == (False, VerdictCause.UNKNOWN_SERIAL)
+        assert (verdict.ok, verdict.cause) == (False, VerdictCause.UNKNOWN_SERIAL)
 
     def test_removing_the_root_invalidates_everything(self, clock):
         # trust is anchored: the same certificates fail under a different root
@@ -169,7 +169,7 @@ class TestIssuanceAndVerification:
                                 clock=clock)
         other.va.update(hierarchy.va)  # even with the database shared, the chain fails
         for cert in certs:
-            assert not verify_certificate(other, cert, clock).valid
+            assert not verify_certificate(other, cert, clock).ok
 
 
 class TestCompromiseExperiment:
@@ -275,7 +275,7 @@ class TestBatchVerification:
             # only what the root issued itself still chains to it
             causes = [cause if cert.issuer_name == hierarchy.root.name
                       else VerdictCause.CHAIN_BROKEN for cert, cause in table]
-        return certificates, [CertVerdict(valid=cause is None, cause=cause) for cause in causes]
+        return certificates, [Verdict(ok=cause is None, cause=cause) for cause in causes]
 
     def test_the_table_gives_the_expected_single_verdicts(self, hierarchy, clock, cases):
         certificates, expected = cases
