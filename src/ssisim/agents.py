@@ -10,9 +10,9 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 from .credentials import Credential, VerificationReport
-from .engine import verify_credential
+from .engine import signed_by, verify_credential
 from .errors import ParseError, StaleChallenge, UnknownDid, WrongHolderKey
-from .identity import Did, Envelope, decrypt, encrypt_for, sign, verify
+from .identity import Did, Envelope, decrypt, encrypt_for, sign
 from .ledger import Ledger
 from .runtime import LogicalClock
 from .serialization import canonical_json_bytes, encode_parts, expect_str, load_json
@@ -160,10 +160,9 @@ class Agent:
         if self.clock.now() - challenge.issued_at > CHALLENGE_TTL_TICKS:
             del self._outstanding[response.nonce]
             raise StaleChallenge("challenge expired")
-        subject_doc = self.ledger_view.resolve_did(response.subject_did, reader_did=self.did)
-        ok = verify(subject_doc.verification_key,
-                    auth_signing_payload(challenge.nonce, self.did),
-                    response.signature)
+        ok = signed_by(self.ledger_view, response.subject_did,
+                       auth_signing_payload(challenge.nonce, self.did), response.signature,
+                       self.did)
         if ok:
             del self._outstanding[response.nonce]
         return ok

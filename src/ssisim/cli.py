@@ -89,27 +89,31 @@ def _parse_seed(seed_hex: str) -> bytes:
     return parse_hex(seed_hex, 32, "--seed")
 
 
+def _each_once(names, flag: str):
+    """The names, unless one repeats: a usage error that names the flag."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"{flag} names {name!r} more than once")
+        seen.add(name)
+    return names
+
+
 def _parse_reveal(reveal: str) -> tuple | None:
     """Comma-separated attribute names, each once; 'all' is None, which reveals every attribute."""
     if reveal == "all":
         return None
-    names = tuple(name.strip() for name in reveal.split(",") if name.strip())
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"--reveal names {name!r} more than once")
-    return names
+    return _each_once(tuple(name.strip() for name in reveal.split(",") if name.strip()),
+                      "--reveal")
 
 
 def _parse_pairs(pairs, what: str) -> dict:
-    values = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"{what} must look like name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
-        if name in values:
-            raise ConfigError(f"{what} names {name!r} more than once")
-        values[name] = value
-    return values
+    split = [pair.split("=", 1) for pair in pairs]
+    _each_once([name for name, _ in split], what)
+    return dict(split)
 
 
 def _text(value: str) -> str:
@@ -292,7 +296,8 @@ def schema_define(args) -> int:
     path = _given(args.ledger, "--ledger")
     ledger, save = _load_for_append(path)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
-    schema = define_schema(issuer.keypair, args.name, args.version, args.attr, ledger)
+    schema = define_schema(issuer.keypair, args.name, args.version,
+                           _each_once(args.attr, "--attr"), ledger)
     save()
     _print_json(schema.to_json_dict())
     return 0

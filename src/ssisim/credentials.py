@@ -11,7 +11,14 @@ facing issuer/holder/verifier operations live in engine.py.
 
 from dataclasses import dataclass, replace
 
-from .errors import DuplicateAttribute, ParseError, SchemaMismatch, UnknownAttribute, WrongHolderKey
+from .errors import (
+    ConfigError,
+    DuplicateAttribute,
+    ParseError,
+    SchemaMismatch,
+    UnknownAttribute,
+    WrongHolderKey,
+)
 from .identity import (
     DID,
     Did,
@@ -23,6 +30,7 @@ from .identity import (
 from .merkle import PathStep, leaf_hash, merkle_path, merkle_root, verify_path
 from .serialization import (
     INT,
+    MAX_INT,
     STR,
     Record,
     encode_parts,
@@ -74,6 +82,8 @@ def schema_id_for(issuer_did: Did, name: str, version: int, attribute_names) -> 
 
 def make_schema(issuer_did: Did, name: str, version: int, attribute_names) -> CredentialSchema:
     """Validate and canonicalize attribute names (sorted order fixed here)."""
+    if not 0 <= version <= MAX_INT:
+        raise ConfigError(f"schema version {version} is outside [0, 2^64-1]")
     names = list(attribute_names)
     if not names:
         raise DuplicateAttribute("schema needs at least one attribute")

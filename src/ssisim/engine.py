@@ -4,6 +4,10 @@ Issuance anchors only the commitment root - attribute plaintext never
 touches the ledger. Verification resolves everything it trusts (issuer
 key, holder key, schema, anchor, status) from the ledger rather than
 from the presentation itself.
+
+Credentials and presentations ("claims") share each registry check:
+_schema_known, _issuer_signed and signed_by. An agent thus stores a
+credential only if a full disclosure of it passes the presentation checks.
 """
 
 from dataclasses import replace
@@ -39,7 +43,7 @@ def _signed(issuer: KeyPair, unsigned):
                    submitter_signature=sign(issuer.private_key, unsigned.signing_payload()))
 
 
-def _signature_ok(ledger: Ledger, did, payload: bytes, signature: bytes, reader_did) -> bool:
+def signed_by(ledger: Ledger, did, payload: bytes, signature: bytes, reader_did) -> bool:
     """True iff the DID resolves on the ledger and its key verifies the signature."""
     try:
         doc = ledger.resolve_did(did, reader_did=reader_did)
@@ -48,12 +52,24 @@ def _signature_ok(ledger: Ledger, did, payload: bytes, signature: bytes, reader_
     return verify(doc.verification_key, payload, signature)
 
 
-def _schema(ledger: Ledger, schema_id: bytes, reader_did) -> CredentialSchema | None:
-    """The anchored schema, or None if the schema is not defined."""
+def _schema_known(ledger: Ledger, claim, names_fit, reader_did) -> bool:
+    """True iff the claim's schema is defined, its issuer owns it and names_fit its names."""
     try:
-        return ledger.lookup_schema(schema_id, reader_did=reader_did)
+        schema = ledger.lookup_schema(claim.schema_id, reader_did=reader_did)
     except UnknownSchema:
-        return None
+        return False
+    return schema.issuer_did == claim.issuer_did and names_fit(schema.attribute_names)
+
+
+def _issuer_signed(ledger: Ledger, claim, anchor, reader_did) -> bool:
+    """True iff the claim's issuer made the anchor and signed the root it anchors."""
+    return anchor is not None and anchor.issuer_did == claim.issuer_did and signed_by(
+        ledger, claim.issuer_did,
+        credential_signing_payload(claim.credential_id, claim.schema_id, claim.issuer_did,
+                                   claim.holder_did, anchor.commitment_root,
+                                   claim.issuance_time),
+        claim.issuer_signature, reader_did,
+    )
 
 
 def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
@@ -90,66 +106,36 @@ def issue_credential(issuer: KeyPair, holder_did, schema: CredentialSchema, valu
 def verify_presentation(ledger: Ledger, presentation: Presentation,
                         expected_challenge: bytes, reader_did=None) -> VerificationReport:
     """Check a presentation against the registry; failures land in the report."""
-    checks = []
-
-    anchor, status = ledger.credential_record(presentation.credential_id, reader_did=reader_did)
-    root = anchor.commitment_root if anchor is not None else None
-
-    schema = _schema(ledger, presentation.schema_id, reader_did)
-    revealed_names = {r.name for r in presentation.revealed}
-    checks.append(("schema_known", schema is not None
-                   and schema.issuer_did == presentation.issuer_did
-                   and revealed_names <= set(schema.attribute_names)))
-
-    checks.append(("status_active", status is CredentialStatus.ACTIVE))
-
-    anchored_by_issuer = anchor is not None and anchor.issuer_did == presentation.issuer_did
-    issuer_ok = anchored_by_issuer and _signature_ok(
-        ledger, presentation.issuer_did,
-        credential_signing_payload(
-            presentation.credential_id, presentation.schema_id,
-            presentation.issuer_did, presentation.holder_did,
-            root, presentation.issuance_time,
-        ),
-        presentation.issuer_signature, reader_did,
-    )
-    checks.append(("issuer_signature", issuer_ok))
-
-    checks.append(("merkle_proofs",
-                   root is not None and revealed_proofs_ok(presentation, root)))
-
-    checks.append(("challenge_match", presentation.challenge == expected_challenge))
-
-    holder_ok = _signature_ok(
-        ledger, presentation.holder_did,
-        presentation_signing_payload(
-            presentation.credential_id,
-            revealed_set_hash(presentation.revealed),
-            expected_challenge,
-        ),
-        presentation.holder_signature, reader_did,
-    )
-    checks.append(("holder_signature", holder_ok))
-
-    return VerificationReport(checks=tuple(checks))
+    p = presentation
+    anchor, status = ledger.credential_record(p.credential_id, reader_did=reader_did)
+    revealed_names = {r.name for r in p.revealed}
+    holder_payload = presentation_signing_payload(
+        p.credential_id, revealed_set_hash(p.revealed), expected_challenge)
+    return VerificationReport(checks=(
+        ("schema_known", _schema_known(ledger, p, revealed_names.issubset, reader_did)),
+        ("status_active", status is CredentialStatus.ACTIVE),
+        ("issuer_signature", _issuer_signed(ledger, p, anchor, reader_did)),
+        ("merkle_proofs",
+         anchor is not None and revealed_proofs_ok(p, anchor.commitment_root)),
+        ("challenge_match", p.challenge == expected_challenge),
+        ("holder_signature",
+         signed_by(ledger, p.holder_did, holder_payload, p.holder_signature, reader_did)),
+    ))
 
 
 def verify_credential(ledger: Ledger, credential: Credential,
                       reader_did=None) -> VerificationReport:
-    """Check a received credential against the registry; failures land in the report."""
-    checks = []
-    schema = _schema(ledger, credential.schema_id, reader_did)
-    checks.append(("schema_known", schema is not None
-                   and schema.attribute_names == tuple(n for n, _ in credential.attributes)))
-    # tamper_check verifies the issuer signature against the ledger key; the anchor
-    # must then carry this root and name this issuer.
-    anchor, status = ledger.credential_record(credential.credential_id, reader_did=reader_did)
-    checks.append(("commitment_root", tamper_check(credential, ledger, reader_did=reader_did)
-                   and anchor is not None
-                   and anchor.commitment_root == credential.commitment_root
-                   and anchor.issuer_did == credential.issuer_did))
-    checks.append(("status_active", status is CredentialStatus.ACTIVE))
-    return VerificationReport(checks=tuple(checks))
+    """A full disclosure's registry checks; commitment_root stands for its Merkle proofs."""
+    c = credential
+    names = tuple(n for n, _ in c.attributes)
+    anchor, status = ledger.credential_record(c.credential_id, reader_did=reader_did)
+    return VerificationReport(checks=(
+        ("schema_known", _schema_known(ledger, c, lambda fit: fit == names, reader_did)),
+        ("commitment_root", credential_commitments_ok(c)
+         and anchor is not None and anchor.commitment_root == c.commitment_root
+         and _issuer_signed(ledger, c, anchor, reader_did)),
+        ("status_active", status is CredentialStatus.ACTIVE),
+    ))
 
 
 def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> None:
@@ -168,5 +154,5 @@ def tamper_check(credential: Credential, ledger: Ledger, reader_did=None) -> boo
     """True iff commitments recompute and the issuer signature verifies."""
     if not credential_commitments_ok(credential):
         return False
-    return _signature_ok(ledger, credential.issuer_did, credential.signing_payload(),
-                         credential.issuer_signature, reader_did)
+    return signed_by(ledger, credential.issuer_did, credential.signing_payload(),
+                     credential.issuer_signature, reader_did)

@@ -740,6 +740,7 @@ class TestUsage:
         ("--value", ["a=1", "a=2"]),
         ("--endpoint", ["agent=https://a.example", "hub=https://h.example",
                         "agent=https://b.example"]),
+        ("--attr", ["a", "b", "a"]),
     ])
     def test_a_repeated_name_is_a_usage_error(self, run, paths, flag, pairs):
         alice_did = bootstrap(run, paths)
@@ -748,6 +749,8 @@ class TestUsage:
         if flag == "--value":
             argv = ["issue", "--wallet", paths["issuer"], "--schema-id",
                     json.loads(out)["schema_id"], "--holder-did", alice_did, "--out", paths["vc"]]
+        elif flag == "--attr":
+            argv = ["schema-define", "--wallet", paths["issuer"], "--name", "U"]
         else:
             argv = ["did-register", "--wallet", paths["alice"]]
         before = Path(paths["ledger"]).read_bytes()
@@ -757,6 +760,18 @@ class TestUsage:
         assert (code, out, err) == (1, "", f"error: {flag} names {name!r} more than once")
         assert Path(paths["ledger"]).read_bytes() == before
         assert not Path(paths["vc"]).exists()
+
+    @pytest.mark.parametrize("version", ["-1", "18446744073709551616"])
+    def test_a_schema_version_outside_the_integer_range_is_a_usage_error(self, run, paths,
+                                                                         version):
+        bootstrap(run, paths)
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run("schema-define", "--wallet", paths["issuer"],
+                             "--ledger", paths["ledger"], "--writer-wallet", paths["op"],
+                             "--name", "V", f"--version={version}", "--attr", "a")
+        assert (code, out) == (1, "")
+        assert err == f"error: schema version {version} is outside [0, 2^64-1]"
+        assert Path(paths["ledger"]).read_bytes() == before
 
     @pytest.mark.parametrize("argv, wins", [
         (["ledger-init", "--ledger", "{local}"], "local"),
@@ -923,6 +938,11 @@ class TestArgvFuzz:
                    "--writer-wallet", "op.json", "--name", "U", "--attr", "\udcff"])
     @example(argv=["did-register", "--wallet", "alice.json", "--ledger", "ledger.json",
                    "--writer-wallet", "op.json", "--endpoint", "a=\udcff"])
+    @example(argv=["schema-define", "--wallet", "issuer.json", "--ledger", "ledger.json",
+                   "--writer-wallet", "op.json", "--name", "V", "--version=-1", "--attr", "a"])
+    @example(argv=["schema-define", "--wallet", "issuer.json", "--ledger", "ledger.json",
+                   "--writer-wallet", "op.json", "--name", "V",
+                   "--version=18446744073709551616", "--attr", "a"])
     def test_any_argv_maps_to_an_exit_code(self, argv_dir, argv):
         cwd = os.getcwd()
         os.chdir(argv_dir)

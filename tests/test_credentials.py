@@ -10,6 +10,7 @@ from ssisim.credentials import (
     Presentation,
     build_credential,
     create_presentation,
+    make_schema,
 )
 from ssisim.engine import (
     define_schema,
@@ -20,6 +21,7 @@ from ssisim.engine import (
     verify_presentation,
 )
 from ssisim.errors import (
+    ConfigError,
     DuplicateAttribute,
     DuplicateSchema,
     NotIssuer,
@@ -132,6 +134,21 @@ class TestDefineSchema:
     def test_attribute_order_is_canonical(self, ledger, issuer):
         a = define_schema(issuer, "Ordered", 1, ["zeta", "alpha"], ledger)
         assert a.attribute_names == ("alpha", "zeta")
+
+    @pytest.mark.parametrize("version", [-1, 2**64])
+    def test_a_version_outside_the_integer_range_is_refused(self, ledger, issuer, version):
+        did = derive_did(issuer.public_key)
+        with pytest.raises(ConfigError, match=r"outside \[0, 2\^64-1\]"):
+            make_schema(did, "Versioned", version, ["a"])
+        data = ledger.to_bytes()
+        with pytest.raises(ConfigError):
+            define_schema(issuer, "Versioned", version, ["a"], ledger)
+        assert ledger.to_bytes() == data
+
+    @pytest.mark.parametrize("version", [0, 2**64 - 1])
+    def test_a_version_at_either_end_of_the_range_is_anchored(self, ledger, issuer, version):
+        schema = define_schema(issuer, "Versioned", version, ["a"], ledger)
+        assert ledger.lookup_schema(schema.schema_id).version == version
 
 
 class TestIssue:
@@ -324,6 +341,78 @@ class TestVerifyPresentation:
         report = verify_presentation(ledger, pres, b"\x09" * 32)
         assert report.verdict == "reject:schema_known"
         assert [name for name, passed in report.checks if not passed] == ["schema_known"]
+
+
+def offline_credential(issuer, holder, schema, rng, clock):
+    """An issuer-signed credential for the holder that no block anchors."""
+    return build_credential(issuer, derive_did(holder.public_key), schema,
+                            dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
+
+
+def foreign_schema_owner(ledger, issuer, holder, schema, rng, clock):
+    foreign = define_schema(holder, schema.name, schema.version, schema.attribute_names, ledger)
+    credential = offline_credential(issuer, holder, foreign, rng, clock)
+    anchor_as(issuer, credential, ledger)
+    return credential
+
+
+def unknown_schema(ledger, issuer, holder, schema, rng, clock):
+    undefined = make_schema(derive_did(issuer.public_key), "Undefined", 1,
+                            schema.attribute_names)
+    credential = offline_credential(issuer, holder, undefined, rng, clock)
+    anchor_as(issuer, credential, ledger)
+    return credential
+
+
+def no_anchor(ledger, issuer, holder, schema, rng, clock):
+    return offline_credential(issuer, holder, schema, rng, clock)
+
+
+def anchor_by_another_did(ledger, issuer, holder, schema, rng, clock):
+    credential = offline_credential(issuer, holder, schema, rng, clock)
+    anchor_as(holder, credential, ledger)
+    return credential
+
+
+def anchor_of_another_root(ledger, issuer, holder, schema, rng, clock):
+    credential = offline_credential(issuer, holder, schema, rng, clock)
+    anchor_as(issuer, replace(credential, commitment_root=b"\x00" * 32), ledger)
+    return credential
+
+
+def revoked(ledger, issuer, holder, schema, rng, clock):
+    credential = issue_credential(issuer, derive_did(holder.public_key), schema,
+                                  dict(PATIENT_VALUES), ledger, rng=rng)
+    revoke_credential(issuer, credential.credential_id, ledger)
+    return credential
+
+
+# fault -> (the checks verify_credential fails, the checks its full disclosure fails)
+REGISTRY_FAULTS = {
+    foreign_schema_owner: (["schema_known"], ["schema_known"]),
+    unknown_schema: (["schema_known"], ["schema_known"]),
+    no_anchor: (["commitment_root", "status_active"],
+                ["status_active", "issuer_signature", "merkle_proofs"]),
+    anchor_by_another_did: (["commitment_root"], ["issuer_signature"]),
+    anchor_of_another_root: (["commitment_root"], ["issuer_signature", "merkle_proofs"]),
+    revoked: (["status_active"], ["status_active"]),
+}
+
+
+class TestVerifiersAgree:
+    """A credential and its full disclosure are refused on the same registry faults."""
+
+    @pytest.mark.parametrize("fault", REGISTRY_FAULTS, ids=lambda fault: fault.__name__)
+    def test_both_verifiers_reject(self, ledger, issuer, holder, patient_schema, rng, clock,
+                                   fault):
+        credential = fault(ledger, issuer, holder, patient_schema, rng, clock)
+        names = [name for name, _ in credential.attributes]
+        presentation = create_presentation(credential, names, b"\x0a" * 32, holder)
+        reports = (verify_credential(ledger, credential),
+                   verify_presentation(ledger, presentation, b"\x0a" * 32))
+        for report, fails in zip(reports, REGISTRY_FAULTS[fault]):
+            assert [name for name, passed in report.checks if not passed] == fails
+            assert report.verdict == f"reject:{fails[0]}"
 
 
 class TestRevoke:

@@ -17,6 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssisim.agents
 import ssisim.engine
 import ssisim.identity
 from ssisim.credentials import create_presentation
@@ -393,6 +394,31 @@ class TestOneCredentialRead:
     def test_no_module_but_the_ledger_calls_the_projections(self):
         calls = TestOneForkPath.calls({"credential_anchor", "credential_status"})
         assert [call for call in calls if call[0] != "ledger"] == []
+
+
+class TestOneVerifier:
+    """Credentials and presentations share each registry check, defined once in the engine."""
+
+    @staticmethod
+    def engine_callers(name):
+        return [function for module, function, _ in TestOneForkPath.calls({name})
+                if module == "engine"]
+
+    def test_only_schema_known_looks_up_a_schema(self):
+        assert self.engine_callers("lookup_schema") == ["_schema_known"]
+
+    def test_only_issuer_signed_builds_the_issuer_payload(self):
+        assert self.engine_callers("credential_signing_payload") == ["_issuer_signed"]
+
+    def test_only_signed_by_verifies_a_signature(self):
+        assert self.engine_callers("verify") == ["signed_by"]
+
+    def test_the_agents_check_did_auth_through_signed_by(self):
+        tree = ast.parse(Path(ssisim.agents.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert "verify" not in imported
+        assert ("agents", "did_auth_check", "signed_by") in TestOneForkPath.calls({"signed_by"})
 
 
 class TestEnvelopes:

@@ -264,6 +264,27 @@ class TestCredentialDelivery:
         assert [name for name, passed in report.checks if not passed] == ["commitment_root"]
         assert agents["bob"].wallet.credentials == []
 
+    def test_credential_under_a_schema_of_another_did_is_not_stored(self, world):
+        # carol owns the schema; alice issues under it and anchors the credential herself
+        led, _, agents = world
+        issuer = agents["alice"].wallet.keypair
+        schema = define_schema(agents["carol"].wallet.keypair, "Badge", 1, ["level", "team"], led)
+        credential = build_credential(issuer, agents["bob"].did, schema,
+                                      {"level": "gold", "team": "identity"},
+                                      DeterministicRng(b"issue".ljust(32, b"\x00")),
+                                      issuance_time=led.clock.tick())
+        unsigned = AnchorCredential(credential_id=credential.credential_id,
+                                    issuer_did=agents["alice"].did,
+                                    commitment_root=credential.commitment_root,
+                                    submitter_signature=b"")
+        led.submit([replace(unsigned, submitter_signature=sign(
+            issuer.private_key, unsigned.signing_payload()))])
+        agents["alice"].send_credential(agents["bob"].did, credential)
+        report = agents["bob"].receive_credential(agents["bob"].inbox.popleft())
+        assert report.verdict == "reject:schema_known"
+        assert [name for name, passed in report.checks if not passed] == ["schema_known"]
+        assert agents["bob"].wallet.credentials == []
+
     def test_garbage_plaintext_is_a_parse_error(self, world):
         _, _, agents = world
         env = agents["alice"].send_message(agents["bob"].did, "credential", {"not": "a vc"})
