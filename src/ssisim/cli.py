@@ -9,16 +9,11 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
 
-from .credentials import Credential, Presentation, create_presentation
-from .engine import define_schema, issue_credential, verify_presentation
+# Each command imports the rest of the package itself (see _read_early).
 from .errors import ConfigError, FirstInvalid, ParseError, SsiSimError
-from .identity import Did, make_did_document
-from .ledger import Ledger, LedgerMode, RegisterDid
-from .runtime import LogicalClock
-from .serialization import canonical_json, parse_hex
-from .wallet import wallet_create, wallet_load, wallet_save
+from .identity import Did, make_did_document, start_verify
+from .serialization import canonical_json, load_json, parse_hex
 
 
 def _echo(text: str, stream) -> None:
@@ -37,11 +32,13 @@ def _print_json(obj) -> None:
 
 
 def _read_bytes(path: str) -> bytes:
-    return Path(path).read_bytes()
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def _write_bytes(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
+    with open(path, "wb") as file:
+        file.write(data)
 
 
 def _create_bytes(path: str, data: bytes) -> None:
@@ -51,14 +48,62 @@ def _create_bytes(path: str, data: bytes) -> None:
 
 
 def _load_wallet(path: str):
+    from .wallet import wallet_load
+
     return wallet_load(_read_bytes(path))
 
 
-def _load_ledger(path: str) -> Ledger:
-    return Ledger.from_bytes(_read_bytes(path))
+# --- ledger files --------------------------------------------------------------------
+# A cold command that loads a ledger file spends most of its time on imports, the
+# strict parse and the writer signatures. So main() reads and parses the file
+# before the command runs, guesses the signature jobs from the parsed JSON and
+# starts verifying them in a helper (identity.start_verify), and only then does
+# the command import the ledger and build the checked records from the same
+# parsed JSON. The guess decides no verdict: validate_chain takes a helper
+# verdict only for a job equal to the one it builds from the checked records,
+# and checks every other job itself.
 
 
-def _load_for_append(path: str) -> tuple:
+def _read_early(args) -> tuple | None:
+    """(bytes, parsed JSON, started check) of the ledger file the command loads, or None.
+
+    None if the command loads no ledger file, or reading or parsing it fails:
+    the command then reads it again, in its own order, and reports why.
+    """
+    path = (getattr(args, "ledger_file", None) or args.ledger) if args.reads_ledger else None
+    if path is None:
+        return None
+    try:
+        data = _read_bytes(path)
+        parsed = load_json(data)
+    except (OSError, ValueError, ParseError):
+        return None
+    return data, parsed, start_verify(_guess_writer_jobs(parsed))
+
+
+def _guess_writer_jobs(parsed) -> list:
+    """The (writer key, block hash, writer signature) of each block after genesis, read
+    from a parsed ledger file as validate_chain builds them, but with no check; [] if
+    the file is not shaped so."""
+    try:
+        blocks = parsed["blocks"]
+        writers = {tx["document"]["did"]: bytes.fromhex(tx["document"]["verification_key"])
+                   for tx in blocks[0]["transactions"] if tx["kind"] == "register_did"}
+        return [(writers[block["writer_did"]], bytes.fromhex(block["block_hash"]),
+                 bytes.fromhex(block["writer_signature"])) for block in blocks[1:]]
+    except (LookupError, TypeError, ValueError):
+        return []
+
+
+def _load_ledger(path: str, early: tuple | None = None) -> tuple:
+    """(bytes, ledger) of the ledger file at path; early is _read_early's read of it."""
+    from .ledger import Ledger
+
+    data, parsed, started = early or (_read_bytes(path), None, None)
+    return data, Ledger.from_bytes(data, parsed, started)
+
+
+def _load_for_append(path: str, early: tuple | None = None) -> tuple:
     """(ledger, save): save() appends the blocks added to ledger since to its file, in place.
 
     Ledger.from_bytes accepts only canonical bytes and LedgerFile writes the
@@ -69,8 +114,7 @@ def _load_for_append(path: str) -> tuple:
     checks that the file still has the length it read and ends in "]}", so an
     append made to it since the read is not written over.
     """
-    data = _read_bytes(path)
-    ledger = Ledger.from_bytes(data)
+    data, ledger = _load_ledger(path, early)
     end, height = len(data) - 2, len(ledger.blocks)
 
     def save() -> None:
@@ -169,14 +213,17 @@ _WRITER = _arg("--writer-wallet", required=True)
 _REVEAL_HELP = "Comma-separated attribute names, or 'all'."
 
 
-def _command(*options, name=None):
-    """Register the decorated function as a subcommand taking options; it returns the exit code."""
+def _command(*options, name=None, reads_ledger=False):
+    """Register the decorated function as a subcommand taking options; it returns the exit code.
+
+    A command that reads_ledger loads the file its ledger path names (see _read_early).
+    """
     def register(run):
         parser = _COMMANDS.add_parser(name or run.__name__, help=run.__doc__,
                                       description=run.__doc__)
         for names, settings in options:
             parser.add_argument(*names, **settings)
-        parser.set_defaults(run=run)
+        parser.set_defaults(run=run, reads_ledger=reads_ledger)
         return run
     return register
 
@@ -240,6 +287,8 @@ def compare(args) -> int:
 @_command(_SEED, _WALLET, name="wallet-init")
 def wallet_init(args) -> int:
     """Create a wallet file deterministically from a seed."""
+    from .wallet import wallet_create, wallet_save
+
     seed = _parse_seed(_given(args.seed, "--seed"))
     path = _given(args.wallet, "--wallet")
     wallet = wallet_create(seed)
@@ -248,12 +297,17 @@ def wallet_init(args) -> int:
     return 0
 
 
-@_command(_WRITER, _LEDGER,
-          _arg("--mode", choices=[m.value for m in LedgerMode],
-               default=LedgerMode.PUBLIC_PERMISSIONED.value),
+# ledger.LedgerMode's values, spelled out so that building the parser imports no ledger code
+_LEDGER_MODES = ["public-permissioned", "private-permissioned"]
+
+
+@_command(_WRITER, _LEDGER, _arg("--mode", choices=_LEDGER_MODES, default=_LEDGER_MODES[0]),
           _CLOCK_START, name="ledger-init")
 def ledger_init(args) -> int:
     """Start a chain whose genesis registers the writer wallet's DID."""
+    from .ledger import Ledger, LedgerMode
+    from .runtime import LogicalClock
+
     path = _given(args.ledger, "--ledger")
     writer = _load_wallet(args.writer_wallet)
     clock = LogicalClock(args.clock_start)
@@ -267,12 +321,14 @@ def ledger_init(args) -> int:
 @_command(_WALLET, _LEDGER, _WRITER,
           _arg("--endpoint", action="append", default=[], type=_text,
                help="Service endpoint as name=uri; repeatable."),
-          name="did-register")
+          name="did-register", reads_ledger=True)
 def did_register(args) -> int:
     """Register the wallet's DID document on the ledger."""
+    from .ledger import RegisterDid
+
     wallet = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
-    ledger, save = _load_for_append(path)
+    ledger, save = _load_for_append(path, args.early)
     writer = _load_wallet(args.writer_wallet)
     doc = make_did_document(
         wallet.keypair,
@@ -289,12 +345,14 @@ def did_register(args) -> int:
           _arg("--name", required=True, type=_text),
           _arg("--version", type=int, default=1),
           _arg("--attr", action="append", required=True, type=_text),
-          name="schema-define")
+          name="schema-define", reads_ledger=True)
 def schema_define(args) -> int:
     """Anchor a credential schema owned by the issuer wallet."""
+    from .engine import define_schema
+
     issuer = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
-    ledger, save = _load_for_append(path)
+    ledger, save = _load_for_append(path, args.early)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
     schema = define_schema(issuer.keypair, args.name, args.version,
                            _each_once(args.attr, "--attr"), ledger)
@@ -308,12 +366,14 @@ def schema_define(args) -> int:
           _arg("--holder-did", required=True),
           _arg("--value", action="append", required=True, type=_text,
                help="Attribute as name=value; repeatable."),
-          _arg("--out", required=True, help="Credential file (.vc.json)."))
+          _arg("--out", required=True, help="Credential file (.vc.json)."), reads_ledger=True)
 def issue(args) -> int:
     """Issue a credential and anchor its commitment root."""
+    from .engine import issue_credential
+
     issuer = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
-    ledger, save = _load_for_append(path)
+    ledger, save = _load_for_append(path, args.early)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
     schema = ledger.lookup_schema(parse_hex(args.schema_id, 32, "--schema-id"),
                                   reader_did=issuer.did)
@@ -336,6 +396,8 @@ def issue(args) -> int:
           _arg("--out", required=True, help="Presentation file (.vp.json)."))
 def present(args) -> int:
     """Build a selective-disclosure presentation bound to a challenge."""
+    from .credentials import Credential, create_presentation
+
     holder = _load_wallet(_given(args.wallet, "--wallet"))
     credential = Credential.from_bytes(_read_bytes(args.credential))
     names = _parse_reveal(args.reveal)
@@ -351,10 +413,13 @@ def present(args) -> int:
 
 @_command(_arg("--presentation", required=True), _arg("--challenge", required=True), _LEDGER,
           _arg("--wallet", default=argparse.SUPPRESS, help="Verifier wallet: read as its DID."),
-          name="verify")
+          name="verify", reads_ledger=True)
 def verify_cmd(args) -> int:
     """Verify a presentation against the registry; exit 2 on Reject."""
-    ledger = _load_ledger(_given(args.ledger, "--ledger"))
+    from .credentials import Presentation
+    from .engine import verify_presentation
+
+    _, ledger = _load_ledger(_given(args.ledger, "--ledger"), args.early)
     presentation = Presentation.from_bytes(_read_bytes(args.presentation))
     reader_did = _load_wallet(args.wallet).did if args.wallet else None
     report = verify_presentation(ledger, presentation,
@@ -364,12 +429,12 @@ def verify_cmd(args) -> int:
     return 0 if report.accepted else 2
 
 
-@_command(_arg("ledger_file", nargs="?"), name="ledger-validate")
+@_command(_arg("ledger_file", nargs="?"), name="ledger-validate", reads_ledger=True)
 def ledger_validate(args) -> int:
     """Validate a ledger file's chain; exit 2 and print FirstInvalid on failure."""
     path = _given(args.ledger_file or args.ledger, "ledger path")
     try:
-        ledger = Ledger.from_bytes(_read_bytes(path))
+        _, ledger = _load_ledger(path, args.early)
     except FirstInvalid as exc:
         _print_json({"result": "FirstInvalid", "index": exc.index, "cause": exc.cause})
         return 2
@@ -381,9 +446,14 @@ def ledger_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run the CLI and map domain errors onto the documented exit codes."""
+    """Run the CLI and map domain errors onto the documented exit codes.
+
+    No helper process outlives it, whatever the command does.
+    """
+    early = None
     try:
         args = _PARSER.parse_args(argv)
+        early = args.early = _read_early(args)
         return args.run(args)
     except SystemExit as exc:  # only --help exits, once it has printed the help
         return exc.code
@@ -393,6 +463,9 @@ def main(argv=None) -> int:
         error, code = exc, 3
     except SsiSimError as exc:
         error, code = exc, 2
+    finally:
+        if early is not None:
+            early[-1].close()  # the started check, already closed if it was joined
     _echo(f"error: {error}", sys.stderr)
     return code
 

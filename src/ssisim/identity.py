@@ -10,25 +10,21 @@ HKDF-SHA256 stretches the X25519 shared secret (nonce as salt) into a
 one-message AEAD key; the AEAD nonce is then fixed at zero. The envelope
 header (sender/recipient key fingerprints) is bound as associated data,
 so any tampering fails authentication rather than yielding plaintext.
+The envelope primitives are imported on first use, so a process that only
+signs and verifies does not load them.
 """
 
 import functools
 import os
+import signal
 import threading
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import AuthFailure, ParseError, SeedLength
 from .runtime import SystemRng
@@ -154,45 +150,142 @@ def _chunk_count(items: int) -> int:
     return min(cpus, items // _MIN_CHUNK)
 
 
-_splitting = False  # split_each is running, in this process or in the parent of this helper
+_splitting = False  # a split is open, in this process or in the parent of this helper
 
 
 def split_each(work, items: list) -> bytes:
     """work(items), where work(chunk) gives one 0/1 byte per item of chunk, in order.
 
-    Given two chunks of _MIN_CHUNK items or more, a CPU for each and os.fork
-    in a single-threaded process, the items are split into one contiguous
-    chunk per CPU: this process runs work on the first and a forked helper on
-    each of the others. A helper's answer counts only if it exits 0 having
-    written one byte per item, each 0 or 1; any other chunk is run here
-    instead. A split that starts inside a split, here or in a helper, runs
-    in process. This is the only place the package forks.
+    The items are split by start_split and joined at once; see Split.join.
+    """
+    return start_split(work, items).join(items)
+
+
+def start_split(work, items: list, here: bool = True) -> "Split":
+    """Start work(items) in forked helpers, for Split.join to finish or Split.close to drop.
+
+    Given two chunks of _MIN_CHUNK items or more, a CPU for each and os.fork in
+    a single-threaded process, the items are split into one contiguous chunk
+    per CPU: this process keeps the first for join to run, and a forked helper
+    starts on each of the others and answers it in one write. here=False is
+    for a caller with other work to do before it joins: this process keeps no
+    chunk, one helper per CPU but one takes the items, and each helper streams
+    its answers one item at a time, so that join can take over the tail a
+    helper has not reached. A split stays open until it is joined or closed;
+    one started while another is open, here or in a helper, forks nothing and
+    its join runs in process. This is the only place the package forks.
     """
     global _splitting
     if _splitting:
-        return work(items)
-    chunks = _chunk_count(len(items))
-    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
-    parts = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    helpers = []
+        return Split(work, items, own=len(items), opened=False, steal=False)
     _splitting = True
+    chunks = _chunk_count(len(items))
+    own = len(items) // chunks if here or chunks == 1 else 0
+    split = Split(work, items, own=own, opened=True, steal=not here)
+    helpers, rest = chunks - 1, len(items) - own
+    bounds = [own + rest * k // helpers for k in range(helpers + 1)] if helpers else []
     try:
-        for part in parts[1:]:
-            helpers.append((*_fork_helper(work, part), part))
-        answer = work(parts[0])
-        while helpers:
-            answer += _join_helper(work, *helpers.pop(0))
-    finally:
-        _splitting = False
-        for pid, read_fd, _ in helpers:  # left only on an exception
-            if pid is not None:
-                os.close(read_fd)  # a helper blocked on a full pipe then exits
-                os.waitpid(pid, 0)
-    return answer
+        for start, stop in zip(bounds, bounds[1:]):
+            step = stop - start if here else 1
+            split._add_helper(*_fork_helper(work, items[start:stop], step), start, stop)
+    except BaseException:
+        split.close()
+        raise
+    return split
 
 
-def _fork_helper(work, items) -> tuple:
-    """(pid, read end) of a process that writes work(items); (None, None) if fork fails."""
+class Split:
+    """work over items, split by start_split: this process's own chunk and each helper's."""
+
+    def __init__(self, work, items: list, own: int, opened: bool, steal: bool):
+        self._work = work
+        self._items = items    # the items the split started on
+        self._steal = steal    # the helpers stream, and join takes over their tails
+        self._own = own        # items[:own] are this process's chunk
+        self._helpers = []     # (pid, read end, start, stop) of each helper's chunk
+        self._live = {}        # pid -> read end of each helper not yet reaped
+        self._opened = opened  # this split set _splitting
+
+    def _add_helper(self, pid, read_fd, start: int, stop: int) -> None:
+        self._helpers.append((pid, read_fd, start, stop))
+        if pid is not None:
+            self._live[pid] = read_fd
+
+    def join(self, items: list) -> bytes:
+        """work(items), with the helpers' answers for the items up to the first one
+        that differs from the started items; every other item runs here.
+
+        This process runs its own chunk, then reads each helper's answers. A
+        one-write helper's answer counts only if the helper exits 0 having
+        written one byte per item, each 0 or 1; otherwise its chunk runs here.
+        While a streaming helper has no new answer, this process runs that
+        chunk's last unanswered item, until the two meet. A streaming helper's
+        answers all count for nothing if one byte is not 0 or 1, or if the
+        helper ends with an exit code other than 0; what it leaves unanswered
+        runs here. Every helper is killed and reaped, and the split closed,
+        before join returns.
+        """
+        try:
+            same = len(items) if items is self._items else _agreeing(self._items, items)
+            answer = [self._run(items, 0, min(self._own, same))]
+            for pid, read_fd, start, stop in self._helpers:
+                if start < same:
+                    answer.append(self._collect(items, pid, read_fd, start, min(stop, same)))
+            answer.append(self._run(items, same, len(items)))
+            return b"".join(answer)
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Kill and reap every helper left; the split is then closed, and a join runs here."""
+        global _splitting
+        for pid in list(self._live):
+            os.kill(pid, signal.SIGKILL)
+            self._reap(pid)
+        self._items, self._own, self._helpers = (), 0, []
+        if self._opened:
+            _splitting = self._opened = False
+
+    def _run(self, items: list, start: int, stop: int) -> bytes:
+        return self._work(items[start:stop]) if start < stop else b""
+
+    def _reap(self, pid) -> int:
+        os.close(self._live.pop(pid))
+        return os.waitpid(pid, 0)[1]
+
+    def _collect(self, items: list, pid, read_fd, start: int, stop: int) -> bytes:
+        """work(items[start:stop]), taking the helper's answers where they count."""
+        # The helper answers from start up, this process from end down.
+        got, tail, end = bytearray(), [], stop
+        if pid is not None:
+            os.set_blocking(read_fd, not self._steal)
+            while not self._steal or start + len(got) < end:
+                try:
+                    data = os.read(read_fd, 1 << 16)
+                except BlockingIOError:  # no new answer: run the last unanswered item here
+                    end -= 1
+                    tail.append(self._run(items, end, end + 1))
+                    continue
+                if not data:  # the helper has ended
+                    if self._reap(pid) != 0:
+                        got.clear()
+                    break
+                got += data
+            if not set(got) <= {0, 1} or not self._steal and len(got) != stop - start:
+                got.clear()
+        got = bytes(got[:end - start])
+        return got + self._run(items, start + len(got), end) + b"".join(reversed(tail))
+
+
+def _agreeing(started: list, items: list) -> int:
+    """How many of the leading items equal the started ones, position by position."""
+    both = min(len(started), len(items))
+    return next((i for i in range(both) if started[i] != items[i]), both)
+
+
+def _fork_helper(work, items, step: int) -> tuple:
+    """(pid, read end) of a process that writes work(items) step items at a time;
+    (None, None) if fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -204,9 +297,10 @@ def _fork_helper(work, items) -> tuple:
         code = 1
         try:
             os.close(read_fd)
-            view = memoryview(work(items))
-            while view:
-                view = view[os.write(write_fd, view):]
+            for at in range(0, len(items), step):
+                view = memoryview(work(items[at:at + step]))
+                while view:
+                    view = view[os.write(write_fd, view):]
             code = 0
         finally:
             os._exit(code)
@@ -214,27 +308,22 @@ def _fork_helper(work, items) -> tuple:
     return pid, read_fd
 
 
-def _join_helper(work, pid, read_fd, items) -> bytes:
-    """The helper's answer on items, reaping it; run here unless it is one 0/1 byte per item."""
-    if pid is None:
-        return work(items)
-    try:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or len(data) != len(items) or not set(data) <= {0, 1}:
-        return work(items)
-    return data
-
-
-def verify_each(jobs: list) -> bytes:
+def verify_each(jobs: list, started: Split | None = None) -> bytes:
     """One 0/1 verdict per (public_key, message, signature) job, in order.
 
     The answer is bytes(verify(*job) for job in jobs) on any CPU count: the
-    jobs are split over the CPUs by split_each.
+    jobs are split over the CPUs by split_each. A split from start_verify is
+    joined instead: its helpers' verdicts count for the jobs up to the first
+    one that differs from the jobs it was started on.
     """
-    return split_each(_verdicts, jobs)
+    if started is None:
+        return split_each(_verdicts, jobs)
+    return started.join(jobs)
+
+
+def start_verify(jobs: list) -> Split:
+    """verify_each(jobs) started in helpers alone, for verify_each(..., started=) to join."""
+    return start_split(_verdicts, jobs, here=False)
 
 
 def _verdicts(jobs) -> bytes:
@@ -244,6 +333,8 @@ def _verdicts(jobs) -> bytes:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _key_agreement(seed: bytes) -> tuple:
     """(X25519 private key, its public bytes), derived from the signing seed."""
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
     private = X25519PrivateKey.from_private_bytes(sha256(_KA_DOMAIN + seed))
     return private, private.public_key().public_bytes_raw()
 
@@ -386,8 +477,20 @@ def _envelope_key(shared_secret: bytes, nonce: bytes, sender_public: bytes,
     # The raw X25519 secret is symmetric between the two parties; baking the
     # ordered sender/recipient keys into the KDF makes the key directional, so
     # decrypting with swapped roles fails authentication.
+    _, _, HKDF, SHA256 = _envelope_crypto()
     info = _ENVELOPE_INFO + sender_public + recipient_public
-    return HKDF(algorithm=hashes.SHA256(), length=32, salt=nonce, info=info).derive(shared_secret)
+    return HKDF(algorithm=SHA256(), length=32, salt=nonce, info=info).derive(shared_secret)
+
+
+@functools.cache
+def _envelope_crypto() -> tuple:
+    """(X25519PublicKey, ChaCha20Poly1305, HKDF, SHA256), imported on first use."""
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+    from cryptography.hazmat.primitives.hashes import SHA256
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
+    return X25519PublicKey, ChaCha20Poly1305, HKDF, SHA256
 
 
 def _envelope_aad(sender_key_id: str, recipient_key_id: str) -> bytes:
@@ -401,6 +504,7 @@ def encrypt_for(recipient_public: bytes, sender_private: bytes, plaintext: bytes
     recipient_public is an X25519 key (from a DID document); sender_private
     is the sender's signing seed, from which the sender's X25519 key derives.
     """
+    X25519PublicKey, ChaCha20Poly1305, _, _ = _envelope_crypto()
     rng = rng or _default_rng
     sender_key, sender_public = _key_agreement(_seed(sender_private))
     shared = sender_key.exchange(X25519PublicKey.from_public_bytes(recipient_public))
@@ -421,6 +525,7 @@ def encrypt_for(recipient_public: bytes, sender_private: bytes, plaintext: bytes
 
 def decrypt(recipient_private: bytes, sender_public: bytes, envelope: Envelope) -> bytes:
     """Recover the plaintext or raise AuthFailure; never returns garbage."""
+    X25519PublicKey, ChaCha20Poly1305, _, _ = _envelope_crypto()
     recipient_key, recipient_public = _key_agreement(_seed(recipient_private))
     try:
         shared = recipient_key.exchange(X25519PublicKey.from_public_bytes(sender_public))

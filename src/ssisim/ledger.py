@@ -43,6 +43,7 @@ from .identity import (
     DidDocument,
     KeyPair,
     SIGNATURE_LEN,
+    Split,
     derive_did,
     key_fingerprint,
     sign,
@@ -625,13 +626,15 @@ class Ledger:
 
     # -- validation
 
-    def validate_chain(self) -> Verdict:
+    def validate_chain(self, started: Split | None = None) -> Verdict:
         """The first faulty block and why, as a walk in chain order checking each in full finds it.
 
         Pass 1 runs every check but the writer signatures, in chain order, up to
         the first fault. Pass 2 verifies the signatures of all the blocks before it
         as one verify_each batch, which spreads them over the CPUs; the first bad
-        one comes earlier in the chain, so it wins.
+        one comes earlier in the chain, so it wins. started, a start_verify on a
+        guess at those signature jobs, lends its verdicts for the jobs up to the
+        first one that differs from the guess; pass 2 checks the rest itself.
         """
         jobs = []  # (writer key, block hash, writer signature) of blocks 1.. before the fault
         prev_hash = GENESIS_PREV_HASH
@@ -643,14 +646,14 @@ class Ledger:
                 jobs.append((self.writer_set[str(block.writer_did)], block.block_hash,
                              block.writer_signature))
             prev_hash = block.block_hash
-        bad = verify_each(jobs).find(0)
+        bad = verify_each(jobs, started).find(0)
         if bad >= 0:
             return Verdict(ok=False, cause=ChainFault.BAD_SIGNATURE, index=bad + 1)
         return Verdict(ok=True) if cause is None else Verdict(ok=False, cause=cause, index=i)
 
-    def _checked(self) -> "Ledger":
+    def _checked(self, started: Split | None = None) -> "Ledger":
         """This ledger, if its chain is valid; else FirstInvalid names the first faulty block."""
-        verdict = self.validate_chain()
+        verdict = self.validate_chain(started)
         if not verdict.ok:
             raise FirstInvalid(verdict.index, verdict.cause.value)
         return self
@@ -740,10 +743,18 @@ class Ledger:
         return LedgerFile(mode=self.mode, blocks=tuple(self.blocks)).to_bytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Ledger":
-        file = LedgerFile.from_bytes(data)
+    def from_bytes(cls, data: bytes, parsed=None, started: Split | None = None) -> "Ledger":
+        """The ledger a file holds, once its chain is checked (see validate_chain).
+
+        A caller that has already run load_json(data) passes its result as parsed,
+        and may pass the check it started on the file's writer signatures.
+        """
+        if parsed is None:
+            file = LedgerFile.from_bytes(data)
+        else:
+            file = LedgerFile.from_json_dict(parsed)
         ledger = cls(blocks=file.blocks, mode=file.mode,
                      clock=_ChainClock(file.blocks[-1].timestamp))
         if not ledger.writer_set:
             raise ParseError("genesis block registers no writers")
-        return ledger._checked()
+        return ledger._checked(started)

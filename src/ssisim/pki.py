@@ -394,9 +394,8 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
 
     attacker = generate_keypair(rng.randbytes(32))
     accepted = 0
-    for i in range(config.forgeries):
-        if config.compromised == 0:
-            break  # no writer key, nothing reaches the chain
+    # with no writer key stolen, no forgery reaches the chain
+    for i in range(config.forgeries if config.compromised else 0):
         victim = victims[i % len(victims)]
         victim_did = derive_did(victim.public_key)
         forged_doc = _forged_document(victim, attacker, clock.tick())

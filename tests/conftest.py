@@ -1,5 +1,7 @@
 import os
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,20 @@ def tampered(ledger, signatures=(), roots=()) -> Ledger:
 
 def flip_bit(data: bytes) -> bytes:
     return bytes([data[0] ^ 1]) + data[1:]
+
+
+def writer_jobs(ledger) -> list:
+    """The (writer key, block hash, writer signature) of each block after genesis."""
+    return [(ledger.writer_set[str(block.writer_did)], block.block_hash, block.writer_signature)
+            for block in ledger.blocks[1:]]
+
+
+def wait_until_ended(pid: int) -> None:
+    """Wait, without reaping it, until the child pid has exited."""
+    deadline = time.monotonic() + 30
+    while Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z":
+        assert time.monotonic() < deadline, f"process {pid} is still running"
+        time.sleep(0.005)
 
 
 @pytest.fixture

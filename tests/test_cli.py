@@ -17,13 +17,16 @@ import ssisim
 from ssisim import cli
 from ssisim.cli import main
 from ssisim.errors import UnknownDid
-from ssisim.identity import make_did_document
-from ssisim.ledger import Ledger, RegisterDid
-from ssisim.serialization import canonical_json_bytes
+from ssisim.identity import derive_did, make_did_document
+from ssisim.ledger import (GENESIS_PREV_HASH, Ledger, LedgerMode, RegisterDid, build_block)
+from ssisim.runtime import LogicalClock
+from ssisim.serialization import canonical_json_bytes, load_json
 from ssisim.wallet import wallet_load
 
 from conftest import (CHAIN_FAULTS, LONG_CHAIN_BLOCKS, hijacked_genesis_file, seeded_keypair,
-                      tampered)
+                      tampered, writer_jobs)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -874,6 +877,131 @@ class TestImports:
         proc = run_python("-c", "import sys, ssisim.cli; print(sorted(set(sys.modules) & "
                                 "{'click', 'ssisim.pki', 'ssisim.scenarios', 'ssisim.agents'}))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_the_cli_loads_only_what_parsing_and_the_early_check_need(self):
+        proc = run_python("-c", "import sys, ssisim.cli; print(sorted(m for m in sys.modules "
+                                "if m.startswith('ssisim.') or m.endswith(('x25519', 'aead'))))")
+        assert proc.stdout == str(["ssisim.cli", "ssisim.errors", "ssisim.identity",
+                                   "ssisim.runtime", "ssisim.serialization"]) + "\n"
+
+    def test_ledger_init_offers_every_ledger_mode(self):
+        assert cli._LEDGER_MODES == [mode.value for mode in LedgerMode]
+
+
+class TestRareRefusals:
+    """Refusals that no other test reaches."""
+
+    def test_a_ledger_with_no_blocks_exits_3(self, run, tmp_path):
+        path = tmp_path / "ledger.json"
+        path.write_bytes(b'{"mode":"public-permissioned","blocks":[]}')
+        assert run("ledger-validate", str(path)) == (3, "", "error: ledger has no blocks")
+
+    def test_a_genesis_that_registers_no_writer_exits_3(self, run, tmp_path):
+        did = derive_did(seeded_keypair(b"operator").public_key)
+        genesis = build_block(0, GENESIS_PREV_HASH, 0, [], did, writer_signature=bytes(64))
+        path = tmp_path / "ledger.json"
+        path.write_bytes(Ledger([genesis], LedgerMode.PUBLIC_PERMISSIONED,
+                                LogicalClock(0)).to_bytes())
+        assert run("ledger-validate", str(path)) == \
+            (3, "", "error: genesis block registers no writers")
+
+    def test_a_ledger_compromise_with_no_writer_exits_1(self, run):
+        assert run("compare", "--scenario", "ledger", "--forgeries", "1", "--writers", "0") == \
+            (1, "", "error: ledger scenario needs at least one writer")
+
+    def test_no_compromised_writer_gets_no_forgery_through(self, run):
+        code, out, err = run("compare", "--scenario", "ledger", "--forgeries", "5",
+                             "--compromised", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"scenario": "ledger-writer-compromise", "forged_accepted": 0,
+                                   "forged_rejected": 5, "total_forgeries": 5, "writers": 3,
+                                   "compromised": 0}
+
+
+class TestEarlyCheck:
+    """A command that loads a ledger file starts checking its writer signatures on a guess
+    read from the parsed file; the guess tracks the file format, and no helper outlives main."""
+
+    def test_the_guess_is_the_chain_checks_jobs(self, long_chain):
+        assert cli._guess_writer_jobs(load_json(long_chain.to_bytes())) == writer_jobs(long_chain)
+
+    def test_the_guess_reads_each_blocks_writer(self):
+        clock = LogicalClock(0)
+        keys = [seeded_keypair(bytes([tag])) for tag in b"abc"]
+        led = Ledger.genesis([make_did_document(key, created_at=clock.tick()) for key in keys],
+                             clock=clock)
+        for i in range(9):
+            led.append_unchecked([RegisterDid(make_did_document(keys[i % 3]))], keys[i % 3])
+        assert cli._guess_writer_jobs(load_json(led.to_bytes())) == writer_jobs(led)
+
+    def test_the_guess_is_the_chain_checks_jobs_on_a_registry(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT))
+        from bench.inputs import build_cli_registry, seed_bytes
+
+        registry = build_cli_registry(seed_bytes("test", 3), blocks=300, holders=4, accepted=1,
+                                      rejected=1, issue_requests=1)
+        guess = cli._guess_writer_jobs(load_json(registry.ledger_bytes))
+        assert len(guess) == 299
+        assert guess == writer_jobs(Ledger.from_bytes(registry.ledger_bytes))
+
+    @pytest.mark.parametrize("parsed", [
+        None, [], "blocks", {}, {"blocks": []}, {"blocks": {}}, {"blocks": [{}]},
+        {"blocks": [{"transactions": [{"kind": "register_did"}]}]},
+        {"blocks": [{"transactions": [7]}, {"writer_did": "x"}]},
+    ])
+    def test_a_malformed_file_gives_no_guess(self, parsed):
+        assert cli._guess_writer_jobs(parsed) == []
+
+    def test_a_guess_that_does_not_read_is_no_guess(self, long_chain):
+        parsed = load_json(long_chain.to_bytes())
+        parsed["blocks"][7]["writer_signature"] = "not hex"
+        assert cli._guess_writer_jobs(parsed) == []
+        parsed["blocks"][7]["writer_did"] = "did:sim:nobody"
+        assert cli._guess_writer_jobs(parsed) == []
+
+    def test_a_malformed_file_starts_no_helper(self, run, tmp_path, two_cpus):
+        path = tmp_path / "ledger.json"
+        path.write_bytes(b'{"mode":"public-permissioned","blocks":[]}')
+        assert run("ledger-validate", str(path))[0] == 3
+        assert two_cpus == []
+
+    @staticmethod
+    def argv(case, path, folder) -> list:
+        if case == "usage error":  # no --wallet, refused once the helper has started
+            return ["--ledger", path, "issue", "--writer-wallet", "w.json", "--schema-id",
+                    "00" * 32, "--holder-did", "did:sim:x", "--value", "a=1", "--out",
+                    str(folder / "out.vc.json")]
+        if case == "io error":  # no presentation file, refused once the ledger has loaded
+            return ["--ledger", path, "verify", "--presentation", str(folder / "absent.vp.json"),
+                    "--challenge", "00" * 32]
+        return ["ledger-validate", path]
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("usage error", 1), ("parse error", 3), ("first invalid", 2),
+        ("io error", 3), ("exception", None)])
+    def test_no_helper_outlives_main(self, tmp_path, long_chain, two_cpus, monkeypatch, case,
+                                     code):
+        data = tampered(long_chain, (396,)).to_bytes() if case == "first invalid" else \
+            long_chain.to_bytes()
+        if case == "parse error":  # the guess reads only the blocks
+            data = data.replace(b'"mode":"public-permissioned"', b'"mode":"public"', 1)
+        path = tmp_path / "ledger.json"
+        path.write_bytes(data)
+        if case == "exception":
+            def fail(*args):
+                raise RuntimeError("the check failed")
+
+            monkeypatch.setattr(Ledger, "validate_chain", fail)
+        argv = self.argv(case, str(path), tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if code is None:
+                with pytest.raises(RuntimeError, match="the check failed"):
+                    main(argv)
+            else:
+                assert main(argv) == code
+        assert len(two_cpus) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # The structural argv fuzz draws from these. Relative paths name the files of the

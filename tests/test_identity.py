@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.asymmetric import x25519
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,7 @@ from ssisim.identity import (
     make_did_document,
     sign,
     split_each,
+    start_split,
     verify,
     verify_each,
 )
@@ -48,7 +51,7 @@ from ssisim.runtime import DeterministicRng
 from ssisim.scenarios import HealthcareConfig, run_scenario
 from ssisim.serialization import b58encode
 
-from conftest import flip_bit
+from conftest import flip_bit, wait_until_ended
 
 DID_RE = re.compile(r"^did:sim:[1-9A-HJ-NP-Za-km-z]+$")
 
@@ -288,8 +291,85 @@ class TestSplitEach:
         assert len(two_cpus) == (outer >= 256) + 1  # the split after the outer one forks again
 
 
+def parity(items) -> bytes:
+    return bytes(item % 2 for item in items)
+
+
+class TestStartSplit:
+    """A split started with no chunk of its own: its helper streams, and join takes over
+    the tail the helper has not reached."""
+
+    def test_join_meets_a_slow_helper(self, two_cpus, tmp_path):
+        log, parent, items = tmp_path / "answered", os.getpid(), list(range(300))
+
+        def work(chunk):  # the helper takes 2 ms an item
+            if os.getpid() != parent:
+                time.sleep(0.002)
+            with open(log, "a") as out:
+                out.write("".join(f"{os.getpid()}:{item}\n" for item in chunk))
+            return parity(chunk)
+
+        split = start_split(work, items, here=False)
+        deadline = time.monotonic() + 30
+        while not log.exists() or len(log.read_text().split()) < 20:  # let the helper start
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+        assert split.join(items) == parity(items)
+        (helper,) = two_cpus
+        answered = {}
+        for line in log.read_text().split():
+            pid, item = map(int, line.split(":"))
+            answered.setdefault(pid, []).append(item)
+        here = answered[parent]
+        met = len(items) - len(here)
+        assert here == items[met:][::-1]  # one at a time, from the back
+        assert met >= 20
+        assert answered[helper][:met] == items[:met]  # the helper's answers, in order
+
+    @pytest.mark.parametrize("joined", [
+        [i + 1 for i in range(600)],                # every item differs
+        list(range(300)) + [i + 1 for i in range(300, 600)],
+        list(range(400)),
+        list(range(700)),
+        [],
+    ])
+    def test_a_helper_answers_only_for_the_items_it_started_on(self, two_cpus, joined):
+        split = start_split(parity, list(range(600)), here=False)
+        wait_until_ended(two_cpus[0])  # every answer of the helper is in the pipe
+        assert split.join(joined) == parity(joined)
+
+    def test_a_split_while_one_is_open_forks_nothing(self, fork_log, two_cpus):
+        items = list(range(600))
+        early = start_split(parity, items, here=False)
+        assert split_each(parity, items) == parity(items)
+        assert len(two_cpus) == 1
+        assert early.join(items) == parity(items)
+        assert split_each(parity, items) == parity(items)
+        assert len(two_cpus) == 2
+        assert fork_log.read_text().split() == [str(os.getpid())] * 2
+
+    def test_a_closed_split_is_joined_in_process(self, two_cpus):
+        parent, items = os.getpid(), list(range(600))
+
+        def work(chunk):  # the helper would take a minute
+            if os.getpid() != parent:
+                time.sleep(60)
+            return parity(chunk)
+
+        split = start_split(work, items, here=False)
+        split.close()  # two_cpus checks that the helper was reaped and its pipe closed
+        assert len(two_cpus) == 1
+        assert split.join(items) == parity(items)
+
+    @pytest.mark.parametrize("length", [0, 255])
+    def test_too_few_items_fork_nothing(self, two_cpus, length):
+        items = list(range(length))
+        assert start_split(parity, items, here=False).join(items) == parity(items)
+        assert two_cpus == []
+
+
 class TestOneForkPath:
-    """Every fork goes through identity.split_each, as the README says."""
+    """Every fork goes through identity.start_split, as the README says."""
 
     SRC = Path(ssisim.identity.__file__).parent
 
@@ -317,8 +397,8 @@ class TestOneForkPath:
         assert self.calls({"fork", "forkpty", "posix_spawn", "posix_spawnp"}) == [
             ("identity", "_fork_helper", "fork")]
 
-    def test_only_split_each_starts_a_helper(self):
-        assert self.calls({"_fork_helper"}) == [("identity", "split_each", "_fork_helper")]
+    def test_only_start_split_starts_a_helper(self):
+        assert self.calls({"_fork_helper"}) == [("identity", "start_split", "_fork_helper")]
 
     def test_no_module_imports_another_way_to_start_a_process(self):
         for path in self.SRC.glob("*.py"):
@@ -360,8 +440,10 @@ class TestOneFileCodec:
     """Files are read through Record.from_bytes: only serialization parses JSON and checks keys."""
 
     def test_only_from_bytes_and_the_agents_parse_json(self):
+        # the CLI parses a ledger file once, before it imports the ledger (see cli._read_early)
         assert TestOneForkPath.calls({"load_json"}) == [
             ("agents", "open_envelope", "load_json"),
+            ("cli", "_read_early", "load_json"),
             ("serialization", "from_bytes", "load_json")]
 
     def test_only_serialization_and_register_did_check_keys(self):
@@ -721,9 +803,12 @@ class TestKeyBuildCounts:
         """Counts of Ed25519 signing and verify keys and X25519 keys built in identity,
         by the bytes built from; verify builds one verify key per Ed25519 check."""
         counted = {}
-        for name in ("Ed25519PrivateKey", "Ed25519PublicKey", "X25519PrivateKey"):
-            counted[name] = self.Counted(getattr(ssisim.identity, name))
-            monkeypatch.setattr(ssisim.identity, name, counted[name])
+        # identity imports the X25519 class where it builds a key, from its module
+        for owner, name in ((ssisim.identity, "Ed25519PrivateKey"),
+                            (ssisim.identity, "Ed25519PublicKey"),
+                            (x25519, "X25519PrivateKey")):
+            counted[name] = self.Counted(getattr(owner, name))
+            monkeypatch.setattr(owner, name, counted[name])
         # Start from an empty memo: keys other tests built would not be counted.
         for value in vars(ssisim.identity).values():
             if hasattr(value, "cache_clear"):

@@ -71,6 +71,8 @@ from conftest import (
     hijacked_genesis_file,
     seeded_keypair,
     tampered,
+    wait_until_ended,
+    writer_jobs,
 )
 
 
@@ -421,6 +423,71 @@ class TestParallelChainCheck:
         assert len(two_cpus) == 1
         monkeypatch.delattr(os, "fork")
         assert led.validate_chain() == report
+
+
+def garbled(jobs: list, at: int) -> list:
+    key, message, signature = jobs[at]
+    return jobs[:at] + [(key, message, flip_bit(signature))] + jobs[at + 1:]
+
+
+class TestStartedChainCheck:
+    """A check started on a guess at the writer-signature jobs lends validate_chain only the
+    verdicts of jobs equal to its own, so no guess and no helper fault moves the report."""
+
+    GUESSES = {
+        "exact": lambda jobs: jobs,
+        "shifted": lambda jobs: jobs[1:] + jobs[:1],
+        "truncated": lambda jobs: jobs[:300],
+        "garbled": lambda jobs: garbled(jobs, 150),
+        "longer": lambda jobs: jobs + jobs[:5],
+        "empty": lambda jobs: [],
+    }
+
+    @staticmethod
+    def serial(led, monkeypatch):
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            return led.validate_chain()
+
+    @pytest.mark.parametrize("guess", GUESSES)
+    @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
+    def test_a_wrong_guess_changes_no_verdict(self, long_chain, two_cpus, monkeypatch, guess,
+                                              signatures, roots, expected):
+        led = tampered(long_chain, signatures, roots)
+        report = led.validate_chain(identity.start_verify(self.GUESSES[guess](writer_jobs(led))))
+        assert (report.ok, report.index, report.cause) == (False, *expected)
+        assert len(two_cpus) == (guess != "empty")
+        assert self.serial(led, monkeypatch) == report
+
+    @pytest.mark.parametrize("guess", GUESSES)
+    def test_a_wrong_guess_keeps_a_valid_chain_valid(self, long_chain, two_cpus, guess):
+        assert long_chain.validate_chain(
+            identity.start_verify(self.GUESSES[guess](writer_jobs(long_chain)))).ok
+
+    @pytest.mark.parametrize("failure", ["writes a 2", "raises", "exits 0 early"])
+    @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
+    def test_a_failing_helper_changes_no_verdict(self, long_chain, two_cpus, monkeypatch, failure,
+                                                 signatures, roots, expected):
+        led = tampered(long_chain, signatures, roots)
+        real_write, real_exit, written = os.write, os._exit, []
+
+        def write(fd, data):  # only the helper writes while the check runs
+            written.append(data)
+            if len(written) == 100:
+                if failure == "writes a 2":
+                    return real_write(fd, b"\x02")
+                if failure == "raises":
+                    raise OSError("helper failed")
+                real_exit(0)
+            return real_write(fd, data)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "write", write)
+            started = identity.start_verify(writer_jobs(led))
+            wait_until_ended(two_cpus[0])  # so the fault is in the pipe before the join
+        report = led.validate_chain(started)
+        assert (report.ok, report.index, report.cause) == (False, *expected)
+        assert self.serial(led, monkeypatch) == report
 
 
 # A batch long enough that its append splits the submitter signatures between this

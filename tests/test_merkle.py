@@ -60,6 +60,12 @@ def test_empty_tree_rejected():
         merkle_root([])
 
 
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_path_index_past_the_last_leaf_is_refused(n):
+    with pytest.raises(IndexError, match="out of range"):
+        merkle_path(leaves_of(n), n)
+
+
 @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=12))
 @settings(max_examples=100)
 def test_proof_roundtrip_property(blobs):
