@@ -13,6 +13,7 @@ import sys
 # Each command imports the rest of the package itself (see _read_early).
 from .errors import ConfigError, FirstInvalid, ParseError, SsiSimError
 from .identity import Did, make_did_document, start_verify
+from .modes import LedgerMode
 from .serialization import canonical_json, load_json, parse_hex
 
 
@@ -67,17 +68,22 @@ def _load_wallet(path: str):
 def _read_early(args) -> tuple | None:
     """(bytes, parsed JSON, started check) of the ledger file the command loads, or None.
 
-    None if the command loads no ledger file, or reading or parsing it fails:
-    the command then reads it again, in its own order, and reports why.
+    None if the command loads no ledger file or reading it fails: the command
+    then reads it in its own order and reports why. If the bytes do not parse,
+    the parsed JSON and the check are None, and the command parses the same
+    bytes where it would have read them, and reports why.
     """
     path = (getattr(args, "ledger_file", None) or args.ledger) if args.reads_ledger else None
     if path is None:
         return None
     try:
         data = _read_bytes(path)
-        parsed = load_json(data)
-    except (OSError, ValueError, ParseError):
+    except (OSError, ValueError):
         return None
+    try:
+        parsed = load_json(data)
+    except (ValueError, ParseError):
+        return data, None, None
     return data, parsed, start_verify(_guess_writer_jobs(parsed))
 
 
@@ -297,15 +303,13 @@ def wallet_init(args) -> int:
     return 0
 
 
-# ledger.LedgerMode's values, spelled out so that building the parser imports no ledger code
-_LEDGER_MODES = ["public-permissioned", "private-permissioned"]
-
-
-@_command(_WRITER, _LEDGER, _arg("--mode", choices=_LEDGER_MODES, default=_LEDGER_MODES[0]),
+@_command(_WRITER, _LEDGER,
+          _arg("--mode", choices=[m.value for m in LedgerMode],
+               default=LedgerMode.PUBLIC_PERMISSIONED.value),
           _CLOCK_START, name="ledger-init")
 def ledger_init(args) -> int:
     """Start a chain whose genesis registers the writer wallet's DID."""
-    from .ledger import Ledger, LedgerMode
+    from .ledger import Ledger
     from .runtime import LogicalClock
 
     path = _given(args.ledger, "--ledger")
@@ -464,7 +468,7 @@ def main(argv=None) -> int:
     except SsiSimError as exc:
         error, code = exc, 2
     finally:
-        if early is not None:
+        if early is not None and early[-1] is not None:
             early[-1].close()  # the started check, already closed if it was joined
     _echo(f"error: {error}", sys.stderr)
     return code

@@ -156,9 +156,20 @@ _splitting = False  # a split is open, in this process or in the parent of this 
 def split_each(work, items: list) -> bytes:
     """work(items), where work(chunk) gives one 0/1 byte per item of chunk, in order.
 
-    The items are split by start_split and joined at once; see Split.join.
+    The items are split by start_split and joined at once (see Split.join). When
+    there is nothing to fork, work(items) runs here with no Split, the split
+    open while it runs.
     """
-    return start_split(work, items).join(items)
+    global _splitting
+    if _splitting:
+        return work(items)
+    if _chunk_count(len(items)) > 1:
+        return start_split(work, items).join(items)
+    _splitting = True
+    try:
+        return work(items)
+    finally:
+        _splitting = False
 
 
 def start_split(work, items: list, here: bool = True) -> "Split":
@@ -167,27 +178,26 @@ def start_split(work, items: list, here: bool = True) -> "Split":
     Given two chunks of _MIN_CHUNK items or more, a CPU for each and os.fork in
     a single-threaded process, the items are split into one contiguous chunk
     per CPU: this process keeps the first for join to run, and a forked helper
-    starts on each of the others and answers it in one write. here=False is
-    for a caller with other work to do before it joins: this process keeps no
-    chunk, one helper per CPU but one takes the items, and each helper streams
-    its answers one item at a time, so that join can take over the tail a
-    helper has not reached. A split stays open until it is joined or closed;
-    one started while another is open, here or in a helper, forks nothing and
-    its join runs in process. This is the only place the package forks.
+    starts on each of the others. here=False is for a caller with other work to
+    do before it joins: this process then keeps no chunk, and one helper per CPU
+    but one takes the items. Every helper streams its answers one item at a
+    time, so that join can take over the tail a helper has not reached. A split
+    stays open until it is joined or closed; one started while another is open,
+    here or in a helper, forks nothing and its join runs in process. This is
+    the only place the package forks.
     """
     global _splitting
     if _splitting:
-        return Split(work, items, own=len(items), opened=False, steal=False)
+        return Split(work, items, own=len(items), opened=False)
     _splitting = True
     chunks = _chunk_count(len(items))
     own = len(items) // chunks if here or chunks == 1 else 0
-    split = Split(work, items, own=own, opened=True, steal=not here)
+    split = Split(work, items, own=own, opened=True)
     helpers, rest = chunks - 1, len(items) - own
     bounds = [own + rest * k // helpers for k in range(helpers + 1)] if helpers else []
     try:
         for start, stop in zip(bounds, bounds[1:]):
-            step = stop - start if here else 1
-            split._add_helper(*_fork_helper(work, items[start:stop], step), start, stop)
+            split._add_helper(*_fork_helper(work, items[start:stop]), start, stop)
     except BaseException:
         split.close()
         raise
@@ -197,10 +207,9 @@ def start_split(work, items: list, here: bool = True) -> "Split":
 class Split:
     """work over items, split by start_split: this process's own chunk and each helper's."""
 
-    def __init__(self, work, items: list, own: int, opened: bool, steal: bool):
+    def __init__(self, work, items: list, own: int, opened: bool):
         self._work = work
         self._items = items    # the items the split started on
-        self._steal = steal    # the helpers stream, and join takes over their tails
         self._own = own        # items[:own] are this process's chunk
         self._helpers = []     # (pid, read end, start, stop) of each helper's chunk
         self._live = {}        # pid -> read end of each helper not yet reaped
@@ -215,15 +224,13 @@ class Split:
         """work(items), with the helpers' answers for the items up to the first one
         that differs from the started items; every other item runs here.
 
-        This process runs its own chunk, then reads each helper's answers. A
-        one-write helper's answer counts only if the helper exits 0 having
-        written one byte per item, each 0 or 1; otherwise its chunk runs here.
-        While a streaming helper has no new answer, this process runs that
-        chunk's last unanswered item, until the two meet. A streaming helper's
-        answers all count for nothing if one byte is not 0 or 1, or if the
-        helper ends with an exit code other than 0; what it leaves unanswered
-        runs here. Every helper is killed and reaped, and the split closed,
-        before join returns.
+        This process runs its own chunk, then reads each helper's answers; while
+        a helper has no new answer, this process runs that chunk's last
+        unanswered item, until the two meet. A helper's answers all count for
+        nothing if one byte is not 0 or 1, or if the helper ends, before the two
+        meet, with an exit code other than 0; what it leaves unanswered runs
+        here. Every helper is killed and reaped, and the split closed, before
+        join returns.
         """
         try:
             same = len(items) if items is self._items else _agreeing(self._items, items)
@@ -258,8 +265,8 @@ class Split:
         # The helper answers from start up, this process from end down.
         got, tail, end = bytearray(), [], stop
         if pid is not None:
-            os.set_blocking(read_fd, not self._steal)
-            while not self._steal or start + len(got) < end:
+            os.set_blocking(read_fd, False)
+            while start + len(got) < end:
                 try:
                     data = os.read(read_fd, 1 << 16)
                 except BlockingIOError:  # no new answer: run the last unanswered item here
@@ -271,7 +278,7 @@ class Split:
                         got.clear()
                     break
                 got += data
-            if not set(got) <= {0, 1} or not self._steal and len(got) != stop - start:
+            if not set(got) <= {0, 1}:
                 got.clear()
         got = bytes(got[:end - start])
         return got + self._run(items, start + len(got), end) + b"".join(reversed(tail))
@@ -283,8 +290,8 @@ def _agreeing(started: list, items: list) -> int:
     return next((i for i in range(both) if started[i] != items[i]), both)
 
 
-def _fork_helper(work, items, step: int) -> tuple:
-    """(pid, read end) of a process that writes work(items) step items at a time;
+def _fork_helper(work, items) -> tuple:
+    """(pid, read end) of a process that writes work([item]) for each item in turn;
     (None, None) if fork fails."""
     read_fd, write_fd = os.pipe()
     try:
@@ -297,8 +304,8 @@ def _fork_helper(work, items, step: int) -> tuple:
         code = 1
         try:
             os.close(read_fd)
-            for at in range(0, len(items), step):
-                view = memoryview(work(items[at:at + step]))
+            for at in range(len(items)):
+                view = memoryview(work(items[at:at + 1]))
                 while view:
                     view = view[os.write(write_fd, view):]
             code = 0

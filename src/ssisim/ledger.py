@@ -50,6 +50,7 @@ from .identity import (
     verify,
     verify_each,
 )
+from .modes import LedgerMode
 from .runtime import LogicalClock
 from .serialization import (
     INT,
@@ -71,11 +72,6 @@ _BLOCK_CONTEXT = "ssisim/block/v1"
 
 GENESIS_PREV_HASH = b"\x00" * 32
 _GENESIS_SIGNATURE = b"\x00" * SIGNATURE_LEN
-
-
-class LedgerMode(str, Enum):
-    PUBLIC_PERMISSIONED = "public-permissioned"
-    PRIVATE_PERMISSIONED = "private-permissioned"
 
 
 class CredentialStatus(str, Enum):
@@ -747,7 +743,9 @@ class Ledger:
         """The ledger a file holds, once its chain is checked (see validate_chain).
 
         A caller that has already run load_json(data) passes its result as parsed,
-        and may pass the check it started on the file's writer signatures.
+        which is then read in place of data, unchecked; it may also pass the check
+        it started on the file's writer signatures. Both loads share this entry
+        because the benchmark's tracer times every ledger load here.
         """
         if parsed is None:
             file = LedgerFile.from_bytes(data)

@@ -62,22 +62,23 @@ def quiet(*args):
     return code, out.getvalue().strip(), err.getvalue().strip()
 
 
-def run_python(*args, **env):
+def run_python(*args, stdin=None, **env):
     """Run python in a child process that imports the same ssisim sources as this test run.
 
     The child's streams are buffered by block, as on any pipe, so output lost at exit shows.
+    stdin, if given, is the text the child reads from a pipe.
     """
     src = str(Path(ssisim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, encoding="utf-8",
+        [sys.executable, *args], capture_output=True, text=True, encoding="utf-8", input=stdin,
         env={**os.environ, "PYTHONUNBUFFERED": "", "PYTHONPATH": pythonpath, **env},
     )
 
 
-def run_script(*args, **env):
+def run_script(*args, stdin=None, **env):
     """Run the CLI in a child process, so an uncaught exception shows as a traceback."""
-    return run_python("-m", "ssisim.cli", *args, **env)
+    return run_python("-m", "ssisim.cli", *args, stdin=stdin, **env)
 
 
 def bootstrap(run, paths, clock_start=0):
@@ -882,10 +883,8 @@ class TestImports:
         proc = run_python("-c", "import sys, ssisim.cli; print(sorted(m for m in sys.modules "
                                 "if m.startswith('ssisim.') or m.endswith(('x25519', 'aead'))))")
         assert proc.stdout == str(["ssisim.cli", "ssisim.errors", "ssisim.identity",
-                                   "ssisim.runtime", "ssisim.serialization"]) + "\n"
-
-    def test_ledger_init_offers_every_ledger_mode(self):
-        assert cli._LEDGER_MODES == [mode.value for mode in LedgerMode]
+                                   "ssisim.modes", "ssisim.runtime",
+                                   "ssisim.serialization"]) + "\n"
 
 
 class TestRareRefusals:
@@ -958,6 +957,17 @@ class TestEarlyCheck:
         assert cli._guess_writer_jobs(parsed) == []
         parsed["blocks"][7]["writer_did"] = "did:sim:nobody"
         assert cli._guess_writer_jobs(parsed) == []
+
+    @pytest.mark.parametrize("text", ['{"blocks": []}', "not json", ""])
+    def test_a_ledger_on_a_pipe_is_read_once(self, tmp_path, text):
+        path = tmp_path / "ledger.json"
+        path.write_text(text)
+        from_file = run_script("ledger-validate", str(path))
+        from_pipe = run_script("ledger-validate", "/dev/stdin", stdin=text)
+        assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == \
+            (from_file.returncode, from_file.stdout, from_file.stderr)
+        assert from_pipe.returncode == 3
+        assert from_pipe.stderr.startswith("error: not ")
 
     def test_a_malformed_file_starts_no_helper(self, run, tmp_path, two_cpus):
         path = tmp_path / "ledger.json"

@@ -1377,5 +1377,11 @@ class TestVerificationCounts:
         counted.clear()
         ledger.submit(anchor_batch)
         assert len(two_cpus) == 1
-        assert [args[2] for args in counted] == [
-            tx.submitter_signature for tx in anchor_batch[:BATCH_SIZE // 2]]
+        signatures = [tx.submitter_signature for tx in anchor_batch]
+        first, second = signatures[:BATCH_SIZE // 2], signatures[BATCH_SIZE // 2:]
+        here = [args[2] for args in counted]
+        # the first half in order, then, one at a time from the back, the tail of the
+        # second half that the helper had not answered when this process reached it
+        stolen = here[len(first):]
+        assert here[:len(first)] == first
+        assert stolen == second[::-1][:len(stolen)]

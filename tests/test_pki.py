@@ -330,7 +330,7 @@ class TestSplitCompromiseRun:
         """(The run's report, the (pid, certificates) of each check in serial order.)
 
         Each check writes its certificates to a file of its own, so a helper's
-        checks are seen too.
+        checks are seen too; a helper killed while it writes one leaves no file.
         """
         log = tmp_path / "checks"
         log.mkdir()
@@ -338,7 +338,9 @@ class TestSplitCompromiseRun:
 
         def recorded(hierarchy, certificates, clock):
             record = log / f"{certificates[0].serial:08d}-{os.getpid()}"
-            record.write_bytes(pickle.dumps(certificates))
+            partial = tmp_path / record.name
+            partial.write_bytes(pickle.dumps(certificates))
+            partial.rename(record)
             return real(hierarchy, certificates, clock)
 
         with monkeypatch.context() as patch:
@@ -348,17 +350,28 @@ class TestSplitCompromiseRun:
                         for record in sorted(log.iterdir())]
 
     @staticmethod
-    def checks(windows, helpers):
-        """The (pid, certificates) checks of windows, each of 256 or more split in
-        halves with its helper's pid from helpers; all here if helpers is None."""
-        pids, checks = iter(helpers or ()), []
+    def assert_checks(checks, windows, helpers):
+        """Each window is checked in serial order: here in one call if it is under 256 or
+        helpers is None; else split in halves, this process checking the first in one call
+        and each certificate of the second alone, the helper (its pid from helpers) from
+        the front and this process from the back, together every one."""
+        pids, here, checks = iter(helpers or ()), os.getpid(), list(checks)
         for window in windows:
             if helpers is None or len(window) < 256:
-                checks.append((os.getpid(), window))
-            else:
-                half = len(window) // 2
-                checks += [(os.getpid(), window[:half]), (next(pids), window[half:])]
-        return checks
+                assert checks.pop(0) == (here, window)
+                continue
+            half, helper = len(window) // 2, next(pids)
+            assert checks.pop(0) == (here, window[:half])
+            alone = {here: [], helper: []}
+            while checks and checks[0][1][0].serial <= window[-1].serial:
+                pid, certificates = checks.pop(0)
+                assert len(certificates) == 1
+                alone[pid].append(certificates[0])
+            second = window[half:]
+            assert alone[helper] == second[:len(alone[helper])]
+            assert alone[here] == second[len(second) - len(alone[here]):]
+            assert len(alone[helper]) + len(alone[here]) >= len(second)
+        assert checks == []
 
     @staticmethod
     def all_accepted(forgeries):
@@ -370,7 +383,7 @@ class TestSplitCompromiseRun:
         report, checks = self.run(monkeypatch, tmp_path, forgeries)
         assert report == self.all_accepted(forgeries)
         windows = [self.forged_in_turn(forgeries)] if forgeries else []
-        assert checks == self.checks(windows, helpers)
+        self.assert_checks(checks, windows, helpers)
         if helpers is not None:  # one helper, which forges and checks half the window
             assert len(helpers) == (forgeries >= 256)
 
@@ -382,48 +395,60 @@ class TestSplitCompromiseRun:
         assert report == self.all_accepted(forgeries)
         serial = self.forged_in_turn(forgeries)
         windows = [serial[at:at + window] for at in range(0, forgeries, window)]
-        assert checks == self.checks(windows, helpers)
+        self.assert_checks(checks, windows, helpers)
         if helpers is not None:
             assert len(helpers) == sum(len(w) >= 256 for w in windows)
 
     def test_windows_bound_each_batch(self, two_cpus, monkeypatch, tmp_path):
         monkeypatch.setattr(ssisim.pki, "_CHECK_WINDOW", 300)
         report, checks = self.run(monkeypatch, tmp_path, 1000)
-        assert [len(certificates) for _, certificates in checks] == [150] * 6 + [100]
+        # each window's first half and the last window here, and the second halves alone
+        assert [len(c) for _, c in checks if len(c) > 1] == [150] * 3 + [100]
+        assert sum(len(c) for _, c in checks if len(c) == 1) >= 3 * 150
         assert len(two_cpus) == 3
         assert report == self.all_accepted(1000)
 
-    @pytest.mark.parametrize("failure", ["fork raises", "exits non-zero", "answers short",
-                                         "exits 0 with garbage"])
-    def test_a_failing_forger_changes_no_byte(self, two_cpus, monkeypatch, tmp_path, failure):
+    @pytest.mark.parametrize("failure, answered", [("fork raises", 0), ("exits non-zero", 0),
+                                                   ("answers short", 10),
+                                                   ("exits 0 with garbage", 0)])
+    def test_a_failing_forger_changes_no_byte(self, two_cpus, monkeypatch, tmp_path, failure,
+                                              answered):
         if failure == "fork raises":
             def fork():
                 raise OSError("no process left")
 
             monkeypatch.setattr(os, "fork", fork)
         else:
-            real_write = os.write  # only helpers write or exit while the run goes on
+            # Only helpers write or exit while the run goes on. Each helper ends well
+            # before this process has checked its own half, so the join sees the end.
+            real_write, real_exit, written = os.write, os._exit, []
 
             def write(fd, data):
-                if failure == "answers short":
-                    real_write(fd, data[:10])
-                elif failure == "exits non-zero":  # a well-formed answer, all rejected
+                written.append(data)
+                if failure == "answers short":  # ten true answers, then exit 0
+                    if len(written) > 10:
+                        real_exit(0)
+                    return real_write(fd, data)
+                if failure == "exits non-zero":  # a well-formed answer, a rejection
                     real_write(fd, bytes(len(data)))
-                else:
-                    real_write(fd, b"\x07" * len(data))
-                return len(data)
+                    real_exit(3)  # so only the exit code can refuse it
+                real_write(fd, b"\x07" * len(data))
+                real_exit(0)
 
             monkeypatch.setattr(os, "write", write)
-            if failure == "exits non-zero":  # so only the exit code can refuse the answer
-                real_exit = os._exit
-                monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or 3))
         report, checks = self.run(monkeypatch, tmp_path, 1000)
         assert report == self.all_accepted(1000)
         forged = self.forged_in_turn(1000)
-        here = [certificates for pid, certificates in checks if pid == os.getpid()]
-        assert here == [forged[:500], forged[500:]]  # the helper's half again, in process
-        assert len(checks) == len(here) + len(two_cpus)
-        assert len(two_cpus) == (0 if failure == "fork raises" else 1)
+        here = [cert for pid, certificates in checks if pid == os.getpid()
+                for cert in certificates]
+        # the helper's half in process again, but for the answers that count
+        assert here == forged[:500] + forged[500 + answered:]
+        helper = [certificates for pid, certificates in checks if pid != os.getpid()]
+        if failure == "fork raises":
+            assert helper == two_cpus == []
+        else:
+            assert helper == [[cert] for cert in forged[500:500 + answered + 1]]
+            assert len(two_cpus) == 1
 
     def test_no_helper_forks_again(self, fork_log, two_cpus, monkeypatch, tmp_path):
         splits = tmp_path / "splits"
@@ -439,7 +464,12 @@ class TestSplitCompromiseRun:
         report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
         assert report == self.all_accepted(1000)
         parent, (helper,) = os.getpid(), two_cpus
-        # the window's split, then each chunk's check splits its 500 signatures in process
-        assert sorted(splits.read_text().split()) == sorted(
-            [f"{parent}:1000", f"{parent}:500", f"{helper}:500"])
+        # the window's split, then this process's half splits its 500 signatures in
+        # process, and each certificate of the other half is checked alone, here or there
+        first, *rest = splits.read_text().split()
+        assert first == f"{parent}:1000"
+        rest.remove(f"{parent}:500")
+        assert {line.split(":")[1] for line in rest} == {"1"}
+        assert {line.split(":")[0] for line in rest} <= {str(parent), str(helper)}
+        assert len(rest) >= 500
         assert fork_log.read_text().split() == [str(parent)]
