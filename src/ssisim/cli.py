@@ -6,6 +6,7 @@ Exit codes: 0 success or Accept, 1 usage or configuration error,
 """
 
 import argparse
+import fcntl
 import gc
 import os
 import sys
@@ -55,6 +56,10 @@ def _load_wallet(path: str):
 
 
 # --- ledger files --------------------------------------------------------------------
+# A command that loads a ledger file holds a flock on it from before its read until
+# main() returns: exclusive if the command appends to the file, shared if it only
+# reads it. So appends to one file run one at a time, and no read sees half of one.
+#
 # A cold command that loads a ledger file spends most of its time on imports, the
 # strict parse and the writer signatures. So main() reads and parses the file
 # before the command runs, guesses the signature jobs from the parsed JSON and
@@ -66,25 +71,33 @@ def _load_wallet(path: str):
 
 
 def _read_early(args) -> tuple | None:
-    """(bytes, parsed JSON, started check) of the ledger file the command loads, or None.
+    """(bytes, parsed JSON, started check, locked file) of the ledger file the command
+    loads, or None.
 
-    None if the command loads no ledger file or reading it fails: the command
-    then reads it in its own order and reports why. If the bytes do not parse,
-    the parsed JSON and the check are None, and the command parses the same
-    bytes where it would have read them, and reports why.
+    The file is opened and locked with the command's ledger_lock before it is read;
+    main() closes it, and with it the lock. None if the command loads no ledger file
+    or the file does not open: the command then reads it in its own order and reports
+    why. If the bytes do not parse, the parsed JSON and the check are None, and the
+    command parses the same bytes where it would have read them, and reports why.
     """
-    path = (getattr(args, "ledger_file", None) or args.ledger) if args.reads_ledger else None
+    path = (getattr(args, "ledger_file", None) or args.ledger) if args.ledger_lock else None
     if path is None:
         return None
     try:
-        data = _read_bytes(path)
+        file = open(path, "rb")
     except (OSError, ValueError):
         return None
     try:
-        parsed = load_json(data)
-    except (ValueError, ParseError):
-        return data, None, None
-    return data, parsed, start_verify(_guess_writer_jobs(parsed))
+        fcntl.flock(file, args.ledger_lock)
+        data = file.read()
+        try:
+            parsed = load_json(data)
+        except (ValueError, ParseError):
+            return data, None, None, file
+        return data, parsed, start_verify(_guess_writer_jobs(parsed)), file
+    except BaseException:
+        file.close()
+        raise
 
 
 def _guess_writer_jobs(parsed) -> list:
@@ -105,7 +118,7 @@ def _load_ledger(path: str, early: tuple | None = None) -> tuple:
     """(bytes, ledger) of the ledger file at path; early is _read_early's read of it."""
     from .ledger import Ledger
 
-    data, parsed, started = early or (_read_bytes(path), None, None)
+    data, parsed, started, _ = early or (_read_bytes(path), None, None, None)
     return data, Ledger.from_bytes(data, parsed, started)
 
 
@@ -219,17 +232,18 @@ _WRITER = _arg("--writer-wallet", required=True)
 _REVEAL_HELP = "Comma-separated attribute names, or 'all'."
 
 
-def _command(*options, name=None, reads_ledger=False):
+def _command(*options, name=None, ledger_lock=None):
     """Register the decorated function as a subcommand taking options; it returns the exit code.
 
-    A command that reads_ledger loads the file its ledger path names (see _read_early).
+    A command with a ledger_lock (fcntl.LOCK_SH or LOCK_EX) loads the file its ledger
+    path names, holding that lock on it (see _read_early).
     """
     def register(run):
         parser = _COMMANDS.add_parser(name or run.__name__, help=run.__doc__,
                                       description=run.__doc__)
         for names, settings in options:
             parser.add_argument(*names, **settings)
-        parser.set_defaults(run=run, reads_ledger=reads_ledger)
+        parser.set_defaults(run=run, ledger_lock=ledger_lock)
         return run
     return register
 
@@ -325,7 +339,7 @@ def ledger_init(args) -> int:
 @_command(_WALLET, _LEDGER, _WRITER,
           _arg("--endpoint", action="append", default=[], type=_text,
                help="Service endpoint as name=uri; repeatable."),
-          name="did-register", reads_ledger=True)
+          name="did-register", ledger_lock=fcntl.LOCK_EX)
 def did_register(args) -> int:
     """Register the wallet's DID document on the ledger."""
     from .ledger import RegisterDid
@@ -349,7 +363,7 @@ def did_register(args) -> int:
           _arg("--name", required=True, type=_text),
           _arg("--version", type=int, default=1),
           _arg("--attr", action="append", required=True, type=_text),
-          name="schema-define", reads_ledger=True)
+          name="schema-define", ledger_lock=fcntl.LOCK_EX)
 def schema_define(args) -> int:
     """Anchor a credential schema owned by the issuer wallet."""
     from .engine import define_schema
@@ -370,7 +384,8 @@ def schema_define(args) -> int:
           _arg("--holder-did", required=True),
           _arg("--value", action="append", required=True, type=_text,
                help="Attribute as name=value; repeatable."),
-          _arg("--out", required=True, help="Credential file (.vc.json)."), reads_ledger=True)
+          _arg("--out", required=True, help="Credential file (.vc.json)."),
+          ledger_lock=fcntl.LOCK_EX)
 def issue(args) -> int:
     """Issue a credential and anchor its commitment root."""
     from .engine import issue_credential
@@ -417,7 +432,7 @@ def present(args) -> int:
 
 @_command(_arg("--presentation", required=True), _arg("--challenge", required=True), _LEDGER,
           _arg("--wallet", default=argparse.SUPPRESS, help="Verifier wallet: read as its DID."),
-          name="verify", reads_ledger=True)
+          name="verify", ledger_lock=fcntl.LOCK_SH)
 def verify_cmd(args) -> int:
     """Verify a presentation against the registry; exit 2 on Reject."""
     from .credentials import Presentation
@@ -433,7 +448,7 @@ def verify_cmd(args) -> int:
     return 0 if report.accepted else 2
 
 
-@_command(_arg("ledger_file", nargs="?"), name="ledger-validate", reads_ledger=True)
+@_command(_arg("ledger_file", nargs="?"), name="ledger-validate", ledger_lock=fcntl.LOCK_SH)
 def ledger_validate(args) -> int:
     """Validate a ledger file's chain; exit 2 and print FirstInvalid on failure."""
     path = _given(args.ledger_file or args.ledger, "ledger path")
@@ -452,7 +467,7 @@ def ledger_validate(args) -> int:
 def main(argv=None) -> int:
     """Run the CLI and map domain errors onto the documented exit codes.
 
-    No helper process outlives it, whatever the command does.
+    No helper process and no ledger file lock outlives it, whatever the command does.
     """
     early = None
     try:
@@ -468,8 +483,11 @@ def main(argv=None) -> int:
     except SsiSimError as exc:
         error, code = exc, 2
     finally:
-        if early is not None and early[-1] is not None:
-            early[-1].close()  # the started check, already closed if it was joined
+        if early is not None:
+            _, _, started, file = early
+            if started is not None:
+                started.close()  # already closed if it was joined
+            file.close()  # and with it the lock
     _echo(f"error: {error}", sys.stderr)
     return code
 

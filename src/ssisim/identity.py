@@ -142,7 +142,7 @@ _MIN_CHUNK = 128
 
 
 def _chunk_count(items: int) -> int:
-    """How many contiguous chunks split_each splits items into; below 2 it forks nothing."""
+    """How many CPUs a split of items uses, this process's included; below 2 it forks nothing."""
     if items < 2 * _MIN_CHUNK or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -172,32 +172,33 @@ def split_each(work, items: list) -> bytes:
         _splitting = False
 
 
-def start_split(work, items: list, here: bool = True) -> "Split":
+def start_split(work, items: list) -> "Split":
     """Start work(items) in forked helpers, for Split.join to finish or Split.close to drop.
 
-    Given two chunks of _MIN_CHUNK items or more, a CPU for each and os.fork in
-    a single-threaded process, the items are split into one contiguous chunk
-    per CPU: this process keeps the first for join to run, and a forked helper
-    starts on each of the others. here=False is for a caller with other work to
-    do before it joins: this process then keeps no chunk, and one helper per CPU
-    but one takes the items. Every helper streams its answers one item at a
-    time, so that join can take over the tail a helper has not reached. A split
-    stays open until it is joined or closed; one started while another is open,
-    here or in a helper, forks nothing and its join runs in process. This is
-    the only place the package forks.
+    Given two chunks of _MIN_CHUNK items or more, a second CPU and os.fork in a
+    single-threaded process, one helper per CPU but one is forked, each on its
+    contiguous chunk of the items; this process keeps no chunk. A fork that
+    fails ends the forking, so the helpers cover a prefix of the items and the
+    rest runs here at the join. Every helper streams its answers one item at a
+    time, so that join can take over what a helper has not reached. A split
+    stays open until it is joined or closed; one started while another is
+    open, here or in a helper, forks nothing and its join runs in process.
+    This is the only place the package forks.
     """
     global _splitting
     if _splitting:
-        return Split(work, items, own=len(items), opened=False)
+        return Split(work, items, opened=False)
     _splitting = True
-    chunks = _chunk_count(len(items))
-    own = len(items) // chunks if here or chunks == 1 else 0
-    split = Split(work, items, own=own, opened=True)
-    helpers, rest = chunks - 1, len(items) - own
-    bounds = [own + rest * k // helpers for k in range(helpers + 1)] if helpers else []
+    split = Split(work, items, opened=True)
+    helpers = _chunk_count(len(items)) - 1
     try:
-        for start, stop in zip(bounds, bounds[1:]):
-            split._add_helper(*_fork_helper(work, items[start:stop]), start, stop)
+        for k in range(helpers):
+            start, stop = len(items) * k // helpers, len(items) * (k + 1) // helpers
+            helper = _fork_helper(work, items[start:stop])
+            if helper is None:
+                break
+            split._helpers.append((*helper, start, stop))
+            split._live[helper[0]] = helper[1]
     except BaseException:
         split.close()
         raise
@@ -205,40 +206,36 @@ def start_split(work, items: list, here: bool = True) -> "Split":
 
 
 class Split:
-    """work over items, split by start_split: this process's own chunk and each helper's."""
+    """work over items, split by start_split into one contiguous chunk per helper."""
 
-    def __init__(self, work, items: list, own: int, opened: bool):
+    def __init__(self, work, items: list, opened: bool):
         self._work = work
         self._items = items    # the items the split started on
-        self._own = own        # items[:own] are this process's chunk
-        self._helpers = []     # (pid, read end, start, stop) of each helper's chunk
+        self._helpers = []     # (pid, read end, start, stop) of each helper's chunk, in order
         self._live = {}        # pid -> read end of each helper not yet reaped
         self._opened = opened  # this split set _splitting
-
-    def _add_helper(self, pid, read_fd, start: int, stop: int) -> None:
-        self._helpers.append((pid, read_fd, start, stop))
-        if pid is not None:
-            self._live[pid] = read_fd
 
     def join(self, items: list) -> bytes:
         """work(items), with the helpers' answers for the items up to the first one
         that differs from the started items; every other item runs here.
 
-        This process runs its own chunk, then reads each helper's answers; while
-        a helper has no new answer, this process runs that chunk's last
-        unanswered item, until the two meet. A helper's answers all count for
-        nothing if one byte is not 0 or 1, or if the helper ends, before the two
-        meet, with an exit code other than 0; what it leaves unanswered runs
-        here. Every helper is killed and reaped, and the split closed, before
-        join returns.
+        This process takes each helper's chunk in turn and reads the helper's
+        answers; whenever no new answer has arrived, it runs the back half of
+        what is still unanswered (at least one item) in one work call, until
+        the two meet. The items after the last helper's chunk run here. A
+        helper's answers all count for nothing if one byte is not 0 or 1, or if
+        the helper ends, before the two meet, with an exit code other than 0;
+        what it leaves unanswered runs here. Every helper is killed and reaped,
+        and the split closed, before join returns.
         """
         try:
             same = len(items) if items is self._items else _agreeing(self._items, items)
-            answer = [self._run(items, 0, min(self._own, same))]
+            answer, done = [], 0
             for pid, read_fd, start, stop in self._helpers:
                 if start < same:
-                    answer.append(self._collect(items, pid, read_fd, start, min(stop, same)))
-            answer.append(self._run(items, same, len(items)))
+                    done = min(stop, same)
+                    answer.append(self._collect(items, pid, read_fd, start, done))
+            answer.append(self._run(items, done, len(items)))
             return b"".join(answer)
         finally:
             self.close()
@@ -249,7 +246,7 @@ class Split:
         for pid in list(self._live):
             os.kill(pid, signal.SIGKILL)
             self._reap(pid)
-        self._items, self._own, self._helpers = (), 0, []
+        self._items, self._helpers = (), []
         if self._opened:
             _splitting = self._opened = False
 
@@ -261,27 +258,27 @@ class Split:
         return os.waitpid(pid, 0)[1]
 
     def _collect(self, items: list, pid, read_fd, start: int, stop: int) -> bytes:
-        """work(items[start:stop]), taking the helper's answers where they count."""
-        # The helper answers from start up, this process from end down.
-        got, tail, end = bytearray(), [], stop
-        if pid is not None:
-            os.set_blocking(read_fd, False)
-            while start + len(got) < end:
-                try:
-                    data = os.read(read_fd, 1 << 16)
-                except BlockingIOError:  # no new answer: run the last unanswered item here
-                    end -= 1
-                    tail.append(self._run(items, end, end + 1))
-                    continue
-                if not data:  # the helper has ended
-                    if self._reap(pid) != 0:
-                        got.clear()
-                    break
-                got += data
-            if not set(got) <= {0, 1}:
-                got.clear()
+        """work(items[start:stop]), the helper answering from start up and this process
+        from stop down, in bites of at most half of what is unanswered (see join)."""
+        got, bites, end = bytearray(), [], stop
+        os.set_blocking(read_fd, False)
+        while start + len(got) < end:
+            try:
+                data = os.read(read_fd, 1 << 16)
+            except BlockingIOError:  # no new answer: run the back half of the rest here
+                bite = max(1, (end - start - len(got)) // 2)
+                end -= bite
+                bites.append(self._run(items, end, end + bite))
+                continue
+            if not data:  # the helper has ended
+                if self._reap(pid) != 0:
+                    got.clear()
+                break
+            got += data
+        if not set(got) <= {0, 1}:
+            got.clear()
         got = bytes(got[:end - start])
-        return got + self._run(items, start + len(got), end) + b"".join(reversed(tail))
+        return got + self._run(items, start + len(got), end) + b"".join(reversed(bites))
 
 
 def _agreeing(started: list, items: list) -> int:
@@ -292,14 +289,14 @@ def _agreeing(started: list, items: list) -> int:
 
 def _fork_helper(work, items) -> tuple:
     """(pid, read end) of a process that writes work([item]) for each item in turn;
-    (None, None) if fork fails."""
+    None if fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None, None
+        return None
     if pid == 0:
         code = 1
         try:
@@ -329,8 +326,8 @@ def verify_each(jobs: list, started: Split | None = None) -> bytes:
 
 
 def start_verify(jobs: list) -> Split:
-    """verify_each(jobs) started in helpers alone, for verify_each(..., started=) to join."""
-    return start_split(_verdicts, jobs, here=False)
+    """verify_each(jobs) started in helpers, for verify_each(..., started=) to join."""
+    return start_split(_verdicts, jobs)
 
 
 def _verdicts(jobs) -> bytes:

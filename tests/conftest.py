@@ -118,8 +118,9 @@ def wait_until_ended(pid: int) -> None:
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """Two CPUs as split_each sees them; holds the pids of the helpers it forks.
+def cpus(monkeypatch):
+    """cpus(n) sets n CPUs as start_split sees them, and returns the pids of the helpers
+    forked from the start of the test on.
 
     Afterwards every helper must have been reaped and every pipe end closed.
     """
@@ -132,10 +133,14 @@ def two_cpus(monkeypatch):
             pids.append(pid)
         return pid
 
+    def set_cpus(count: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        return pids
+
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     open_fds = len(os.listdir("/proc/self/fd"))
-    yield pids
+    yield set_cpus
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -143,8 +148,14 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture
-def fork_log(two_cpus, monkeypatch, tmp_path):
-    """A file every fork appends its caller's pid to, a helper's fork too (see two_cpus)."""
+def two_cpus(cpus):
+    """Two CPUs; holds the pids of the helpers forked (see cpus)."""
+    return cpus(2)
+
+
+@pytest.fixture
+def fork_log(cpus, monkeypatch, tmp_path):
+    """A file every fork appends its caller's pid to, a helper's fork too (see cpus)."""
     log = tmp_path / "forks"
     log.touch()
     counted_fork = os.fork
@@ -160,7 +171,7 @@ def fork_log(two_cpus, monkeypatch, tmp_path):
 
 @pytest.fixture(params=["two CPUs", "no fork"])
 def helpers(request, monkeypatch):
-    """The pids of the helpers forked under two CPUs (see two_cpus); None with os.fork removed."""
+    """The pids of the helpers forked under two CPUs (see cpus); None with os.fork removed."""
     if request.param == "no fork":
         monkeypatch.delattr(os, "fork")
         return None

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import ssisim
 from ssisim import cli
 from ssisim.cli import main
 from ssisim.errors import UnknownDid
-from ssisim.identity import derive_did, make_did_document
+from ssisim.identity import Did, derive_did, make_did_document
 from ssisim.ledger import (GENESIS_PREV_HASH, Ledger, LedgerMode, RegisterDid, build_block)
 from ssisim.runtime import LogicalClock
 from ssisim.serialization import canonical_json_bytes, load_json
@@ -62,17 +63,20 @@ def quiet(*args):
     return code, out.getvalue().strip(), err.getvalue().strip()
 
 
-def run_python(*args, stdin=None, **env):
-    """Run python in a child process that imports the same ssisim sources as this test run.
-
-    The child's streams are buffered by block, as on any pipe, so output lost at exit shows.
-    stdin, if given, is the text the child reads from a pipe.
-    """
+def child_env(**env) -> dict:
+    """The environment of a child python that imports the same ssisim sources as this test
+    run. Its streams are buffered by block, as on any pipe, so output lost at exit shows."""
     src = str(Path(ssisim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONUNBUFFERED": "", "PYTHONPATH": pythonpath, **env}
+
+
+def run_python(*args, stdin=None, **env):
+    """Run python in a child process (see child_env); stdin, if given, is the text the
+    child reads from a pipe."""
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, encoding="utf-8", input=stdin,
-        env={**os.environ, "PYTHONUNBUFFERED": "", "PYTHONPATH": pythonpath, **env},
+        env=child_env(**env),
     )
 
 
@@ -352,6 +356,64 @@ class TestSpliceAppends:
             "--attr", "name", "--attr", "dob", "--attr", "patient_number")
         assert (code, out, err) == (2, "", "error: transaction 0: duplicate schema")
         assert Path(paths["ledger"]).read_bytes() == before
+
+
+class TestLedgerLock:
+    """A command holds a flock on the ledger file it loads until main() returns: exclusive
+    if it appends, shared if it only reads. So appends to one file run one at a time."""
+
+    @staticmethod
+    def held(path) -> list:
+        """The descriptors this process has open on path."""
+        fds = []
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):  # the listing's own descriptor is gone
+                if os.readlink(f"/proc/self/fd/{fd}") == path:
+                    fds.append(fd)
+        return fds
+
+    def test_concurrent_registrations_all_land(self, run, paths, tmp_path):
+        bootstrap(run, paths)
+        wallets = [str(tmp_path / f"racer{i}.json") for i in range(3)]
+        for i, wallet in enumerate(wallets):
+            assert run("wallet-init", "--seed", f"{i + 1:02x}" * 32, "--wallet", wallet)[0] == 0
+        racers = [subprocess.Popen(
+            [sys.executable, "-m", "ssisim.cli", "did-register", "--wallet", wallet,
+             "--ledger", paths["ledger"], "--writer-wallet", paths["op"]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+        ) for wallet in wallets]
+        try:
+            results = [(racer.communicate(timeout=120), racer.returncode) for racer in racers]
+        finally:
+            for racer in racers:
+                racer.kill()  # none is left once all have answered
+                racer.wait()
+        assert [(code, err) for (_, err), code in results] == [(0, "")] * 3
+        ledger = Ledger.from_bytes(Path(paths["ledger"]).read_bytes())
+        assert len(ledger.blocks) == 3 + 3
+        for (out, _), _ in results:
+            did = json.loads(out)["did"]
+            assert str(ledger.resolve_did(Did.parse(did)).did) == did
+
+    def test_an_issue_then_a_verify_in_one_process_finish(self, run, paths):
+        def expire(signum, frame):
+            raise TimeoutError("a ledger lock outlived its command")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        try:
+            alice_did = bootstrap(run, paths)
+            schema_id = define_patient_schema(run, paths)
+            assert run(*issue_argv(paths, schema_id, alice_did))[0] == 0
+            assert run("present", "--wallet", paths["alice"], "--credential", paths["vc"],
+                       "--challenge", "99" * 32, "--out", paths["vp"])[0] == 0
+            code, out, _ = run("verify", "--presentation", paths["vp"],
+                               "--challenge", "99" * 32, "--ledger", paths["ledger"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, json.loads(out)["verdict"]) == (0, "accept")
+        assert self.held(paths["ledger"]) == []
 
 
 class TestLedgerValidate:

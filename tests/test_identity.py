@@ -298,35 +298,52 @@ def parity(items) -> bytes:
 
 
 class TestStartSplit:
-    """A split started with no chunk of its own: its helper streams, and join takes over
-    the tail the helper has not reached."""
+    """A split keeps no chunk of its own: its helper streams from the front, and join takes
+    over, from the back and in halving bites, what the helper has not reached."""
 
     def test_join_meets_a_slow_helper(self, two_cpus, tmp_path):
         log, parent, items = tmp_path / "answered", os.getpid(), list(range(300))
 
-        def work(chunk):  # the helper takes 2 ms an item
+        def work(chunk):  # the helper takes 2 ms an item; each call logs one line
             if os.getpid() != parent:
                 time.sleep(0.002)
             with open(log, "a") as out:
-                out.write("".join(f"{os.getpid()}:{item}\n" for item in chunk))
+                out.write(f"{os.getpid()}:{','.join(map(str, chunk))}\n")
             return parity(chunk)
 
-        split = start_split(work, items, here=False)
+        split = start_split(work, items)
         deadline = time.monotonic() + 30
-        while not log.exists() or len(log.read_text().split()) < 20:  # let the helper start
+        # 21 lines: the helper has written its first 20 answers
+        while not log.exists() or len(log.read_text().split()) < 21:
             assert time.monotonic() < deadline
             time.sleep(0.002)
         assert split.join(items) == parity(items)
         (helper,) = two_cpus
-        answered = {}
+        calls = {}
         for line in log.read_text().split():
-            pid, item = map(int, line.split(":"))
-            answered.setdefault(pid, []).append(item)
-        here = answered[parent]
-        met = len(items) - len(here)
-        assert here == items[met:][::-1]  # one at a time, from the back
-        assert met >= 20
-        assert answered[helper][:met] == items[:met]  # the helper's answers, in order
+            pid, chunk = line.split(":")
+            calls.setdefault(int(pid), []).append([int(item) for item in chunk.split(",")])
+        answered = [item for (item,) in calls[helper]]  # one item a call
+        assert answered == items[:len(answered)]  # from the front, in order
+        end = len(items)
+        for bite in calls[parent]:  # contiguous bites from the back
+            assert bite == items[end - len(bite):end]
+            assert len(bite) <= max(1, (end - 20) // 2)  # at most half of the unanswered
+            end -= len(bite)
+        assert 20 <= end <= len(answered)  # together, every item once
+
+    def test_join_halves_what_a_silent_helper_leaves(self, two_cpus):
+        parent, items, bites = os.getpid(), list(range(300)), []
+
+        def work(chunk):  # the helper would take a minute
+            if os.getpid() != parent:
+                time.sleep(60)
+            bites.append(len(chunk))
+            return parity(chunk)
+
+        assert start_split(work, items).join(items) == parity(items)
+        assert bites == [150, 75, 37, 19, 9, 5, 2, 1, 1, 1]
+        assert len(two_cpus) == 1
 
     @pytest.mark.parametrize("joined", [
         [i + 1 for i in range(600)],                # every item differs
@@ -336,13 +353,13 @@ class TestStartSplit:
         [],
     ])
     def test_a_helper_answers_only_for_the_items_it_started_on(self, two_cpus, joined):
-        split = start_split(parity, list(range(600)), here=False)
+        split = start_split(parity, list(range(600)))
         wait_until_ended(two_cpus[0])  # every answer of the helper is in the pipe
         assert split.join(joined) == parity(joined)
 
     def test_a_split_while_one_is_open_forks_nothing(self, fork_log, two_cpus):
         items = list(range(600))
-        early = start_split(parity, items, here=False)
+        early = start_split(parity, items)
         assert split_each(parity, items) == parity(items)
         assert len(two_cpus) == 1
         assert early.join(items) == parity(items)
@@ -358,7 +375,7 @@ class TestStartSplit:
                 time.sleep(60)
             return parity(chunk)
 
-        split = start_split(work, items, here=False)
+        split = start_split(work, items)
         split.close()  # two_cpus checks that the helper was reaped and its pipe closed
         assert len(two_cpus) == 1
         assert split.join(items) == parity(items)
@@ -366,8 +383,60 @@ class TestStartSplit:
     @pytest.mark.parametrize("length", [0, 255])
     def test_too_few_items_fork_nothing(self, two_cpus, length):
         items = list(range(length))
-        assert start_split(parity, items, here=False).join(items) == parity(items)
+        assert start_split(parity, items).join(items) == parity(items)
         assert two_cpus == []
+
+
+class TestFourCpus:
+    """Three helpers, one on each third of 768 items; join walks their chunks in turn, and
+    no helper forks."""
+
+    ITEMS = list(range(768))
+
+    def test_split_each_gives_the_serial_answers(self, fork_log, cpus):
+        helpers = cpus(4)
+        assert split_each(parity, self.ITEMS) == parity(self.ITEMS)
+        assert len(helpers) == 3
+        assert fork_log.read_text().split() == [str(os.getpid())] * 3
+
+    @pytest.mark.parametrize("ended", [True, False])
+    def test_a_join_that_differs_in_the_second_chunk(self, fork_log, cpus, ended):
+        helpers, parent, here = cpus(4), os.getpid(), []
+
+        def work(chunk):
+            if os.getpid() == parent:
+                here.append(list(chunk))
+            return parity(chunk)
+
+        joined = self.ITEMS[:300] + [item + 1 for item in self.ITEMS[300:]]
+        split = start_split(work, self.ITEMS)
+        for pid in helpers if ended else ():
+            wait_until_ended(pid)  # every answer of the helper is in the pipe
+        assert split.join(joined) == parity(joined)
+        if ended:  # the helpers' answers count up to the first item that differs
+            assert here == [joined[300:]]
+        assert len(helpers) == 3
+        assert fork_log.read_text().split() == [str(os.getpid())] * 3
+
+    def test_a_middle_helper_that_exits_non_zero_changes_no_byte(self, fork_log, cpus):
+        helpers, parent, here = cpus(4), os.getpid(), []
+
+        def work(chunk):  # the middle helper gives ten wrong answers, then exits 3
+            if os.getpid() == parent:
+                here.append(list(chunk))
+            elif 256 <= chunk[0] < 512:
+                if chunk[0] >= 266:
+                    os._exit(3)
+                return bytes(1 - item % 2 for item in chunk)
+            return parity(chunk)
+
+        split = start_split(work, self.ITEMS)
+        for pid in helpers:
+            wait_until_ended(pid)
+        assert split.join(self.ITEMS) == parity(self.ITEMS)
+        assert here == [self.ITEMS[256:512]]  # the middle chunk, and only it, runs here
+        assert len(helpers) == 3
+        assert fork_log.read_text().split() == [str(os.getpid())] * 3
 
 
 class TestOneForkPath:

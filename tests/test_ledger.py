@@ -1372,16 +1372,18 @@ class TestVerificationCounts:
                    for tx in anchor_batch)
         assert verifications == []
 
-    def test_a_helper_verifies_the_second_half_of_a_batch(self, counted, ledger, anchor_batch,
-                                                          two_cpus):
+    def test_this_process_verifies_the_back_of_a_batch_in_halving_bites(
+            self, counted, ledger, anchor_batch, two_cpus):
         counted.clear()
         ledger.submit(anchor_batch)
         assert len(two_cpus) == 1
-        signatures = [tx.submitter_signature for tx in anchor_batch]
-        first, second = signatures[:BATCH_SIZE // 2], signatures[BATCH_SIZE // 2:]
-        here = [args[2] for args in counted]
-        # the first half in order, then, one at a time from the back, the tail of the
-        # second half that the helper had not answered when this process reached it
-        stolen = here[len(first):]
-        assert here[:len(first)] == first
-        assert stolen == second[::-1][:len(stolen)]
+        at = {tx.submitter_signature: i for i, tx in enumerate(anchor_batch)}
+        here = [at[args[2]] for args in counted]
+        # the helper verifies from the front; this process from the back, in contiguous
+        # bites, each in order and at most half of what was unanswered when it was taken
+        end = BATCH_SIZE
+        while here:
+            bite = end - here[0]
+            assert 0 < bite <= max(1, end // 2)
+            assert here[:bite] == list(range(here[0], end))
+            here, end = here[bite:], here[0]

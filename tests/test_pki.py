@@ -352,25 +352,29 @@ class TestSplitCompromiseRun:
     @staticmethod
     def assert_checks(checks, windows, helpers):
         """Each window is checked in serial order: here in one call if it is under 256 or
-        helpers is None; else split in halves, this process checking the first in one call
-        and each certificate of the second alone, the helper (its pid from helpers) from
-        the front and this process from the back, together every one."""
+        helpers is None; else the helper (its pid from helpers) checks one certificate at
+        a time from the front, in order, and this process checks contiguous bites from the
+        back, each at most half of what was unanswered when it was taken; together they
+        check every certificate."""
         pids, here, checks = iter(helpers or ()), os.getpid(), list(checks)
         for window in windows:
             if helpers is None or len(window) < 256:
                 assert checks.pop(0) == (here, window)
                 continue
-            half, helper = len(window) // 2, next(pids)
-            assert checks.pop(0) == (here, window[:half])
-            alone = {here: [], helper: []}
+            helper = next(pids)
+            calls = {here: [], helper: []}
             while checks and checks[0][1][0].serial <= window[-1].serial:
                 pid, certificates = checks.pop(0)
-                assert len(certificates) == 1
-                alone[pid].append(certificates[0])
-            second = window[half:]
-            assert alone[helper] == second[:len(alone[helper])]
-            assert alone[here] == second[len(second) - len(alone[here]):]
-            assert len(alone[helper]) + len(alone[here]) >= len(second)
+                calls[pid].append(certificates)
+            assert all(len(certificates) == 1 for certificates in calls[helper])
+            answered = [certificate for (certificate,) in calls[helper]]
+            assert answered == window[:len(answered)]
+            end = len(window)
+            for bite in reversed(calls[here]):  # checks sort by their first serial
+                assert 0 < len(bite) <= max(1, end // 2)
+                assert bite == window[end - len(bite):end]
+                end -= len(bite)
+            assert len(answered) >= end
         assert checks == []
 
     @staticmethod
@@ -384,7 +388,7 @@ class TestSplitCompromiseRun:
         assert report == self.all_accepted(forgeries)
         windows = [self.forged_in_turn(forgeries)] if forgeries else []
         self.assert_checks(checks, windows, helpers)
-        if helpers is not None:  # one helper, which forges and checks half the window
+        if helpers is not None:  # one helper, which forges and checks from the front
             assert len(helpers) == (forgeries >= 256)
 
     @pytest.mark.parametrize("window, forgeries", [(300, 1000), (256, 513), (255, 510)])
@@ -402,9 +406,15 @@ class TestSplitCompromiseRun:
     def test_windows_bound_each_batch(self, two_cpus, monkeypatch, tmp_path):
         monkeypatch.setattr(ssisim.pki, "_CHECK_WINDOW", 300)
         report, checks = self.run(monkeypatch, tmp_path, 1000)
-        # each window's first half and the last window here, and the second halves alone
-        assert [len(c) for _, c in checks if len(c) > 1] == [150] * 3 + [100]
-        assert sum(len(c) for _, c in checks if len(c) == 1) >= 3 * 150
+        serial = self.forged_in_turn(1000)
+        window_of = {cert.serial: at // 300 for at, cert in enumerate(serial)}
+        # no check spans two windows; a split window's checks take at most half of it
+        # here, and the last window, too short to split, is one check here
+        for _, certificates in checks:
+            assert {window_of[cert.serial] for cert in certificates} == \
+                {window_of[certificates[0].serial]}
+        assert max(len(c) for _, c in checks[:-1]) <= 150
+        assert checks[-1] == (os.getpid(), serial[900:])
         assert len(two_cpus) == 3
         assert report == self.all_accepted(1000)
 
@@ -441,13 +451,13 @@ class TestSplitCompromiseRun:
         forged = self.forged_in_turn(1000)
         here = [cert for pid, certificates in checks if pid == os.getpid()
                 for cert in certificates]
-        # the helper's half in process again, but for the answers that count
-        assert here == forged[:500] + forged[500 + answered:]
+        # every certificate in process, but for the helper's answers that count
+        assert here == forged[answered:]
         helper = [certificates for pid, certificates in checks if pid != os.getpid()]
         if failure == "fork raises":
             assert helper == two_cpus == []
         else:
-            assert helper == [[cert] for cert in forged[500:500 + answered + 1]]
+            assert helper == [[cert] for cert in forged[:answered + 1]]
             assert len(two_cpus) == 1
 
     def test_no_helper_forks_again(self, fork_log, two_cpus, monkeypatch, tmp_path):
@@ -464,12 +474,19 @@ class TestSplitCompromiseRun:
         report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
         assert report == self.all_accepted(1000)
         parent, (helper,) = os.getpid(), two_cpus
-        # the window's split, then this process's half splits its 500 signatures in
-        # process, and each certificate of the other half is checked alone, here or there
+        # the window's split, then the splits of this process's bites from the back, each
+        # in process and at most half of what was unanswered, and the helper's one-
+        # certificate splits from the front; together they cover the window
         first, *rest = splits.read_text().split()
         assert first == f"{parent}:1000"
-        rest.remove(f"{parent}:500")
-        assert {line.split(":")[1] for line in rest} == {"1"}
-        assert {line.split(":")[0] for line in rest} <= {str(parent), str(helper)}
-        assert len(rest) >= 500
+        sizes = {parent: [], helper: []}
+        for line in rest:
+            pid, size = map(int, line.split(":"))
+            sizes[pid].append(size)
+        assert set(sizes[helper]) <= {1}
+        end = 1000
+        for size in sizes[parent]:
+            assert 0 < size <= max(1, end // 2)
+            end -= size
+        assert len(sizes[helper]) >= end
         assert fork_log.read_text().split() == [str(parent)]
