@@ -197,8 +197,9 @@ def start_split(work, items: list) -> "Split":
             helper = _fork_helper(work, items[start:stop])
             if helper is None:
                 break
-            split._helpers.append((*helper, start, stop))
-            split._live[helper[0]] = helper[1]
+            pid, read_fd = helper
+            split._helpers.append((pid, read_fd, start, stop))
+            split._live[pid] = read_fd
     except BaseException:
         split.close()
         raise

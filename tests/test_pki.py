@@ -411,8 +411,7 @@ class TestSplitCompromiseRun:
         # no check spans two windows; a split window's checks take at most half of it
         # here, and the last window, too short to split, is one check here
         for _, certificates in checks:
-            assert {window_of[cert.serial] for cert in certificates} == \
-                {window_of[certificates[0].serial]}
+            assert len({window_of[cert.serial] for cert in certificates}) == 1
         assert max(len(c) for _, c in checks[:-1]) <= 150
         assert checks[-1] == (os.getpid(), serial[900:])
         assert len(two_cpus) == 3
