@@ -2,6 +2,8 @@
 
 Modules:
     identity     keys, DIDs, DID documents, signatures, encrypted envelopes
+    verdicts     signature verdicts, memoized and split over forked helpers (identity
+                 re-exports them); loads before the rest in a cold CLI command
     ledger       hash-chained permissioned registry (the verifiable data registry)
     credentials  schemas, credentials, selective-disclosure presentations
     engine       issuer/holder/verifier operations against the ledger

@@ -8,14 +8,17 @@ Exit codes: 0 success or Accept, 1 usage or configuration error,
 import argparse
 import fcntl
 import gc
+import json
 import os
 import sys
 
-# Each command imports the rest of the package itself (see _read_early).
-from .errors import ConfigError, FirstInvalid, ParseError, SsiSimError
-from .identity import Did, make_did_document, start_verify
-from .modes import LedgerMode
-from .serialization import canonical_json, load_json, parse_hex
+# Only verdicts loads with the CLI: main() starts checking a ledger file's writer
+# signatures before it loads the rest of the package (see _read_early), and each
+# command imports what it needs itself.
+from .verdicts import start_verify
+
+# The ledger modes (ledger.LedgerMode), offered as choices without loading the ledger.
+_MODES = ["public-permissioned", "private-permissioned"]
 
 
 def _echo(text: str, stream) -> None:
@@ -30,6 +33,8 @@ def _echo(text: str, stream) -> None:
 
 
 def _print_json(obj) -> None:
+    from .serialization import canonical_json
+
     _echo(canonical_json(obj), sys.stdout)
 
 
@@ -63,11 +68,12 @@ def _load_wallet(path: str):
 # A cold command that loads a ledger file spends most of its time on imports, the
 # strict parse and the writer signatures. So main() reads and parses the file
 # before the command runs, guesses the signature jobs from the parsed JSON and
-# starts verifying them in a helper (identity.start_verify), and only then does
-# the command import the ledger and build the checked records from the same
-# parsed JSON. The guess decides no verdict: validate_chain takes a helper
-# verdict only for a job equal to the one it builds from the checked records,
-# and checks every other job itself.
+# starts verifying them in a helper (verdicts.start_verify), with nothing of the
+# package loaded but this module and verdicts. Only then does the command import
+# the ledger, which checks that the parsed JSON re-dumps to exactly the bytes read
+# and builds the checked records from it: the file is parsed once. The guess
+# decides no verdict: validate_chain takes a helper verdict only for a job equal
+# to the one it builds from the checked records, and checks every other job itself.
 
 
 def _read_early(args) -> tuple | None:
@@ -77,8 +83,9 @@ def _read_early(args) -> tuple | None:
     The file is opened and locked with the command's ledger_lock before it is read;
     main() closes it, and with it the lock. None if the command loads no ledger file
     or the file does not open: the command then reads it in its own order and reports
-    why. If the bytes do not parse, the parsed JSON and the check are None, and the
-    command parses the same bytes where it would have read them, and reports why.
+    why. The parse is json's alone; the load checks that it re-dumps to the bytes. If
+    the bytes do not parse, the parsed JSON and the check are None, and the command
+    parses the same bytes where it would have read them, and reports why.
     """
     path = (getattr(args, "ledger_file", None) or args.ledger) if args.ledger_lock else None
     if path is None:
@@ -91,8 +98,8 @@ def _read_early(args) -> tuple | None:
         fcntl.flock(file, args.ledger_lock)
         data = file.read()
         try:
-            parsed = load_json(data)
-        except (ValueError, ParseError):
+            parsed = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError):
             return data, None, None, file
         return data, parsed, start_verify(_guess_writer_jobs(parsed)), file
     except BaseException:
@@ -148,8 +155,18 @@ def _load_for_append(path: str, early: tuple | None = None) -> tuple:
     return ledger, save
 
 
-def _parse_seed(seed_hex: str) -> bytes:
-    return parse_hex(seed_hex, 32, "--seed")
+def _parse_hex(value: str, flag: str) -> bytes:
+    """A 32-byte hex flag's value."""
+    from .serialization import parse_hex
+
+    return parse_hex(value, 32, flag)
+
+
+def _usage_error(message: str) -> Exception:
+    """A ConfigError, which exits 1."""
+    from .errors import ConfigError
+
+    return ConfigError(message)
 
 
 def _each_once(names, flag: str):
@@ -157,7 +174,7 @@ def _each_once(names, flag: str):
     seen = set()
     for name in names:
         if name in seen:
-            raise ConfigError(f"{flag} names {name!r} more than once")
+            raise _usage_error(f"{flag} names {name!r} more than once")
         seen.add(name)
     return names
 
@@ -173,7 +190,7 @@ def _parse_reveal(reveal: str) -> tuple | None:
 def _parse_pairs(pairs, what: str) -> dict:
     for pair in pairs:
         if "=" not in pair:
-            raise ConfigError(f"{what} must look like name=value, got {pair!r}")
+            raise _usage_error(f"{what} must look like name=value, got {pair!r}")
     split = [pair.split("=", 1) for pair in pairs]
     _each_once([name for name, _ in split], what)
     return dict(split)
@@ -190,7 +207,7 @@ def _text(value: str) -> str:
 
 def _given(value, what: str):
     if value is None:
-        raise ConfigError(f"missing {what}")
+        raise _usage_error(f"missing {what}")
     return value
 
 
@@ -205,7 +222,7 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
     def error(self, message):
-        raise ConfigError(message)
+        raise _usage_error(message)
 
 
 _PARSER = _Parser(
@@ -258,7 +275,7 @@ def _run_scenario(args, config_class, **fields) -> int:
     from .scenarios import run_scenario
 
     if args.seed:
-        fields["seed"] = _parse_seed(args.seed)
+        fields["seed"] = _parse_hex(args.seed, "--seed")
     transcript = run_scenario(config_class(clock_start=args.clock_start, **fields)).transcript
     _print_json(transcript.to_json_dict())
     return 0 if transcript.final_verdict == "accept" else 2
@@ -295,7 +312,7 @@ def compare(args) -> int:
 
     report = run_compromise_experiment(CompromiseConfig(
         scenario=args.scenario, forgeries=args.forgeries, writers=args.writers,
-        compromised=args.compromised, seed=_parse_seed(args.seed or "33" * 32),
+        compromised=args.compromised, seed=_parse_hex(args.seed or "33" * 32, "--seed"),
     ))
     _print_json(report.to_json_dict())
     return 0
@@ -309,7 +326,7 @@ def wallet_init(args) -> int:
     """Create a wallet file deterministically from a seed."""
     from .wallet import wallet_create, wallet_save
 
-    seed = _parse_seed(_given(args.seed, "--seed"))
+    seed = _parse_hex(_given(args.seed, "--seed"), "--seed")
     path = _given(args.wallet, "--wallet")
     wallet = wallet_create(seed)
     _create_bytes(path, wallet_save(wallet))
@@ -318,12 +335,12 @@ def wallet_init(args) -> int:
 
 
 @_command(_WRITER, _LEDGER,
-          _arg("--mode", choices=[m.value for m in LedgerMode],
-               default=LedgerMode.PUBLIC_PERMISSIONED.value),
+          _arg("--mode", choices=_MODES, default=_MODES[0]),
           _CLOCK_START, name="ledger-init")
 def ledger_init(args) -> int:
     """Start a chain whose genesis registers the writer wallet's DID."""
-    from .ledger import Ledger
+    from .identity import make_did_document
+    from .ledger import Ledger, LedgerMode
     from .runtime import LogicalClock
 
     path = _given(args.ledger, "--ledger")
@@ -342,6 +359,7 @@ def ledger_init(args) -> int:
           name="did-register", ledger_lock=fcntl.LOCK_EX)
 def did_register(args) -> int:
     """Register the wallet's DID document on the ledger."""
+    from .identity import make_did_document
     from .ledger import RegisterDid
 
     wallet = _load_wallet(_given(args.wallet, "--wallet"))
@@ -389,12 +407,13 @@ def schema_define(args) -> int:
 def issue(args) -> int:
     """Issue a credential and anchor its commitment root."""
     from .engine import issue_credential
+    from .identity import Did
 
     issuer = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
     ledger, save = _load_for_append(path, args.early)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
-    schema = ledger.lookup_schema(parse_hex(args.schema_id, 32, "--schema-id"),
+    schema = ledger.lookup_schema(_parse_hex(args.schema_id, "--schema-id"),
                                   reader_did=issuer.did)
     credential = issue_credential(
         issuer.keypair, Did.parse(args.holder_did), schema,
@@ -423,7 +442,7 @@ def present(args) -> int:
     if names is None:
         names = [n for n, _ in credential.attributes]
     presentation = create_presentation(
-        credential, names, parse_hex(args.challenge, 32, "--challenge"), holder.keypair,
+        credential, names, _parse_hex(args.challenge, "--challenge"), holder.keypair,
     )
     _write_bytes(args.out, presentation.to_bytes())
     _print_json({"presentation": args.out, "revealed": sorted(names)})
@@ -442,7 +461,7 @@ def verify_cmd(args) -> int:
     presentation = Presentation.from_bytes(_read_bytes(args.presentation))
     reader_did = _load_wallet(args.wallet).did if args.wallet else None
     report = verify_presentation(ledger, presentation,
-                                 parse_hex(args.challenge, 32, "--challenge"),
+                                 _parse_hex(args.challenge, "--challenge"),
                                  reader_did=reader_did)
     _print_json(report.to_json_dict())
     return 0 if report.accepted else 2
@@ -451,6 +470,8 @@ def verify_cmd(args) -> int:
 @_command(_arg("ledger_file", nargs="?"), name="ledger-validate", ledger_lock=fcntl.LOCK_SH)
 def ledger_validate(args) -> int:
     """Validate a ledger file's chain; exit 2 and print FirstInvalid on failure."""
+    from .errors import FirstInvalid
+
     path = _given(args.ledger_file or args.ledger, "ledger path")
     try:
         _, ledger = _load_ledger(path, args.early)
@@ -476,12 +497,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except SystemExit as exc:  # only --help exits, once it has printed the help
         return exc.code
-    except ConfigError as exc:
-        error, code = exc, 1
-    except (ParseError, OSError) as exc:
-        error, code = exc, 3
-    except SsiSimError as exc:
-        error, code = exc, 2
+    except Exception as exc:
+        error, code = exc, _exit_code(exc)
+        if code is None:
+            raise
     finally:
         if early is not None:
             _, _, started, file = early
@@ -490,6 +509,19 @@ def main(argv=None) -> int:
             file.close()  # and with it the lock
     _echo(f"error: {error}", sys.stderr)
     return code
+
+
+def _exit_code(error: Exception) -> int | None:
+    """The documented exit code of an error a command reports; None if it is a bug."""
+    from .errors import ConfigError, ParseError, SsiSimError
+
+    if isinstance(error, ConfigError):
+        return 1
+    if isinstance(error, (ParseError, OSError)):
+        return 3
+    if isinstance(error, SsiSimError):
+        return 2
+    return None
 
 
 def entry() -> None:

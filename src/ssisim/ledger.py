@@ -50,19 +50,21 @@ from .identity import (
     verify,
     verify_each,
 )
-from .modes import LedgerMode
 from .runtime import LogicalClock
 from .serialization import (
     INT,
     MAX_INT,
     STR,
     Record,
+    check_canonical,
+    complete_items,
     encode_bytes,
     encode_parts,
     expect_object,
     expect_str,
     list_codec,
     parse_hex,
+    parse_json,
     record_codec,
     sha256,
 )
@@ -72,6 +74,11 @@ _BLOCK_CONTEXT = "ssisim/block/v1"
 
 GENESIS_PREV_HASH = b"\x00" * 32
 _GENESIS_SIGNATURE = b"\x00" * SIGNATURE_LEN
+
+
+class LedgerMode(str, Enum):
+    PUBLIC_PERMISSIONED = "public-permissioned"
+    PRIVATE_PERMISSIONED = "private-permissioned"
 
 
 class CredentialStatus(str, Enum):
@@ -742,17 +749,32 @@ class Ledger:
     def from_bytes(cls, data: bytes, parsed=None, started: Split | None = None) -> "Ledger":
         """The ledger a file holds, once its chain is checked (see validate_chain).
 
-        A caller that has already run load_json(data) passes its result as parsed,
-        which is then read in place of data, unchecked; it may also pass the check
-        it started on the file's writer signatures. Both loads share this entry
-        because the benchmark's tracer times every ledger load here.
+        A caller that has already parsed data (serialization.parse_json, or json.loads
+        of its UTF-8 text) passes the result as parsed, so the bytes are parsed once;
+        it must re-dump to exactly data, or ParseError. It may also pass the check it
+        started on the file's writer signatures. Bytes that do not parse are refused
+        with where the last complete block ends, for a repair by hand. Both loads
+        share this entry because the benchmark's tracer times every ledger load here.
         """
         if parsed is None:
-            file = LedgerFile.from_bytes(data)
-        else:
-            file = LedgerFile.from_json_dict(parsed)
+            try:
+                parsed = parse_json(data)
+            except ParseError as exc:
+                raise ParseError(f"{exc}; {_last_complete_block(data)}") from None
+        file = LedgerFile.from_json_dict(check_canonical(parsed, data))
         ledger = cls(blocks=file.blocks, mode=file.mode,
                      clock=_ChainClock(file.blocks[-1].timestamp))
         if not ledger.writer_set:
             raise ParseError("genesis block registers no writers")
         return ledger._checked(started)
+
+
+def _last_complete_block(data: bytes) -> str:
+    """Which block of a ledger file that does not parse is the last whole one, and the
+    byte offset where it ends: cut there and closed with "]}", the file holds the
+    blocks up to it."""
+    ends = complete_items(data, "blocks")
+    if not ends:
+        return "no block is complete"
+    return (f"the last complete block is block {len(ends) - 1}, which ends at byte offset "
+            f"{ends[-1]}")

@@ -135,15 +135,30 @@ def load_json(data: bytes):
 
     That refuses whitespace, escape variants, number forms and duplicate keys.
     """
+    return check_canonical(parse_json(data), data)
+
+
+def parse_json(data: bytes):
+    """The JSON value of data's UTF-8 text, as json.loads reads it; not yet checked
+    to be canonical (see check_canonical)."""
     try:
-        text = data.decode("utf-8")
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from None
-    try:
-        obj = json.loads(text)
-        canonical = canonical_json_bytes(obj)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
+
+
+def check_canonical(obj, data: bytes):
+    """obj, if its canonical dump is exactly data; else ParseError.
+
+    A caller that parsed data itself passes its parse here, so a parse of other
+    bytes is refused like a non-canonical file.
+    """
+    try:
+        canonical = canonical_json_bytes(obj)
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
     except UnicodeEncodeError:
@@ -153,6 +168,45 @@ def load_json(data: bytes):
                       min(len(data), len(canonical)))
         raise ParseError(f"not canonical JSON: differs from its canonical form at byte {offset}")
     return obj
+
+
+def complete_items(data: bytes, key: str) -> list:
+    """The byte offset just past each complete item of the array that key opens in
+    the top-level JSON object in data, up to the first item that does not parse.
+
+    For bytes that do not parse as a whole, such as a file cut short: the keys before
+    key, and their values, must parse; [] if they do not.
+    """
+    text = data.decode("utf-8", "surrogateescape")
+    scan = json.JSONDecoder().raw_decode
+    ends, at, offset = [], 1, 0  # offset: the byte offset of text[at]
+    try:
+        if not text.startswith("{"):
+            return []
+        while True:
+            name, at = scan(text, at)
+            if text[at] != ":":
+                return []
+            if name == key:
+                break
+            _, at = scan(text, at + 1)
+            if text[at] != ",":
+                return []
+            at += 1
+        if text[at + 1] != "[":
+            return []
+        at += 2
+        offset = len(text[:at].encode("utf-8", "surrogateescape"))
+        while True:
+            _, end = scan(text, at)
+            offset += len(text[at:end].encode("utf-8", "surrogateescape"))
+            ends.append(offset)
+            if text[end] != ",":
+                return ends
+            at = end + 1
+            offset += 1
+    except (ValueError, IndexError, RecursionError):
+        return ends
 
 
 # --- strict field extraction --------------------------------------------------

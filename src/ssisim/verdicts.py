@@ -1,0 +1,246 @@
+"""Ed25519 signature verdicts, memoized per process and split over forked helpers.
+
+This module imports only the standard library and cryptography's Ed25519, so
+the CLI can start verifying a ledger file's writer signatures in a helper
+before it loads the rest of the package. identity re-exports its public names.
+"""
+
+import functools
+import os
+import signal
+import threading
+
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+# The bound of every per-process memo in the package.
+MEMO_SIZE = 4096
+
+
+def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """True iff signature was made by the matching key over exactly message.
+
+    Malformed keys or signatures return False, never raise.
+    """
+    try:
+        # Other types keep their own verdicts (a bytearray key fails, a bytearray
+        # message verifies), so only exact bytes reach the memo; the rest take
+        # the same check unmemoized.
+        if type(public_key) is type(message) is type(signature) is bytes:
+            return _verdict(public_key, message, signature)
+        return _verdict.__wrapped__(public_key, message, signature)
+    except Exception:
+        return False
+
+
+# Verdicts are memoized per process, keyed by the exact (key, message, signature)
+# bytes, as Bitcoin Core's signature cache is: a relying party meets the same
+# certificate or signature again and again. Only what Ed25519 decides is kept;
+# any other exception propagates uncached and verify maps it to False.
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    except (InvalidSignature, ValueError):  # a bad signature or a wrong-length key
+        return False
+    return True
+
+
+# Below two chunks of this size a forked helper costs more than it saves. os.fork
+# of a ~40 MB process takes 1-3 ms, and the parent then takes a write fault on each
+# page it touches again (15-20 ms for 10,000 pages); 128 verifications take 20-40 ms.
+_MIN_CHUNK = 128
+
+
+def _chunk_count(items: int) -> int:
+    """How many CPUs a split of items uses, this process's included; below 2 it forks nothing."""
+    if items < 2 * _MIN_CHUNK or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, items // _MIN_CHUNK)
+
+
+_splitting = False  # a split is open, in this process or in the parent of this helper
+
+
+def split_each(work, items: list) -> bytes:
+    """work(items), where work(chunk) gives one 0/1 byte per item of chunk, in order.
+
+    The items are split by start_split and joined at once (see Split.join). When
+    there is nothing to fork, work(items) runs here with no Split, the split
+    open while it runs.
+    """
+    global _splitting
+    if _splitting:
+        return work(items)
+    if _chunk_count(len(items)) > 1:
+        return start_split(work, items).join(items)
+    _splitting = True
+    try:
+        return work(items)
+    finally:
+        _splitting = False
+
+
+def start_split(work, items: list) -> "Split":
+    """Start work(items) in forked helpers, for Split.join to finish or Split.close to drop.
+
+    Given two chunks of _MIN_CHUNK items or more, a second CPU and os.fork in a
+    single-threaded process, one helper per CPU but one is forked, each on its
+    contiguous chunk of the items; this process keeps no chunk. A fork that
+    fails ends the forking, so the helpers cover a prefix of the items and the
+    rest runs here at the join. Every helper streams its answers one item at a
+    time, so that join can take over what a helper has not reached. A split
+    stays open until it is joined or closed; one started while another is
+    open, here or in a helper, forks nothing and its join runs in process.
+    This is the only place the package forks.
+    """
+    global _splitting
+    if _splitting:
+        return Split(work, items, opened=False)
+    _splitting = True
+    split = Split(work, items, opened=True)
+    helpers = _chunk_count(len(items)) - 1
+    try:
+        for k in range(helpers):
+            start, stop = len(items) * k // helpers, len(items) * (k + 1) // helpers
+            helper = _fork_helper(work, items[start:stop])
+            if helper is None:
+                break
+            pid, read_fd = helper
+            split._helpers.append((pid, read_fd, start, stop))
+            split._live[pid] = read_fd
+    except BaseException:
+        split.close()
+        raise
+    return split
+
+
+class Split:
+    """work over items, split by start_split into one contiguous chunk per helper."""
+
+    def __init__(self, work, items: list, opened: bool):
+        self._work = work
+        self._items = items    # the items the split started on
+        self._helpers = []     # (pid, read end, start, stop) of each helper's chunk, in order
+        self._live = {}        # pid -> read end of each helper not yet reaped
+        self._opened = opened  # this split set _splitting
+
+    def join(self, items: list) -> bytes:
+        """work(items), with the helpers' answers for the items up to the first one
+        that differs from the started items; every other item runs here.
+
+        This process takes each helper's chunk in turn and reads the helper's
+        answers; whenever no new answer has arrived, it runs the back half of
+        what is still unanswered (at least one item) in one work call, until
+        the two meet. The items after the last helper's chunk run here. A
+        helper's answers all count for nothing if one byte is not 0 or 1, or if
+        the helper ends, before the two meet, with an exit code other than 0;
+        what it leaves unanswered runs here. Every helper is killed and reaped,
+        and the split closed, before join returns.
+        """
+        try:
+            same = len(items) if items is self._items else _agreeing(self._items, items)
+            answer, done = [], 0
+            for pid, read_fd, start, stop in self._helpers:
+                if start < same:
+                    done = min(stop, same)
+                    answer.append(self._collect(items, pid, read_fd, start, done))
+            answer.append(self._run(items, done, len(items)))
+            return b"".join(answer)
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Kill and reap every helper left; the split is then closed, and a join runs here."""
+        global _splitting
+        for pid in list(self._live):
+            os.kill(pid, signal.SIGKILL)
+            self._reap(pid)
+        self._items, self._helpers = (), []
+        if self._opened:
+            _splitting = self._opened = False
+
+    def _run(self, items: list, start: int, stop: int) -> bytes:
+        return self._work(items[start:stop]) if start < stop else b""
+
+    def _reap(self, pid) -> int:
+        os.close(self._live.pop(pid))
+        return os.waitpid(pid, 0)[1]
+
+    def _collect(self, items: list, pid, read_fd, start: int, stop: int) -> bytes:
+        """work(items[start:stop]), the helper answering from start up and this process
+        from stop down, in bites of at most half of what is unanswered (see join)."""
+        got, bites, end = bytearray(), [], stop
+        os.set_blocking(read_fd, False)
+        while start + len(got) < end:
+            try:
+                data = os.read(read_fd, 1 << 16)
+            except BlockingIOError:  # no new answer: run the back half of the rest here
+                bite = max(1, (end - start - len(got)) // 2)
+                end -= bite
+                bites.append(self._run(items, end, end + bite))
+                continue
+            if not data:  # the helper has ended
+                if self._reap(pid) != 0:
+                    got.clear()
+                break
+            got += data
+        if not set(got) <= {0, 1}:
+            got.clear()
+        got = bytes(got[:end - start])
+        return got + self._run(items, start + len(got), end) + b"".join(reversed(bites))
+
+
+def _agreeing(started: list, items: list) -> int:
+    """How many of the leading items equal the started ones, position by position."""
+    both = min(len(started), len(items))
+    return next((i for i in range(both) if started[i] != items[i]), both)
+
+
+def _fork_helper(work, items) -> tuple:
+    """(pid, read end) of a process that writes work([item]) for each item in turn;
+    None if fork fails."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            for at in range(len(items)):
+                view = memoryview(work(items[at:at + 1]))
+                while view:
+                    view = view[os.write(write_fd, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def verify_each(jobs: list, started: Split | None = None) -> bytes:
+    """One 0/1 verdict per (public_key, message, signature) job, in order.
+
+    The answer is bytes(verify(*job) for job in jobs) on any CPU count: the
+    jobs are split over the CPUs by split_each. A split from start_verify is
+    joined instead: its helpers' verdicts count for the jobs up to the first
+    one that differs from the jobs it was started on.
+    """
+    if started is None:
+        return split_each(_verdicts, jobs)
+    return started.join(jobs)
+
+
+def start_verify(jobs: list) -> Split:
+    """verify_each(jobs) started in helpers, for verify_each(..., started=) to join."""
+    return start_split(_verdicts, jobs)
+
+
+def _verdicts(jobs) -> bytes:
+    return bytes(verify(*job) for job in jobs)

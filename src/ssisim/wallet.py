@@ -63,9 +63,6 @@ class Wallet(Record):
     def add_credential(self, credential: Credential) -> None:
         self.credentials.append(credential)
 
-    def add_other_data(self, label: str, blob: bytes) -> None:
-        self.other_data.append((str(label), bytes(blob)))
-
 
 def wallet_create(seed: bytes) -> Wallet:
     keypair = generate_keypair(seed)

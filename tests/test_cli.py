@@ -288,16 +288,24 @@ class TestSpliceAppends:
         head = len(data) - 2
         assert new[:head] == data[:head]
         tail = new[head:]
+        height = len(Ledger.from_bytes(data).blocks)
         torn_path = tmp_path / "torn.json"
         for j in range(len(tail) + 1):
             torn_path.write_bytes(data[:head] + tail[:j] + data[head + j:])
             code, out, err = run("ledger-validate", str(torn_path))
             if j in (0, len(tail)):
-                blocks = len(Ledger.from_bytes(data if j == 0 else new).blocks)
+                blocks = height + (j > 0)
                 assert (code, out, err) == (0, f'{{"result":"Ok","blocks":{blocks}}}', ""), j
-            else:
-                assert (code, out) == (3, ""), j
-                assert one_error_line(err), j
+                continue
+            assert (code, out) == (3, ""), j
+            assert one_error_line(err), j
+            # the new block is whole once the cut passes it: tail is "," + block + "]}"
+            last, end = (height, len(new) - 2) if j >= len(tail) - 2 else (height - 1, head)
+            assert err.endswith(f"; the last complete block is block {last}, which ends "
+                                f"at byte offset {end}"), j
+            # the hand repair the README describes: keep those bytes and close the chain
+            repaired = torn_path.read_bytes()[:end] + b"]}"
+            assert len(Ledger.from_bytes(repaired).blocks) == last + 1, j
 
     def test_ledger_init_does_not_overwrite_a_ledger(self, run, paths):
         bootstrap(run, paths)
@@ -944,9 +952,71 @@ class TestImports:
     def test_the_cli_loads_only_what_parsing_and_the_early_check_need(self):
         proc = run_python("-c", "import sys, ssisim.cli; print(sorted(m for m in sys.modules "
                                 "if m.startswith('ssisim.') or m.endswith(('x25519', 'aead'))))")
-        assert proc.stdout == str(["ssisim.cli", "ssisim.errors", "ssisim.identity",
-                                   "ssisim.modes", "ssisim.runtime",
-                                   "ssisim.serialization"]) + "\n"
+        assert proc.stdout == str(["ssisim.cli", "ssisim.verdicts"]) + "\n"
+
+    def test_the_cli_offers_the_ledger_modes_without_loading_them(self):
+        assert cli._MODES == [mode.value for mode in LedgerMode]
+
+    # As `python -m ssisim.cli` runs, but each fork first logs the ssisim modules loaded
+    # (the CLI runs as __main__, so by their spec names), on two CPUs.
+    FORK_LOGGER = """if True:
+        import os, runpy, sys
+        log, sys.argv = sys.argv[1], ["ssisim", *sys.argv[2:]]
+        os.sched_getaffinity = lambda pid: {0, 1}
+        real_fork = os.fork
+
+        def fork():
+            names = {getattr(module.__spec__, "name", None) for module in list(sys.modules.values())
+                     if getattr(module, "__spec__", None)}
+            with open(log, "a") as out:
+                out.write(" ".join(sorted(n for n in names if n.startswith("ssisim"))) + "\\n")
+            return real_fork()
+
+        os.fork = fork
+        runpy.run_module("ssisim.cli", run_name="__main__", alter_sys=True)
+    """
+
+    @pytest.fixture(scope="class")
+    def registry(self, tmp_path_factory):
+        """A 300-block ledger file as the CLI writes it, its wallets and a presentation."""
+        sys.path.insert(0, str(ROOT))
+        try:
+            from bench.inputs import build_cli_registry, seed_bytes
+        finally:
+            sys.path.remove(str(ROOT))
+        registry = build_cli_registry(seed_bytes("test", 4), blocks=300, holders=4, accepted=1,
+                                      rejected=0, issue_requests=1)
+        folder = tmp_path_factory.mktemp("fork-point")
+        (folder / "writer.json").write_bytes(registry.writer_wallet)
+        (folder / "issuer.json").write_bytes(registry.issuer_wallet)
+        (folder / "p.vp.json").write_bytes(registry.presentations[0].presentation_json)
+        return registry, folder
+
+    @pytest.mark.parametrize("command", ["ledger-validate", "verify", "issue"])
+    def test_the_helper_forks_before_the_package_loads(self, registry, tmp_path, command):
+        registry, folder = registry
+        ledger = tmp_path / "ledger.json"
+        ledger.write_bytes(registry.ledger_bytes)
+        holder, values = registry.issue_requests[0]
+        argv = {
+            "ledger-validate": ["ledger-validate", str(ledger)],
+            "verify": ["--ledger", str(ledger), "verify", "--presentation",
+                       str(folder / "p.vp.json"),
+                       "--challenge", registry.presentations[0].challenge.hex()],
+            "issue": ["--ledger", str(ledger), "issue", "--wallet", str(folder / "issuer.json"),
+                      "--writer-wallet", str(folder / "writer.json"), "--schema-id",
+                      registry.schema_id.hex(), "--holder-did", holder,
+                      *[arg for name in values for arg in ("--value", f"{name}={values[name]}")],
+                      "--out", str(tmp_path / "out.vc.json")],
+        }[command]
+        log = tmp_path / "forks"
+        proc = run_python("-c", self.FORK_LOGGER, str(log), *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)  # the command's own answer
+        assert len(registry.ledger.blocks) == 300
+        # one fork, the early helper's, with nothing of the package loaded but the CLI and
+        # verdicts: errors, identity, serialization, ledger and engine load after it
+        assert log.read_text().splitlines() == ["ssisim ssisim.cli ssisim.verdicts"]
 
 
 class TestRareRefusals:

@@ -59,7 +59,7 @@ def base(tmp_path_factory):
     for key, seed in (("op", "aa"), ("issuer", "bb"), ("wallet", "cc")):
         assert quiet("wallet-init", "--seed", seed * 32, "--wallet", paths[key])[0] == 0
     alice = wallet_load((root / FILES["wallet"]).read_bytes())
-    alice.add_other_data("note", b"A")
+    alice.other_data.append(("note", b"A"))
     (root / FILES["wallet"]).write_bytes(wallet_save(alice))
     ledger = ("--ledger", paths["ledger"], "--writer-wallet", paths["op"])
     assert quiet("ledger-init", *ledger)[0] == 0

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from dataclasses import replace
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssisim import identity
+from ssisim import identity, verdicts
 from ssisim.credentials import (
     Credential,
     CredentialSchema,
@@ -62,7 +63,7 @@ from ssisim.ledger import (
 from ssisim.merkle import PathStep
 from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
-from ssisim.serialization import canonical_json_bytes
+from ssisim.serialization import canonical_json_bytes, parse_json
 
 from conftest import (
     CHAIN_FAULTS,
@@ -412,9 +413,9 @@ class TestParallelChainCheck:
         with monkeypatch.context() as serial:
             serial.delattr(os, "fork")
             assert long_chain.validate_chain().ok
-            before = identity._verdict.cache_info()
+            before = verdicts._verdict.cache_info()
             assert long_chain.validate_chain().ok
-            after = identity._verdict.cache_info()
+            after = verdicts._verdict.cache_info()
             # 399 writer signatures and the genesis writer's self-certification
             assert (after.hits - before.hits, after.misses) == (LONG_CHAIN_BLOCKS, before.misses)
         led = tampered(long_chain, signatures, roots)
@@ -803,6 +804,22 @@ class TestSerialization:
         data = ledger.to_bytes().replace(b"public-permissioned", b"pudlic-permissioned")
         with pytest.raises(ParseError):
             Ledger.from_bytes(data)
+
+    @pytest.mark.parametrize("other", ["a longer file", "one digit changed"])
+    def test_a_parse_of_other_bytes_is_refused(self, ledger, operator, other):
+        data = ledger.to_bytes()
+        if other == "a longer file":
+            longer = Ledger.from_bytes(data)
+            longer.append_unchecked([RegisterDid(make_did_document(operator))], operator)
+            other_bytes = longer.to_bytes()
+        else:  # the same length, so only the bytes can tell the two apart
+            at = data.index(b'"writer_signature":"', data.index(b'"index":1')) + 20
+            other_bytes = data[:at] + (b"1" if data[at:at + 1] == b"0" else b"0") + data[at + 1:]
+        for parsed in (json.loads(other_bytes), parse_json(other_bytes)):
+            with pytest.raises(ParseError, match="^not canonical JSON: differs from its "
+                                                 "canonical form at byte "):
+                Ledger.from_bytes(data, parsed)
+        assert Ledger.from_bytes(data, json.loads(data)).to_bytes() == data
 
     def test_writer_set_is_rebuilt_from_genesis(self, ledger):
         imported = Ledger.from_bytes(ledger.to_bytes())
@@ -1240,6 +1257,7 @@ class TestVerificationCounts:
         """The arguments of every verification this process runs."""
         import ssisim.identity
         import ssisim.ledger
+        import ssisim.verdicts
 
         calls = []
         real = ssisim.identity.verify
@@ -1250,6 +1268,7 @@ class TestVerificationCounts:
 
         monkeypatch.setattr(ssisim.identity, "verify", counted)
         monkeypatch.setattr(ssisim.ledger, "verify", counted)
+        monkeypatch.setattr(ssisim.verdicts, "verify", counted)
         return calls
 
     @pytest.fixture

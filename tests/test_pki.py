@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-import ssisim.identity
 import ssisim.pki
+import ssisim.verdicts
 from ssisim.errors import (
     BadProofOfPossession,
     ConfigError,
@@ -461,7 +461,7 @@ class TestSplitCompromiseRun:
 
     def test_no_helper_forks_again(self, fork_log, two_cpus, monkeypatch, tmp_path):
         splits = tmp_path / "splits"
-        for module in (ssisim.identity, ssisim.pki):
+        for module in (ssisim.verdicts, ssisim.pki):
             real = module.split_each
 
             def counted(work, items, real=real):  # a helper's split is logged here too

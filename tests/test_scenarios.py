@@ -142,7 +142,7 @@ class TestExportedBytes:
     def test_wallet_file(self):
         wallet = wallet_create(b"\x07" * 32)
         wallet.add_credential(run_scenario(HealthcareConfig()).credential)
-        wallet.add_other_data("note", b"\x00\x01\xff")
+        wallet.other_data.append(("note", b"\x00\x01\xff"))
         data = wallet_save(wallet)
         assert sha256(data).hex() == (
             "91cd0dddaed7e435fab8afad1643ca49208bd5109bf2c9c356548a5c18bbbe2f")

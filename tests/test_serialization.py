@@ -28,6 +28,7 @@ from ssisim.serialization import (
     b58decode,
     b58encode,
     canonical_json,
+    complete_items,
     encode_bytes,
     encode_parts,
     expect_int,
@@ -427,6 +428,18 @@ class TestStrictJson:
         for bad in (-1, 2**64, True, 1.0, "1"):
             with pytest.raises(ParseError):
                 expect_int(bad, "x")
+
+    def test_complete_items_gives_the_byte_offset_after_each_whole_item(self):
+        data = canonical_json({"mode": "é", "blocks": [{"n": "ü"}, [1, {"x": "€"}], 7]}).encode()
+        ends = [data.index(b"}", data.index(b"\xc3\xbc")) + 1, data.index(b"}]") + 2,
+                len(data) - 2]
+        assert complete_items(data, "blocks") == ends
+        for cut in range(len(data)):  # a cut mid-character too: the offsets are of bytes
+            assert complete_items(data[:cut], "blocks") == [end for end in ends if end <= cut]
+        assert complete_items(data, "mode") == []  # not an array
+        for spoiled in (b"", b"[]", b'{"blocks":{}}', b'{"mode" "x","blocks":[1]}',
+                        b'{"mode":"x" "blocks":[1]}', b'{"blocks":[1;2]}'):
+            assert complete_items(spoiled, "blocks") == [12] * (spoiled == b'{"blocks":[1;2]}')
 
     def test_too_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(ParseError):

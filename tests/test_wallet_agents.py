@@ -45,7 +45,7 @@ class TestWalletFiles:
 
     def test_save_load_resave_is_byte_identical(self):
         wallet = wallet_create(b"\x32" * 32)
-        wallet.add_other_data("note", b"opaque blob \x00\x01")
+        wallet.other_data.append(("note", b"opaque blob \x00\x01"))
         data = wallet_save(wallet)
         assert wallet_save(wallet_load(data)) == data
 
@@ -100,7 +100,7 @@ class TestWalletFiles:
     def test_a_label_with_a_lone_surrogate_is_a_parse_error(self):
         # such a wallet used to load, and then could never be saved
         wallet = wallet_create(b"\x38" * 32)
-        wallet.add_other_data("note", b"")
+        wallet.other_data.append(("note", b""))
         data = wallet_save(wallet).replace(b'"note"', b'"\\ud800"')
         with pytest.raises(ParseError, match="lone surrogate"):
             wallet_load(data)
