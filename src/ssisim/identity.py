@@ -36,7 +36,7 @@ from .serialization import (
     parse_hex,
     sha256,
 )
-from .verdicts import (  # re-exported: the package verifies through identity
+from .verdicts import (  # all but MEMO_SIZE re-exported: the package verifies through identity
     MEMO_SIZE,
     Split,
     split_each,
@@ -83,6 +83,7 @@ class KeyPair:
 # issuer or writer key signs many times, and building an Ed25519 key from its
 # seed is about half the cost of a signature. The public functions check lengths
 # before a memo is consulted, so every wrong-length call raises.
+
 
 def _seed(private_key: bytes) -> bytes:
     """The private key as hashable bytes; SeedLength unless it is SEED_LEN long."""

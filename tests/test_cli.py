@@ -966,7 +966,7 @@ class TestImports:
         real_fork = os.fork
 
         def fork():
-            names = {getattr(module.__spec__, "name", None) for module in list(sys.modules.values())
+            names = {module.__spec__.name for module in list(sys.modules.values())
                      if getattr(module, "__spec__", None)}
             with open(log, "a") as out:
                 out.write(" ".join(sorted(n for n in names if n.startswith("ssisim"))) + "\\n")
