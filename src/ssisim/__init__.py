@@ -5,7 +5,8 @@ Modules:
     verdicts     signature verdicts, memoized and split over forked helpers (identity
                  re-exports them); loads before the rest in a cold CLI command
     ledger       hash-chained permissioned registry (the verifiable data registry)
-    credentials  schemas, credentials, selective-disclosure presentations
+    schemas      credential schemas, which the ledger anchors
+    credentials  credentials, selective-disclosure presentations
     engine       issuer/holder/verifier operations against the ledger
     wallet       persistent wallet files
     agents       in-process agent message bus and DID-Auth

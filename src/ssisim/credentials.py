@@ -1,4 +1,4 @@
-"""Credential schemas, credentials, and selective-disclosure presentations.
+"""Credentials and selective-disclosure presentations (schemas are in schemas.py).
 
 A credential commits to each attribute as hash(name, value, salt) and
 signs the Merkle root of those commitments, so a presentation can reveal
@@ -11,26 +11,13 @@ facing issuer/holder/verifier operations live in engine.py.
 
 from dataclasses import dataclass, replace
 
-from .errors import (
-    ConfigError,
-    DuplicateAttribute,
-    ParseError,
-    SchemaMismatch,
-    UnknownAttribute,
-    WrongHolderKey,
-)
-from .identity import (
-    DID,
-    Did,
-    KeyPair,
-    SIGNATURE_LEN,
-    derive_did,
-    sign,
-)
+from .errors import ParseError, SchemaMismatch, UnknownAttribute, WrongHolderKey
+from .identity import DID, SIGNATURE, Did, KeyPair, derive_did, sign
 from .merkle import PathStep, leaf_hash, merkle_path, merkle_root, verify_path
+from .schemas import CredentialSchema
 from .serialization import (
+    HASH,
     INT,
-    MAX_INT,
     STR,
     Record,
     encode_parts,
@@ -43,69 +30,10 @@ from .serialization import (
 
 SALT_LEN = 16
 
-_SCHEMA_CONTEXT = "ssisim/schema/v1"
 _CREDENTIAL_CONTEXT = "ssisim/credential/v1"
 _PRESENTATION_CONTEXT = "ssisim/presentation/v1"
 
-HASH = hex_codec(32)
-SIGNATURE = hex_codec(SIGNATURE_LEN)
 SALT = hex_codec(SALT_LEN)
-
-
-# --- schemas -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CredentialSchema(Record):
-    """Named, versioned attribute list; schema_id binds it to its issuer."""
-
-    schema_id: bytes
-    issuer_did: Did
-    name: str
-    version: int
-    attribute_names: tuple
-
-    JSON = (
-        ("schema_id", HASH),
-        ("issuer_did", DID),
-        ("name", STR),
-        ("version", INT),
-        ("attribute_names", list_codec(STR)),
-    )
-
-
-def schema_id_for(issuer_did: Did, name: str, version: int, attribute_names) -> bytes:
-    return sha256(
-        encode_parts(_SCHEMA_CONTEXT, str(issuer_did), name, version, list(attribute_names))
-    )
-
-
-def make_schema(issuer_did: Did, name: str, version: int, attribute_names) -> CredentialSchema:
-    """Validate and canonicalize attribute names (sorted order fixed here)."""
-    if not 0 <= version <= MAX_INT:
-        raise ConfigError(f"schema version {version} is outside [0, 2^64-1]")
-    names = list(attribute_names)
-    if not names:
-        raise DuplicateAttribute("schema needs at least one attribute")
-    if len(set(names)) != len(names):
-        raise DuplicateAttribute(f"duplicate attribute names in {names}")
-    names = tuple(sorted(names))
-    return CredentialSchema(
-        schema_id=schema_id_for(issuer_did, name, version, names),
-        issuer_did=issuer_did,
-        name=name,
-        version=version,
-        attribute_names=names,
-    )
-
-
-def schema_is_well_formed(schema: CredentialSchema) -> bool:
-    names = schema.attribute_names
-    if not names or len(set(names)) != len(names) or tuple(sorted(names)) != names:
-        return False
-    return schema.schema_id == schema_id_for(
-        schema.issuer_did, schema.name, schema.version, names
-    )
 
 
 # --- credentials -----------------------------------------------------------------

@@ -14,13 +14,11 @@ from dataclasses import replace
 
 from .credentials import (
     Credential,
-    CredentialSchema,
     Presentation,
     VerificationReport,
     build_credential,
     credential_commitments_ok,
     credential_signing_payload,
-    make_schema,
     presentation_signing_payload,
     revealed_proofs_ok,
     revealed_set_hash,
@@ -35,6 +33,7 @@ from .ledger import (
     Revoke,
 )
 from .runtime import SystemRng
+from .schemas import CredentialSchema, make_schema
 
 
 def _signed(issuer: KeyPair, unsigned):

@@ -154,6 +154,7 @@ class Did:
 DID = (str, lambda value, where: Did.parse(expect_str(value, where)))
 # A key fingerprint (see key_fingerprint), held as its hex text.
 KEY_ID = (str, lambda value, where: parse_hex(value, KEY_ID_LEN, where).hex())
+SIGNATURE = hex_codec(SIGNATURE_LEN)
 
 
 def derive_did(public_key: bytes) -> Did:

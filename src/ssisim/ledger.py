@@ -20,7 +20,6 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 
-from .credentials import HASH, SIGNATURE, CredentialSchema, schema_is_well_formed
 from .errors import (
     ClockExhausted,
     DuplicateSchema,
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .identity import (
     DID,
+    SIGNATURE,
     Did,
     DidDocument,
     KeyPair,
@@ -51,7 +51,9 @@ from .identity import (
     verify_each,
 )
 from .runtime import LogicalClock
+from .schemas import CredentialSchema, schema_is_well_formed
 from .serialization import (
+    HASH,
     INT,
     MAX_INT,
     STR,

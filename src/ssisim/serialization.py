@@ -266,6 +266,9 @@ def hex_codec(length: int | None) -> tuple:
     return bytes.hex, lambda value, where: parse_hex(value, length, where)
 
 
+HASH = hex_codec(32)  # a sha256 digest
+
+
 def _dump_base64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 

@@ -954,6 +954,15 @@ class TestImports:
                                 "if m.startswith('ssisim.') or m.endswith(('x25519', 'aead'))))")
         assert proc.stdout == str(["ssisim.cli", "ssisim.verdicts"]) + "\n"
 
+    def test_a_ledger_load_needs_no_credentials(self):
+        # ledger-validate loads these after the helper forks; credentials and the Merkle
+        # tree load only for the commands that use them
+        proc = run_python("-c", "import sys, ssisim.ledger; print(sorted(m for m in sys.modules "
+                                "if m.startswith('ssisim.')))")
+        assert proc.stdout == str(["ssisim.errors", "ssisim.identity", "ssisim.ledger",
+                                   "ssisim.runtime", "ssisim.schemas", "ssisim.serialization",
+                                   "ssisim.verdicts"]) + "\n"
+
     def test_the_cli_offers_the_ledger_modes_without_loading_them(self):
         assert cli._MODES == [mode.value for mode in LedgerMode]
 

@@ -10,7 +10,6 @@ from ssisim.credentials import (
     Presentation,
     build_credential,
     create_presentation,
-    make_schema,
 )
 from ssisim.engine import (
     define_schema,
@@ -43,6 +42,7 @@ from ssisim.ledger import (
     LedgerMode,
     RegisterDid,
 )
+from ssisim.schemas import make_schema
 from ssisim.serialization import canonical_json_bytes, load_json
 
 from conftest import seeded_keypair

@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssisim import identity, verdicts
-from ssisim.credentials import (
-    Credential,
-    CredentialSchema,
-    Presentation,
-    RevealedAttribute,
-    create_presentation,
-    make_schema,
-    schema_is_well_formed,
-)
+from ssisim.credentials import Credential, Presentation, RevealedAttribute, create_presentation
 from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
     ClockExhausted,
@@ -63,6 +55,7 @@ from ssisim.ledger import (
 from ssisim.merkle import PathStep
 from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
+from ssisim.schemas import CredentialSchema, make_schema, schema_is_well_formed
 from ssisim.serialization import canonical_json_bytes, parse_json
 
 from conftest import (
@@ -942,7 +935,6 @@ class TestKeyAgreementIndex:
 
 def replay_registry(ledger):
     """Brute-force linear replay of all transactions, independent of Ledger's fold."""
-    from ssisim.credentials import schema_is_well_formed
     from ssisim.identity import verify
     from ssisim.ledger import DefineSchema
 
