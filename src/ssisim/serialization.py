@@ -179,7 +179,7 @@ def complete_items(data: bytes, key: str) -> list:
     """
     text = data.decode("utf-8", "surrogateescape")
     scan = json.JSONDecoder().raw_decode
-    ends, at, offset = [], 1, 0  # offset: the byte offset of text[at]
+    ends, at = [], 1
     try:
         if not text.startswith("{"):
             return []
@@ -196,7 +196,7 @@ def complete_items(data: bytes, key: str) -> list:
         if text[at + 1] != "[":
             return []
         at += 2
-        offset = len(text[:at].encode("utf-8", "surrogateescape"))
+        offset = len(text[:at].encode("utf-8", "surrogateescape"))  # of text[at]
         while True:
             _, end = scan(text, at)
             offset += len(text[at:end].encode("utf-8", "surrogateescape"))
