@@ -6,6 +6,7 @@ before it loads the rest of the package. identity re-exports its public names.
 """
 
 import functools
+import mmap
 import os
 import signal
 import threading
@@ -63,6 +64,10 @@ def _chunk_count(items: int) -> int:
 
 _splitting = False  # a split is open, in this process or in the parent of this helper
 
+# The bytes of a split's page that are not answers: a slot no one has answered
+# yet, and the first slot of a bite the join has taken (where the helper stops).
+_UNANSWERED, _TAKEN = b"\xff", b"\xfe"
+
 
 def split_each(work, items: list) -> bytes:
     """work(items), where work(chunk) gives one 0/1 byte per item of chunk, in order.
@@ -90,11 +95,12 @@ def start_split(work, items: list) -> "Split":
     single-threaded process, one helper per CPU but one is forked, each on its
     contiguous chunk of the items; this process keeps no chunk. A fork that
     fails ends the forking, so the helpers cover a prefix of the items and the
-    rest runs here at the join. Every helper streams its answers one item at a
-    time, so that join can take over what a helper has not reached. A split
-    stays open until it is joined or closed; one started while another is
-    open, here or in a helper, forks nothing and its join runs in process.
-    This is the only place the package forks.
+    rest runs here at the join. The helpers share one page with this process,
+    one byte per item, and each answers into it one item at a time, so that
+    join can take over what a helper has not reached. A split stays open
+    until it is joined or closed; one started while another is open, here or
+    in a helper, forks nothing and its join runs in process. This is the only
+    place the package forks.
     """
     global _splitting
     if _splitting:
@@ -103,14 +109,15 @@ def start_split(work, items: list) -> "Split":
     split = Split(work, items, opened=True)
     helpers = _chunk_count(len(items)) - 1
     try:
+        if helpers:
+            split._page = mmap.mmap(-1, len(items))
+            split._page.write(_UNANSWERED * len(items))
         for k in range(helpers):
             start, stop = len(items) * k // helpers, len(items) * (k + 1) // helpers
-            helper = _fork_helper(work, items[start:stop])
-            if helper is None:
+            pid = _fork_helper(work, items, split._page, start, stop)
+            if pid is None:
                 break
-            pid, read_fd = helper
-            split._helpers.append((pid, read_fd, start, stop))
-            split._live[pid] = read_fd
+            split._helpers.append((pid, start, stop))
     except BaseException:
         split.close()
         raise
@@ -123,30 +130,31 @@ class Split:
     def __init__(self, work, items: list, opened: bool):
         self._work = work
         self._items = items    # the items the split started on
-        self._helpers = []     # (pid, read end, start, stop) of each helper's chunk, in order
-        self._live = {}        # pid -> read end of each helper not yet reaped
+        self._page = None      # the shared page, one byte per started item, if it forked
+        self._helpers = []     # (pid, start, stop) of each helper's chunk, in order
         self._opened = opened  # this split set _splitting
 
     def join(self, items: list) -> bytes:
         """work(items), with the helpers' answers for the items up to the first one
         that differs from the started items; every other item runs here.
 
-        This process takes each helper's chunk in turn and reads the helper's
-        answers; whenever no new answer has arrived, it runs the back half of
-        what is still unanswered (at least one item) in one work call, until
-        the two meet. The items after the last helper's chunk run here. A
-        helper's answers all count for nothing if one byte is not 0 or 1, or if
-        the helper ends, before the two meet, with an exit code other than 0;
-        what it leaves unanswered runs here. Every helper is killed and reaped,
-        and the split closed, before join returns.
+        This process takes each helper's chunk in turn. While the helper runs
+        and some item below this process's bites is unanswered, it marks the
+        back half of what is unanswered (at least one item) taken, so the helper
+        stops there, and runs it in one work call; the two meet when nothing
+        below the bites is unanswered. The items after the last helper's chunk
+        run here. A helper's answers all count for nothing if one byte is not
+        0 or 1, or if the helper ends, before the two meet, other than by exiting
+        0; what it leaves unanswered runs here. Every helper is killed and
+        reaped, and the split closed, before join returns.
         """
         try:
             same = len(items) if items is self._items else _agreeing(self._items, items)
             answer, done = [], 0
-            for pid, read_fd, start, stop in self._helpers:
+            for pid, start, stop in self._helpers:
                 if start < same:
                     done = min(stop, same)
-                    answer.append(self._collect(items, pid, read_fd, start, done))
+                    answer.append(self._collect(items, pid, start, done))
             answer.append(self._run(items, done, len(items)))
             return b"".join(answer)
         finally:
@@ -155,42 +163,43 @@ class Split:
     def close(self) -> None:
         """Kill and reap every helper left; the split is then closed, and a join runs here."""
         global _splitting
-        for pid in list(self._live):
+        for pid, _, _ in self._helpers:
             os.kill(pid, signal.SIGKILL)
-            self._reap(pid)
-        self._items, self._helpers = (), []
+            os.waitpid(pid, 0)
+        if self._page is not None:
+            self._page.close()
+        self._items, self._helpers, self._page = (), [], None
         if self._opened:
             _splitting = self._opened = False
 
     def _run(self, items: list, start: int, stop: int) -> bytes:
         return self._work(items[start:stop]) if start < stop else b""
 
-    def _reap(self, pid) -> int:
-        os.close(self._live.pop(pid))
-        return os.waitpid(pid, 0)[1]
-
-    def _collect(self, items: list, pid, read_fd, start: int, stop: int) -> bytes:
+    def _collect(self, items: list, pid, start: int, stop: int) -> bytes:
         """work(items[start:stop]), the helper answering from start up and this process
-        from stop down, in bites of at most half of what is unanswered (see join)."""
-        got, bites, end = bytearray(), [], stop
-        os.set_blocking(read_fd, False)
-        while start + len(got) < end:
-            try:
-                data = os.read(read_fd, 1 << 16)
-            except BlockingIOError:  # no new answer: run the back half of the rest here
-                bite = max(1, (end - start - len(got)) // 2)
-                end -= bite
-                bites.append(self._run(items, end, end + bite))
-                continue
-            if not data:  # the helper has ended
-                if self._reap(pid) != 0:
-                    got.clear()
-                break
-            got += data
-        if not set(got) <= {0, 1}:
-            got.clear()
-        got = bytes(got[:end - start])
-        return got + self._run(items, start + len(got), end) + b"".join(reversed(bites))
+        from stop down, in bites of at most half of what is unanswered (see join).
+
+        Page bytes from stop on are never read: the helper may still write there.
+        This process keeps its own answers, since the helper may answer the first
+        item of the last bite after it was taken.
+        """
+        page, end, bites = self._page, stop, b""
+        while (at := page.find(_UNANSWERED, start, end)) >= 0 and _failed(pid) is None:
+            bite = max(1, (end - at) // 2)
+            end -= bite
+            page[end:end + 1] = _TAKEN
+            bites = self._run(items, end, end + bite) + bites
+        got = page[start:end].rstrip(_UNANSWERED)
+        if _failed(pid) or not set(got) <= {0, 1}:
+            got = b""
+        return got + self._run(items, start + len(got), end) + bites
+
+
+def _failed(pid: int) -> bool | None:
+    """None while the helper pid runs; once it has ended, whether it ended other than
+    by exiting 0. The helper is left for Split.close to reap."""
+    ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    return ended and (ended.si_code, ended.si_status) != (os.CLD_EXITED, 0)
 
 
 def _agreeing(started: list, items: list) -> int:
@@ -199,29 +208,25 @@ def _agreeing(started: list, items: list) -> int:
     return next((i for i in range(both) if started[i] != items[i]), both)
 
 
-def _fork_helper(work, items) -> tuple:
-    """(pid, read end) of a process that writes work([item]) for each item in turn;
+def _fork_helper(work, items: list, page, start: int, stop: int) -> int | None:
+    """The pid of a process that writes work([item]) into page for each of
+    items[start:stop] in turn, up to the first slot that is not unanswered;
     None if fork fails."""
-    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
         return None
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            for at in range(len(items)):
-                view = memoryview(work(items[at:at + 1]))
-                while view:
-                    view = view[os.write(write_fd, view):]
+            for at in range(start, stop):
+                if page[at:at + 1] != _UNANSWERED:
+                    break
+                page[at:at + 1] = work(items[at:at + 1])
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
+    return pid
 
 
 def verify_each(jobs: list, started: Split | None = None) -> bytes:

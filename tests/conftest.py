@@ -122,7 +122,7 @@ def cpus(monkeypatch):
     """cpus(n) sets n CPUs as start_split sees them, and returns the pids of the helpers
     forked from the start of the test on.
 
-    Afterwards every helper must have been reaped and every pipe end closed.
+    Afterwards every helper must have been reaped, and no fd or shared page left open.
     """
     real_fork = os.fork
     pids = []
@@ -139,12 +139,19 @@ def cpus(monkeypatch):
         return pids
 
     monkeypatch.setattr(os, "fork", fork)
-    open_fds = len(os.listdir("/proc/self/fd"))
+    open_fds, shared = len(os.listdir("/proc/self/fd")), shared_mappings()
     yield set_cpus
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert shared_mappings() == shared
+
+
+def shared_mappings() -> list:
+    """The lines of this process's memory map that a forked helper could write into."""
+    return [line for line in Path("/proc/self/maps").read_text().splitlines()
+            if line.split()[1] == "rw-s"]
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import os
+import random
 import re
 import sys
 import threading
@@ -219,20 +220,26 @@ class TestVerifyEach:
             assert len(helpers) == (length >= 256)
 
     @pytest.mark.parametrize("length", [256, 600])
-    @pytest.mark.parametrize("failure", ["raises", "short", "garbage"])
+    @pytest.mark.parametrize("failure", ["raises", "short", "garbage", "exits non-zero"])
     def test_a_failing_helper_changes_no_verdict(self, jobs, two_cpus, monkeypatch, length,
                                                  failure):
-        real_write, real_exit, written = os.write, os._exit, []
+        parent, real, answered = os.getpid(), ssisim.verdicts._verdicts, []
 
-        def write(fd, data):  # only the helpers write while verify_each runs
-            written.append(data)
-            if failure == "raises":
-                raise OSError("pipe write failed")
-            if failure == "short" and len(written) > 10:  # exits 0 after ten answers
-                real_exit(0)
-            return real_write(fd, data if failure == "short" else b"\x07" * len(data))
+        def verdicts(jobs):
+            if os.getpid() == parent:  # each bite here waits until the helper has ended
+                wait_until_ended(two_cpus[-1])
+                return real(jobs)
+            answered.append(real(jobs))  # the helper's own copy of the list
+            if len(answered) > 10:  # it ends after ten answers
+                if failure == "raises":
+                    raise RuntimeError("helper failed")
+                os._exit(3 if failure == "exits non-zero" else 0)
+            if failure == "garbage":
+                return b"\x07"
+            # ten true answers, or ten well-formed wrong ones before it fails
+            return answered[-1] if failure == "short" else bytes([1 - answered[-1][0]])
 
-        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(ssisim.verdicts, "_verdicts", verdicts)
         for fault in self.FAULTS:
             faulted, _ = self.faulted(jobs, length, fault)
             assert verify_each(faulted) == bytes(verify(*job) for job in faulted)
@@ -275,12 +282,13 @@ class TestSplitEach:
         def work(items):
             if os.getpid() == parent:
                 raise RuntimeError("work failed")
-            return bytes(1024) * len(items)  # more than a pipe holds: the helper blocks
+            time.sleep(60)  # the helper is still running when this process fails
+            return bytes(len(items))
 
         with pytest.raises(RuntimeError, match="work failed"):
             split_each(work, list(range(600)))
         assert split_each(self.parity, list(range(600))) == self.parity(range(600))
-        if helpers is not None:  # two_cpus checks that each was reaped and its pipe closed
+        if helpers is not None:  # two_cpus checks that each was reaped and its page closed
             assert len(helpers) == 2  # the split after the failed one forks again
 
     @pytest.mark.parametrize("outer", [10, 600])
@@ -298,8 +306,20 @@ def parity(items) -> bytes:
     return bytes(item % 2 for item in items)
 
 
+def done_twice(log, items) -> tuple:
+    """(How many times an item was done again, how many work calls this process made),
+    from a log of "pid:item,item,..." lines, one a work call, that covers every item."""
+    done, bites = Counter(), 0
+    for line in log.read_text().split():
+        pid, chunk = line.split(":")
+        done.update(int(item) for item in chunk.split(","))
+        bites += int(pid) == os.getpid()
+    assert set(done) == set(items)
+    return sum(done.values()) - len(items), bites
+
+
 class TestStartSplit:
-    """A split keeps no chunk of its own: its helper streams from the front, and join takes
+    """A split keeps no chunk of its own: its helper answers from the front, and join takes
     over, from the back and in halving bites, what the helper has not reached."""
 
     def test_join_meets_a_slow_helper(self, two_cpus, tmp_path):
@@ -346,6 +366,45 @@ class TestStartSplit:
         assert bites == [150, 75, 37, 19, 9, 5, 2, 1, 1, 1]
         assert len(two_cpus) == 1
 
+    def test_a_resumed_helper_answers_nothing_inside_a_bite_taken_before(self, two_cpus,
+                                                                          tmp_path):
+        parent, items, here = os.getpid(), list(range(300)), []
+        log, resume = tmp_path / "log", tmp_path / "resume"
+
+        def work(chunk):
+            if os.getpid() != parent:  # the helper pauses in its first item
+                while not resume.exists():
+                    time.sleep(0.001)
+                with open(log, "a") as out:
+                    out.write(f"{chunk[0]}\n")
+            elif not here:  # the first bite, taken while the helper pauses, resumes it
+                resume.touch()
+                wait_until_ended(two_cpus[0])
+            here.append(list(chunk))
+            return parity(chunk)
+
+        assert start_split(work, items).join(items) == parity(items)
+        assert here == [items[150:]]
+        assert [int(item) for item in log.read_text().split()] == items[:150]
+
+    def test_no_more_than_one_item_a_bite_is_done_twice(self, two_cpus, tmp_path):
+        key = generate_keypair(b"\x07" * 32)
+        messages = [b"twice" + i.to_bytes(2, "big") for i in range(400)]
+        jobs = [(key.public_key, m, sign(key.private_key, m)) for m in messages]
+        log, parent, items = tmp_path / "calls", os.getpid(), list(range(400))
+
+        def work(chunk):  # logs each call; this process is slowed, so the helper catches up
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}:{','.join(map(str, chunk))}\n")
+            if os.getpid() == parent:
+                time.sleep(0.0005 * len(chunk))
+            return bytes(verify(*jobs[i]) for i in chunk)
+
+        assert start_split(work, items).join(items) == b"\x01" * 400
+        twice, bites = done_twice(log, items)
+        assert twice <= bites
+        assert len(two_cpus) == 1
+
     @pytest.mark.parametrize("joined", [
         [i + 1 for i in range(600)],                # every item differs
         list(range(300)) + [i + 1 for i in range(300, 600)],
@@ -355,7 +414,7 @@ class TestStartSplit:
     ])
     def test_a_helper_answers_only_for_the_items_it_started_on(self, two_cpus, joined):
         split = start_split(parity, list(range(600)))
-        wait_until_ended(two_cpus[0])  # every answer of the helper is in the pipe
+        wait_until_ended(two_cpus[0])  # every answer of the helper is in the page
         assert split.join(joined) == parity(joined)
 
     def test_a_split_while_one_is_open_forks_nothing(self, fork_log, two_cpus):
@@ -377,7 +436,7 @@ class TestStartSplit:
             return parity(chunk)
 
         split = start_split(work, items)
-        split.close()  # two_cpus checks that the helper was reaped and its pipe closed
+        split.close()  # two_cpus checks that the helper was reaped and its page closed
         assert len(two_cpus) == 1
         assert split.join(items) == parity(items)
 
@@ -412,7 +471,7 @@ class TestFourCpus:
         joined = self.ITEMS[:300] + [item + 1 for item in self.ITEMS[300:]]
         split = start_split(work, self.ITEMS)
         for pid in helpers if ended else ():
-            wait_until_ended(pid)  # every answer of the helper is in the pipe
+            wait_until_ended(pid)  # every answer of the helper is in the page
         assert split.join(joined) == parity(joined)
         if ended:  # the helpers' answers count up to the first item that differs
             assert here == [joined[300:]]
@@ -438,6 +497,25 @@ class TestFourCpus:
         assert here == [self.ITEMS[256:512]]  # the middle chunk, and only it, runs here
         assert len(helpers) == 3
         assert fork_log.read_text().split() == [str(os.getpid())] * 3
+
+
+    def test_splits_with_more_processes_than_cores_give_the_serial_answers(self, cpus,
+                                                                          tmp_path):
+        helpers, parent, log = cpus(4), os.getpid(), tmp_path / "calls"
+
+        def work(chunk):  # each helper answers at its own uneven pace
+            if os.getpid() != parent:
+                time.sleep(random.Random(os.getpid()).random() / 2000)
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}:{','.join(map(str, chunk))}\n")
+            return parity(chunk)
+
+        for _ in range(10):
+            log.write_text("")
+            assert start_split(work, self.ITEMS).join(self.ITEMS) == parity(self.ITEMS)
+            twice, bites = done_twice(log, self.ITEMS)
+            assert twice <= bites
+        assert len(helpers) == 30
 
 
 class TestOneForkPath:
@@ -472,8 +550,11 @@ class TestOneForkPath:
     def test_only_start_split_starts_a_helper(self):
         assert self.calls({"_fork_helper"}) == [("verdicts", "start_split", "_fork_helper")]
 
-    def test_no_module_imports_another_way_to_start_a_process(self):
-        for path in self.SRC.glob("*.py"):
+    @classmethod
+    def imports(cls) -> list:
+        """(module, top-level name) of every module the package imports."""
+        found = []
+        for path in sorted(cls.SRC.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
@@ -481,9 +562,18 @@ class TestOneForkPath:
                     modules = [node.module or ""]
                 else:
                     continue
-                for module in modules:
-                    assert module.split(".")[0] not in {
-                        "multiprocessing", "concurrent", "subprocess"}, (path.name, module)
+                found += [(path.stem, module.split(".")[0]) for module in modules]
+        return found
+
+    def test_no_module_imports_another_way_to_start_a_process(self):
+        assert not [found for found in self.imports()
+                    if found[1] in {"multiprocessing", "concurrent", "subprocess"}]
+
+    def test_only_verdicts_shares_a_page_with_a_helper_or_reads_its_end(self):
+        assert [found for found in self.imports() if found[1] == "mmap"] == [
+            ("verdicts", "mmap")]
+        assert self.calls({"mmap", "waitid"}) == [
+            ("verdicts", "start_split", "mmap"), ("verdicts", "_failed", "waitid")]
 
 
 class TestOneRuleHome:

@@ -463,22 +463,24 @@ class TestStartedChainCheck:
     def test_a_failing_helper_changes_no_verdict(self, long_chain, two_cpus, monkeypatch, failure,
                                                  signatures, roots, expected):
         led = tampered(long_chain, signatures, roots)
-        real_write, real_exit, written = os.write, os._exit, []
+        parent, real, calls = os.getpid(), verdicts._verdicts, []
 
-        def write(fd, data):  # only the helper writes while the check runs
-            written.append(data)
-            if len(written) == 100:
-                if failure == "writes a 2":
-                    return real_write(fd, b"\x02")
-                if failure == "raises":
-                    raise OSError("helper failed")
-                real_exit(0)
-            return real_write(fd, data)
+        def helper_verdicts(jobs):  # the helper fails from its 100th call on
+            calls.append(jobs)
+            if len(calls) >= 100 and os.getpid() != parent:
+                if failure == "writes a 2":  # a 2 for every job from there on
+                    return b"\x02"
+                if failure == "raises":  # a well-formed wrong answer, then it raises
+                    if len(calls) > 100:
+                        raise OSError("helper failed")
+                    return bytes([1 - real(jobs)[0]])
+                os._exit(0)
+            return real(jobs)
 
         with monkeypatch.context() as patched:
-            patched.setattr(os, "write", write)
+            patched.setattr(verdicts, "_verdicts", helper_verdicts)
             started = identity.start_verify(writer_jobs(led))
-            wait_until_ended(two_cpus[0])  # so the fault is in the pipe before the join
+            wait_until_ended(two_cpus[0])  # so the fault is in the page before the join
         report = led.validate_chain(started)
         assert (report.ok, report.index, report.cause) == (False, *expected)
         assert self.serial(led, monkeypatch) == report

@@ -33,7 +33,7 @@ from ssisim.pki import (
 )
 from ssisim.runtime import DeterministicRng, LogicalClock
 
-from conftest import flip_bit
+from conftest import flip_bit, wait_until_ended
 
 
 @pytest.fixture
@@ -417,7 +417,8 @@ class TestSplitCompromiseRun:
         assert len(two_cpus) == 3
         assert report == self.all_accepted(1000)
 
-    @pytest.mark.parametrize("failure, answered", [("fork raises", 0), ("exits non-zero", 0),
+    @pytest.mark.parametrize("failure, answered", [("fork raises", 0), ("raises", 0),
+                                                   ("exits non-zero", 0),
                                                    ("answers short", 10),
                                                    ("exits 0 with garbage", 0)])
     def test_a_failing_forger_changes_no_byte(self, two_cpus, monkeypatch, tmp_path, failure,
@@ -428,23 +429,28 @@ class TestSplitCompromiseRun:
 
             monkeypatch.setattr(os, "fork", fork)
         else:
-            # Only helpers write or exit while the run goes on. Each helper ends well
-            # before this process has checked its own half, so the join sees the end.
-            real_write, real_exit, written = os.write, os._exit, []
+            # The helper's check of its first forgery answers a well-formed rejection (or
+            # the byte 7) and its second fails; or it answers ten and exits 0 at the 11th.
+            # This process's first check waits until the helper has ended.
+            parent, real, calls = os.getpid(), ssisim.pki.verify_certificates, []
 
-            def write(fd, data):
-                written.append(data)
-                if failure == "answers short":  # ten true answers, then exit 0
-                    if len(written) > 10:
-                        real_exit(0)
-                    return real_write(fd, data)
-                if failure == "exits non-zero":  # a well-formed answer, a rejection
-                    real_write(fd, bytes(len(data)))
-                    real_exit(3)  # so only the exit code can refuse it
-                real_write(fd, b"\x07" * len(data))
-                real_exit(0)
+            def verify_certificates(hierarchy, certificates, clock):
+                if os.getpid() == parent:
+                    wait_until_ended(two_cpus[0])
+                    return real(hierarchy, certificates, clock)
+                calls.append(certificates)
+                verdicts = real(hierarchy, certificates, clock)
+                if failure == "answers short":
+                    if len(calls) > 10:
+                        os._exit(0)
+                    return verdicts
+                if len(calls) > 1:
+                    if failure == "raises":
+                        raise RuntimeError("forger failed")
+                    os._exit(3 if failure == "exits non-zero" else 0)
+                return [replace(verdicts[0], ok=7 if failure == "exits 0 with garbage" else False)]
 
-            monkeypatch.setattr(os, "write", write)
+            monkeypatch.setattr(ssisim.pki, "verify_certificates", verify_certificates)
         report, checks = self.run(monkeypatch, tmp_path, 1000)
         assert report == self.all_accepted(1000)
         forged = self.forged_in_turn(1000)
@@ -455,8 +461,9 @@ class TestSplitCompromiseRun:
         helper = [certificates for pid, certificates in checks if pid != os.getpid()]
         if failure == "fork raises":
             assert helper == two_cpus == []
-        else:
-            assert helper == [[cert] for cert in forged[:answered + 1]]
+        else:  # one check a forgery, up to the one it failed in
+            failed_in = 11 if failure == "answers short" else 2
+            assert helper == [[cert] for cert in forged[:failed_in]]
             assert len(two_cpus) == 1
 
     def test_no_helper_forks_again(self, fork_log, two_cpus, monkeypatch, tmp_path):
