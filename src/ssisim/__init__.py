@@ -10,7 +10,7 @@ Modules:
     engine       issuer/holder/verifier operations against the ledger
     wallet       persistent wallet files
     agents       in-process agent message bus and DID-Auth
-    pki          CA/RA/VA baseline and the compromise harness
+    pki          CA/VA baseline and the compromise harness
     scenarios    end-to-end healthcare and government flows
     cli          command-line interface
 """

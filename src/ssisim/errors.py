@@ -132,21 +132,6 @@ class StaleChallenge(SsiSimError):
     """DID-Auth challenge has expired."""
 
 
-# --- PKI baseline -----------------------------------------------------------
-
-
-class BadProofOfPossession(SsiSimError):
-    """CSR self-signature does not verify under the subject key."""
-
-
-class UnknownRequest(SsiSimError):
-    """No pending certificate request with this id."""
-
-
-class UnknownApproval(SsiSimError):
-    """Approval does not match an approved, unissued request."""
-
-
 # --- CLI / scenarios --------------------------------------------------------
 
 

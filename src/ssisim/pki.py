@@ -1,4 +1,4 @@
-"""Minimal PKI baseline: root CA, one subordinate CA, RA queue, VA database.
+"""Minimal PKI baseline: root CA, one subordinate CA, VA database.
 
 The hierarchy exists to be broken: the compromise harness in this module
 contrasts what a stolen CA key buys an attacker (everything, including
@@ -14,13 +14,7 @@ forges its certificates and checks them, and answers one validity byte each.
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
-from .errors import (
-    BadProofOfPossession,
-    ConfigError,
-    UnknownApproval,
-    UnknownRequest,
-    Verdict,
-)
+from .errors import ConfigError, Verdict
 from .identity import (
     DidDocument,
     KeyPair,
@@ -37,33 +31,12 @@ from .ledger import Ledger, RegisterDid
 from .runtime import DeterministicRng, LogicalClock
 from .serialization import encode_parts
 
-_CSR_CONTEXT = "ssisim/csr/v1"
 _CERT_CONTEXT = "ssisim/certificate/v1"
 
 CERT_LIFETIME_TICKS = 1000
 
 
 # --- certificate objects ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Csr:
-    subject_name: str
-    subject_public_key: bytes
-    proof_of_possession: bytes
-
-
-def csr_signing_payload(subject_name: str, subject_public_key: bytes) -> bytes:
-    return encode_parts(_CSR_CONTEXT, subject_name, subject_public_key)
-
-
-def make_csr(subject: KeyPair, subject_name: str) -> Csr:
-    return Csr(
-        subject_name=subject_name,
-        subject_public_key=subject.public_key,
-        proof_of_possession=sign(subject.private_key,
-                                 csr_signing_payload(subject_name, subject.public_key)),
-    )
 
 
 @dataclass(frozen=True)
@@ -122,17 +95,6 @@ class CaNode:
     certificate: Certificate
 
 
-class RequestState(str, Enum):
-    PENDING = "pending"
-    APPROVED = "approved"
-    ISSUED = "issued"
-
-
-@dataclass(frozen=True)
-class Approval:
-    request_id: int
-
-
 class CaHierarchy:
     """Root plus one subordinate; the VA database is fed only by CA issuance."""
 
@@ -140,8 +102,6 @@ class CaHierarchy:
         self.root = root
         self.subordinate = subordinate
         self.va: dict = {}          # serial -> CertStatus
-        self._requests: dict = {}   # request_id -> (Csr, RequestState)
-        self._next_request_id = 1
         for node in (root, subordinate):
             self.va[node.certificate.serial] = CertStatus.VALID
         self._next_serial = max(root.certificate.serial, subordinate.certificate.serial) + 1
@@ -182,58 +142,6 @@ def build_hierarchy(rng=None, clock: LogicalClock | None = None) -> CaHierarchy:
     )
 
 
-# --- the Fig-4 style request flow ---------------------------------------------------
-
-
-def submit_csr(hierarchy: CaHierarchy, csr: Csr) -> int:
-    """Queue a request at the RA after checking proof of possession."""
-    if not verify(csr.subject_public_key,
-                  csr_signing_payload(csr.subject_name, csr.subject_public_key),
-                  csr.proof_of_possession):
-        raise BadProofOfPossession(f"CSR for {csr.subject_name!r} fails self-signature")
-    request_id = hierarchy._next_request_id
-    hierarchy._next_request_id += 1
-    hierarchy._requests[request_id] = (csr, RequestState.PENDING)
-    return request_id
-
-
-def ra_approve(hierarchy: CaHierarchy, request_id: int) -> Approval:
-    entry = hierarchy._requests.get(request_id)
-    if entry is None:
-        raise UnknownRequest(f"no request {request_id}")
-    csr, state = entry
-    if state is not RequestState.PENDING:
-        raise UnknownRequest(f"request {request_id} already {state.value}")
-    hierarchy._requests[request_id] = (csr, RequestState.APPROVED)
-    return Approval(request_id=request_id)
-
-
-def ca_issue(hierarchy: CaHierarchy, approval: Approval, clock: LogicalClock) -> Certificate:
-    """Sign the approved request and register the serial with the VA."""
-    entry = hierarchy._requests.get(approval.request_id)
-    if entry is None:
-        raise UnknownApproval(f"no request {approval.request_id}")
-    csr, state = entry
-    if state is not RequestState.APPROVED:
-        raise UnknownApproval(f"request {approval.request_id} is {state.value}, not approved")
-    ca = hierarchy.subordinate
-    now = clock.now()
-    certificate = issue_signed_certificate(
-        ca.name, ca.keypair, serial=hierarchy.next_serial(),
-        subject_name=csr.subject_name, subject_public_key=csr.subject_public_key,
-        not_before=now, not_after=now + CERT_LIFETIME_TICKS,
-    )
-    hierarchy.va[certificate.serial] = CertStatus.VALID
-    hierarchy._requests[approval.request_id] = (csr, RequestState.ISSUED)
-    return certificate
-
-
-def va_revoke(hierarchy: CaHierarchy, serial: int) -> None:
-    if serial not in hierarchy.va:
-        raise UnknownRequest(f"no certificate with serial {serial}")
-    hierarchy.va[serial] = CertStatus.REVOKED
-
-
 _CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN)
 
 
@@ -248,26 +156,30 @@ def verify_certificates(hierarchy: CaHierarchy, certificates: list[Certificate],
     """verify_certificate's verdict on each certificate, in order.
 
     The issuer signatures are checked as one batch through verify_each, and
-    each issuing CA's own certificate against the root at most once per call.
+    each issuing CA's own certificate at most once per call. The root is the
+    trust anchor; a subordinate's certificate must be signed by the root,
+    inside its window and valid at the VA, and a certificate it issued gets
+    the verdict on it when it is not valid (RFC 5280, section 6.1.3).
     """
     issuers = [hierarchy.node_by_name(cert.issuer_name) for cert in certificates]
     signed = iter(verify_each([
         (issuer.keypair.public_key, cert.signing_payload(), cert.issuer_signature)
         for cert, issuer in zip(certificates, issuers) if issuer is not None]))
-    chained = {hierarchy.root.name: True}  # issuing CA name -> its certificate is root-signed
     now = clock.now()
+    chained = {hierarchy.root.name: Verdict(ok=True)}  # CA name -> verdict on its certificate
     verdicts = []
     for cert, issuer in zip(certificates, issuers):
         if issuer is None or not next(signed):
             verdicts.append(_CHAIN_BROKEN)
             continue
-        # Walk up: a subordinate's own certificate must be signed by the root.
         if issuer.name not in chained:
-            chained[issuer.name] = verify(
-                hierarchy.root.keypair.public_key, issuer.certificate.signing_payload(),
-                issuer.certificate.issuer_signature)
-        verdicts.append(_window_and_status(hierarchy, cert, now) if chained[issuer.name]
-                        else _CHAIN_BROKEN)
+            ca = issuer.certificate
+            chained[issuer.name] = (
+                _window_and_status(hierarchy, ca, now)
+                if verify(hierarchy.root.keypair.public_key, ca.signing_payload(),
+                          ca.issuer_signature) else _CHAIN_BROKEN)
+        path = chained[issuer.name]
+        verdicts.append(_window_and_status(hierarchy, cert, now) if path.ok else path)
     return verdicts
 
 
@@ -327,15 +239,14 @@ _CHECK_WINDOW = 4096
 def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
     """Attacker holds the issuing CA key, and with it the CA's database feed.
 
-    Forged certificates follow the normal wire shape but bypass the RA
-    entirely; since the CA maintains the VA database, the attacker's
-    issuance also plants the serial there. For each window, this process
-    draws every forgery's seed and serial and plants its VA entry; then the
-    window is split over the CPUs once, and each chunk forges its
-    certificates (one key build and one signature each) and checks them as
-    one batch. No forging or check draws from the rng or moves the clock, so
-    the report and every certificate are those of forging and checking each
-    forgery in turn.
+    Forged certificates follow the normal wire shape, and since the CA
+    maintains the VA database, the attacker's issuance also plants the
+    serial there. For each window, this process draws every forgery's seed
+    and serial and plants its VA entry; then the window is split over the
+    CPUs once, and each chunk forges its certificates (one key build and one
+    signature each) and checks them as one batch. No forging or check draws
+    from the rng or moves the clock, so the report and every certificate are
+    those of forging and checking each forgery in turn.
     """
     rng = DeterministicRng(config.seed)
     clock = LogicalClock(0)

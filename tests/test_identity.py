@@ -642,11 +642,13 @@ class TestOneProcessExit:
 
 
 class TestNoUnreachableCode:
-    """Every top-level function and class in the package, and every method of a top-level
-    class, is reached from the package: its name occurs as a name or an attribute (not in a
-    docstring) outside its own definition, as vulture finds unused code. Dunder methods are
-    called by Python, and the CLI's commands by the decorator that registers them; the rest
-    of what is not reached is listed here with why it stays."""
+    """Every top-level function, class and assigned name in the package, and every method,
+    class and assigned name a top-level class defines, is reached from the package: its name
+    occurs as a name or an attribute (not in a docstring) outside its own definition, as
+    vulture finds unused code. Dunder names are read by Python, and the CLI's commands by the
+    decorator that registers them; annotated class fields are dataclass fields, which asdict
+    and keyword arguments reach unseen. The rest of what is not reached is listed here with
+    why it stays."""
 
     # Qualified name -> (why it stays, the ROADMAP item that reaches or removes it).
     ALLOWED = {
@@ -654,11 +656,6 @@ class TestNoUnreachableCode:
                                             12),
         "agents.Agent.did_auth_respond": ("DID-Auth: acceptance criterion 5", 12),
         "agents.Agent.did_auth_check": ("DID-Auth: acceptance criterion 5", 12),
-        "pki.make_csr": ("the PKI request flow, reached by tests only", 15),
-        "pki.submit_csr": ("the PKI request flow", 15),
-        "pki.ra_approve": ("the PKI request flow", 15),
-        "pki.ca_issue": ("the PKI request flow", 15),
-        "pki.va_revoke": ("the PKI request flow", 15),
         "pki.verify_certificate": ("the benchmark's tracer wraps it", 1),
         "engine.tamper_check": ("the benchmark's workloads call it", 1),
         "ledger.Ledger.credential_status": ("the benchmark's workloads call it", 1),
@@ -669,29 +666,40 @@ class TestNoUnreachableCode:
     }
 
     @staticmethod
-    def unreached() -> list:
+    def defined(body) -> list:
+        """(name, node) for each function, class and assigned name a body defines."""
+        found = []
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((node.name, node))
+            elif isinstance(node, ast.Assign):
+                found += [(name.id, node) for target in node.targets
+                          for name in ast.walk(target) if isinstance(name, ast.Name)]
+        return found
+
+    @classmethod
+    def unreached(cls) -> list:
         uses = {}  # name -> (module, line) of each occurrence as a name or an attribute
-        definitions = []  # (module, qualified name, node)
+        definitions = []  # (module, qualified name, name, node)
         for path in sorted(TestOneForkPath.SRC.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for node in ast.walk(tree):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if isinstance(node, (ast.Name, ast.Attribute)):
                     uses.setdefault(name, []).append((path.stem, node.lineno))
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    definitions.append((path.stem, node.name, node))
+            for name, node in cls.defined(tree.body):
+                definitions.append((path.stem, name, name, node))
                 if isinstance(node, ast.ClassDef):
-                    definitions += [(path.stem, f"{node.name}.{item.name}", item)
-                                    for item in node.body if isinstance(item, ast.FunctionDef)]
+                    definitions += [(path.stem, f"{name}.{item_name}", item_name, item)
+                                    for item_name, item in cls.defined(node.body)]
         found = []
-        for module, qualname, node in definitions:
-            if node.name.startswith("__") and node.name.endswith("__"):
+        for module, qualname, name, node in definitions:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if any(getattr(getattr(decorator, "func", None), "id", None) == "_command"
-                   for decorator in node.decorator_list):
+                   for decorator in getattr(node, "decorator_list", ())):
                 continue
-            outside = [(where, line) for where, line in uses.get(node.name, ())
+            outside = [(where, line) for where, line in uses.get(name, ())
                        if not (where == module and node.lineno <= line <= node.end_lineno)]
             if not outside:
                 found.append(f"{module}.{qualname}")

@@ -6,13 +6,7 @@ import pytest
 
 import ssisim.pki
 import ssisim.verdicts
-from ssisim.errors import (
-    BadProofOfPossession,
-    ConfigError,
-    UnknownApproval,
-    UnknownRequest,
-    Verdict,
-)
+from ssisim.errors import ConfigError, Verdict
 from ssisim.identity import generate_keypair
 from ssisim.pki import (
     CERT_LIFETIME_TICKS,
@@ -21,13 +15,8 @@ from ssisim.pki import (
     CompromiseReport,
     VerdictCause,
     build_hierarchy,
-    ca_issue,
     issue_signed_certificate,
-    make_csr,
-    ra_approve,
     run_compromise_experiment,
-    submit_csr,
-    va_revoke,
     verify_certificate,
     verify_certificates,
 )
@@ -50,71 +39,22 @@ def subject(tag: bytes):
     return generate_keypair(tag.ljust(32, b"\x00"))
 
 
-class TestCsrFlow:
-    def test_valid_csr_is_queued(self, hierarchy):
-        rid = submit_csr(hierarchy, make_csr(subject(b"server-a"), "a.example"))
-        assert rid >= 1
-
-    def test_bad_proof_of_possession_rejected(self, hierarchy):
-        csr = make_csr(subject(b"server-a"), "a.example")
-        forged = replace(csr, subject_name="b.example")
-        with pytest.raises(BadProofOfPossession):
-            submit_csr(hierarchy, forged)
-
-    def test_duplicate_subject_names_are_queued(self, hierarchy):
-        # the RA policy decides at approval time, not at submission
-        a = submit_csr(hierarchy, make_csr(subject(b"server-a"), "same.example"))
-        b = submit_csr(hierarchy, make_csr(subject(b"server-b"), "same.example"))
-        assert a != b
-
-    def test_approve_unknown_request(self, hierarchy):
-        with pytest.raises(UnknownRequest):
-            ra_approve(hierarchy, 999)
-
-    def test_double_approval_rejected(self, hierarchy):
-        rid = submit_csr(hierarchy, make_csr(subject(b"server-a"), "a.example"))
-        ra_approve(hierarchy, rid)
-        with pytest.raises(UnknownRequest):
-            ra_approve(hierarchy, rid)
-
-    def test_issue_requires_approval(self, hierarchy, clock):
-        from ssisim.pki import Approval
-
-        with pytest.raises(UnknownApproval):
-            ca_issue(hierarchy, Approval(request_id=999), clock)
-
-    def test_a_pending_request_is_not_issued(self, hierarchy, clock):
-        from ssisim.pki import Approval
-
-        rid = submit_csr(hierarchy, make_csr(subject(b"server-a"), "a.example"))
-        va = dict(hierarchy.va)
-        with pytest.raises(UnknownApproval, match="is pending, not approved"):
-            ca_issue(hierarchy, Approval(request_id=rid), clock)
-        assert hierarchy.va == va
-        assert ca_issue(hierarchy, ra_approve(hierarchy, rid), clock).serial == 3
-
-    def test_revoking_an_unknown_serial_is_refused(self, hierarchy):
-        va = dict(hierarchy.va)
-        with pytest.raises(UnknownRequest):
-            va_revoke(hierarchy, 99)
-        assert hierarchy.va == va
-
-
 class TestIssuanceAndVerification:
-    def issue(self, hierarchy, clock, tag=b"server-a", name="a.example"):
-        rid = submit_csr(hierarchy, make_csr(subject(tag), name))
-        return ca_issue(hierarchy, ra_approve(hierarchy, rid), clock)
+    @staticmethod
+    def issue(hierarchy, clock, tag=b"server-a", name="a.example", ca=None):
+        """A certificate from ca (the subordinate CA by default), its serial VALID at the VA."""
+        ca, serial, now = ca or hierarchy.subordinate, hierarchy.next_serial(), clock.now()
+        hierarchy.va[serial] = CertStatus.VALID
+        return issue_signed_certificate(
+            ca.name, ca.keypair, serial=serial, subject_name=name,
+            subject_public_key=subject(tag).public_key,
+            not_before=now, not_after=now + CERT_LIFETIME_TICKS,
+        )
 
     def test_fresh_certificate_chains_to_root(self, hierarchy, clock):
         cert = self.issue(hierarchy, clock)
         assert cert.issuer_name == "issuing-ca"
         assert verify_certificate(hierarchy, cert, clock).ok
-
-    def test_va_registers_new_serials_as_valid(self, hierarchy, clock):
-        from ssisim.pki import CertStatus
-
-        cert = self.issue(hierarchy, clock)
-        assert hierarchy.va[cert.serial] is CertStatus.VALID
 
     def test_serials_are_distinct(self, hierarchy, clock):
         a = self.issue(hierarchy, clock, b"server-a", "a.example")
@@ -123,7 +63,7 @@ class TestIssuanceAndVerification:
 
     def test_revoked_certificate_is_invalid(self, hierarchy, clock):
         cert = self.issue(hierarchy, clock)
-        va_revoke(hierarchy, cert.serial)
+        hierarchy.va[cert.serial] = CertStatus.REVOKED
         verdict = verify_certificate(hierarchy, cert, clock)
         assert (verdict.ok, verdict.cause) == (False, VerdictCause.REVOKED)
 
@@ -170,6 +110,32 @@ class TestIssuanceAndVerification:
         other.va.update(hierarchy.va)  # even with the database shared, the chain fails
         for cert in certs:
             assert not verify_certificate(other, cert, clock).ok
+
+
+class TestIssuingCaCertificate:
+    """A certificate the subordinate issued is valid only while the subordinate's own
+    certificate is: inside its window and valid at the VA (RFC 5280, section 6.1.3). The
+    root is the trust anchor, and its own certificate is not checked."""
+
+    @pytest.mark.parametrize("fault, now, cause", [("expired", 1200, VerdictCause.EXPIRED),
+                                                   ("revoked", 900, VerdictCause.REVOKED)])
+    def test_a_leaf_gets_the_verdict_on_its_issuing_ca(self, hierarchy, clock, fault, now,
+                                                        cause):
+        assert hierarchy.subordinate.certificate.not_after == CERT_LIFETIME_TICKS == 1000
+        while clock.now() < 900:
+            clock.tick()
+        issue = TestIssuanceAndVerification.issue
+        leaf = issue(hierarchy, clock)  # valid for ticks 900-1900
+        by_root = issue(hierarchy, clock, b"server-r", "r.example", ca=hierarchy.root)
+        if fault == "revoked":
+            hierarchy.va[hierarchy.subordinate.certificate.serial] = CertStatus.REVOKED
+        while clock.now() < now:
+            clock.tick()
+        refused, valid = Verdict(ok=False, cause=cause), Verdict(ok=True)
+        assert verify_certificate(hierarchy, leaf, clock) == refused
+        assert verify_certificate(hierarchy, by_root, clock) == valid
+        assert verify_certificates(hierarchy, [leaf, by_root, leaf], clock) == [
+            refused, valid, refused]
 
 
 class TestCompromiseExperiment:

@@ -22,7 +22,7 @@ from ssisim.credentials import (
 from ssisim.errors import ParseError
 from ssisim.identity import _envelope_aad, derive_did, make_did_document, sign
 from ssisim.ledger import AnchorCredential, DefineSchema, RegisterDid, Revoke, block_hash_for
-from ssisim.pki import Certificate, csr_signing_payload
+from ssisim.pki import Certificate
 from ssisim.schemas import make_schema, schema_id_for
 from ssisim.serialization import (
     b58decode,
@@ -220,7 +220,6 @@ def known_payloads() -> dict:
         "presentation": presentation_signing_payload(cid, b"\x77" * 32, b"\x88" * 32),
         "certificate": Certificate(9, "subject é", holder.public_key, "root-ca", 5, 2**63,
                                    b"").signing_payload(),
-        "csr": csr_signing_payload("subject é", holder.public_key),
         "did-auth": auth_signing_payload(b"\x99" * 32, issuer_did),
         "envelope-aad": _envelope_aad(issuer.key_id, holder.key_id),
     }
@@ -330,11 +329,6 @@ KNOWN_PAYLOADS = {
         "766b9eba60232effe0c1034ae3d7bdb4e5e0075d79d634c1ed2f79de09a3d300"
         "00000000000007726f6f742d636100000000000000058000000000000000"
     ),
-    "csr": (
-        "000000000000000d73736973696d2f6373722f7631000000000000000a737562"
-        "6a65637420c3a900000000000000207d766b9eba60232effe0c1034ae3d7bdb4"
-        "e5e0075d79d634c1ed2f79de09a3d3"
-    ),
     "did-auth": (
         "000000000000001273736973696d2f6469642d617574682f7631000000000000"
         "0020999999999999999999999999999999999999999999999999999999999999"
@@ -354,7 +348,7 @@ class TestKnownPayloads:
         assert known_payloads()[name].hex() == "".join(KNOWN_PAYLOADS[name])
 
     @pytest.mark.parametrize("name", ["tx", "block", "did-document", "schema", "credential",
-                                      "presentation", "certificate", "csr", "did-auth"])
+                                      "presentation", "certificate", "did-auth"])
     def test_every_context_string_has_a_pinned_payload(self, name):
         context = encode_parts(f"ssisim/{name}/v1")
         assert any(data.startswith(context) for data in known_payloads().values())
