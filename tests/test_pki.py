@@ -35,6 +35,9 @@ def hierarchy(clock):
     return build_hierarchy(rng=DeterministicRng(b"pki".ljust(32, b"\x00")), clock=clock)
 
 
+_CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN)
+
+
 def subject(tag: bytes):
     return generate_keypair(tag.ljust(32, b"\x00"))
 
@@ -136,6 +139,112 @@ class TestIssuingCaCertificate:
         assert verify_certificate(hierarchy, by_root, clock) == valid
         assert verify_certificates(hierarchy, [leaf, by_root, leaf], clock) == [
             refused, valid, refused]
+
+    @staticmethod
+    def reissue_subordinate(hierarchy, serial=2, not_before=0, not_after=CERT_LIFETIME_TICKS):
+        """Give the subordinate a new root-signed certificate for the same key."""
+        root, sub = hierarchy.root, hierarchy.subordinate
+        sub.certificate = issue_signed_certificate(
+            root.name, root.keypair, serial=serial, subject_name=sub.name,
+            subject_public_key=sub.keypair.public_key, not_before=not_before,
+            not_after=not_after)
+
+    @pytest.mark.parametrize("fault, cause", [("not yet valid", VerdictCause.NOT_YET_VALID),
+                                              ("unknown serial", VerdictCause.UNKNOWN_SERIAL)])
+    def test_each_other_fault_of_the_issuing_ca_reaches_its_leaves(self, hierarchy, clock,
+                                                                    fault, cause):
+        leaf = TestIssuanceAndVerification.issue(hierarchy, clock)  # valid for ticks 0-1000
+        if fault == "not yet valid":
+            self.reissue_subordinate(hierarchy, not_before=500)
+        else:
+            del hierarchy.va[hierarchy.subordinate.certificate.serial]
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(ok=False, cause=cause)
+
+    def test_the_root_certificate_is_not_checked(self, hierarchy, clock):
+        root = hierarchy.root.certificate
+        while clock.now() < root.not_after - 100:
+            clock.tick()
+        by_root = TestIssuanceAndVerification.issue(hierarchy, clock, ca=hierarchy.root)
+        hierarchy.va[root.serial] = CertStatus.REVOKED
+        while clock.now() <= root.not_after:
+            clock.tick()
+        assert verify_certificate(hierarchy, by_root, clock) == Verdict(ok=True)
+
+    def test_the_leaf_signature_is_checked_before_its_issuing_ca(self, hierarchy, clock):
+        leaf = TestIssuanceAndVerification.issue(hierarchy, clock)
+        forged = replace(leaf, issuer_signature=flip_bit(leaf.issuer_signature))
+        hierarchy.va[hierarchy.subordinate.certificate.serial] = CertStatus.REVOKED
+        assert verify_certificate(hierarchy, forged, clock) == _CHAIN_BROKEN
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(
+            ok=False, cause=VerdictCause.REVOKED)
+
+    def test_the_issuing_ca_is_checked_before_the_leaf_window(self, hierarchy, clock):
+        sub = hierarchy.subordinate
+        leaf = issue_signed_certificate(  # its window ends inside the subordinate's
+            sub.name, sub.keypair, serial=hierarchy.next_serial(), subject_name="a.example",
+            subject_public_key=subject(b"server-a").public_key, not_before=0, not_after=100)
+        hierarchy.va[leaf.serial] = CertStatus.VALID
+        while clock.now() <= leaf.not_after:
+            clock.tick()
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(
+            ok=False, cause=VerdictCause.EXPIRED)
+        hierarchy.va[hierarchy.subordinate.certificate.serial] = CertStatus.REVOKED
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(
+            ok=False, cause=VerdictCause.REVOKED)
+
+    def test_each_issuing_ca_is_checked_once_per_call(self, hierarchy, clock, monkeypatch):
+        issue = TestIssuanceAndVerification.issue
+        leaves = [issue(hierarchy, clock, bytes([i]), f"s{i}.example") for i in range(5)]
+        leaves += [issue(hierarchy, clock, b"server-r", "r.example", ca=hierarchy.root)] * 2
+        checked = []  # the serial of each certificate whose window and status were read
+
+        def counted(hierarchy, certificate, now):
+            checked.append(certificate.serial)
+            return window_and_status(hierarchy, certificate, now)
+
+        window_and_status = ssisim.pki._window_and_status
+        monkeypatch.setattr(ssisim.pki, "_window_and_status", counted)
+        ca_serial = hierarchy.subordinate.certificate.serial
+        for _ in range(2):
+            checked.clear()
+            assert all(v.ok for v in verify_certificates(hierarchy, leaves, clock))
+            assert checked.count(ca_serial) == 1
+            assert sorted(checked) == sorted([ca_serial] + [leaf.serial for leaf in leaves])
+
+    def test_a_reinstated_issuing_ca_revives_its_leaves(self, hierarchy, clock):
+        leaf = TestIssuanceAndVerification.issue(hierarchy, clock)
+        serial = hierarchy.subordinate.certificate.serial
+        hierarchy.va[serial] = CertStatus.REVOKED
+        assert not verify_certificate(hierarchy, leaf, clock).ok
+        hierarchy.va[serial] = CertStatus.VALID
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(ok=True)
+
+    def test_a_renewed_issuing_ca_certificate_revives_its_leaves(self, hierarchy, clock):
+        while clock.now() < 900:
+            clock.tick()
+        leaf = TestIssuanceAndVerification.issue(hierarchy, clock)  # valid for ticks 900-1900
+        while clock.now() < 1200:
+            clock.tick()
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(
+            ok=False, cause=VerdictCause.EXPIRED)
+        serial = hierarchy.next_serial()
+        hierarchy.va[serial] = CertStatus.VALID
+        self.reissue_subordinate(hierarchy, serial=serial, not_before=1000, not_after=2000)
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(ok=True)
+
+
+class TestHierarchy:
+    def test_the_va_starts_with_the_two_ca_serials(self, hierarchy):
+        root, sub = hierarchy.root.certificate, hierarchy.subordinate.certificate
+        assert (root.serial, sub.serial) == (1, 2)
+        assert hierarchy.va == {1: CertStatus.VALID, 2: CertStatus.VALID}
+        assert [hierarchy.next_serial() for _ in range(3)] == [3, 4, 5]
+        assert len(hierarchy.va) == 2  # a serial is drawn, not registered
+
+    def test_node_by_name_knows_the_two_cas_only(self, hierarchy):
+        assert hierarchy.node_by_name("root-ca") is hierarchy.root
+        assert hierarchy.node_by_name("issuing-ca") is hierarchy.subordinate
+        assert hierarchy.node_by_name("who-dis-ca") is None
 
 
 class TestCompromiseExperiment:
