@@ -15,7 +15,9 @@ class Verdict:
 
     ok: bool
     cause: Enum | None = None
-    index: int | None = None  # the first faulty block of a chain; None for a certificate
+    # A refused chain's first faulty block; a refused certificate's position in its
+    # path (0 the certificate itself, 1 its issuing CA). None when accepted.
+    index: int | None = None
 
 
 class SsiSimError(Exception):

@@ -7,13 +7,14 @@ derived from the genesis block's own registration transactions, so the
 exported file carries no bytes outside the hash-covered chain except the
 mode flag.
 
-Registry state (documents, schemas, anchors, revocations) is resolved from
-the chain on demand. Transactions are indexed by the key they touch with
-dict operations only; a read then checks just the candidates it needs,
-against the rules of a linear replay of the chain, and memoizes each
-result. Transactions that violate a rule - above all self-certification
-of DID registrations - are skipped, so even a block signed by a
-legitimate writer cannot hijack another entity's DID.
+Registry state (documents, key-agreement holders, schemas, anchors,
+revocations) is resolved from the chain on demand. Transactions are indexed
+by the keys they touch with dict operations and one hash per registration;
+a read then checks just the candidates it needs, against the rules of a
+linear replay of the chain, and memoizes each result. Transactions that
+violate a rule - above all self-certification of DID registrations - are
+skipped, so even a block signed by a legitimate writer cannot hijack
+another entity's DID.
 """
 
 import copy
@@ -97,12 +98,12 @@ class ChainFault(str, Enum):
 
 
 # --- transactions ---------------------------------------------------------------
-# Each kind owns its JSON form, its canonical bytes, its index slot (slot), the
-# checks that depend only on the chain before it (cause: None if they pass, else why)
-# and its rule against the current registry (rule, checked on append only). cause
-# leaves the signature to its caller: its last step appends the (key, payload,
-# signature) job to jobs, and the transaction is valid there only if that job
-# verifies. If it does not, bad_signature is the cause.
+# Each kind owns its JSON form, its canonical bytes, the (index, key) pairs the
+# registry files it under (slots), the checks that depend only on the chain before
+# it (cause: None if they pass, else why) and its rule against the current registry
+# (rule, checked on append only). cause leaves the signature to its caller: its last
+# step appends the (key, payload, signature) job to jobs, and the transaction is
+# valid there only if that job verifies. If it does not, bad_signature is the cause.
 # RegisterDid writes its JSON by hand: the file holds the signature beside the document.
 
 
@@ -136,8 +137,9 @@ class RegisterDid:
         return cls(document=DidDocument.from_json_dict(obj["document"], "document",
                                                        controller_signature=signature))
 
-    def slot(self, state: "RegistryState") -> tuple:
-        return state.documents, str(self.document.did)
+    def slots(self, state: "RegistryState") -> tuple:
+        return ((state.documents, str(self.document.did)),
+                (state.key_agreements, key_fingerprint(self.document.key_agreement_key)))
 
     def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         # Self-certification binds the verification key to the DID, so a
@@ -201,8 +203,8 @@ class DefineSchema(_IssuerSigned):
             schema.name, schema.version, list(schema.attribute_names),
         )
 
-    def slot(self, state: "RegistryState") -> tuple:
-        return state.schemas, self.schema.schema_id
+    def slots(self, state: "RegistryState") -> tuple:
+        return ((state.schemas, self.schema.schema_id),)
 
     def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         if not schema_is_well_formed(self.schema):
@@ -230,8 +232,8 @@ class AnchorCredential(_IssuerSigned):
         return anchor_credential_payload(self.credential_id, self.issuer_did,
                                          self.commitment_root)
 
-    def slot(self, state: "RegistryState") -> tuple:
-        return state.anchors, self.credential_id
+    def slots(self, state: "RegistryState") -> tuple:
+        return ((state.anchors, self.credential_id),)
 
     def rule(self, state: "RegistryState") -> str | None:
         if state.credential(self.credential_id)[0] is not None:
@@ -252,8 +254,8 @@ class Revoke(_IssuerSigned):
     def signing_payload(self) -> bytes:
         return revoke_payload(self.credential_id, self.issuer_did)
 
-    def slot(self, state: "RegistryState") -> tuple:
-        return state.revokes, self.credential_id
+    def slots(self, state: "RegistryState") -> tuple:
+        return ((state.revokes, self.credential_id),)
 
     def rule(self, state: "RegistryState") -> str | None:
         anchor, status = state.credential(self.credential_id)
@@ -313,25 +315,23 @@ class _Entry:
 
 
 class RegistryState:
-    """Index of the chain's transactions by the key they touch; reads resolve from it.
+    """Index of the chain's transactions by the keys they touch; reads resolve from it.
 
-    Each list holds the candidates for one key in chain order. A read answers as a
-    linear replay would - the latest self-certified registration, the first valid
-    schema or anchor, a valid revoke by the anchoring issuer after that anchor - and
-    runs each candidate's checks at most once. A candidate's checks depend only on
-    the chain before it, so appends never invalidate a memoized result.
+    Each list holds the candidates for one key in chain order; a transaction is filed
+    under every key its slots() names. A read answers as a linear replay would - the
+    latest self-certified registration, the first valid schema or anchor, a valid
+    revoke by the anchoring issuer after that anchor, the DID holding a key-agreement
+    fingerprint - and runs each candidate's checks at most once. A candidate's checks
+    depend only on the chain before it, so appends never invalidate a memoized result.
     """
 
     def __init__(self):
         self.documents: dict = {}       # did str -> registrations
+        self.key_agreements: dict = {}  # key-agreement fingerprint -> registrations carrying it
         self.schemas: dict = {}         # schema_id bytes -> schema definitions
         self.anchors: dict = {}         # credential_id bytes -> anchors
         self.revokes: dict = {}         # credential_id bytes -> revokes
-        self.registrations: list = []   # every registration, in chain order
         self.size = 0                   # transactions indexed: the next position
-        self.ka_index: dict = {}        # key-agreement fingerprint -> did str that claimed it
-        self._ka_of: dict = {}          # did str -> its latest registration's fingerprint
-        self._ka_replayed = 0           # registrations folded into ka_index
 
     def copy(self) -> "RegistryState":
         """Copies of the containers, sharing their candidate lists.
@@ -357,20 +357,16 @@ class RegistryState:
     def push(self, tx, ok: bool | None = None) -> None:
         """Index tx at the next position; pass ok=True if it was just checked there."""
         entry = _Entry(self.size, tx, ok)
-        index, key = tx.slot(self)
-        index.setdefault(key, []).append(entry)
-        if type(tx) is RegisterDid:
-            self.registrations.append(entry)
+        for index, key in tx.slots(self):
+            index.setdefault(key, []).append(entry)
         self.size += 1
 
     def pop(self, tx) -> None:
         """Undo the push of tx, which must be the last one, and drop a list it empties."""
-        index, key = tx.slot(self)
-        index[key].pop()
-        if not index[key]:
-            del index[key]
-        if type(tx) is RegisterDid:
-            self.registrations.pop()
+        for index, key in tx.slots(self):
+            index[key].pop()
+            if not index[key]:
+                del index[key]
         self.size -= 1
 
     # -- resolution
@@ -412,19 +408,26 @@ class RegistryState:
             return anchor.tx, CredentialStatus.ACTIVE
         return anchor.tx, CredentialStatus.REVOKED
 
-    def key_agreement_did(self, fingerprint: str) -> str | None:
-        """Replay new registrations into ka_index; the first DID to claim a fingerprint keeps it."""
-        for entry in self.registrations[self._ka_replayed:]:
-            if self._first_valid((entry,)):
-                doc = entry.tx.document
-                did = str(doc.did)
-                old = self._ka_of.get(did)
-                if self.ka_index.get(old) == did:  # drop only an entry that is still its own
-                    del self.ka_index[old]
-                new = self._ka_of[did] = key_fingerprint(doc.key_agreement_key)
-                self.ka_index.setdefault(new, did)
-        self._ka_replayed = len(self.registrations)
-        return self.ka_index.get(fingerprint)
+    def key_agreement_did(self, fingerprint: str) -> Did | None:
+        """The DID holding fingerprint, as a linear replay finds it.
+
+        The first valid registration carrying it claims it. Its DID holds it until a
+        later valid registration of that DID carries another fingerprint; from there
+        on, the next valid registration carrying it claims it. Only the candidates
+        for fingerprint and the claiming DIDs' later registrations are checked.
+        """
+        candidates = self.key_agreements.get(fingerprint, ())
+        claim = self._first_valid(candidates)
+        while claim is not None:
+            did = claim.tx.document.did
+            release = self._first_valid(
+                entry for entry in self.documents[str(did)] if entry.position > claim.position
+                and key_fingerprint(entry.tx.document.key_agreement_key) != fingerprint)
+            if release is None:
+                return did
+            claim = self._first_valid(entry for entry in candidates
+                                      if entry.position > release.position)
+        return None
 
 
 # --- blocks ----------------------------------------------------------------------
@@ -693,15 +696,13 @@ class Ledger:
     # -- reads (public in public-permissioned mode)
 
     def resolve_did(self, did: Did, reader_did: Did | None = None) -> DidDocument:
-        self._check_read_access(reader_did)
-        doc = self._index().document(str(did))
+        doc = self._readable(reader_did).document(str(did))
         if doc is None:
             raise UnknownDid(f"{did} is not registered")
         return doc
 
     def lookup_schema(self, schema_id: bytes, reader_did: Did | None = None) -> CredentialSchema:
-        self._check_read_access(reader_did)
-        schema = self._index().schema(schema_id)
+        schema = self._readable(reader_did).schema(schema_id)
         if schema is None:
             raise UnknownSchema(f"schema {schema_id.hex()} is not defined")
         return schema
@@ -709,8 +710,7 @@ class Ledger:
     def credential_record(self, credential_id: bytes, reader_did: Did | None = None
                           ) -> tuple[AnchorCredential | None, CredentialStatus]:
         """The credential's winning anchor, or None, and its status, in one read."""
-        self._check_read_access(reader_did)
-        return self._index().credential(credential_id)
+        return self._readable(reader_did).credential(credential_id)
 
     def credential_status(self, credential_id: bytes,
                           reader_did: Did | None = None) -> CredentialStatus:
@@ -722,14 +722,14 @@ class Ledger:
 
     def find_did_by_key_agreement(self, fingerprint: str,
                                   reader_did: Did | None = None) -> Did | None:
-        self._check_read_access(reader_did)
-        did = self._index().key_agreement_did(fingerprint)
-        return Did.parse(did) if did else None
+        return self._readable(reader_did).key_agreement_did(fingerprint)
 
-    def _check_read_access(self, reader_did: Did | None) -> None:
+    def _readable(self, reader_did: Did | None) -> RegistryState:
+        """The indexed registry state, once the reader may read it."""
         if self.mode is LedgerMode.PRIVATE_PERMISSIONED:
             if reader_did is None or str(reader_did) not in self.writer_set:
                 raise NotPermissioned("private-permissioned ledger: reads require writer membership")
+        return self._index()
 
     def _index(self) -> RegistryState:
         """The registry state with every block indexed, also ones appended to blocks directly."""

@@ -142,7 +142,7 @@ def build_hierarchy(rng=None, clock: LogicalClock | None = None) -> CaHierarchy:
     )
 
 
-_CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN)
+_CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN, index=0)
 
 
 def verify_certificate(hierarchy: CaHierarchy, certificate: Certificate,
@@ -159,7 +159,9 @@ def verify_certificates(hierarchy: CaHierarchy, certificates: list[Certificate],
     each issuing CA's own certificate at most once per call. The root is the
     trust anchor; a subordinate's certificate must be signed by the root,
     inside its window and valid at the VA, and a certificate it issued gets
-    the verdict on it when it is not valid (RFC 5280, section 6.1.3).
+    the verdict on it when it is not valid (RFC 5280, section 6.1.3). A
+    refusal's index is the refused certificate's position in the path: 0 for
+    the certificate itself, 1 for its issuing CA.
     """
     issuers = [hierarchy.node_by_name(cert.issuer_name) for cert in certificates]
     signed = iter(verify_each([
@@ -174,24 +176,25 @@ def verify_certificates(hierarchy: CaHierarchy, certificates: list[Certificate],
             continue
         if issuer.name not in chained:
             ca = issuer.certificate
-            chained[issuer.name] = (
-                _window_and_status(hierarchy, ca, now)
-                if verify(hierarchy.root.keypair.public_key, ca.signing_payload(),
-                          ca.issuer_signature) else _CHAIN_BROKEN)
+            verdict = (_window_and_status(hierarchy, ca, now)
+                       if verify(hierarchy.root.keypair.public_key, ca.signing_payload(),
+                                 ca.issuer_signature) else _CHAIN_BROKEN)
+            chained[issuer.name] = verdict if verdict.ok else replace(verdict, index=1)
         path = chained[issuer.name]
         verdicts.append(_window_and_status(hierarchy, cert, now) if path.ok else path)
     return verdicts
 
 
 def _window_and_status(hierarchy: CaHierarchy, certificate: Certificate, now: int) -> Verdict:
-    """The verdict on a certificate whose chain reaches the root: its first failed check."""
+    """The verdict on a certificate whose chain reaches the root: its first failed check,
+    at index 0."""
     status = hierarchy.va.get(certificate.serial)
     for failed, cause in ((now < certificate.not_before, VerdictCause.NOT_YET_VALID),
                           (now > certificate.not_after, VerdictCause.EXPIRED),
                           (status is None, VerdictCause.UNKNOWN_SERIAL),
                           (status is CertStatus.REVOKED, VerdictCause.REVOKED)):
         if failed:
-            return Verdict(ok=False, cause=cause)
+            return Verdict(ok=False, cause=cause, index=0)
     return Verdict(ok=True)
 
 

@@ -598,6 +598,25 @@ class TestOneRuleHome:
         assert TestOneForkPath.calls(self.RULE_ERRORS) == []
 
 
+class TestOneIndexPath:
+    """RegistryState files each transaction under the (index, key) pairs its kind's slots()
+    names, so push and pop know no kind: they name none and ask no transaction its type."""
+
+    def test_push_and_pop_reach_every_index_through_slots(self):
+        from ssisim.ledger import KINDS
+
+        tree = ast.parse((TestOneForkPath.SRC / "ledger.py").read_text(encoding="utf-8"))
+        state = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "RegistryState")
+        methods = {node.name: node for node in state.body if isinstance(node, ast.FunctionDef)}
+        kinds = {cls.__name__ for cls in KINDS.values()} | {"KINDS", "type", "isinstance"}
+        for name in ("push", "pop"):
+            named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                     for node in ast.walk(methods[name])}
+            assert named & kinds == set(), name
+            assert "slots" in named
+
+
 class TestOneFileCodec:
     """Files are read through Record.from_bytes or Ledger.from_bytes: only serialization
     parses JSON and checks keys."""

@@ -1356,6 +1356,26 @@ class TestVerificationCounts:
         # on append, and each forgery's resolve_did checks only the new registration
         assert len(verifications) == 3 + 3 + 100
 
+    def test_a_key_agreement_lookup_checks_only_its_candidates(self, verifications):
+        clock = LogicalClock(0)
+        operator = seeded_keypair(b"operator")
+        led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())],
+                             clock=clock)
+        led.attach_writer(operator)
+        holders = [seeded_keypair(b"holder-%d" % i) for i in range(24)]
+        led.submit([RegisterDid(make_did_document(k, created_at=clock.tick()))
+                    for k in holders])
+        led = Ledger.from_bytes(led.to_bytes())  # every registration unchecked
+        verifications.clear()
+        # a fingerprint nobody carries has no candidate to check
+        assert led.find_did_by_key_agreement("00" * 8) is None
+        assert verifications == []
+        # one that is carried checks the one registration carrying it
+        holder = holders[7]
+        fingerprint = key_fingerprint(key_agreement_public(holder.private_key))
+        assert led.find_did_by_key_agreement(fingerprint) == derive_did(holder.public_key)
+        assert [args[0] for args in verifications] == [holder.public_key]
+
     def test_submit_costs_the_same_on_any_length_and_copies_no_state(self, verifications,
                                                                      monkeypatch):
         from ssisim.ledger import RegistryState

@@ -35,7 +35,7 @@ def hierarchy(clock):
     return build_hierarchy(rng=DeterministicRng(b"pki".ljust(32, b"\x00")), clock=clock)
 
 
-_CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN)
+_CHAIN_BROKEN = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN, index=0)
 
 
 def subject(tag: bytes):
@@ -134,7 +134,7 @@ class TestIssuingCaCertificate:
             hierarchy.va[hierarchy.subordinate.certificate.serial] = CertStatus.REVOKED
         while clock.now() < now:
             clock.tick()
-        refused, valid = Verdict(ok=False, cause=cause), Verdict(ok=True)
+        refused, valid = Verdict(ok=False, cause=cause, index=1), Verdict(ok=True)
         assert verify_certificate(hierarchy, leaf, clock) == refused
         assert verify_certificate(hierarchy, by_root, clock) == valid
         assert verify_certificates(hierarchy, [leaf, by_root, leaf], clock) == [
@@ -158,7 +158,8 @@ class TestIssuingCaCertificate:
             self.reissue_subordinate(hierarchy, not_before=500)
         else:
             del hierarchy.va[hierarchy.subordinate.certificate.serial]
-        assert verify_certificate(hierarchy, leaf, clock) == Verdict(ok=False, cause=cause)
+        assert verify_certificate(hierarchy, leaf, clock) == Verdict(
+            ok=False, cause=cause, index=1)
 
     def test_the_root_certificate_is_not_checked(self, hierarchy, clock):
         root = hierarchy.root.certificate
@@ -176,7 +177,7 @@ class TestIssuingCaCertificate:
         hierarchy.va[hierarchy.subordinate.certificate.serial] = CertStatus.REVOKED
         assert verify_certificate(hierarchy, forged, clock) == _CHAIN_BROKEN
         assert verify_certificate(hierarchy, leaf, clock) == Verdict(
-            ok=False, cause=VerdictCause.REVOKED)
+            ok=False, cause=VerdictCause.REVOKED, index=1)
 
     def test_the_issuing_ca_is_checked_before_the_leaf_window(self, hierarchy, clock):
         sub = hierarchy.subordinate
@@ -187,10 +188,10 @@ class TestIssuingCaCertificate:
         while clock.now() <= leaf.not_after:
             clock.tick()
         assert verify_certificate(hierarchy, leaf, clock) == Verdict(
-            ok=False, cause=VerdictCause.EXPIRED)
+            ok=False, cause=VerdictCause.EXPIRED, index=0)
         hierarchy.va[hierarchy.subordinate.certificate.serial] = CertStatus.REVOKED
         assert verify_certificate(hierarchy, leaf, clock) == Verdict(
-            ok=False, cause=VerdictCause.REVOKED)
+            ok=False, cause=VerdictCause.REVOKED, index=1)
 
     def test_each_issuing_ca_is_checked_once_per_call(self, hierarchy, clock, monkeypatch):
         issue = TestIssuanceAndVerification.issue
@@ -226,7 +227,7 @@ class TestIssuingCaCertificate:
         while clock.now() < 1200:
             clock.tick()
         assert verify_certificate(hierarchy, leaf, clock) == Verdict(
-            ok=False, cause=VerdictCause.EXPIRED)
+            ok=False, cause=VerdictCause.EXPIRED, index=1)
         serial = hierarchy.next_serial()
         hierarchy.va[serial] = CertStatus.VALID
         self.reissue_subordinate(hierarchy, serial=serial, not_before=1000, not_after=2000)
@@ -344,13 +345,17 @@ class TestBatchVerification:
         """(certificates, the verdicts expected on them)."""
         table = self.table(hierarchy, clock)
         certificates = [cert for cert, _ in table]
-        causes = [cause for _, cause in table]
+        verdicts = [Verdict(ok=cause is None, cause=cause, index=None if cause is None else 0)
+                    for _, cause in table]
         if request.param == "broken subordinate":
             self.break_subordinate(hierarchy)
-            # only what the root issued itself still chains to it
-            causes = [cause if cert.issuer_name == hierarchy.root.name
-                      else VerdictCause.CHAIN_BROKEN for cert, cause in table]
-        return certificates, [Verdict(ok=cause is None, cause=cause) for cause in causes]
+            # only what the root issued itself still chains to it; a certificate whose own
+            # signature or issuer fails is refused for itself first
+            broken = Verdict(ok=False, cause=VerdictCause.CHAIN_BROKEN, index=1)
+            verdicts = [verdict if cert.issuer_name == hierarchy.root.name
+                        or verdict.cause is VerdictCause.CHAIN_BROKEN else broken
+                        for cert, verdict in zip(certificates, verdicts)]
+        return certificates, verdicts
 
     def test_the_table_gives_the_expected_single_verdicts(self, hierarchy, clock, cases):
         certificates, expected = cases
