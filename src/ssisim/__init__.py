@@ -2,10 +2,10 @@
 
 Modules:
     identity     keys, DIDs, DID documents, signatures, encrypted envelopes
-    verdicts     signature verdicts, memoized and split over forked helpers (identity
-                 re-exports them); loads before the rest in a cold CLI command
+    verdicts     signature verdicts, memoized and split over forked helpers; loads
+                 before the rest in a cold CLI command
     ledger       hash-chained permissioned registry (the verifiable data registry)
-    schemas      credential schemas, which the ledger anchors
+                 and the credential schemas it anchors
     credentials  credentials, selective-disclosure presentations
     engine       issuer/holder/verifier operations against the ledger
     wallet       persistent wallet files

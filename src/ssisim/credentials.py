@@ -1,4 +1,4 @@
-"""Credentials and selective-disclosure presentations (schemas are in schemas.py).
+"""Credentials and selective-disclosure presentations (schemas are in ledger.py).
 
 A credential commits to each attribute as hash(name, value, salt) and
 signs the Merkle root of those commitments, so a presentation can reveal
@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from .errors import ParseError, SchemaMismatch, UnknownAttribute, WrongHolderKey
 from .identity import DID, SIGNATURE, Did, KeyPair, derive_did, sign
 from .merkle import PathStep, leaf_hash, merkle_path, merkle_root, verify_path
-from .schemas import CredentialSchema
 from .serialization import (
     HASH,
     INT,
@@ -104,9 +103,9 @@ class Credential(Record):
         return credential
 
 
-def build_credential(issuer: KeyPair, holder_did: Did, schema: CredentialSchema,
+def build_credential(issuer: KeyPair, holder_did: Did, schema,
                      values: dict, rng, issuance_time: int) -> Credential:
-    """Assemble and sign a credential; does not touch the ledger."""
+    """Assemble and sign a credential; reads schema's fields, does not touch the ledger."""
     expected = set(schema.attribute_names)
     provided = set(values)
     if provided != expected:

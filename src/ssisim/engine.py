@@ -24,16 +24,18 @@ from .credentials import (
     revealed_set_hash,
 )
 from .errors import NotSchemaOwner, UnknownDid, UnknownSchema
-from .identity import KeyPair, derive_did, sign, verify
+from .identity import KeyPair, derive_did, sign
 from .ledger import (
     AnchorCredential,
+    CredentialSchema,
     CredentialStatus,
     DefineSchema,
     Ledger,
     Revoke,
+    make_schema,
 )
 from .runtime import SystemRng
-from .schemas import CredentialSchema, make_schema
+from .verdicts import verify
 
 
 def _signed(issuer: KeyPair, unsigned):

@@ -12,8 +12,8 @@ header (sender/recipient key fingerprints) is bound as associated data,
 so any tampering fails authentication rather than yielding plaintext.
 The envelope primitives are imported on first use, so a process that only
 signs and verifies does not load them. Signature verdicts, and the forked
-helpers that split them over the CPUs, live in verdicts; this module
-re-exports them.
+helpers that split them over the CPUs, live in verdicts; callers import them
+from there.
 """
 
 import functools
@@ -36,15 +36,7 @@ from .serialization import (
     parse_hex,
     sha256,
 )
-from .verdicts import (  # all but MEMO_SIZE re-exported: the package verifies through identity
-    MEMO_SIZE,
-    Split,
-    split_each,
-    start_split,
-    start_verify,
-    verify,
-    verify_each,
-)
+from .verdicts import MEMO_SIZE, verify
 
 SEED_LEN = 32
 PUBLIC_KEY_LEN = 32

@@ -7,6 +7,9 @@ derived from the genesis block's own registration transactions, so the
 exported file carries no bytes outside the hash-covered chain except the
 mode flag.
 
+Credential schemas are defined here too, as define_schema transactions
+carry them: a ledger load needs neither credentials nor the Merkle tree.
+
 Registry state (documents, key-agreement holders, schemas, anchors,
 revocations) is resolved from the chain on demand. Transactions are indexed
 by the keys they touch with dict operations and one hash per registration;
@@ -23,6 +26,8 @@ from enum import Enum
 
 from .errors import (
     ClockExhausted,
+    ConfigError,
+    DuplicateAttribute,
     DuplicateSchema,
     EmptyBatch,
     EmptyWriterSet,
@@ -44,15 +49,11 @@ from .identity import (
     DidDocument,
     KeyPair,
     SIGNATURE_LEN,
-    Split,
     derive_did,
     key_fingerprint,
     sign,
-    verify,
-    verify_each,
 )
 from .runtime import LogicalClock
-from .schemas import CredentialSchema, schema_is_well_formed
 from .serialization import (
     HASH,
     INT,
@@ -71,7 +72,9 @@ from .serialization import (
     record_codec,
     sha256,
 )
+from .verdicts import Split, verify, verify_each
 
+_SCHEMA_CONTEXT = "ssisim/schema/v1"
 _TX_CONTEXT = "ssisim/tx/v1"
 _BLOCK_CONTEXT = "ssisim/block/v1"
 
@@ -95,6 +98,63 @@ class ChainFault(str, Enum):
     LINK_BROKEN = "LinkBroken"
     BAD_WRITER = "BadWriter"
     BAD_SIGNATURE = "BadSignature"
+
+
+# --- credential schemas ---------------------------------------------------------
+# The named, versioned attribute lists an issuer anchors and issues credentials against.
+
+
+@dataclass(frozen=True)
+class CredentialSchema(Record):
+    """Named, versioned attribute list; schema_id binds it to its issuer."""
+
+    schema_id: bytes
+    issuer_did: Did
+    name: str
+    version: int
+    attribute_names: tuple
+
+    JSON = (
+        ("schema_id", HASH),
+        ("issuer_did", DID),
+        ("name", STR),
+        ("version", INT),
+        ("attribute_names", list_codec(STR)),
+    )
+
+
+def schema_id_for(issuer_did: Did, name: str, version: int, attribute_names) -> bytes:
+    return sha256(
+        encode_parts(_SCHEMA_CONTEXT, str(issuer_did), name, version, list(attribute_names))
+    )
+
+
+def make_schema(issuer_did: Did, name: str, version: int, attribute_names) -> CredentialSchema:
+    """Validate and canonicalize attribute names (sorted order fixed here)."""
+    if not 0 <= version <= MAX_INT:
+        raise ConfigError(f"schema version {version} is outside [0, 2^64-1]")
+    names = list(attribute_names)
+    if not names:
+        raise DuplicateAttribute("schema needs at least one attribute")
+    if len(set(names)) != len(names):
+        raise DuplicateAttribute(f"duplicate attribute names in {names}")
+    names = tuple(sorted(names))
+    return CredentialSchema(
+        schema_id=schema_id_for(issuer_did, name, version, names),
+        issuer_did=issuer_did,
+        name=name,
+        version=version,
+        attribute_names=names,
+    )
+
+
+def schema_is_well_formed(schema: CredentialSchema) -> bool:
+    names = schema.attribute_names
+    if not names or len(set(names)) != len(names) or tuple(sorted(names)) != names:
+        return False
+    return schema.schema_id == schema_id_for(
+        schema.issuer_did, schema.name, schema.version, names
+    )
 
 
 # --- transactions ---------------------------------------------------------------

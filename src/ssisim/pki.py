@@ -23,13 +23,11 @@ from .identity import (
     key_agreement_public,
     make_did_document,
     sign,
-    split_each,
-    verify,
-    verify_each,
 )
 from .ledger import Ledger, RegisterDid
 from .runtime import DeterministicRng, LogicalClock
 from .serialization import encode_parts
+from .verdicts import split_each, verify, verify_each
 
 _CERT_CONTEXT = "ssisim/certificate/v1"
 

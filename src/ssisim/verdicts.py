@@ -2,7 +2,8 @@
 
 This module imports only the standard library and cryptography's Ed25519, so
 the CLI can start verifying a ledger file's writer signatures in a helper
-before it loads the rest of the package. identity re-exports its public names.
+before it loads the rest of the package. It is the one home of its public names:
+the rest of the package imports them from here.
 """
 
 import functools

@@ -949,19 +949,28 @@ class TestImports:
                                 "{'click', 'ssisim.pki', 'ssisim.scenarios', 'ssisim.agents'}))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
-    def test_the_cli_loads_only_what_parsing_and_the_early_check_need(self):
-        proc = run_python("-c", "import sys, ssisim.cli; print(sorted(m for m in sys.modules "
-                                "if m.startswith('ssisim.') or m.endswith(('x25519', 'aead'))))")
-        assert proc.stdout == str(["ssisim.cli", "ssisim.verdicts"]) + "\n"
-
-    def test_a_ledger_load_needs_no_credentials(self):
+    # Each module and the exact ssisim modules that importing it loads; none loads the
+    # envelope primitives (x25519, aead), which identity imports on first use.
+    CREDENTIALS = ["ssisim.credentials", "ssisim.errors", "ssisim.identity", "ssisim.merkle",
+                   "ssisim.runtime", "ssisim.serialization", "ssisim.verdicts"]
+    IMPORT_SETS = {
+        # only what parsing and the early check need
+        "ssisim.cli": ["ssisim.cli", "ssisim.verdicts"],
         # ledger-validate loads these after the helper forks; credentials and the Merkle
         # tree load only for the commands that use them
-        proc = run_python("-c", "import sys, ssisim.ledger; print(sorted(m for m in sys.modules "
-                                "if m.startswith('ssisim.')))")
-        assert proc.stdout == str(["ssisim.errors", "ssisim.identity", "ssisim.ledger",
-                                   "ssisim.runtime", "ssisim.schemas", "ssisim.serialization",
-                                   "ssisim.verdicts"]) + "\n"
+        "ssisim.ledger": ["ssisim.errors", "ssisim.identity", "ssisim.ledger", "ssisim.runtime",
+                          "ssisim.serialization", "ssisim.verdicts"],
+        # credentials read a schema's fields but need no ledger
+        "ssisim.credentials": CREDENTIALS,
+        "ssisim.wallet": CREDENTIALS + ["ssisim.wallet"],
+    }
+
+    @pytest.mark.parametrize("module", IMPORT_SETS)
+    def test_an_import_loads_exactly_its_modules(self, module):
+        proc = run_python("-c", f"import sys, {module}; print(sorted(m for m in sys.modules "
+                                "if m.startswith('ssisim.') or m.endswith(('x25519', 'aead'))))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, str(self.IMPORT_SETS[module]) + "\n", "")
 
     def test_the_cli_offers_the_ledger_modes_without_loading_them(self):
         assert cli._MODES == [mode.value for mode in LedgerMode]

@@ -41,8 +41,8 @@ from ssisim.ledger import (
     Ledger,
     LedgerMode,
     RegisterDid,
+    make_schema,
 )
-from ssisim.schemas import make_schema
 from ssisim.serialization import canonical_json_bytes, load_json
 
 from conftest import seeded_keypair

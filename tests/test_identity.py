@@ -43,15 +43,12 @@ from ssisim.identity import (
     key_agreement_public,
     make_did_document,
     sign,
-    split_each,
-    start_split,
-    verify,
-    verify_each,
 )
 from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
 from ssisim.runtime import DeterministicRng
 from ssisim.scenarios import HealthcareConfig, run_scenario
 from ssisim.serialization import b58encode
+from ssisim.verdicts import split_each, start_split, verify, verify_each
 
 from conftest import flip_bit, wait_until_ended
 
@@ -574,6 +571,33 @@ class TestOneForkPath:
             ("verdicts", "mmap")]
         assert self.calls({"mmap", "waitid"}) == [
             ("verdicts", "start_split", "mmap"), ("verdicts", "_failed", "waitid")]
+
+
+class TestOneNameHome:
+    """Each name is imported from the module that defines it: no module re-exports another's."""
+
+    @staticmethod
+    def defined(tree) -> set:
+        """The names a module binds at its top level by def, class or assignment."""
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {name.id for target in targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name)}
+        return names
+
+    def test_every_relative_import_names_a_definition_of_its_module(self):
+        trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(TestOneForkPath.SRC.glob("*.py"))}
+        defined = {module: self.defined(tree) for module, tree in trees.items()}
+        borrowed = [f"{module}.py:{node.lineno}: {alias.name} from {node.module}"
+                    for module, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names if alias.name not in defined[node.module]]
+        assert borrowed == []
 
 
 class TestOneRuleHome:

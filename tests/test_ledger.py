@@ -41,6 +41,7 @@ from ssisim.ledger import (
     KINDS,
     AnchorCredential,
     ChainFault,
+    CredentialSchema,
     CredentialStatus,
     DefineSchema,
     Ledger,
@@ -49,13 +50,14 @@ from ssisim.ledger import (
     RegisterDid,
     Revoke,
     anchor_credential_payload,
+    make_schema,
     parse_transaction,
     revoke_payload,
+    schema_is_well_formed,
 )
 from ssisim.merkle import PathStep
 from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
-from ssisim.schemas import CredentialSchema, make_schema, schema_is_well_formed
 from ssisim.serialization import canonical_json_bytes, parse_json
 
 from conftest import (
@@ -448,7 +450,7 @@ class TestStartedChainCheck:
     def test_a_wrong_guess_changes_no_verdict(self, long_chain, two_cpus, monkeypatch, guess,
                                               signatures, roots, expected):
         led = tampered(long_chain, signatures, roots)
-        report = led.validate_chain(identity.start_verify(self.GUESSES[guess](writer_jobs(led))))
+        report = led.validate_chain(verdicts.start_verify(self.GUESSES[guess](writer_jobs(led))))
         assert (report.ok, report.index, report.cause) == (False, *expected)
         assert len(two_cpus) == (guess != "empty")
         assert self.serial(led, monkeypatch) == report
@@ -456,7 +458,7 @@ class TestStartedChainCheck:
     @pytest.mark.parametrize("guess", GUESSES)
     def test_a_wrong_guess_keeps_a_valid_chain_valid(self, long_chain, two_cpus, guess):
         assert long_chain.validate_chain(
-            identity.start_verify(self.GUESSES[guess](writer_jobs(long_chain)))).ok
+            verdicts.start_verify(self.GUESSES[guess](writer_jobs(long_chain)))).ok
 
     @pytest.mark.parametrize("failure", ["writes a 2", "raises", "exits 0 early"])
     @pytest.mark.parametrize("signatures, roots, expected", CHAIN_FAULTS)
@@ -479,7 +481,7 @@ class TestStartedChainCheck:
 
         with monkeypatch.context() as patched:
             patched.setattr(verdicts, "_verdicts", helper_verdicts)
-            started = identity.start_verify(writer_jobs(led))
+            started = verdicts.start_verify(writer_jobs(led))
             wait_until_ended(two_cpus[0])  # so the fault is in the page before the join
         report = led.validate_chain(started)
         assert (report.ok, report.index, report.cause) == (False, *expected)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import ssisim.credentials
 import ssisim.ledger
-import ssisim.schemas
 from ssisim.agents import auth_signing_payload
 from ssisim.credentials import (
     RevealedAttribute,
@@ -21,9 +20,16 @@ from ssisim.credentials import (
 )
 from ssisim.errors import ParseError
 from ssisim.identity import _envelope_aad, derive_did, make_did_document, sign
-from ssisim.ledger import AnchorCredential, DefineSchema, RegisterDid, Revoke, block_hash_for
+from ssisim.ledger import (
+    AnchorCredential,
+    DefineSchema,
+    RegisterDid,
+    Revoke,
+    block_hash_for,
+    make_schema,
+    schema_id_for,
+)
 from ssisim.pki import Certificate
-from ssisim.schemas import make_schema, schema_id_for
 from ssisim.serialization import (
     b58decode,
     b58encode,
@@ -210,7 +216,7 @@ def known_payloads() -> dict:
         "block": _unhashed(ssisim.ledger, "sha256",
                            lambda: block_hash_for(3, b"\x55" * 32, 2**40 + 1, b"\x66" * 32)),
         "did-document": document.signing_payload(),
-        "schema": _unhashed(ssisim.schemas, "sha256",
+        "schema": _unhashed(ssisim.ledger, "sha256",
                             lambda: schema_id_for(issuer_did, "Patient ✓", 2, ("dob", "name"))),
         "credential": credential_signing_payload(cid, schema.schema_id, issuer_did, holder_did,
                                                  root, 2**33),
