@@ -27,7 +27,7 @@ from .identity import (
 from .ledger import Ledger, RegisterDid
 from .runtime import DeterministicRng, LogicalClock
 from .serialization import encode_parts
-from .verdicts import split_each, verify, verify_each
+from .verdicts import split_each, verify
 
 _CERT_CONTEXT = "ssisim/certificate/v1"
 
@@ -153,23 +153,22 @@ def verify_certificates(hierarchy: CaHierarchy, certificates: list[Certificate],
                         clock: LogicalClock) -> list[Verdict]:
     """verify_certificate's verdict on each certificate, in order.
 
-    The issuer signatures are checked as one batch through verify_each, and
-    each issuing CA's own certificate at most once per call. The root is the
-    trust anchor; a subordinate's certificate must be signed by the root,
-    inside its window and valid at the VA, and a certificate it issued gets
-    the verdict on it when it is not valid (RFC 5280, section 6.1.3). A
-    refusal's index is the refused certificate's position in the path: 0 for
-    the certificate itself, 1 for its issuing CA.
+    Each certificate's issuer signature is checked in turn, in this process,
+    and each issuing CA's own certificate at most once per call, after the
+    first certificate it signed passes that check. The root is the trust
+    anchor; a subordinate's certificate must be signed by the root, inside
+    its window and valid at the VA, and a certificate it issued gets the
+    verdict on it when it is not valid (RFC 5280, section 6.1.3). A refusal's
+    index is the refused certificate's position in the path: 0 for the
+    certificate itself, 1 for its issuing CA.
     """
-    issuers = [hierarchy.node_by_name(cert.issuer_name) for cert in certificates]
-    signed = iter(verify_each([
-        (issuer.keypair.public_key, cert.signing_payload(), cert.issuer_signature)
-        for cert, issuer in zip(certificates, issuers) if issuer is not None]))
     now = clock.now()
     chained = {hierarchy.root.name: Verdict(ok=True)}  # CA name -> verdict on its certificate
     verdicts = []
-    for cert, issuer in zip(certificates, issuers):
-        if issuer is None or not next(signed):
+    for cert in certificates:
+        issuer = hierarchy.node_by_name(cert.issuer_name)
+        if issuer is None or not verify(issuer.keypair.public_key, cert.signing_payload(),
+                                        cert.issuer_signature):
             verdicts.append(_CHAIN_BROKEN)
             continue
         if issuer.name not in chained:
@@ -245,9 +244,10 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
     serial there. For each window, this process draws every forgery's seed
     and serial and plants its VA entry; then the window is split over the
     CPUs once, and each chunk forges its certificates (one key build and one
-    signature each) and checks them as one batch. No forging or check draws
-    from the rng or moves the clock, so the report and every certificate are
-    those of forging and checking each forgery in turn.
+    signature each) and checks them with verify_certificates, in the chunk's
+    process. No forging or check draws from the rng or moves the clock, so
+    the report and every certificate are those of forging and checking each
+    forgery in turn.
     """
     rng = DeterministicRng(config.seed)
     clock = LogicalClock(0)

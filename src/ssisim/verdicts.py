@@ -63,8 +63,6 @@ def _chunk_count(items: int) -> int:
     return min(cpus, items // _MIN_CHUNK)
 
 
-_splitting = False  # a split is open, in this process or in the parent of this helper
-
 # The bytes of a split's page that are not answers: a slot no one has answered
 # yet, and the first slot of a bite the join has taken (where the helper stops).
 _UNANSWERED, _TAKEN = b"\xff", b"\xfe"
@@ -74,19 +72,11 @@ def split_each(work, items: list) -> bytes:
     """work(items), where work(chunk) gives one 0/1 byte per item of chunk, in order.
 
     The items are split by start_split and joined at once (see Split.join). When
-    there is nothing to fork, work(items) runs here with no Split, the split
-    open while it runs.
+    there is nothing to fork, work(items) runs here with no Split.
     """
-    global _splitting
-    if _splitting:
-        return work(items)
     if _chunk_count(len(items)) > 1:
         return start_split(work, items).join(items)
-    _splitting = True
-    try:
-        return work(items)
-    finally:
-        _splitting = False
+    return work(items)
 
 
 def start_split(work, items: list) -> "Split":
@@ -99,15 +89,12 @@ def start_split(work, items: list) -> "Split":
     rest runs here at the join. The helpers share one page with this process,
     one byte per item, and each answers into it one item at a time, so that
     join can take over what a helper has not reached. A split stays open
-    until it is joined or closed; one started while another is open, here or
-    in a helper, forks nothing and its join runs in process. This is the only
-    place the package forks.
+    until it is joined or closed, and splits may be open at once: each forks,
+    joins and reaps its own helpers. A helper never forks: it calls work on
+    one item at a time, and no work the package splits starts a split of its
+    own. This is the only place the package forks.
     """
-    global _splitting
-    if _splitting:
-        return Split(work, items, opened=False)
-    _splitting = True
-    split = Split(work, items, opened=True)
+    split = Split(work, items)
     helpers = _chunk_count(len(items)) - 1
     try:
         if helpers:
@@ -126,14 +113,17 @@ def start_split(work, items: list) -> "Split":
 
 
 class Split:
-    """work over items, split by start_split into one contiguous chunk per helper."""
+    """work over items, split by start_split into one contiguous chunk per helper.
 
-    def __init__(self, work, items: list, opened: bool):
+    Each split holds its own helpers and page; one open beside another shares
+    nothing with it.
+    """
+
+    def __init__(self, work, items: list):
         self._work = work
-        self._items = items    # the items the split started on
-        self._page = None      # the shared page, one byte per started item, if it forked
-        self._helpers = []     # (pid, start, stop) of each helper's chunk, in order
-        self._opened = opened  # this split set _splitting
+        self._items = items  # the items the split started on
+        self._page = None    # the shared page, one byte per started item, if it forked
+        self._helpers = []   # (pid, start, stop) of each helper's chunk, in order
 
     def join(self, items: list) -> bytes:
         """work(items), with the helpers' answers for the items up to the first one
@@ -163,15 +153,12 @@ class Split:
 
     def close(self) -> None:
         """Kill and reap every helper left; the split is then closed, and a join runs here."""
-        global _splitting
         for pid, _, _ in self._helpers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if self._page is not None:
             self._page.close()
         self._items, self._helpers, self._page = (), [], None
-        if self._opened:
-            _splitting = self._opened = False
 
     def _run(self, items: list, start: int, stop: int) -> bytes:
         return self._work(items[start:stop]) if start < stop else b""

@@ -267,7 +267,7 @@ class TestVerifyEach:
 
 
 class TestSplitEach:
-    """What split_each leaves behind when work fails in this process, and splits in splits."""
+    """What split_each leaves behind when work fails in this process."""
 
     @staticmethod
     def parity(items):
@@ -287,16 +287,6 @@ class TestSplitEach:
         assert split_each(self.parity, list(range(600))) == self.parity(range(600))
         if helpers is not None:  # two_cpus checks that each was reaped and its page closed
             assert len(helpers) == 2  # the split after the failed one forks again
-
-    @pytest.mark.parametrize("outer", [10, 600])
-    def test_a_split_inside_a_split_runs_in_process(self, fork_log, two_cpus, outer):
-        def work(items):  # 600 items or more: alone, each inner split would fork
-            return split_each(self.parity, list(items) * 2 + list(range(600)))[:len(items)]
-
-        assert split_each(work, list(range(outer))) == self.parity(range(outer))
-        assert fork_log.read_text().split() == [str(os.getpid())] * (outer >= 256)
-        assert split_each(self.parity, list(range(600))) == self.parity(range(600))
-        assert len(two_cpus) == (outer >= 256) + 1  # the split after the outer one forks again
 
 
 def parity(items) -> bytes:
@@ -414,15 +404,12 @@ class TestStartSplit:
         wait_until_ended(two_cpus[0])  # every answer of the helper is in the page
         assert split.join(joined) == parity(joined)
 
-    def test_a_split_while_one_is_open_forks_nothing(self, fork_log, two_cpus):
+    def test_a_split_while_one_is_open_forks_its_own_helper(self, fork_log, two_cpus):
         items = list(range(600))
         early = start_split(parity, items)
         assert split_each(parity, items) == parity(items)
-        assert len(two_cpus) == 1
-        assert early.join(items) == parity(items)
-        assert split_each(parity, items) == parity(items)
-        assert len(two_cpus) == 2
         assert fork_log.read_text().split() == [str(os.getpid())] * 2
+        assert early.join(items) == parity(items)
 
     def test_a_closed_split_is_joined_in_process(self, two_cpus):
         parent, items = os.getpid(), list(range(600))
@@ -546,6 +533,19 @@ class TestOneForkPath:
 
     def test_only_start_split_starts_a_helper(self):
         assert self.calls({"_fork_helper"}) == [("verdicts", "start_split", "_fork_helper")]
+
+    def test_only_these_functions_start_a_split(self):
+        # no split is started from a split's work, so no helper forks
+        assert sorted(self.calls({"split_each", "start_split", "verify_each",
+                                  "start_verify"})) == [
+            ("cli", "_read_early", "start_verify"),
+            ("ledger", "append_block", "verify_each"),
+            ("ledger", "validate_chain", "verify_each"),
+            ("pki", "_run_ca_compromise", "split_each"),
+            ("verdicts", "split_each", "start_split"),
+            ("verdicts", "start_verify", "start_split"),
+            ("verdicts", "verify_each", "split_each"),
+        ]
 
     @classmethod
     def imports(cls) -> list:
