@@ -411,6 +411,23 @@ class TestStartSplit:
         assert fork_log.read_text().split() == [str(os.getpid())] * 2
         assert early.join(items) == parity(items)
 
+    def test_two_open_splits_join_from_their_own_pages(self, fork_log, two_cpus):
+        parent, here = os.getpid(), []
+
+        def work(chunk):
+            if os.getpid() == parent:
+                here.append(list(chunk))
+            return parity(chunk)
+
+        first, second = list(range(600)), [i + 1 for i in range(600)]  # every answer differs
+        early, late = start_split(work, first), start_split(work, second)
+        for pid in two_cpus:
+            wait_until_ended(pid)  # every answer of each helper is in its own page
+        assert late.join(second) == parity(second)  # joined in the reverse order
+        assert early.join(first) == parity(first)
+        assert here == []  # neither join took a bite in process
+        assert fork_log.read_text().split() == [str(parent)] * 2
+
     def test_a_closed_split_is_joined_in_process(self, two_cpus):
         parent, items = os.getpid(), list(range(600))
 
