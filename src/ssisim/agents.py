@@ -41,7 +41,7 @@ class AuthResponse:
 
 
 def auth_signing_payload(nonce: bytes, verifier_did: Did) -> bytes:
-    return encode_parts(_AUTH_CONTEXT, nonce, str(verifier_did))
+    return encode_parts(_AUTH_CONTEXT, nonce, verifier_did)
 
 
 class MessageBus:
@@ -51,10 +51,10 @@ class MessageBus:
         self._agents: dict = {}
 
     def register(self, agent: "Agent") -> None:
-        self._agents[str(agent.did)] = agent
+        self._agents[agent.did] = agent
 
     def deliver(self, recipient_did: Did, envelope: Envelope) -> None:
-        recipient = self._agents.get(str(recipient_did))
+        recipient = self._agents.get(recipient_did)
         if recipient is None:
             raise UnknownDid(f"no agent registered for {recipient_did}")
         recipient.inbox.append(envelope)

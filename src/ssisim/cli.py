@@ -330,7 +330,7 @@ def wallet_init(args) -> int:
     path = _given(args.wallet, "--wallet")
     wallet = wallet_create(seed)
     _create_bytes(path, wallet_save(wallet))
-    _print_json({"did": str(wallet.did), "key_id": wallet.keypair.key_id, "wallet": path})
+    _print_json({"did": wallet.did, "key_id": wallet.key_id, "wallet": path})
     return 0
 
 
@@ -349,7 +349,7 @@ def ledger_init(args) -> int:
     doc = make_did_document(writer.keypair, created_at=clock.tick())
     ledger = Ledger.genesis([doc], mode=LedgerMode(args.mode), clock=clock)
     _create_bytes(path, ledger.to_bytes())
-    _print_json({"ledger": path, "writer_did": str(doc.did), "blocks": len(ledger.blocks)})
+    _print_json({"ledger": path, "writer_did": doc.did, "blocks": len(ledger.blocks)})
     return 0
 
 
@@ -373,7 +373,7 @@ def did_register(args) -> int:
     )
     ledger.append_block([RegisterDid(doc)], writer.keypair)
     save()
-    _print_json({"did": str(doc.did), "blocks": len(ledger.blocks)})
+    _print_json({"did": doc.did, "blocks": len(ledger.blocks)})
     return 0
 
 

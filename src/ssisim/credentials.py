@@ -49,7 +49,7 @@ def commitment_root(attributes, salts) -> bytes:
 
 def credential_id_for(schema_id: bytes, holder_did: Did, issuance_time: int,
                       root: bytes) -> bytes:
-    return sha256(encode_parts(_CREDENTIAL_CONTEXT, schema_id, str(holder_did), issuance_time, root))
+    return sha256(encode_parts(_CREDENTIAL_CONTEXT, schema_id, holder_did, issuance_time, root))
 
 
 def credential_signing_payload(credential_id: bytes, schema_id: bytes, issuer_did: Did,
@@ -58,8 +58,8 @@ def credential_signing_payload(credential_id: bytes, schema_id: bytes, issuer_di
         _CREDENTIAL_CONTEXT,
         credential_id,
         schema_id,
-        str(issuer_did),
-        str(holder_did),
+        issuer_did,
+        holder_did,
         root,
         issuance_time,
     )

@@ -68,7 +68,10 @@ class KeyPair:
 
     public_key: bytes
     private_key: bytes
-    key_id: str
+
+    @property
+    def key_id(self) -> str:
+        return key_fingerprint(self.public_key)
 
 
 # Key objects and DIDs are memoized per process, keyed by the key bytes: one
@@ -95,7 +98,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
         raise SeedLength(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     seed = bytes(seed)
     public = _signing_key(seed).public_key().public_bytes_raw()
-    return KeyPair(public_key=public, private_key=seed, key_id=key_fingerprint(public))
+    return KeyPair(public_key=public, private_key=seed)
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
@@ -119,15 +122,14 @@ def key_agreement_public(private_key: bytes) -> bytes:
 # --- DIDs ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Did:
-    """did:sim:<base58(sha256(public_key))>."""
+class Did(str):
+    """did:sim:<base58(sha256(public_key))>, held as its text (W3C DID Core 1.0, 3.1).
 
-    method: str
-    identifier: str
+    It equals and hashes like that text. Only Did.parse, which checks text from a
+    file or a flag, and derive_did, from a key, build one.
+    """
 
-    def __str__(self) -> str:
-        return f"did:{self.method}:{self.identifier}"
+    __slots__ = ()
 
     @classmethod
     @functools.lru_cache(maxsize=MEMO_SIZE)  # DIDs recur across a file; a ParseError is not cached
@@ -140,7 +142,7 @@ class Did:
             raise ParseError("empty DID identifier")
         if len(b58decode(identifier)) != 32:
             raise ParseError("DID identifier must decode to 32 bytes")
-        return cls(method=DID_METHOD, identifier=identifier)
+        return cls(text)
 
 
 DID = (str, lambda value, where: Did.parse(expect_str(value, where)))
@@ -158,7 +160,7 @@ def derive_did(public_key: bytes) -> Did:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _did_of(public_key: bytes) -> Did:
-    return Did(method=DID_METHOD, identifier=b58encode(sha256(public_key)))
+    return Did(f"did:{DID_METHOD}:{b58encode(sha256(public_key))}")
 
 
 # --- DID documents --------------------------------------------------------------
@@ -188,7 +190,7 @@ class DidDocument(Record):
     def signing_payload(self) -> bytes:
         return encode_parts(
             _DOC_CONTEXT,
-            str(self.did),
+            self.did,
             self.verification_key,
             self.key_agreement_key,
             list(self.service_endpoints),

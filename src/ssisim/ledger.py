@@ -125,7 +125,7 @@ class CredentialSchema(Record):
 
 def schema_id_for(issuer_did: Did, name: str, version: int, attribute_names) -> bytes:
     return sha256(
-        encode_parts(_SCHEMA_CONTEXT, str(issuer_did), name, version, list(attribute_names))
+        encode_parts(_SCHEMA_CONTEXT, issuer_did, name, version, list(attribute_names))
     )
 
 
@@ -198,7 +198,7 @@ class RegisterDid:
                                                        controller_signature=signature))
 
     def slots(self, state: "RegistryState") -> tuple:
-        return ((state.documents, str(self.document.did)),
+        return ((state.documents, self.document.did),
                 (state.key_agreements, key_fingerprint(self.document.key_agreement_key)))
 
     def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
@@ -216,12 +216,12 @@ class RegisterDid:
 
 def anchor_credential_payload(credential_id: bytes, issuer_did: Did,
                               commitment_root: bytes) -> bytes:
-    return encode_parts(_TX_CONTEXT, "anchor_credential", credential_id, str(issuer_did),
+    return encode_parts(_TX_CONTEXT, "anchor_credential", credential_id, issuer_did,
                         commitment_root)
 
 
 def revoke_payload(credential_id: bytes, issuer_did: Did) -> bytes:
-    return encode_parts(_TX_CONTEXT, "revoke", credential_id, str(issuer_did))
+    return encode_parts(_TX_CONTEXT, "revoke", credential_id, issuer_did)
 
 
 class _IssuerSigned(Record):
@@ -235,7 +235,7 @@ class _IssuerSigned(Record):
     def cause(self, state: "RegistryState", position: int, jobs: list) -> str | None:
         # Every self-certified registration carries the key the DID is derived
         # from, so the first one fixes both "registered before" and the key.
-        registration = state.registration(str(self.issuer_did))
+        registration = state.registration(self.issuer_did)
         if registration is None or registration.position >= position:
             return "unknown submitter DID"
         key = registration.tx.document.verification_key
@@ -259,7 +259,7 @@ class DefineSchema(_IssuerSigned):
     def signing_payload(self) -> bytes:
         schema = self.schema
         return encode_parts(
-            _TX_CONTEXT, self.kind, schema.schema_id, str(schema.issuer_did),
+            _TX_CONTEXT, self.kind, schema.schema_id, schema.issuer_did,
             schema.name, schema.version, list(schema.attribute_names),
         )
 
@@ -386,7 +386,7 @@ class RegistryState:
     """
 
     def __init__(self):
-        self.documents: dict = {}       # did str -> registrations
+        self.documents: dict = {}       # DID -> registrations
         self.key_agreements: dict = {}  # key-agreement fingerprint -> registrations carrying it
         self.schemas: dict = {}         # schema_id bytes -> schema definitions
         self.anchors: dict = {}         # credential_id bytes -> anchors
@@ -481,7 +481,7 @@ class RegistryState:
         while claim is not None:
             did = claim.tx.document.did
             release = self._first_valid(
-                entry for entry in self.documents[str(did)] if entry.position > claim.position
+                entry for entry in self.documents[did] if entry.position > claim.position
                 and key_fingerprint(entry.tx.document.key_agreement_key) != fingerprint)
             if release is None:
                 return did
@@ -586,8 +586,8 @@ class Ledger:
     def __init__(self, blocks, mode: LedgerMode, clock: LogicalClock):
         self.blocks: list = list(blocks)
         # The writer set is fixed at genesis: the DIDs its block registers.
-        self.writer_set = {  # did str -> verification key bytes
-            str(tx.document.did): tx.document.verification_key
+        self.writer_set = {  # DID -> verification key bytes
+            tx.document.did: tx.document.verification_key
             for tx in self.blocks[0].transactions if isinstance(tx, RegisterDid)
         }
         self.mode = mode
@@ -624,7 +624,7 @@ class Ledger:
     def _writer_did(self, writer: KeyPair) -> Did:
         """The writer's DID, if the writer set holds it under this key."""
         did = derive_did(writer.public_key)
-        if self.writer_set.get(str(did)) != writer.public_key:
+        if self.writer_set.get(did) != writer.public_key:
             raise NotPermissioned(f"{did} is not in the writer set")
         return did
 
@@ -711,7 +711,7 @@ class Ledger:
             if cause is not None:
                 break
             if i > 0:
-                jobs.append((self.writer_set[str(block.writer_did)], block.block_hash,
+                jobs.append((self.writer_set[block.writer_did], block.block_hash,
                              block.writer_signature))
             prev_hash = block.block_hash
         bad = verify_each(jobs, started).find(0)
@@ -739,7 +739,7 @@ class Ledger:
             return ChainFault.HASH_MISMATCH
         if block.index != i or block.prev_hash != prev_hash:
             return ChainFault.LINK_BROKEN
-        if str(block.writer_did) not in self.writer_set:
+        if block.writer_did not in self.writer_set:
             return ChainFault.BAD_WRITER
         if i == 0:
             # Genesis is sealed by construction, not by key: its writers are
@@ -756,7 +756,7 @@ class Ledger:
     # -- reads (public in public-permissioned mode)
 
     def resolve_did(self, did: Did, reader_did: Did | None = None) -> DidDocument:
-        doc = self._readable(reader_did).document(str(did))
+        doc = self._readable(reader_did).document(did)
         if doc is None:
             raise UnknownDid(f"{did} is not registered")
         return doc
@@ -787,7 +787,7 @@ class Ledger:
     def _readable(self, reader_did: Did | None) -> RegistryState:
         """The indexed registry state, once the reader may read it."""
         if self.mode is LedgerMode.PRIVATE_PERMISSIONED:
-            if reader_did is None or str(reader_did) not in self.writer_set:
+            if reader_did not in self.writer_set:
                 raise NotPermissioned("private-permissioned ledger: reads require writer membership")
         return self._index()
 

@@ -301,7 +301,7 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
     for victim in victims:
         ledger.append_block([RegisterDid(make_did_document(victim, created_at=clock.tick()))],
                             writer_keys[-1])
-    originals = {str(derive_did(v.public_key)): ledger.resolve_did(derive_did(v.public_key))
+    originals = {derive_did(v.public_key): ledger.resolve_did(derive_did(v.public_key))
                  for v in victims}
 
     attacker = generate_keypair(rng.randbytes(32))
@@ -312,7 +312,7 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
         victim_did = derive_did(victim.public_key)
         forged_doc = _forged_document(victim, attacker, clock.tick())
         ledger.append_unchecked([RegisterDid(forged_doc)], writer_keys[i % config.compromised])
-        if ledger.resolve_did(victim_did) != originals[str(victim_did)]:
+        if ledger.resolve_did(victim_did) != originals[victim_did]:
             accepted += 1
     return CompromiseReport(
         scenario="ledger-writer-compromise",

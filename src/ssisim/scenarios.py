@@ -31,7 +31,7 @@ class ScenarioTranscript:
     def add_step(self, actor_did, action: str, payload: bytes, outcome: str) -> None:
         self.steps.append({
             "step": len(self.steps) + 1,
-            "actor_did": str(actor_did),
+            "actor_did": actor_did,
             "action": action,
             "payload_hash": sha256(payload).hex(),
             "outcome": outcome,

@@ -56,12 +56,12 @@ def encode_parts(*parts) -> bytes:
 
 
 def _encode_into(out: list, parts) -> None:
-    """Append the encoding of each part to out, dispatching on its exact type."""
+    """Append the encoding of each part to out: any str, then by exact type."""
     append = out.append
     for part in parts:
         kind = type(part)
-        if kind is str:
-            data = part.encode("utf-8")
+        if isinstance(part, str):
+            data = str.encode(part, "utf-8")
             append(_U64(len(data)))
             append(data)
         elif kind is bytes:
@@ -79,8 +79,9 @@ def _encode_into(out: list, parts) -> None:
 
 
 # The slow path: a subclass is matched in this order and encoded as a value of its
-# base type. str.__str__ gives a str enum member's value, where str() gives its name.
-_BASES = ((int, int.__index__), (bytes, bytes), (str, str.__str__), ((list, tuple), list))
+# base type. A str subclass never gets here: str.encode reads its text, which for a
+# str enum member is its value, where str() gives its name.
+_BASES = ((int, int.__index__), (bytes, bytes), ((list, tuple), list))
 
 
 def _encode_other(out: list, part) -> None:

@@ -46,7 +46,7 @@ class Wallet(Record):
 
     @property
     def keypair(self) -> KeyPair:
-        return KeyPair(self.public_key, self.private_key, self.key_id)
+        return KeyPair(self.public_key, self.private_key)
 
     @classmethod
     def from_json_dict(cls, value, where: str = "wallet") -> "Wallet":

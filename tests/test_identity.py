@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import json
 import os
 import random
 import re
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ import ssisim.agents
 import ssisim.engine
 import ssisim.identity
 import ssisim.verdicts
+from ssisim.agents import Agent, MessageBus
 from ssisim.credentials import create_presentation
 from ssisim.engine import (
     define_schema,
@@ -31,26 +34,38 @@ from ssisim.engine import (
     revoke_credential,
     verify_presentation,
 )
-from ssisim.errors import AuthFailure, ParseError, SeedLength
+from ssisim.errors import (
+    AuthFailure,
+    KeyMismatch,
+    NotPermissioned,
+    ParseError,
+    SeedLength,
+    UnknownDid,
+)
 from ssisim.identity import (
     DID_METHOD,
+    KEY_ID_LEN,
     SEED_LEN,
     Did,
+    KeyPair,
     derive_did,
     decrypt,
     encrypt_for,
     generate_keypair,
     key_agreement_public,
+    key_fingerprint,
     make_did_document,
     sign,
 )
+from ssisim.ledger import Ledger, RegisterDid
 from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
 from ssisim.runtime import DeterministicRng
 from ssisim.scenarios import HealthcareConfig, run_scenario
-from ssisim.serialization import b58encode
+from ssisim.serialization import b58encode, canonical_json_bytes
 from ssisim.verdicts import split_each, start_split, verify, verify_each
+from ssisim.wallet import wallet_create, wallet_load, wallet_save
 
-from conftest import flip_bit, wait_until_ended
+from conftest import flip_bit, seeded_keypair, wait_until_ended
 
 DID_RE = re.compile(r"^did:sim:[1-9A-HJ-NP-Za-km-z]+$")
 
@@ -125,6 +140,65 @@ class TestDids:
         for bad in ("", "did:sim:", "did:other:abc", good[:-8], good + "0"):
             with pytest.raises(ParseError):
                 Did.parse(bad)
+
+
+class TestDidIsItsText:
+    """A DID is held as its text: it equals and hashes like it, so every index keyed by
+    DIDs answers the same for a DID and for its text."""
+
+    def test_parsed_and_derived_dids_are_their_text(self, holder):
+        derived = derive_did(holder.public_key)
+        text = f"did:{DID_METHOD}:{b58encode(hashlib.sha256(holder.public_key).digest())}"
+        parsed = Did.parse(text)
+        for did in (derived, parsed):
+            assert isinstance(did, str) and type(did) is Did
+            assert did == text and hash(did) == hash(text)
+            assert {did: 1}[text] == 1
+
+    def test_registry_reads_answer_the_same_for_a_did_and_its_text(self, ledger, holder):
+        did = derive_did(holder.public_key)
+        text = str(did)
+        state = ledger._index()
+        assert state.registration(did) is state.registration(text) is not None
+        assert ledger.resolve_did(did) == ledger.resolve_did(text) == ledger.resolve_did(
+            Did.parse(text))
+        ghost = str(derive_did(seeded_keypair(b"ghost").public_key))
+        for unknown in (ghost, Did.parse(ghost)):
+            with pytest.raises(UnknownDid, match=f"^{ghost} is not registered$"):
+                ledger.resolve_did(unknown)
+
+    def test_the_writer_set_admits_a_writer_registered_by_its_text(self, operator, clock):
+        outsider = seeded_keypair(b"outsider")
+        for did_of in (derive_did, lambda key: str(derive_did(key))):
+            doc = make_did_document(operator, created_at=clock.tick())
+            doc = replace(doc, did=did_of(operator.public_key))
+            ledger = Ledger.genesis([doc], clock=clock)
+            assert derive_did(operator.public_key) in ledger.writer_set
+            ledger.append_block([RegisterDid(make_did_document(outsider))], operator)
+            assert len(ledger.blocks) == 2
+            with pytest.raises(NotPermissioned):
+                ledger.append_block([RegisterDid(make_did_document(outsider))], outsider)
+
+    def test_the_bus_delivers_to_a_did_and_to_its_text(self, ledger, holder, clock):
+        bus = MessageBus()
+        agent = Agent(wallet_create(holder.private_key), ledger, bus=bus,
+                      rng=DeterministicRng(b"bus".ljust(32, b"\x00")), clock=clock)
+        envelope = encrypt_for(key_agreement_public(holder.private_key), holder.private_key,
+                               b"m")
+        bus.deliver(agent.did, envelope)
+        bus.deliver(str(agent.did), envelope)
+        assert list(agent.inbox) == [envelope, envelope]
+
+    def test_a_keypair_holds_two_keys_and_derives_its_key_id(self, holder):
+        assert [field.name for field in fields(KeyPair)] == ["public_key", "private_key"]
+        assert holder.key_id == key_fingerprint(holder.public_key)
+        assert KeyPair(holder.public_key, holder.private_key) == holder
+
+    def test_a_wallet_whose_key_id_disagrees_with_its_key_is_refused(self):
+        obj = json.loads(wallet_save(wallet_create(b"\x3a" * 32)))
+        obj["key_id"] = "00" * KEY_ID_LEN
+        with pytest.raises(KeyMismatch, match="^stored key id does not match the public key$"):
+            wallet_load(canonical_json_bytes(obj))
 
 
 class TestSignatures:
@@ -617,6 +691,42 @@ class TestOneNameHome:
         assert borrowed == []
 
 
+class TestOneDidForm:
+    """A DID is its text, so the package never turns one into text: no str() of a name or
+    attribute called did or ending in _did, and none of a derive_did call."""
+
+    @staticmethod
+    def texts_of_dids(src: Path) -> list:
+        """module.py:line of every str() in src whose one argument looks like a DID."""
+        def name(node) -> str:
+            return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+        def is_did(arg) -> bool:
+            if isinstance(arg, ast.Call):
+                return name(arg.func) == "derive_did"
+            return name(arg) == "did" or name(arg).endswith("_did")
+
+        return [f"{path.name}:{node.lineno}"
+                for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and name(node.func) == "str"
+                and len(node.args) == 1 and not node.keywords and is_did(node.args[0])]
+
+    def test_no_str_of_a_did(self):
+        assert self.texts_of_dids(TestOneForkPath.SRC) == []
+
+    def test_the_guard_sees_each_form(self, tmp_path):
+        (tmp_path / "m.py").write_text(
+            "str(did)\nstr(doc.did)\nstr(self.writer_did)\nstr(derive_did(key))\n"
+            "str(identity.derive_did(key))\nstr(name)\nstr(doc.did_count)\n"
+            "str(derive_dids(key))\nstr(did, 'utf-8')\n")
+        assert self.texts_of_dids(tmp_path) == [f"m.py:{line}" for line in range(1, 6)]
+
+    def test_only_derive_did_builds_a_did_by_name(self):
+        # Did.parse builds the other kind, as cls(text)
+        assert TestOneForkPath.calls({"Did"}) == [("identity", "_did_of", "Did")]
+
+
 class TestOneRuleHome:
     """The registry rule errors belong to the ledger: its kinds' rule()s are their one check."""
 
@@ -929,8 +1039,8 @@ class TestKeyMemo:
             public = fresh.public_key().public_bytes_raw()
             assert generate_keypair(key).public_key == public
             assert sign(key, message) == fresh.sign(message)
-            assert derive_did(bytearray(public) if as_bytearray else public) == Did(
-                DID_METHOD, b58encode(hashlib.sha256(public).digest()))
+            assert derive_did(bytearray(public) if as_bytearray else public) == \
+                f"did:{DID_METHOD}:{b58encode(hashlib.sha256(public).digest())}"
             assert key_agreement_public(key) == _fresh_key_agreement_public(seed)
             if previous is not None:
                 envelope = encrypt_for(_fresh_key_agreement_public(previous), key, message)
