@@ -94,11 +94,11 @@ class Agent:
 
     def open_envelope(self, envelope: Envelope) -> dict:
         """Decrypt and parse a message addressed to this agent."""
-        sender_did = self.ledger_view.find_did_by_key_agreement(envelope.sender_key_id,
-                                                                reader_did=self.did)
+        registry = self.ledger_view.registry(self.did)
+        sender_did = registry.key_agreement_did(envelope.sender_key_id)
         if sender_did is None:
             raise UnknownDid(f"no registered DID owns key {envelope.sender_key_id}")
-        sender_doc = self.ledger_view.resolve_did(sender_did, reader_did=self.did)
+        sender_doc = registry.document(sender_did)  # it carries the key, so it is there
         plaintext = decrypt(self.wallet.keypair.private_key, sender_doc.key_agreement_key,
                             envelope)
         obj = load_json(plaintext)
@@ -160,9 +160,8 @@ class Agent:
         if self.clock.now() - challenge.issued_at > CHALLENGE_TTL_TICKS:
             del self._outstanding[response.nonce]
             raise StaleChallenge("challenge expired")
-        ok = signed_by(self.ledger_view, response.subject_did,
-                       auth_signing_payload(challenge.nonce, self.did), response.signature,
-                       self.did)
+        ok = signed_by(self.ledger_view.registry(self.did), response.subject_did,
+                       auth_signing_payload(challenge.nonce, self.did), response.signature)
         if ok:
             del self._outstanding[response.nonce]
         return ok

@@ -3,10 +3,12 @@
 Issuance anchors only the commitment root - attribute plaintext never
 touches the ledger. Verification resolves everything it trusts (issuer
 key, holder key, schema, anchor, status) from the ledger rather than
-from the presentation itself.
+from the presentation itself: each verifier takes the registry state once,
+through Ledger.registry and its one access check, and reads it directly.
 
 Credentials and presentations ("claims") share each registry check:
-_schema_known, _issuer_signed and signed_by. An agent thus stores a
+_schema_known, _issuer_signed and signed_by, which take that registry
+state and answer False for what it does not hold. An agent thus stores a
 credential only if a full disclosure of it passes the presentation checks.
 """
 
@@ -23,7 +25,7 @@ from .credentials import (
     revealed_proofs_ok,
     revealed_set_hash,
 )
-from .errors import NotSchemaOwner, UnknownDid, UnknownSchema
+from .errors import NotSchemaOwner
 from .identity import KeyPair, derive_did, sign
 from .ledger import (
     AnchorCredential,
@@ -31,6 +33,7 @@ from .ledger import (
     CredentialStatus,
     DefineSchema,
     Ledger,
+    RegistryState,
     Revoke,
     make_schema,
 )
@@ -44,32 +47,27 @@ def _signed(issuer: KeyPair, unsigned):
                    submitter_signature=sign(issuer.private_key, unsigned.signing_payload()))
 
 
-def signed_by(ledger: Ledger, did, payload: bytes, signature: bytes, reader_did) -> bool:
-    """True iff the DID resolves on the ledger and its key verifies the signature."""
-    try:
-        doc = ledger.resolve_did(did, reader_did=reader_did)
-    except UnknownDid:
-        return False
-    return verify(doc.verification_key, payload, signature)
+def signed_by(registry: RegistryState, did, payload: bytes, signature: bytes) -> bool:
+    """True iff the DID resolves in the registry and its key verifies the signature."""
+    doc = registry.document(did)
+    return doc is not None and verify(doc.verification_key, payload, signature)
 
 
-def _schema_known(ledger: Ledger, claim, names_fit, reader_did) -> bool:
+def _schema_known(registry: RegistryState, claim, names_fit) -> bool:
     """True iff the claim's schema is defined, its issuer owns it and names_fit its names."""
-    try:
-        schema = ledger.lookup_schema(claim.schema_id, reader_did=reader_did)
-    except UnknownSchema:
-        return False
-    return schema.issuer_did == claim.issuer_did and names_fit(schema.attribute_names)
+    schema = registry.schema(claim.schema_id)
+    return (schema is not None and schema.issuer_did == claim.issuer_did
+            and names_fit(schema.attribute_names))
 
 
-def _issuer_signed(ledger: Ledger, claim, anchor, reader_did) -> bool:
+def _issuer_signed(registry: RegistryState, claim, anchor) -> bool:
     """True iff the claim's issuer made the anchor and signed the root it anchors."""
     return anchor is not None and anchor.issuer_did == claim.issuer_did and signed_by(
-        ledger, claim.issuer_did,
+        registry, claim.issuer_did,
         credential_signing_payload(claim.credential_id, claim.schema_id, claim.issuer_did,
                                    claim.holder_did, anchor.commitment_root,
                                    claim.issuance_time),
-        claim.issuer_signature, reader_did,
+        claim.issuer_signature,
     )
 
 
@@ -108,19 +106,20 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
                         expected_challenge: bytes, reader_did=None) -> VerificationReport:
     """Check a presentation against the registry; failures land in the report."""
     p = presentation
-    anchor, status = ledger.credential_record(p.credential_id, reader_did=reader_did)
+    registry = ledger.registry(reader_did)
+    anchor, status = registry.credential(p.credential_id)
     revealed_names = {r.name for r in p.revealed}
     holder_payload = presentation_signing_payload(
         p.credential_id, revealed_set_hash(p.revealed), expected_challenge)
     return VerificationReport(checks=(
-        ("schema_known", _schema_known(ledger, p, revealed_names.issubset, reader_did)),
+        ("schema_known", _schema_known(registry, p, revealed_names.issubset)),
         ("status_active", status is CredentialStatus.ACTIVE),
-        ("issuer_signature", _issuer_signed(ledger, p, anchor, reader_did)),
+        ("issuer_signature", _issuer_signed(registry, p, anchor)),
         ("merkle_proofs",
          anchor is not None and revealed_proofs_ok(p, anchor.commitment_root)),
         ("challenge_match", p.challenge == expected_challenge),
         ("holder_signature",
-         signed_by(ledger, p.holder_did, holder_payload, p.holder_signature, reader_did)),
+         signed_by(registry, p.holder_did, holder_payload, p.holder_signature)),
     ))
 
 
@@ -129,12 +128,13 @@ def verify_credential(ledger: Ledger, credential: Credential,
     """A full disclosure's registry checks; commitment_root stands for its Merkle proofs."""
     c = credential
     names = tuple(n for n, _ in c.attributes)
-    anchor, status = ledger.credential_record(c.credential_id, reader_did=reader_did)
+    registry = ledger.registry(reader_did)
+    anchor, status = registry.credential(c.credential_id)
     return VerificationReport(checks=(
-        ("schema_known", _schema_known(ledger, c, lambda fit: fit == names, reader_did)),
+        ("schema_known", _schema_known(registry, c, lambda fit: fit == names)),
         ("commitment_root", credential_commitments_ok(c)
          and anchor is not None and anchor.commitment_root == c.commitment_root
-         and _issuer_signed(ledger, c, anchor, reader_did)),
+         and _issuer_signed(registry, c, anchor)),
         ("status_active", status is CredentialStatus.ACTIVE),
     ))
 
@@ -155,5 +155,5 @@ def tamper_check(credential: Credential, ledger: Ledger, reader_did=None) -> boo
     """True iff commitments recompute and the issuer signature verifies."""
     if not credential_commitments_ok(credential):
         return False
-    return signed_by(ledger, credential.issuer_did, credential.signing_payload(),
-                     credential.issuer_signature, reader_did)
+    return signed_by(ledger.registry(reader_did), credential.issuer_did,
+                     credential.signing_payload(), credential.issuer_signature)

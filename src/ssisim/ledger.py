@@ -756,36 +756,28 @@ class Ledger:
     # -- reads (public in public-permissioned mode)
 
     def resolve_did(self, did: Did, reader_did: Did | None = None) -> DidDocument:
-        doc = self._readable(reader_did).document(did)
+        doc = self.registry(reader_did).document(did)
         if doc is None:
             raise UnknownDid(f"{did} is not registered")
         return doc
 
     def lookup_schema(self, schema_id: bytes, reader_did: Did | None = None) -> CredentialSchema:
-        schema = self._readable(reader_did).schema(schema_id)
+        schema = self.registry(reader_did).schema(schema_id)
         if schema is None:
             raise UnknownSchema(f"schema {schema_id.hex()} is not defined")
         return schema
 
-    def credential_record(self, credential_id: bytes, reader_did: Did | None = None
-                          ) -> tuple[AnchorCredential | None, CredentialStatus]:
-        """The credential's winning anchor, or None, and its status, in one read."""
-        return self._readable(reader_did).credential(credential_id)
-
     def credential_status(self, credential_id: bytes,
                           reader_did: Did | None = None) -> CredentialStatus:
-        return self.credential_record(credential_id, reader_did)[1]
+        return self.registry(reader_did).credential(credential_id)[1]
 
     def credential_anchor(self, credential_id: bytes,
                           reader_did: Did | None = None) -> AnchorCredential | None:
-        return self.credential_record(credential_id, reader_did)[0]
+        return self.registry(reader_did).credential(credential_id)[0]
 
-    def find_did_by_key_agreement(self, fingerprint: str,
-                                  reader_did: Did | None = None) -> Did | None:
-        return self._readable(reader_did).key_agreement_did(fingerprint)
-
-    def _readable(self, reader_did: Did | None) -> RegistryState:
-        """The indexed registry state, once the reader may read it."""
+    def registry(self, reader_did: Did | None = None) -> RegistryState:
+        """The indexed registry state, once the reader may read it: a request takes it
+        once and reads it directly, and its reads answer None for what is not there."""
         if self.mode is LedgerMode.PRIVATE_PERMISSIONED:
             if reader_did not in self.writer_set:
                 raise NotPermissioned("private-permissioned ledger: reads require writer membership")

@@ -64,7 +64,7 @@ def _chunk_count(items: int) -> int:
 
 
 # The bytes of a split's page that are not answers: a slot no one has answered
-# yet, and the first slot of a bite the join has taken (where the helper stops).
+# yet, and each slot of a bite the join has taken (where the helper stops).
 _UNANSWERED, _TAKEN = b"\xff", b"\xfe"
 
 
@@ -175,7 +175,7 @@ class Split:
         while (at := page.find(_UNANSWERED, start, end)) >= 0 and _failed(pid) is None:
             bite = max(1, (end - at) // 2)
             end -= bite
-            page[end:end + 1] = _TAKEN
+            page[end:end + bite] = _TAKEN * bite
             bites = self._run(items, end, end + bite) + bites
         got = page[start:end].rstrip(_UNANSWERED)
         if _failed(pid) or not set(got) <= {0, 1}:

@@ -26,12 +26,14 @@ import ssisim.agents
 import ssisim.engine
 import ssisim.identity
 import ssisim.verdicts
-from ssisim.agents import Agent, MessageBus
+from ssisim.agents import Agent, AuthChallenge, MessageBus
 from ssisim.credentials import create_presentation
 from ssisim.engine import (
     define_schema,
     issue_credential,
     revoke_credential,
+    tamper_check,
+    verify_credential,
     verify_presentation,
 )
 from ssisim.errors import (
@@ -57,9 +59,9 @@ from ssisim.identity import (
     make_did_document,
     sign,
 )
-from ssisim.ledger import Ledger, RegisterDid
+from ssisim.ledger import Ledger, LedgerMode, RegisterDid
 from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
-from ssisim.runtime import DeterministicRng
+from ssisim.runtime import DeterministicRng, LogicalClock
 from ssisim.scenarios import HealthcareConfig, run_scenario
 from ssisim.serialization import b58encode, canonical_json_bytes
 from ssisim.verdicts import split_each, start_split, verify, verify_each
@@ -426,6 +428,21 @@ class TestStartSplit:
         assert start_split(work, items).join(items) == parity(items)
         assert bites == [150, 75, 37, 19, 9, 5, 2, 1, 1, 1]
         assert len(two_cpus) == 1
+
+    def test_join_marks_every_item_of_a_bite_taken(self, two_cpus):
+        parent, items, marks = os.getpid(), list(range(300)), []
+
+        def work(chunk):  # the helper answers nothing; this process reads its bite's slots
+            if os.getpid() != parent:
+                time.sleep(60)
+            marks.append(split._page[chunk[0]:chunk[-1] + 1])
+            return parity(chunk)
+
+        split = start_split(work, items)
+        assert split.join(items) == parity(items)
+        # every slot of each bite is marked, so a helper inside its first item stops after it
+        assert [mark.count(ssisim.verdicts._TAKEN) for mark in marks] == [
+            150, 75, 37, 19, 9, 5, 2, 1, 1, 1]
 
     def test_a_resumed_helper_answers_nothing_inside_a_bite_taken_before(self, two_cpus,
                                                                           tmp_path):
@@ -880,7 +897,8 @@ class TestNoUnreachableCode:
 
 
 class TestOneCredentialRead:
-    """The package reads a credential's anchor and status together, via credential_record."""
+    """The package reads a credential's anchor and status together, via
+    RegistryState.credential; the two projections are only for the benchmark."""
 
     def test_no_module_but_the_ledger_calls_the_projections(self):
         calls = TestOneForkPath.calls({"credential_anchor", "credential_status"})
@@ -896,7 +914,7 @@ class TestOneVerifier:
                 if module == "engine"]
 
     def test_only_schema_known_looks_up_a_schema(self):
-        assert self.engine_callers("lookup_schema") == ["_schema_known"]
+        assert self.engine_callers("schema") == ["_schema_known"]
 
     def test_only_issuer_signed_builds_the_issuer_payload(self):
         assert self.engine_callers("credential_signing_payload") == ["_issuer_signed"]
@@ -910,6 +928,85 @@ class TestOneVerifier:
                     for alias in node.names}
         assert "verify" not in imported
         assert ("agents", "did_auth_check", "signed_by") in TestOneForkPath.calls({"signed_by"})
+
+    def test_no_check_turns_a_missing_did_or_schema_error_into_a_verdict(self):
+        # the registry answers None for what it does not hold; nothing catches the
+        # errors that resolve_did and lookup_schema raise for their callers
+        caught = []
+        for path in sorted(TestOneForkPath.SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    names = {getattr(name, "id", getattr(name, "attr", None))
+                             for name in ast.walk(node.type)}
+                    caught += [f"{path.stem}.py:{node.lineno}: {name}"
+                               for name in sorted(names & {"UnknownDid", "UnknownSchema"})]
+        assert caught == []
+
+
+class TestOneRegistryRead:
+    """Each request that reads the registry takes it once, by Ledger.registry, and reads it
+    directly; on a private-permissioned ledger that one access check refuses a reader
+    outside the writer set, before any read."""
+
+    REFUSAL = "private-permissioned ledger: reads require writer membership"
+
+    @staticmethod
+    def requests(mode) -> dict:
+        """name -> one of the five reading requests, each read by bob, on a ledger whose
+        writers are the operator, the issuer and alice; bob registers after genesis, so
+        bob's DID is outside the writer set."""
+        clock, rng = LogicalClock(0), DeterministicRng(b"one-read".ljust(32, b"\x00"))
+        operator, issuer, alice_key, bob_key = (
+            seeded_keypair(tag) for tag in (b"operator", b"issuer", b"alice", b"bob"))
+        led = Ledger.genesis([make_did_document(key, created_at=clock.tick())
+                              for key in (operator, issuer, alice_key)], mode=mode, clock=clock)
+        led.attach_writer(operator)
+        led.submit([RegisterDid(make_did_document(bob_key, created_at=clock.tick()))])
+        bus = MessageBus()
+        alice, bob = (Agent(wallet_create(key.private_key), led, bus, rng, clock)
+                      for key in (alice_key, bob_key))
+        schema = define_schema(issuer, "Badge", 1, ["level", "since"], led)
+        credential = issue_credential(issuer, alice.did, schema,
+                                      {"level": "3", "since": "2020"}, led, rng=rng)
+        presentation = create_presentation(credential, ["level"], b"\x09" * 32, alice_key)
+        envelope = alice.send_message(bob.did, "note", {"n": 1})
+        # planted, since a reader outside the writer set cannot issue a challenge
+        challenge = AuthChallenge(verifier_did=bob.did, subject_did=alice.did,
+                                  nonce=b"\x0a" * 32, issued_at=clock.now())
+        bob._outstanding[challenge.nonce] = challenge
+        response = alice.did_auth_respond(challenge)
+        return {
+            "verify_presentation": lambda: verify_presentation(
+                led, presentation, b"\x09" * 32, reader_did=bob.did).accepted,
+            "verify_credential": lambda: verify_credential(
+                led, credential, reader_did=bob.did).accepted,
+            "tamper_check": lambda: tamper_check(credential, led, reader_did=bob.did),
+            "open_envelope": lambda: bob.open_envelope(envelope) == {"kind": "note",
+                                                                     "body": {"n": 1}},
+            "did_auth_check": lambda: bob.did_auth_check(response),
+        }
+
+    def test_each_request_takes_the_registry_once(self, monkeypatch):
+        requests, taken = self.requests(LedgerMode.PUBLIC_PERMISSIONED), []
+        real = Ledger.registry
+
+        def registry(self, reader_did=None):
+            taken.append(reader_did)
+            return real(self, reader_did)
+
+        monkeypatch.setattr(Ledger, "registry", registry)
+        for name, request in requests.items():
+            taken.clear()
+            assert request() is True, name
+            assert len(taken) == 1, name
+
+    @pytest.mark.parametrize("name", ["verify_presentation", "verify_credential",
+                                      "tamper_check", "open_envelope", "did_auth_check"])
+    def test_a_reader_outside_the_writer_set_is_refused(self, name):
+        request = self.requests(LedgerMode.PRIVATE_PERMISSIONED)[name]
+        with pytest.raises(NotPermissioned) as excinfo:
+            request()
+        assert str(excinfo.value) == self.REFUSAL
 
 
 class TestEnvelopes:

@@ -549,7 +549,7 @@ class TestParallelBatchCheck:
                 documents.append(led.resolve_did(derive_did(key.public_key)))
             except UnknownDid:
                 documents.append(None)
-        owners = [led.find_did_by_key_agreement(
+        owners = [led.registry().key_agreement_did(
             key_fingerprint(key_agreement_public(key.private_key))) for key in keys]
         return (list(led.blocks), led._state.size, documents, owners,
                 [led.credential_status(tx.credential_id) for tx in batch],
@@ -929,12 +929,12 @@ class TestKeyAgreementIndex:
 
         issuer_did = derive_did(issuer.public_key)
         fingerprint = key_fingerprint(key_agreement_public(issuer.private_key))
-        assert ledger.find_did_by_key_agreement(fingerprint) == issuer_did
+        assert ledger.registry().key_agreement_did(fingerprint) == issuer_did
         # latest-wins update keeps the same keys, so the index still resolves
         ledger.submit([RegisterDid(make_did_document(
             issuer, (("agent", "https://moved.example"),), created_at=clock.tick()))])
-        assert ledger.find_did_by_key_agreement(fingerprint) == issuer_did
-        assert ledger.find_did_by_key_agreement("00" * 8) is None
+        assert ledger.registry().key_agreement_did(fingerprint) == issuer_did
+        assert ledger.registry().key_agreement_did("00" * 8) is None
 
 
 def replay_registry(ledger):
@@ -1138,13 +1138,13 @@ class TestAdversarialOracle:
             expected = (CredentialStatus.REVOKED if cid in revoked
                         else CredentialStatus.ACTIVE if cid in anchors
                         else CredentialStatus.UNKNOWN)
-            assert led.credential_record(cid) == (anchors.get(cid), expected)
+            assert led.registry().credential(cid) == (anchors.get(cid), expected)
             assert led.credential_anchor(cid) == anchors.get(cid)
             assert led.credential_status(cid) is expected
         index = replay_key_agreement(led)
         for fingerprint in fingerprints:
             expected = index.get(fingerprint)
-            found = led.find_did_by_key_agreement(fingerprint)
+            found = led.registry().key_agreement_did(fingerprint)
             assert (str(found) if found else None) == expected
 
     def test_reads_agree_with_replay_on_unchecked_blocks(self):
@@ -1297,19 +1297,19 @@ class TestVerificationCounts:
         from ssisim.ledger import RegistryState
 
         monkeypatch.setattr(ssisim.engine, "verify", identity.verify)  # the counting one
-        reads, records = [], []  # RegistryState.credential and Ledger.credential_record calls
+        reads, records = [], []  # RegistryState.credential and Ledger.registry calls
 
         def counting(cls, method, log):
             real = getattr(cls, method)
 
-            def counted(self, credential_id, *args, **kw):
-                log.append(credential_id)
-                return real(self, credential_id, *args, **kw)
+            def counted(self, *args, **kw):
+                log.append(args[0] if args else None)
+                return real(self, *args, **kw)
 
             monkeypatch.setattr(cls, method, counted)
 
         counting(RegistryState, "credential", reads)
-        counting(Ledger, "credential_record", records)
+        counting(Ledger, "registry", records)
         schema = define_schema(issuer, "Badge", 1, ["level", "since"], ledger)
         credential = issue_credential(issuer, derive_did(holder.public_key), schema,
                                       {"level": "3", "since": "2020"}, ledger, rng=rng)
@@ -1331,8 +1331,10 @@ class TestVerificationCounts:
             records.clear()
             assert check(led)
             assert reads == [credential.credential_id]
-            # a revoke reads the credential only in Revoke.rule, on append
-            assert records == ([] if name == "revoke_credential" else reads)
+            # Each takes the registry once: a verifier as its reader, and a revoke to
+            # resolve its issuer, since it reads the credential only in Revoke.rule, on append
+            assert records == ([derive_did(issuer.public_key)] if name == "revoke_credential"
+                               else [None])
             counts[name] = len(verifications)
         # Nothing is memoized on a fresh load. Each check verifies the issuer's
         # registration and the anchor. A presentation adds the schema, the issuer and
@@ -1370,12 +1372,12 @@ class TestVerificationCounts:
         led = Ledger.from_bytes(led.to_bytes())  # every registration unchecked
         verifications.clear()
         # a fingerprint nobody carries has no candidate to check
-        assert led.find_did_by_key_agreement("00" * 8) is None
+        assert led.registry().key_agreement_did("00" * 8) is None
         assert verifications == []
         # one that is carried checks the one registration carrying it
         holder = holders[7]
         fingerprint = key_fingerprint(key_agreement_public(holder.private_key))
-        assert led.find_did_by_key_agreement(fingerprint) == derive_did(holder.public_key)
+        assert led.registry().key_agreement_did(fingerprint) == derive_did(holder.public_key)
         assert [args[0] for args in verifications] == [holder.public_key]
 
     def test_submit_costs_the_same_on_any_length_and_copies_no_state(self, verifications,

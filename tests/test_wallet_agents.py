@@ -172,7 +172,7 @@ class TestEnvelopeExchange:
             carol.private_key, doc.signing_payload())))])
         env = agents["alice"].send_message(agents["bob"].did, "note", {"n": 1})
         assert agents["bob"].open_envelope(env)["body"] == {"n": 1}
-        assert led.find_did_by_key_agreement(env.sender_key_id) == agents["alice"].did
+        assert led.registry().key_agreement_did(env.sender_key_id) == agents["alice"].did
         led.submit([RegisterDid(make_did_document(carol, created_at=led.clock.tick()))])
         env = agents["alice"].send_message(agents["bob"].did, "note", {"n": 2})
         assert agents["bob"].open_envelope(env)["body"] == {"n": 2}
