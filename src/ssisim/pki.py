@@ -7,8 +7,11 @@ writer key buys through appends (nothing, because registrations
 self-certify). Appends are all the harness tries. The same key can re-seal
 the chain's history, leaving a revoke out, and anyone can truncate a ledger
 file; both still load until a verified head is pinned (ROADMAP item 3).
+Both runs forge under one attacker key pair: the CA run binds every forged
+certificate to it, the ledger run signs every forged document with it.
 The CA run splits each window of forgeries over the CPUs once: each chunk
-forges its certificates and checks them, and answers one validity byte each.
+forges its certificates (one signature each) and checks them, and answers
+one validity byte each.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -241,35 +244,39 @@ def _run_ca_compromise(config: CompromiseConfig) -> CompromiseReport:
 
     Forged certificates follow the normal wire shape, and since the CA
     maintains the VA database, the attacker's issuance also plants the
-    serial there. For each window, this process draws every forgery's seed
-    and serial and plants its VA entry; then the window is split over the
-    CPUs once, and each chunk forges its certificates (one key build and one
-    signature each) and checks them with verify_certificates, in the chunk's
-    process. No forging or check draws from the rng or moves the clock, so
-    the report and every certificate are those of forging and checking each
-    forgery in turn.
+    serial there. One attacker key pair, drawn right after the hierarchy as
+    the ledger run draws its attacker, is the subject key of every forged
+    certificate: whoever holds a CA key can bind any name to a key they
+    hold. For each window, this process draws every forgery's serial and
+    plants its VA entry; then the window is split over the CPUs once, and
+    each chunk forges its certificates (one signature each) and checks them
+    with verify_certificates, in the chunk's process. No forging or check
+    draws from the rng or moves the clock, so the report and every
+    certificate are those of forging and checking each forgery in turn.
     """
     rng = DeterministicRng(config.seed)
     clock = LogicalClock(0)
     hierarchy = build_hierarchy(rng=rng, clock=clock)
     stolen = hierarchy.subordinate
+    attacker = generate_keypair(rng.randbytes(32))
     now = clock.now()
 
     def forge_and_check(orders) -> bytes:
-        """1 for each (subject name, seed, serial) whose forged certificate is valid, else 0."""
+        """1 for each (subject name, serial) whose forged certificate is valid, else 0."""
         forged = [issue_signed_certificate(
             stolen.name, stolen.keypair, serial=serial, subject_name=subject_name,
-            subject_public_key=generate_keypair(seed).public_key,
+            subject_public_key=attacker.public_key,
             not_before=now, not_after=now + CERT_LIFETIME_TICKS,
-        ) for subject_name, seed, serial in orders]
+        ) for subject_name, serial in orders]
         return bytes(v.ok for v in verify_certificates(hierarchy, forged, clock))
 
     accepted = 0
     for start in range(0, config.forgeries, _CHECK_WINDOW):
         orders = []
         for i in range(start, min(start + _CHECK_WINDOW, config.forgeries)):
-            orders.append((f"forged-subject-{i}", rng.randbytes(32), hierarchy.next_serial()))
-            hierarchy.va[orders[-1][2]] = CertStatus.VALID
+            serial = hierarchy.next_serial()
+            hierarchy.va[serial] = CertStatus.VALID
+            orders.append((f"forged-subject-{i}", serial))
         accepted += sum(split_each(forge_and_check, orders))
     return CompromiseReport(
         scenario="ca-compromise",

@@ -629,6 +629,10 @@ class TestScenarioCommands:
         (("--scenario", "ca", "--forgeries", "20"),
          '{"scenario":"ca-compromise","forged_accepted":20,"forged_rejected":0,'
          '"total_forgeries":20}\n'),
+        # the benchmark's size, which forks a helper on more than one CPU
+        (("--scenario", "ca", "--forgeries", "1000"),
+         '{"scenario":"ca-compromise","forged_accepted":1000,"forged_rejected":0,'
+         '"total_forgeries":1000}\n'),
         (("--scenario", "ledger", "--writers", "3", "--compromised", "1", "--forgeries", "20"),
          '{"scenario":"ledger-writer-compromise","forged_accepted":0,"forged_rejected":20,'
          '"total_forgeries":20,"writers":3,"compromised":1}\n'),

@@ -1341,18 +1341,20 @@ class TestKeyBuildCounts:
         assert len(x25519) == 4
         assert set(x25519.values()) == {1}
 
-    def test_ca_compromise_builds_the_stolen_key_once(self, builds, monkeypatch):
+    @pytest.mark.parametrize("forgeries", [10, 1000])
+    def test_ca_compromise_builds_the_stolen_key_once(self, builds, monkeypatch, forgeries):
         # A forked helper would forge half the certificates where these counts cannot see it.
         monkeypatch.delattr(os, "fork")
-        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=1000))
-        assert report.forged_accepted == 1000
-        # the same hierarchy again, from keys the run left in the memo
-        stolen = build_hierarchy(rng=DeterministicRng(CompromiseConfig.seed)).subordinate
-        ed25519 = builds["Ed25519PrivateKey"]
-        assert ed25519[stolen.keypair.private_key] == 1
-        # the root, the subordinate and one key per forged subject, each built once
-        assert len(ed25519) == 1002
-        assert set(ed25519.values()) == {1}
+        report = run_compromise_experiment(CompromiseConfig(scenario="ca", forgeries=forgeries))
+        assert report.forged_accepted == forgeries
+        # the same hierarchy and attacker again, from keys the run left in the memo
+        rng = DeterministicRng(CompromiseConfig.seed)
+        hierarchy = build_hierarchy(rng=rng)
+        attacker = generate_keypair(rng.randbytes(32))
+        # the root, the subordinate and the attacker, each built once, however many forgeries
+        assert builds["Ed25519PrivateKey"] == {hierarchy.root.keypair.private_key: 1,
+                                               hierarchy.subordinate.keypair.private_key: 1,
+                                               attacker.private_key: 1}
 
     def test_ca_compromise_checks_the_stolen_keys_certificate_once(self, builds, monkeypatch):
         # A forked helper would check half the forgeries where these counts cannot see it.

@@ -392,12 +392,13 @@ class TestSplitCompromiseRun:
 
     @staticmethod
     def forged_in_turn(forgeries):
-        """The run's forged certificates, each forged as its seed and serial are drawn."""
+        """The run's forged certificates, each forged as its serial is drawn, all bound to
+        the one attacker key drawn after the hierarchy."""
         rng = DeterministicRng(CompromiseConfig.seed)
         hierarchy = build_hierarchy(rng=rng)
+        mallory = generate_keypair(rng.randbytes(32))
         stolen, forged = hierarchy.subordinate, []
         for i in range(forgeries):
-            mallory = generate_keypair(rng.randbytes(32))
             forged.append(issue_signed_certificate(
                 stolen.name, stolen.keypair, serial=hierarchy.next_serial(),
                 subject_name=f"forged-subject-{i}", subject_public_key=mallory.public_key,
