@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 
 from .errors import ParseError, SchemaMismatch, UnknownAttribute, WrongHolderKey
 from .identity import DID, SIGNATURE, Did, KeyPair, derive_did, sign
-from .merkle import PathStep, leaf_hash, merkle_path, merkle_root, verify_path
+from .merkle import PathStep, leaf_hash, merkle_paths, merkle_root, verify_path
 from .serialization import (
     HASH,
     INT,
     STR,
     Record,
     encode_parts,
+    encode_rows,
     hex_codec,
     list_codec,
     pairs_codec,
@@ -160,8 +161,17 @@ class RevealedAttribute(Record):
     )
 
 
+def encodings_set_hash(encodings) -> bytes:
+    """The revealed-set hash from each revealed attribute's encode_parts(name, value, salt).
+
+    That one encoding is also its commitment leaf's preimage, so neither side encodes twice.
+    """
+    return sha256(encode_rows(encodings, 3))
+
+
 def revealed_set_hash(revealed) -> bytes:
-    return sha256(encode_parts([(r.name, r.value, r.salt) for r in revealed]))
+    """sha256(encode_parts([(name, value, salt), ...])) of the revealed attributes."""
+    return encodings_set_hash([encode_parts(r.name, r.value, r.salt) for r in revealed])
 
 
 def presentation_signing_payload(credential_id: bytes, revealed_hash: bytes,
@@ -210,20 +220,16 @@ def create_presentation(credential: Credential, reveal, challenge: bytes,
     unknown = reveal - set(names)
     if unknown:
         raise UnknownAttribute(f"credential has no attribute(s) {sorted(unknown)}")
-    leaves = [commitment_leaf(n, v, s) for (n, v), s in zip(credential.attributes, credential.salts)]
-    revealed = tuple(
-        RevealedAttribute(
-            name=name,
-            value=credential.attributes[i][1],
-            salt=credential.salts[i],
-            merkle_path=merkle_path(leaves, i),
-        )
-        for i, name in enumerate(names)
-        if name in reveal
-    )
+    encodings = [encode_parts(n, v, s) for (n, v), s in zip(credential.attributes, credential.salts)]
+    shown = [i for i, name in enumerate(names) if name in reveal]
+    paths = merkle_paths([leaf_hash(e) for e in encodings], shown)
+    revealed = tuple(RevealedAttribute(name=names[i], value=credential.attributes[i][1],
+                                       salt=credential.salts[i], merkle_path=path)
+                     for i, path in zip(shown, paths))
     holder_signature = sign(
         holder.private_key,
-        presentation_signing_payload(credential.credential_id, revealed_set_hash(revealed),
+        presentation_signing_payload(credential.credential_id,
+                                     encodings_set_hash([encodings[i] for i in shown]),
                                      challenge),
     )
     return Presentation(
@@ -239,10 +245,10 @@ def create_presentation(credential: Credential, reveal, challenge: bytes,
     )
 
 
-def revealed_proofs_ok(presentation: Presentation, root: bytes) -> bool:
-    """Every revealed attribute must authenticate against the anchored root."""
-    for r in presentation.revealed:
-        if not verify_path(commitment_leaf(r.name, r.value, r.salt), r.merkle_path, root):
+def revealed_proofs_ok(presentation: Presentation, encodings, root: bytes) -> bool:
+    """Every revealed attribute, given as its encoding, must authenticate against the root."""
+    for r, encoding in zip(presentation.revealed, encodings, strict=True):
+        if not verify_path(leaf_hash(encoding), r.merkle_path, root):
             return False
     return True
 

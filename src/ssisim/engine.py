@@ -21,9 +21,9 @@ from .credentials import (
     build_credential,
     credential_commitments_ok,
     credential_signing_payload,
+    encodings_set_hash,
     presentation_signing_payload,
     revealed_proofs_ok,
-    revealed_set_hash,
 )
 from .errors import NotSchemaOwner
 from .identity import KeyPair, derive_did, sign
@@ -38,6 +38,7 @@ from .ledger import (
     make_schema,
 )
 from .runtime import SystemRng
+from .serialization import encode_parts
 from .verdicts import verify
 
 
@@ -109,14 +110,15 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
     registry = ledger.registry(reader_did)
     anchor, status = registry.credential(p.credential_id)
     revealed_names = {r.name for r in p.revealed}
+    encodings = [encode_parts(r.name, r.value, r.salt) for r in p.revealed]
     holder_payload = presentation_signing_payload(
-        p.credential_id, revealed_set_hash(p.revealed), expected_challenge)
+        p.credential_id, encodings_set_hash(encodings), expected_challenge)
     return VerificationReport(checks=(
         ("schema_known", _schema_known(registry, p, revealed_names.issubset)),
         ("status_active", status is CredentialStatus.ACTIVE),
         ("issuer_signature", _issuer_signed(registry, p, anchor)),
         ("merkle_proofs",
-         anchor is not None and revealed_proofs_ok(p, anchor.commitment_root)),
+         anchor is not None and revealed_proofs_ok(p, encodings, anchor.commitment_root)),
         ("challenge_match", p.challenge == expected_challenge),
         ("holder_signature",
          signed_by(registry, p.holder_did, holder_payload, p.holder_signature)),

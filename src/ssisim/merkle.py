@@ -2,23 +2,22 @@
 
 Leaf and interior hashes are domain-separated (0x00 / 0x01 prefixes) and
 leaf counts are padded to the next power of two with a fixed padding
-leaf, so every proof has an unambiguous shape.
+leaf, so every proof has an unambiguous shape. The prefixes are written
+only here; interior nodes are hashed inline, one hashlib call per node.
 """
 
 from dataclasses import dataclass
+from hashlib import sha256
 
 from .errors import ParseError
-from .serialization import Record, expect_str, hex_codec, sha256
+from .serialization import Record, expect_str, hex_codec
 
-PADDING_LEAF = sha256(b"\x02ssisim/merkle/padding/v1")
+_LEAF, _NODE = b"\x00", b"\x01"
+PADDING_LEAF = sha256(b"\x02ssisim/merkle/padding/v1").digest()
 
 
 def leaf_hash(data: bytes) -> bytes:
-    return sha256(b"\x00" + data)
-
-
-def node_hash(left: bytes, right: bytes) -> bytes:
-    return sha256(b"\x01" + left + right)
+    return sha256(_LEAF + data).digest()
 
 
 def _load_side(value, where: str) -> bool:
@@ -50,7 +49,8 @@ def _levels(leaves: list) -> list:
     levels = [_padded(leaves)]
     while len(levels[-1]) > 1:
         prev = levels[-1]
-        levels.append([node_hash(prev[i], prev[i + 1]) for i in range(0, len(prev), 2)])
+        levels.append([sha256(_NODE + prev[i] + prev[i + 1]).digest()
+                       for i in range(0, len(prev), 2)])
     return levels
 
 
@@ -60,24 +60,27 @@ def merkle_root(leaves: list) -> bytes:
     return _levels(leaves)[-1][0]
 
 
+def merkle_paths(leaves: list, indices) -> list:
+    """Authentication path for leaves[i], bottom-up, for each i in indices: one tree."""
+    for index in indices:
+        if not 0 <= index < len(leaves):
+            raise IndexError(f"leaf index {index} out of range")
+    below_root = _levels(leaves)[:-1] if indices else []  # a reveal of nothing needs no tree
+    return [tuple(PathStep(sibling=level[(index >> depth) ^ 1],
+                           sibling_on_left=bool(index >> depth & 1))
+                  for depth, level in enumerate(below_root)) for index in indices]
+
+
 def merkle_path(leaves: list, index: int) -> tuple:
     """Authentication path for leaves[index], bottom-up."""
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range")
-    path = []
-    pos = index
-    for level in _levels(leaves)[:-1]:
-        sibling_pos = pos - 1 if pos % 2 else pos + 1
-        path.append(PathStep(sibling=level[sibling_pos], sibling_on_left=sibling_pos < pos))
-        pos //= 2
-    return tuple(path)
+    return merkle_paths(leaves, (index,))[0]
 
 
 def verify_path(leaf: bytes, path, root: bytes) -> bool:
     current = leaf
     for step in path:
         if step.sibling_on_left:
-            current = node_hash(step.sibling, current)
+            current = sha256(_NODE + step.sibling + current).digest()
         else:
-            current = node_hash(current, step.sibling)
+            current = sha256(_NODE + current + step.sibling).digest()
     return current == root

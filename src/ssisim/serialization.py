@@ -55,6 +55,12 @@ def encode_parts(*parts) -> bytes:
     return b"".join(out)
 
 
+def encode_rows(encoded: list, width: int) -> bytes:
+    """encode_parts(rows) for a list of width-part rows, from each row's encode_parts(*row)."""
+    prefix = _U64(width)
+    return _U64(len(encoded)) + b"".join([prefix + row for row in encoded])
+
+
 def _encode_into(out: list, parts) -> None:
     """Append the encoding of each part to out: any str, then by exact type."""
     append = out.append

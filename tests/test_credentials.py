@@ -1,15 +1,24 @@
+import hashlib
 import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssisim.identity
+import ssisim.merkle
 import ssisim.serialization
 from ssisim.credentials import (
     Credential,
     Presentation,
+    RevealedAttribute,
     build_credential,
+    commitment_leaf,
     create_presentation,
+    encodings_set_hash,
+    revealed_proofs_ok,
+    revealed_set_hash,
 )
 from ssisim.engine import (
     define_schema,
@@ -43,7 +52,8 @@ from ssisim.ledger import (
     RegisterDid,
     make_schema,
 )
-from ssisim.serialization import canonical_json_bytes, load_json
+from ssisim.merkle import leaf_hash, merkle_path, merkle_root
+from ssisim.serialization import canonical_json_bytes, encode_parts, load_json
 
 from conftest import seeded_keypair
 
@@ -233,10 +243,50 @@ class TestPresentations:
                 assert salt.hex().encode() not in data
         assert verify_presentation(ledger, pres, b"\x02" * 32).accepted
 
+    def test_the_holder_encodes_each_attribute_once_and_builds_one_tree(
+            self, ledger, issuer, holder, rng, monkeypatch):
+        schema = define_schema(issuer, "AadhaarID", 1, AADHAAR_ATTRS, ledger)
+        credential = issue_credential(issuer, derive_did(holder.public_key), schema,
+                                      {name: name.upper() for name in AADHAAR_ATTRS},
+                                      ledger, rng=rng)
+        calls = count_calls(monkeypatch, ssisim.serialization.encode_parts,
+                            ssisim.merkle._levels)
+        pres = create_presentation(credential, ["name", "date_of_birth"], b"\x0c" * 32,
+                                   holder)
+        # one encoding per attribute, shared by its leaf and the revealed set, and the
+        # presentation payload
+        assert calls == {"encode_parts": len(AADHAAR_ATTRS) + 1, "_levels": 1}
+        assert verify_presentation(ledger, pres, b"\x0c" * 32).accepted
+
     def test_serialization_roundtrip(self, credential, holder):
         pres = create_presentation(credential, ["dob"], b"\x03" * 32, holder)
         again = Presentation.from_json_dict(pres.to_json_dict())
         assert again == pres
+
+
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+ATTRIBUTES = st.lists(st.tuples(TEXT, TEXT, st.binary(min_size=16, max_size=16)), max_size=9)
+
+
+class TestSharedEncodings:
+    """One encode_parts(name, value, salt) per attribute gives both of its hashes."""
+
+    @given(ATTRIBUTES)
+    @settings(max_examples=200)
+    def test_the_set_hash_and_leaves_are_those_of_the_plain_rule(self, attributes):
+        set_hash = hashlib.sha256(encode_parts(attributes)).digest()
+        encodings = [encode_parts(n, v, s) for n, v, s in attributes]
+        assert encodings_set_hash(encodings) == set_hash
+        revealed = [RevealedAttribute(n, v, s, ()) for n, v, s in attributes]
+        assert revealed_set_hash(revealed) == set_hash
+        leaves = [commitment_leaf(n, v, s) for n, v, s in attributes]
+        assert [leaf_hash(encoding) for encoding in encodings] == leaves
+        if leaves:
+            proven = tuple(replace(r, merkle_path=merkle_path(leaves, i))
+                           for i, r in enumerate(revealed))
+            # revealed_proofs_ok reads only the revealed attributes
+            presentation = Presentation(b"", b"", "", "", 0, proven, b"", b"", b"")
+            assert revealed_proofs_ok(presentation, encodings, merkle_root(leaves))
 
 
 class TestVerifyPresentation:
@@ -274,21 +324,24 @@ class TestVerifyPresentation:
         # mutations that parse reach every check, the two signature checks included
         assert failed_checks == {name for name, _ in report.checks}
 
+    @pytest.mark.parametrize("reveal", [["dob"], ["name", "dob"], list(PATIENT_VALUES)],
+                             ids=["one", "two", "all"])
     def test_a_warm_verify_encodes_each_payload_once(self, ledger, credential, holder,
-                                                      monkeypatch):
-        """Registry reads resolved, a fresh presentation costs 5 encodes and 2 verifies.
+                                                      monkeypatch, reveal):
+        """Registry reads resolved, a fresh presentation costs k + 2 encodes and 2 verifies.
 
-        The encodes are the credential payload, the 2 revealed commitment leaves, the
-        revealed-set hash and the presentation payload; a payload cache would lower them.
+        The encodes are the credential payload, one per revealed attribute (the preimage of
+        both its commitment leaf and its item in the revealed-set hash) and the presentation
+        payload; a payload cache would lower them.
         """
-        first = create_presentation(credential, ["name", "dob"], b"\x0a" * 32, holder)
+        first = create_presentation(credential, reveal, b"\x0a" * 32, holder)
         assert verify_presentation(ledger, first, b"\x0a" * 32).accepted
-        fresh = create_presentation(credential, ["name", "dob"], b"\x0b" * 32, holder)
+        fresh = create_presentation(credential, reveal, b"\x0b" * 32, holder)
         assert fresh.holder_signature != first.holder_signature
         calls = count_calls(monkeypatch, ssisim.serialization.encode_parts,
                             ssisim.identity.verify)
         assert verify_presentation(ledger, fresh, b"\x0b" * 32).accepted
-        assert calls == {"encode_parts": 5, "verify": 2}
+        assert calls == {"encode_parts": len(reveal) + 2, "verify": 2}
 
     def test_revoked_credential_rejects_on_status(self, ledger, issuer, credential, holder):
         pres = create_presentation(credential, ["dob"], b"\x05" * 32, holder)

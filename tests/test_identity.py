@@ -708,6 +708,45 @@ class TestOneNameHome:
         assert borrowed == []
 
 
+class TestOneTreeRule:
+    """The Merkle tree's 0x00 / 0x01 domain separation is written in merkle alone: only it
+    writes those one-byte prefixes, and only it and serialization hash with hashlib."""
+
+    @staticmethod
+    def prefix_bytes(src: Path) -> list:
+        """(module, enclosing function) of each b"\\x00" or b"\\x01" in src not repeated by *."""
+        found = []
+
+        def visit(node, module, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            repeated = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Constant) and child.value in (b"\x00", b"\x01")
+                        and not repeated):
+                    found.append((module, function))
+                visit(child, module, function)
+
+        for path in sorted(src.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        return found
+
+    def test_only_serialization_and_merkle_import_hashlib(self):
+        assert sorted(module for module, name in TestOneForkPath.imports()
+                      if name == "hashlib") == ["merkle", "serialization"]
+
+    def test_only_merkle_writes_the_tree_prefixes(self):
+        # merkle's _LEAF and _NODE; b58encode strips leading zero bytes and hashes nothing
+        assert self.prefix_bytes(TestOneForkPath.SRC) == [
+            ("merkle", None), ("merkle", None), ("serialization", "b58encode")]
+
+    def test_the_guard_sees_each_form(self, tmp_path):
+        (tmp_path / "m.py").write_text(
+            "def node(l, r):\n    return sha256(b'\\x01' + l + r)\n"
+            "LEAF = b'\\x00'\nZEROS = b'\\x00' * 32\nPAD = b'\\x02'\nTAG = b'\\x01tag'\n")
+        assert self.prefix_bytes(tmp_path) == [("m", "node"), ("m", None)]
+
+
 class TestOneDidForm:
     """A DID is its text, so the package never turns one into text: no str() of a name or
     attribute called did or ending in _did, and none of a derive_did call."""
@@ -850,6 +889,9 @@ class TestNoUnreachableCode:
         "ledger.RegistryState.copy": ("the benchmark's baseline times it", 1),
         "scenarios.run_healthcare_scenario": ("the benchmark calls it", 1),
         "scenarios.run_government_scenario": ("the benchmark calls it", 1),
+        "credentials.revealed_set_hash": ("the known-answer vectors pin the revealed-set "
+                                          "preimage through it; the package hashes the "
+                                          "encodings it already holds", None),
     }
 
     @staticmethod
