@@ -9,7 +9,7 @@ This module holds the value types and pure constructions; the ledger-
 facing issuer/holder/verifier operations live in engine.py.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParseError, SchemaMismatch, UnknownAttribute, WrongHolderKey
 from .identity import DID, SIGNATURE, Did, KeyPair, derive_did, sign
@@ -54,14 +54,15 @@ def credential_id_for(schema_id: bytes, holder_did: Did, issuance_time: int,
 
 
 def credential_signing_payload(credential_id: bytes, schema_id: bytes, issuer_did: Did,
-                               holder_did: Did, root: bytes, issuance_time: int) -> bytes:
+                               holder_did: Did, commitment_root: bytes,
+                               issuance_time: int) -> bytes:
     return encode_parts(
         _CREDENTIAL_CONTEXT,
         credential_id,
         schema_id,
         issuer_did,
         holder_did,
-        root,
+        commitment_root,
         issuance_time,
     )
 
@@ -116,19 +117,17 @@ def build_credential(issuer: KeyPair, holder_did: Did, schema,
     attributes = tuple((name, str(values[name])) for name in schema.attribute_names)
     salts = tuple(rng.randbytes(SALT_LEN) for _ in attributes)
     root = commitment_root(attributes, salts)
-    credential_id = credential_id_for(schema.schema_id, holder_did, issuance_time, root)
-    unsigned = Credential(
-        credential_id=credential_id,
+    fields = dict(
+        credential_id=credential_id_for(schema.schema_id, holder_did, issuance_time, root),
         schema_id=schema.schema_id,
         issuer_did=derive_did(issuer.public_key),
         holder_did=holder_did,
-        attributes=attributes,
-        salts=salts,
         commitment_root=root,
         issuance_time=issuance_time,
-        issuer_signature=b"",
     )
-    return replace(unsigned, issuer_signature=sign(issuer.private_key, unsigned.signing_payload()))
+    return Credential(**fields, attributes=attributes, salts=salts,
+                      issuer_signature=sign(issuer.private_key,
+                                            credential_signing_payload(**fields)))
 
 
 def credential_commitments_ok(credential: Credential) -> bool:

@@ -10,9 +10,11 @@ Credentials and presentations ("claims") share each registry check:
 _schema_known, _issuer_signed and signed_by, which take that registry
 state and answer False for what it does not hold. An agent thus stores a
 credential only if a full disclosure of it passes the presentation checks.
-"""
 
-from dataclasses import replace
+The three writes (define_schema, issue_credential's anchor, revoke_credential)
+each sign their transaction kind's payload function over its fields and
+build the transaction once, signature included.
+"""
 
 from .credentials import (
     Credential,
@@ -35,17 +37,15 @@ from .ledger import (
     Ledger,
     RegistryState,
     Revoke,
+    anchor_credential_payload,
+    define_schema_payload,
     make_schema,
+    require_document,
+    revoke_payload,
 )
 from .runtime import SystemRng
 from .serialization import encode_parts
 from .verdicts import verify
-
-
-def _signed(issuer: KeyPair, unsigned):
-    """The issuer-signed transaction with its submitter signature filled in."""
-    return replace(unsigned,
-                   submitter_signature=sign(issuer.private_key, unsigned.signing_payload()))
 
 
 def signed_by(registry: RegistryState, did, payload: bytes, signature: bytes) -> bool:
@@ -78,8 +78,9 @@ def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
     issuer_did = derive_did(issuer.public_key)
     ledger.resolve_did(issuer_did, reader_did=issuer_did)
     schema = make_schema(issuer_did, name, version, attribute_names)
-    tx = _signed(issuer, DefineSchema(schema=schema, submitter_signature=b""))
-    ledger.submit([tx])
+    ledger.submit([DefineSchema(
+        schema=schema, submitter_signature=sign(issuer.private_key, define_schema_payload(schema)),
+    )])
     return schema
 
 
@@ -89,17 +90,16 @@ def issue_credential(issuer: KeyPair, holder_did, schema: CredentialSchema, valu
     issuer_did = derive_did(issuer.public_key)
     if schema.issuer_did != issuer_did:
         raise NotSchemaOwner(f"schema belongs to {schema.issuer_did}, not {issuer_did}")
-    ledger.resolve_did(issuer_did, reader_did=issuer_did)
-    ledger.resolve_did(holder_did, reader_did=issuer_did)
+    registry = ledger.registry(issuer_did)
+    require_document(registry, issuer_did)
+    require_document(registry, holder_did)
     credential = build_credential(issuer, holder_did, schema, values, rng or SystemRng(),
                                   issuance_time=ledger.clock.tick())
-    tx = _signed(issuer, AnchorCredential(
-        credential_id=credential.credential_id,
-        issuer_did=issuer_did,
-        commitment_root=credential.commitment_root,
-        submitter_signature=b"",
-    ))
-    ledger.submit([tx])
+    fields = dict(credential_id=credential.credential_id, issuer_did=issuer_did,
+                  commitment_root=credential.commitment_root)
+    ledger.submit([AnchorCredential(
+        **fields, submitter_signature=sign(issuer.private_key, anchor_credential_payload(**fields)),
+    )])
     return credential
 
 
@@ -145,12 +145,10 @@ def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> 
     """Permanently flip the credential to Revoked; only the anchoring issuer may."""
     issuer_did = derive_did(issuer.public_key)
     ledger.resolve_did(issuer_did, reader_did=issuer_did)
-    tx = _signed(issuer, Revoke(
-        credential_id=credential_id,
-        issuer_did=issuer_did,
-        submitter_signature=b"",
-    ))
-    ledger.submit([tx])
+    ledger.submit([Revoke(
+        credential_id=credential_id, issuer_did=issuer_did,
+        submitter_signature=sign(issuer.private_key, revoke_payload(credential_id, issuer_did)),
+    )])
 
 
 def tamper_check(credential: Credential, ledger: Ledger, reader_did=None) -> bool:

@@ -5,6 +5,11 @@ Poly1305 encrypts. A wallet holds a single 32-byte seed: the signing key
 is built from it directly and the key-agreement key is derived with a
 domain-separated hash, so the two roles never share key material.
 
+A DID document self-certifies: make_did_document signs did_document_payload
+over the document's fields, every field but the signature, and builds the
+document once, signature included, as an X.509 certificate signs its
+tbsCertificate.
+
 Envelope construction: a fresh 24-byte nonce is drawn per message and
 HKDF-SHA256 stretches the X25519 shared secret (nonce as salt) into a
 one-message AEAD key; the AEAD nonce is then fixed at zero. The envelope
@@ -17,7 +22,7 @@ from there.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -166,6 +171,13 @@ def _did_of(public_key: bytes) -> Did:
 # --- DID documents --------------------------------------------------------------
 
 
+def did_document_payload(did: Did, verification_key: bytes, key_agreement_key: bytes,
+                         service_endpoints, created_at: int) -> bytes:
+    """What a document's controller signs: every field but the signature."""
+    return encode_parts(_DOC_CONTEXT, did, verification_key, key_agreement_key,
+                        list(service_endpoints), created_at)
+
+
 @dataclass(frozen=True)
 class DidDocument(Record):
     """Ledger-anchored binding of a DID to its keys and service endpoints."""
@@ -188,14 +200,8 @@ class DidDocument(Record):
     )
 
     def signing_payload(self) -> bytes:
-        return encode_parts(
-            _DOC_CONTEXT,
-            self.did,
-            self.verification_key,
-            self.key_agreement_key,
-            list(self.service_endpoints),
-            self.created_at,
-        )
+        return did_document_payload(self.did, self.verification_key, self.key_agreement_key,
+                                    self.service_endpoints, self.created_at)
 
     def self_certification_job(self) -> tuple | None:
         """The (key, payload, signature) that self-certifies the document, or None.
@@ -215,16 +221,15 @@ class DidDocument(Record):
 
 def make_did_document(keypair: KeyPair, service_endpoints=(), created_at: int = 0) -> DidDocument:
     """Build and self-sign a document for the keypair's DID."""
-    unsigned = DidDocument(
+    fields = dict(
         did=derive_did(keypair.public_key),
         verification_key=keypair.public_key,
         key_agreement_key=key_agreement_public(keypair.private_key),
         service_endpoints=tuple((str(n), str(u)) for n, u in service_endpoints),
         created_at=created_at,
-        controller_signature=b"",
     )
-    return replace(unsigned, controller_signature=sign(keypair.private_key,
-                                                       unsigned.signing_payload()))
+    return DidDocument(**fields, controller_signature=sign(keypair.private_key,
+                                                           did_document_payload(**fields)))
 
 
 # --- envelopes ------------------------------------------------------------------

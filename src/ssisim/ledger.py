@@ -224,6 +224,11 @@ def revoke_payload(credential_id: bytes, issuer_did: Did) -> bytes:
     return encode_parts(_TX_CONTEXT, "revoke", credential_id, issuer_did)
 
 
+def define_schema_payload(schema: CredentialSchema) -> bytes:
+    return encode_parts(_TX_CONTEXT, "define_schema", schema.schema_id, schema.issuer_did,
+                        schema.name, schema.version, list(schema.attribute_names))
+
+
 class _IssuerSigned(Record):
     """The kinds an issuer signs: valid only after the issuer's registration, under its key."""
 
@@ -257,11 +262,7 @@ class DefineSchema(_IssuerSigned):
         return self.schema.issuer_did
 
     def signing_payload(self) -> bytes:
-        schema = self.schema
-        return encode_parts(
-            _TX_CONTEXT, self.kind, schema.schema_id, schema.issuer_did,
-            schema.name, schema.version, list(schema.attribute_names),
-        )
+        return define_schema_payload(self.schema)
 
     def slots(self, state: "RegistryState") -> tuple:
         return ((state.schemas, self.schema.schema_id),)
@@ -488,6 +489,14 @@ class RegistryState:
             claim = self._first_valid(entry for entry in candidates
                                       if entry.position > release.position)
         return None
+
+
+def require_document(state: RegistryState, did: Did) -> DidDocument:
+    """The DID's document in state; UnknownDid if it holds none."""
+    doc = state.document(did)
+    if doc is None:
+        raise UnknownDid(f"{did} is not registered")
+    return doc
 
 
 # --- blocks ----------------------------------------------------------------------
@@ -756,10 +765,7 @@ class Ledger:
     # -- reads (public in public-permissioned mode)
 
     def resolve_did(self, did: Did, reader_did: Did | None = None) -> DidDocument:
-        doc = self.registry(reader_did).document(did)
-        if doc is None:
-            raise UnknownDid(f"{did} is not registered")
-        return doc
+        return require_document(self.registry(reader_did), did)
 
     def lookup_schema(self, schema_id: bytes, reader_did: Did | None = None) -> CredentialSchema:
         schema = self.registry(reader_did).schema(schema_id)

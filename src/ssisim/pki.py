@@ -12,6 +12,11 @@ certificate to it, the ledger run signs every forged document with it.
 The CA run splits each window of forgeries over the CPUs once: each chunk
 forges its certificates (one signature each) and checks them, and answers
 one validity byte each.
+
+Every signed record here is built once, signature included: a certificate
+from certificate_payload over every field but its signature, as X.509
+signs its tbsCertificate, and a forged DID document from identity's
+did_document_payload, signed with the attacker's key.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -22,6 +27,7 @@ from .identity import (
     DidDocument,
     KeyPair,
     derive_did,
+    did_document_payload,
     generate_keypair,
     key_agreement_public,
     make_did_document,
@@ -40,6 +46,13 @@ CERT_LIFETIME_TICKS = 1000
 # --- certificate objects ---------------------------------------------------------
 
 
+def certificate_payload(serial: int, subject_name: str, subject_public_key: bytes,
+                        issuer_name: str, not_before: int, not_after: int) -> bytes:
+    """What the issuing CA signs, as X.509's tbsCertificate: every field but the signature."""
+    return encode_parts(_CERT_CONTEXT, serial, subject_name, subject_public_key, issuer_name,
+                        not_before, not_after)
+
+
 @dataclass(frozen=True)
 class Certificate:
     serial: int
@@ -51,26 +64,17 @@ class Certificate:
     issuer_signature: bytes
 
     def signing_payload(self) -> bytes:
-        return encode_parts(
-            _CERT_CONTEXT, self.serial, self.subject_name, self.subject_public_key,
-            self.issuer_name, self.not_before, self.not_after,
-        )
+        return certificate_payload(self.serial, self.subject_name, self.subject_public_key,
+                                   self.issuer_name, self.not_before, self.not_after)
 
 
 def issue_signed_certificate(issuer_name: str, issuer_key: KeyPair, serial: int,
                              subject_name: str, subject_public_key: bytes,
                              not_before: int, not_after: int) -> Certificate:
-    unsigned = Certificate(
-        serial=serial,
-        subject_name=subject_name,
-        subject_public_key=subject_public_key,
-        issuer_name=issuer_name,
-        not_before=not_before,
-        not_after=not_after,
-        issuer_signature=b"",
-    )
-    return replace(unsigned,
-                   issuer_signature=sign(issuer_key.private_key, unsigned.signing_payload()))
+    fields = dict(serial=serial, subject_name=subject_name, subject_public_key=subject_public_key,
+                  issuer_name=issuer_name, not_before=not_before, not_after=not_after)
+    return Certificate(**fields, issuer_signature=sign(issuer_key.private_key,
+                                                       certificate_payload(**fields)))
 
 
 class CertStatus(str, Enum):
@@ -333,13 +337,12 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
 
 def _forged_document(victim: KeyPair, attacker: KeyPair, created_at: int) -> DidDocument:
     """Victim's DID and verification key, attacker's endpoints and signature."""
-    unsigned = DidDocument(
+    fields = dict(
         did=derive_did(victim.public_key),
         verification_key=victim.public_key,
         key_agreement_key=key_agreement_public(attacker.private_key),
         service_endpoints=(("agent", "https://attacker.example/agent"),),
         created_at=created_at,
-        controller_signature=b"",
     )
-    return replace(unsigned,
-                   controller_signature=sign(attacker.private_key, unsigned.signing_payload()))
+    return DidDocument(**fields, controller_signature=sign(attacker.private_key,
+                                                           did_document_payload(**fields)))

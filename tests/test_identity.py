@@ -40,6 +40,7 @@ from ssisim.errors import (
     AuthFailure,
     KeyMismatch,
     NotPermissioned,
+    NotSchemaOwner,
     ParseError,
     SeedLength,
     UnknownDid,
@@ -59,7 +60,7 @@ from ssisim.identity import (
     make_did_document,
     sign,
 )
-from ssisim.ledger import Ledger, LedgerMode, RegisterDid
+from ssisim.ledger import Ledger, LedgerMode, RegisterDid, make_schema
 from ssisim.pki import CompromiseConfig, build_hierarchy, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
 from ssisim.scenarios import HealthcareConfig, run_scenario
@@ -783,6 +784,43 @@ class TestOneDidForm:
         assert TestOneForkPath.calls({"Did"}) == [("identity", "_did_of", "Did")]
 
 
+class TestOneSignedRecordBuild:
+    """A signed record is built once, from its kind's payload function, with its signature:
+    no call passes a b"" placeholder to a keyword ending in _signature, and only pki (a
+    refused CA's verdict index) and scenarios (the tamper demo) import dataclasses.replace."""
+
+    @staticmethod
+    def placeholders(src: Path) -> list:
+        """module.py:line of every call in src passing b"" to a keyword ending in _signature."""
+        return [f"{path.name}:{node.lineno}"
+                for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call)
+                for keyword in node.keywords
+                if (keyword.arg or "").endswith("_signature")
+                and isinstance(keyword.value, ast.Constant) and keyword.value.value == b""]
+
+    def test_no_record_is_built_with_a_placeholder_signature(self):
+        assert self.placeholders(TestOneForkPath.SRC) == []
+
+    def test_the_guard_sees_each_form(self, tmp_path):
+        (tmp_path / "m.py").write_text(
+            "Doc(a=1, controller_signature=b'')\nTx(submitter_signature=b'')\n"
+            "f(signature=b'')\nTx(submitter_signature=b'x')\nTx(b'')\n"
+            "Tx(writer_signature=sig)\n")
+        assert self.placeholders(tmp_path) == ["m.py:1", "m.py:2"]
+
+    def test_only_pki_and_scenarios_import_replace(self):
+        # from dataclasses import replace, or import dataclasses (which reaches it too)
+        importing = [path.stem for path in sorted(TestOneForkPath.SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                         and "replace" in {alias.name for alias in node.names})
+                     or (isinstance(node, ast.Import)
+                         and "dataclasses" in {alias.name for alias in node.names})]
+        assert importing == ["pki", "scenarios"]
+
+
 class TestOneRuleHome:
     """The registry rule errors belong to the ledger: its kinds' rule()s are their one check."""
 
@@ -1049,6 +1087,48 @@ class TestOneRegistryRead:
         with pytest.raises(NotPermissioned) as excinfo:
             request()
         assert str(excinfo.value) == self.REFUSAL
+
+    def test_issuing_takes_the_registry_once(self, ledger, issuer, holder, rng, monkeypatch):
+        schema = define_schema(issuer, "Badge", 1, ["level"], ledger)
+        taken, real = [], Ledger.registry
+
+        def registry(self, reader_did=None):
+            taken.append(reader_did)
+            return real(self, reader_did)
+
+        monkeypatch.setattr(Ledger, "registry", registry)
+        issue_credential(issuer, derive_did(holder.public_key), schema, {"level": "3"}, ledger,
+                         rng=rng)
+        assert taken == [derive_did(issuer.public_key)]
+
+    def test_issuing_refuses_in_a_fixed_order(self, operator, issuer, rng):
+        """Not the schema's owner, then a private ledger's reader outside the writer set,
+        then an unregistered issuer, then an unregistered holder: each case below also
+        meets every later refusal, so only the first may be raised."""
+        stranger = seeded_keypair(b"stranger")
+        issuer_did, stranger_did = derive_did(issuer.public_key), derive_did(stranger.public_key)
+        ghost = derive_did(seeded_keypair(b"ghost").public_key)
+        schema = make_schema(issuer_did, "Badge", 1, ["level"])
+
+        def refusal(key, mode, issuer_registered):
+            clock = LogicalClock(0)
+            led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())],
+                                 mode=mode, clock=clock)
+            led.attach_writer(operator)
+            if issuer_registered:
+                led.submit([RegisterDid(make_did_document(issuer, created_at=clock.tick()))])
+            with pytest.raises((NotSchemaOwner, NotPermissioned, UnknownDid)) as excinfo:
+                issue_credential(key, ghost, schema, {"level": "3"}, led, rng=rng)
+            return type(excinfo.value), str(excinfo.value)
+
+        private, public = LedgerMode.PRIVATE_PERMISSIONED, LedgerMode.PUBLIC_PERMISSIONED
+        assert [refusal(stranger, private, False), refusal(issuer, private, False),
+                refusal(issuer, public, False), refusal(issuer, public, True)] == [
+            (NotSchemaOwner, f"schema belongs to {issuer_did}, not {stranger_did}"),
+            (NotPermissioned, self.REFUSAL),
+            (UnknownDid, f"{issuer_did} is not registered"),
+            (UnknownDid, f"{ghost} is not registered"),
+        ]
 
 
 class TestEnvelopes:

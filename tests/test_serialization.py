@@ -10,27 +10,46 @@ from hypothesis import strategies as st
 
 import ssisim.credentials
 import ssisim.ledger
+from ssisim import pki
 from ssisim.agents import auth_signing_payload
 from ssisim.credentials import (
+    Credential,
     RevealedAttribute,
+    build_credential,
     commitment_leaf,
     credential_signing_payload,
     presentation_signing_payload,
     revealed_set_hash,
 )
+from ssisim.engine import define_schema, issue_credential, revoke_credential
 from ssisim.errors import ParseError
-from ssisim.identity import _envelope_aad, derive_did, make_did_document, sign
+from ssisim.identity import (
+    DidDocument,
+    _envelope_aad,
+    derive_did,
+    did_document_payload,
+    generate_keypair,
+    make_did_document,
+    sign,
+)
 from ssisim.ledger import (
     AnchorCredential,
+    CredentialSchema,
     DefineSchema,
+    Ledger,
     RegisterDid,
     Revoke,
+    anchor_credential_payload,
     block_hash_for,
+    define_schema_payload,
     make_schema,
+    revoke_payload,
     schema_id_for,
 )
-from ssisim.pki import Certificate
+from ssisim.pki import Certificate, certificate_payload, issue_signed_certificate
+from ssisim.runtime import DeterministicRng, LogicalClock
 from ssisim.serialization import (
+    MAX_INT,
     b58decode,
     b58encode,
     canonical_json,
@@ -43,6 +62,7 @@ from ssisim.serialization import (
     load_json,
     parse_hex,
 )
+from ssisim.verdicts import verify
 
 from conftest import seeded_keypair
 
@@ -358,6 +378,149 @@ class TestKnownPayloads:
     def test_every_context_string_has_a_pinned_payload(self, name):
         context = encode_parts(f"ssisim/{name}/v1")
         assert any(data.startswith(context) for data in known_payloads().values())
+
+
+def issuer_ledger(issuer) -> Ledger:
+    """A chain whose one writer is the issuer, registered at genesis."""
+    clock = LogicalClock(0)
+    ledger = Ledger.genesis([make_did_document(issuer, created_at=clock.tick())], clock=clock)
+    ledger.attach_writer(issuer)
+    return ledger
+
+
+def counted(monkeypatch, cls) -> list:
+    """A list that grows by one each time cls.__init__ runs, from here on."""
+    calls, init = [], cls.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(cls)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return calls
+
+
+class TestOneConstructionPerSignedRecord:
+    """Each builder signs its kind's payload and constructs the record once, signature
+    included: no placeholder record is built and then copied."""
+
+    @staticmethod
+    def paths() -> dict:
+        """name -> (the signed type, a call building one record of it and none before it)."""
+        issuer, holder = seeded_keypair(b"issuer"), seeded_keypair(b"holder")
+        issuer_did = derive_did(issuer.public_key)
+        rng = DeterministicRng(b"one-build".ljust(32, b"\x00"))
+        schema = make_schema(issuer_did, "Badge", 1, ["level"])
+
+        def issue():
+            ledger = issuer_ledger(issuer)
+            define_schema(issuer, "Badge", 1, ["level"], ledger)
+            return ledger, issue_credential(issuer, issuer_did, schema, {"level": "3"}, ledger,
+                                            rng=rng)
+
+        def revoke():
+            ledger, credential = issue()
+            revoke_credential(issuer, credential.credential_id, ledger)
+
+        return {
+            "make_did_document": (DidDocument, lambda: make_did_document(
+                holder, (("agent", "https://holder.example"),), created_at=3)),
+            "define_schema": (DefineSchema, lambda: define_schema(
+                issuer, "Badge", 1, ["level"], issuer_ledger(issuer))),
+            "issue_credential": (AnchorCredential, issue),
+            "revoke_credential": (Revoke, revoke),
+            "build_credential": (Credential, lambda: build_credential(
+                issuer, derive_did(holder.public_key), schema, {"level": "3"}, rng, 5)),
+            "issue_signed_certificate": (Certificate, lambda: issue_signed_certificate(
+                "root-ca", issuer, 7, "subject", holder.public_key, 0, 10)),
+            "ledger compromise forgery": (DidDocument, lambda: pki._forged_document(
+                holder, issuer, 9)),
+        }
+
+    @pytest.mark.parametrize("name", ["make_did_document", "define_schema", "issue_credential",
+                                      "revoke_credential", "build_credential",
+                                      "issue_signed_certificate", "ledger compromise forgery"])
+    def test_one_construction_per_record(self, name, monkeypatch):
+        cls, build = self.paths()[name]
+        calls = counted(monkeypatch, cls)
+        build()
+        assert len(calls) == 1
+
+
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+NAMES = st.lists(TEXT, min_size=1, max_size=4, unique=True)
+UINT = st.integers(0, MAX_INT)
+HASH32 = st.binary(min_size=32, max_size=32)
+SEED = st.binary(min_size=32, max_size=32)
+ENDPOINTS = st.lists(st.tuples(TEXT, TEXT), max_size=3).map(tuple)
+
+
+class TestPayloadFunctions:
+    """Each signed kind's signing_payload() is its module payload function over the same
+    fields, and each builder's signature verifies over that payload under the signer's key.
+    Drawn values take in empty and non-ASCII text and 2^64-1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(did=TEXT, keys=st.tuples(HASH32, HASH32), endpoints=ENDPOINTS, number=UINT,
+           other=UINT, names=NAMES, name=TEXT, digests=st.tuples(HASH32, HASH32, HASH32),
+           signature=st.binary(max_size=64))
+    @example(did="", keys=(b"\x00" * 32, b"\xff" * 32), endpoints=(("", "é"),),
+             number=MAX_INT, other=0, names=["", "Zoë"], name="✓", digests=(b"\x00" * 32,) * 3,
+             signature=b"")
+    def test_signing_payload_is_the_payload_function(self, did, keys, endpoints, number, other,
+                                                     names, name, digests, signature):
+        cid, schema_id, root = digests
+        document = DidDocument(did, *keys, endpoints, number, signature)
+        assert document.signing_payload() == did_document_payload(did, *keys, endpoints, number)
+        schema = CredentialSchema(schema_id, did, name, number, tuple(names))
+        assert DefineSchema(schema, signature).signing_payload() == define_schema_payload(schema)
+        assert (AnchorCredential(cid, did, root, signature).signing_payload()
+                == anchor_credential_payload(cid, did, root))
+        assert Revoke(cid, did, signature).signing_payload() == revoke_payload(cid, did)
+        credential = Credential(cid, schema_id, did, name, (), (), root, number, signature)
+        assert credential.signing_payload() == credential_signing_payload(
+            cid, schema_id, did, name, root, number)
+        certificate = Certificate(number, name, keys[0], did, other, number, signature)
+        assert certificate.signing_payload() == certificate_payload(
+            number, name, keys[0], did, other, number)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds=st.tuples(SEED, SEED), endpoints=ENDPOINTS, number=UINT, names=NAMES,
+           name=TEXT, values=st.lists(TEXT, min_size=4, max_size=4))
+    @example(seeds=(b"\x00" * 32, b"\x01" * 32), endpoints=(("", "ü"),), number=MAX_INT,
+             names=["", "Zoë"], name="", values=["", "é", "", ""])
+    def test_each_builder_signs_the_payload_function(self, seeds, endpoints, number, names,
+                                                     name, values):
+        signer, other = (generate_keypair(seed) for seed in seeds)
+        signer_did, other_did = derive_did(signer.public_key), derive_did(other.public_key)
+        attributes = dict(zip(names, values))
+        rng = DeterministicRng(seeds[1])
+        document = make_did_document(signer, endpoints, number)
+        forged = pki._forged_document(other, signer, number)
+        certificate = issue_signed_certificate(name, signer, number, name, other.public_key, 0,
+                                               number)
+        schema = make_schema(signer_did, name, number, names)
+        credential = build_credential(signer, other_did, schema, attributes, rng, number)
+        ledger = issuer_ledger(signer)
+        define_schema(signer, name, number, names, ledger)
+        issued = issue_credential(signer, signer_did, schema, attributes, ledger, rng=rng)
+        revoke_credential(signer, issued.credential_id, ledger)
+        defined, anchored, revoked = (block.transactions[0] for block in ledger.blocks[1:])
+        signed = [  # (payload, signature) of each built record
+            *((did_document_payload(doc.did, doc.verification_key, doc.key_agreement_key,
+                                    doc.service_endpoints, doc.created_at),
+               doc.controller_signature) for doc in (document, forged)),
+            (certificate_payload(number, name, other.public_key, name, 0, number),
+             certificate.issuer_signature),
+            (credential_signing_payload(credential.credential_id, schema.schema_id, signer_did,
+                                        other_did, credential.commitment_root, number),
+             credential.issuer_signature),
+            (define_schema_payload(schema), defined.submitter_signature),
+            (anchor_credential_payload(issued.credential_id, signer_did, issued.commitment_root),
+             anchored.submitter_signature),
+            (revoke_payload(issued.credential_id, signer_did), revoked.submitter_signature),
+        ]
+        assert [verify(signer.public_key, *pair) for pair in signed] == [True] * 7
 
 
 def regex_parse_hex(value, length, where):
