@@ -2,8 +2,12 @@
 
 The bus is the whole transport: FIFO queues keyed by DID. Agents never
 put private key material in any message; everything a peer needs is
-resolved from the ledger. A DID-Auth challenge names the DID it was issued
-to, and only that DID's answer can spend it.
+resolved from the ledger, as this agent's DID: each step (send, open,
+verify, challenge, check) takes the registry state once through
+Ledger.registry(self.did) and reads it directly, through
+ledger.require_document where a missing DID is an error. A DID-Auth
+challenge names the DID it was issued to, and only that DID's answer can
+spend it.
 """
 
 from collections import OrderedDict, deque
@@ -13,7 +17,7 @@ from .credentials import Credential, VerificationReport
 from .engine import signed_by, verify_credential
 from .errors import ParseError, StaleChallenge, UnknownDid, WrongHolderKey
 from .identity import Did, Envelope, decrypt, encrypt_for, sign
-from .ledger import Ledger
+from .ledger import Ledger, require_document
 from .runtime import LogicalClock
 from .serialization import canonical_json_bytes, encode_parts, expect_str, load_json
 from .wallet import Wallet
@@ -82,7 +86,7 @@ class Agent:
 
     def send_message(self, recipient_did: Did, kind: str, body: dict) -> Envelope:
         """Encrypt a typed message to the recipient's ledger-resolved key."""
-        recipient_doc = self.ledger_view.resolve_did(recipient_did, reader_did=self.did)
+        recipient_doc = require_document(self.ledger_view.registry(self.did), recipient_did)
         plaintext = canonical_json_bytes({"kind": kind, "body": body})
         envelope = encrypt_for(recipient_doc.key_agreement_key,
                                self.wallet.keypair.private_key, plaintext, rng=self.rng)
@@ -127,7 +131,7 @@ class Agent:
         First drop every expired challenge, and the oldest ones while
         MAX_OUTSTANDING_CHALLENGES are held; answers to them then fail.
         """
-        self.ledger_view.resolve_did(subject_did, reader_did=self.did)
+        require_document(self.ledger_view.registry(self.did), subject_did)
         now = self.clock.now()
         # The clock is monotone, so the oldest challenge, and every expired one, leads.
         outstanding = self._outstanding

@@ -408,13 +408,14 @@ def issue(args) -> int:
     """Issue a credential and anchor its commitment root."""
     from .engine import issue_credential
     from .identity import Did
+    from .ledger import require_schema
 
     issuer = _load_wallet(_given(args.wallet, "--wallet"))
     path = _given(args.ledger, "--ledger")
     ledger, save = _load_for_append(path, args.early)
     ledger.attach_writer(_load_wallet(args.writer_wallet).keypair)
-    schema = ledger.lookup_schema(_parse_hex(args.schema_id, "--schema-id"),
-                                  reader_did=issuer.did)
+    schema_id = _parse_hex(args.schema_id, "--schema-id")
+    schema = require_schema(ledger.registry(issuer.did), schema_id)
     credential = issue_credential(
         issuer.keypair, Did.parse(args.holder_did), schema,
         _parse_pairs(args.value, "--value"), ledger,

@@ -168,11 +168,6 @@ def encodings_set_hash(encodings) -> bytes:
     return sha256(encode_rows(encodings, 3))
 
 
-def revealed_set_hash(revealed) -> bytes:
-    """sha256(encode_parts([(name, value, salt), ...])) of the revealed attributes."""
-    return encodings_set_hash([encode_parts(r.name, r.value, r.salt) for r in revealed])
-
-
 def presentation_signing_payload(credential_id: bytes, revealed_hash: bytes,
                                  challenge: bytes) -> bytes:
     return encode_parts(_PRESENTATION_CONTEXT, credential_id, revealed_hash, challenge)

@@ -3,8 +3,10 @@
 Issuance anchors only the commitment root - attribute plaintext never
 touches the ledger. Verification resolves everything it trusts (issuer
 key, holder key, schema, anchor, status) from the ledger rather than
-from the presentation itself: each verifier takes the registry state once,
-through Ledger.registry and its one access check, and reads it directly.
+from the presentation itself. Every operation here, write or verify, takes
+the registry state once, through Ledger.registry and its one access check,
+and reads it directly; a write requires its issuer (and holder) through
+ledger.require_document, which raises UnknownDid for a DID it does not hold.
 
 Credentials and presentations ("claims") share each registry check:
 _schema_known, _issuer_signed and signed_by, which take that registry
@@ -76,7 +78,7 @@ def define_schema(issuer: KeyPair, name: str, version: int, attribute_names,
                   ledger: Ledger) -> CredentialSchema:
     """Anchor a schema on the ledger; attribute order is canonicalized here."""
     issuer_did = derive_did(issuer.public_key)
-    ledger.resolve_did(issuer_did, reader_did=issuer_did)
+    require_document(ledger.registry(issuer_did), issuer_did)
     schema = make_schema(issuer_did, name, version, attribute_names)
     ledger.submit([DefineSchema(
         schema=schema, submitter_signature=sign(issuer.private_key, define_schema_payload(schema)),
@@ -144,7 +146,7 @@ def verify_credential(ledger: Ledger, credential: Credential,
 def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> None:
     """Permanently flip the credential to Revoked; only the anchoring issuer may."""
     issuer_did = derive_did(issuer.public_key)
-    ledger.resolve_did(issuer_did, reader_did=issuer_did)
+    require_document(ledger.registry(issuer_did), issuer_did)
     ledger.submit([Revoke(
         credential_id=credential_id, issuer_did=issuer_did,
         submitter_signature=sign(issuer.private_key, revoke_payload(credential_id, issuer_did)),

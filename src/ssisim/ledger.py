@@ -499,6 +499,14 @@ def require_document(state: RegistryState, did: Did) -> DidDocument:
     return doc
 
 
+def require_schema(state: RegistryState, schema_id: bytes) -> CredentialSchema:
+    """The schema in state; UnknownSchema if it holds none."""
+    schema = state.schema(schema_id)
+    if schema is None:
+        raise UnknownSchema(f"schema {schema_id.hex()} is not defined")
+    return schema
+
+
 # --- blocks ----------------------------------------------------------------------
 
 
@@ -763,15 +771,14 @@ class Ledger:
         return None
 
     # -- reads (public in public-permissioned mode)
+    # The package reads through registry() alone; the four projections before it
+    # stay only for the benchmark, which traces and calls them (ROADMAP item 1).
 
     def resolve_did(self, did: Did, reader_did: Did | None = None) -> DidDocument:
         return require_document(self.registry(reader_did), did)
 
     def lookup_schema(self, schema_id: bytes, reader_did: Did | None = None) -> CredentialSchema:
-        schema = self.registry(reader_did).schema(schema_id)
-        if schema is None:
-            raise UnknownSchema(f"schema {schema_id.hex()} is not defined")
-        return schema
+        return require_schema(self.registry(reader_did), schema_id)
 
     def credential_status(self, credential_id: bytes,
                           reader_did: Did | None = None) -> CredentialStatus:

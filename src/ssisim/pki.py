@@ -33,7 +33,7 @@ from .identity import (
     make_did_document,
     sign,
 )
-from .ledger import Ledger, RegisterDid
+from .ledger import Ledger, RegisterDid, require_document
 from .runtime import DeterministicRng, LogicalClock
 from .serialization import encode_parts
 from .verdicts import split_each, verify
@@ -312,8 +312,7 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
     for victim in victims:
         ledger.append_block([RegisterDid(make_did_document(victim, created_at=clock.tick()))],
                             writer_keys[-1])
-    originals = {derive_did(v.public_key): ledger.resolve_did(derive_did(v.public_key))
-                 for v in victims}
+    originals = [require_document(ledger.registry(), derive_did(v.public_key)) for v in victims]
 
     attacker = generate_keypair(rng.randbytes(32))
     accepted = 0
@@ -323,7 +322,7 @@ def _run_ledger_compromise(config: CompromiseConfig) -> CompromiseReport:
         victim_did = derive_did(victim.public_key)
         forged_doc = _forged_document(victim, attacker, clock.tick())
         ledger.append_unchecked([RegisterDid(forged_doc)], writer_keys[i % config.compromised])
-        if ledger.resolve_did(victim_did) != originals[victim_did]:
+        if require_document(ledger.registry(), victim_did) != originals[i % len(victims)]:
             accepted += 1
     return CompromiseReport(
         scenario="ledger-writer-compromise",

@@ -354,6 +354,15 @@ class TestSpliceAppends:
         assert one_error_line(err)
         assert Path(paths["ledger"]).read_bytes() == before
 
+    def test_issue_under_an_undefined_schema_exits_2_and_writes_nothing(self, run, paths):
+        alice_did = bootstrap(run, paths)
+        define_patient_schema(run, paths)
+        before = Path(paths["ledger"]).read_bytes()
+        code, out, err = run(*issue_argv(paths, "ab" * 32, alice_did))
+        assert (code, out, err) == (2, "", f"error: schema {'ab' * 32} is not defined")
+        assert Path(paths["ledger"]).read_bytes() == before
+        assert not Path(paths["vc"]).exists()
+
     def test_a_second_schema_define_is_refused_by_the_ledger(self, run, paths):
         bootstrap(run, paths)
         define_patient_schema(run, paths)

@@ -18,7 +18,6 @@ from ssisim.credentials import (
     create_presentation,
     encodings_set_hash,
     revealed_proofs_ok,
-    revealed_set_hash,
 )
 from ssisim.engine import (
     define_schema,
@@ -278,7 +277,6 @@ class TestSharedEncodings:
         encodings = [encode_parts(n, v, s) for n, v, s in attributes]
         assert encodings_set_hash(encodings) == set_hash
         revealed = [RevealedAttribute(n, v, s, ()) for n, v, s in attributes]
-        assert revealed_set_hash(revealed) == set_hash
         leaves = [commitment_leaf(n, v, s) for n, v, s in attributes]
         assert [leaf_hash(encoding) for encoding in encodings] == leaves
         if leaves:

@@ -922,14 +922,13 @@ class TestNoUnreachableCode:
         "agents.Agent.did_auth_check": ("DID-Auth: acceptance criterion 5", 12),
         "pki.verify_certificate": ("the benchmark's tracer wraps it", 1),
         "engine.tamper_check": ("the benchmark's workloads call it", 1),
+        "ledger.Ledger.resolve_did": ("the benchmark's tracer wraps it", 1),
+        "ledger.Ledger.lookup_schema": ("the benchmark's tracer wraps it", 1),
         "ledger.Ledger.credential_status": ("the benchmark's workloads call it", 1),
         "ledger.Ledger.credential_anchor": ("the benchmark's tracer wraps it", 1),
         "ledger.RegistryState.copy": ("the benchmark's baseline times it", 1),
         "scenarios.run_healthcare_scenario": ("the benchmark calls it", 1),
         "scenarios.run_government_scenario": ("the benchmark calls it", 1),
-        "credentials.revealed_set_hash": ("the known-answer vectors pin the revealed-set "
-                                          "preimage through it; the package hashes the "
-                                          "encodings it already holds", None),
     }
 
     @staticmethod
@@ -977,12 +976,45 @@ class TestNoUnreachableCode:
 
 
 class TestOneCredentialRead:
-    """The package reads a credential's anchor and status together, via
-    RegistryState.credential; the two projections are only for the benchmark."""
+    """The package reads the registry through Ledger.registry alone, and a credential's
+    anchor and status together, via RegistryState.credential. Ledger's four convenience
+    reads are only for the benchmark; a missing DID or schema is an error in one place
+    each, require_document and require_schema."""
+
+    READS = {"resolve_did", "lookup_schema", "credential_anchor", "credential_status"}
 
     def test_no_module_but_the_ledger_calls_the_projections(self):
-        calls = TestOneForkPath.calls({"credential_anchor", "credential_status"})
+        calls = TestOneForkPath.calls(self.READS)
         assert [call for call in calls if call[0] != "ledger"] == []
+
+    @staticmethod
+    def raised(name) -> list:
+        """(module, enclosing function, message constants) of each `raise name(...)`."""
+        found = []
+
+        def visit(node, module, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == name:
+                texts = tuple(part.value for arg in exc.args for part in ast.walk(arg)
+                              if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                found.append((module, function, texts))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, function)
+
+        for path in sorted(TestOneForkPath.SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        return found
+
+    def test_only_require_schema_raises_unknown_schema(self):
+        assert self.raised("UnknownSchema") == [
+            ("ledger", "require_schema", ("schema ", " is not defined"))]
+
+    def test_only_require_document_says_a_did_is_not_registered(self):
+        unregistered = [(module, function) for module, function, texts
+                        in self.raised("UnknownDid") if " is not registered" in texts]
+        assert unregistered == [("ledger", "require_document")]
 
 
 class TestOneVerifier:
@@ -1011,7 +1043,7 @@ class TestOneVerifier:
 
     def test_no_check_turns_a_missing_did_or_schema_error_into_a_verdict(self):
         # the registry answers None for what it does not hold; nothing catches the
-        # errors that resolve_did and lookup_schema raise for their callers
+        # errors that require_document and require_schema raise for their callers
         caught = []
         for path in sorted(TestOneForkPath.SRC.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1066,16 +1098,20 @@ class TestOneRegistryRead:
             "did_auth_check": lambda: bob.did_auth_check(response),
         }
 
-    def test_each_request_takes_the_registry_once(self, monkeypatch):
-        requests, taken = self.requests(LedgerMode.PUBLIC_PERMISSIONED), []
-        real = Ledger.registry
+    @pytest.fixture
+    def taken(self, monkeypatch) -> list:
+        """The reader_did of each Ledger.registry call from here on."""
+        taken, real = [], Ledger.registry
 
         def registry(self, reader_did=None):
             taken.append(reader_did)
             return real(self, reader_did)
 
         monkeypatch.setattr(Ledger, "registry", registry)
-        for name, request in requests.items():
+        return taken
+
+    def test_each_request_takes_the_registry_once(self, taken):
+        for name, request in self.requests(LedgerMode.PUBLIC_PERMISSIONED).items():
             taken.clear()
             assert request() is True, name
             assert len(taken) == 1, name
@@ -1088,15 +1124,65 @@ class TestOneRegistryRead:
             request()
         assert str(excinfo.value) == self.REFUSAL
 
-    def test_issuing_takes_the_registry_once(self, ledger, issuer, holder, rng, monkeypatch):
+    @staticmethod
+    def writes(mode, registered: bool) -> dict:
+        """name -> one of the four requests that require a registered DID before they act,
+        each made by bob, whom the operator's genesis leaves outside the writer set. The DID
+        required is bob's own (define_schema, revoke_credential) or alice's (send_message,
+        did_auth_challenge); alice and bob are registered, and bob has defined a schema and
+        issued to alice, only if registered is set."""
+        clock, rng = LogicalClock(0), DeterministicRng(b"one-write".ljust(32, b"\x00"))
+        operator, alice_key, bob_key = (
+            seeded_keypair(tag) for tag in (b"operator", b"alice", b"bob"))
+        led = Ledger.genesis([make_did_document(operator, created_at=clock.tick())],
+                             mode=mode, clock=clock)
+        led.attach_writer(operator)
+        credential_id = b"\x0b" * 32
+        if registered:
+            led.submit([RegisterDid(make_did_document(key, created_at=clock.tick()))
+                        for key in (alice_key, bob_key)])
+            schema = define_schema(bob_key, "Badge", 1, ["level"], led)
+            credential_id = issue_credential(bob_key, derive_did(alice_key.public_key), schema,
+                                             {"level": "3"}, led, rng=rng).credential_id
+        bus = MessageBus()
+        alice, bob = (Agent(wallet_create(key.private_key), led, bus, rng, clock)
+                      for key in (alice_key, bob_key))
+        return {
+            "define_schema": lambda: define_schema(bob_key, "Pass", 1, ["zone"], led),
+            "revoke_credential": lambda: revoke_credential(bob_key, credential_id, led),
+            "send_message": lambda: bob.send_message(alice.did, "note", {"n": 1}),
+            "did_auth_challenge": lambda: bob.did_auth_challenge(alice.did),
+        }
+
+    WRITES = ["define_schema", "revoke_credential", "send_message", "did_auth_challenge"]
+
+    @pytest.mark.parametrize("name", WRITES)
+    def test_each_write_takes_the_registry_once_as_its_actor(self, name, taken):
+        request = self.writes(LedgerMode.PUBLIC_PERMISSIONED, True)[name]
+        taken.clear()
+        request()
+        assert taken == [derive_did(seeded_keypair(b"bob").public_key)]
+
+    @pytest.mark.parametrize("name", WRITES)
+    def test_a_write_outside_the_writer_set_is_refused_before_any_read(self, name):
+        # the DID the write requires is not registered either, so a read first would
+        # raise UnknownDid
+        with pytest.raises(NotPermissioned) as excinfo:
+            self.writes(LedgerMode.PRIVATE_PERMISSIONED, False)[name]()
+        assert str(excinfo.value) == self.REFUSAL
+
+    @pytest.mark.parametrize("name, required", [
+        ("define_schema", b"bob"), ("revoke_credential", b"bob"),
+        ("send_message", b"alice"), ("did_auth_challenge", b"alice")])
+    def test_a_write_whose_did_is_not_registered_is_refused(self, name, required):
+        with pytest.raises(UnknownDid) as excinfo:
+            self.writes(LedgerMode.PUBLIC_PERMISSIONED, False)[name]()
+        did = derive_did(seeded_keypair(required).public_key)
+        assert str(excinfo.value) == f"{did} is not registered"
+
+    def test_issuing_takes_the_registry_once(self, ledger, issuer, holder, rng, taken):
         schema = define_schema(issuer, "Badge", 1, ["level"], ledger)
-        taken, real = [], Ledger.registry
-
-        def registry(self, reader_did=None):
-            taken.append(reader_did)
-            return real(self, reader_did)
-
-        monkeypatch.setattr(Ledger, "registry", registry)
+        taken.clear()
         issue_credential(issuer, derive_did(holder.public_key), schema, {"level": "3"}, ledger,
                          rng=rng)
         assert taken == [derive_did(issuer.public_key)]

@@ -18,8 +18,8 @@ from ssisim.credentials import (
     build_credential,
     commitment_leaf,
     credential_signing_payload,
+    encodings_set_hash,
     presentation_signing_payload,
-    revealed_set_hash,
 )
 from ssisim.engine import define_schema, issue_credential, revoke_credential
 from ssisim.errors import ParseError
@@ -242,7 +242,8 @@ def known_payloads() -> dict:
                                                  root, 2**33),
         "commitment-leaf": _unhashed(ssisim.credentials, "leaf_hash",
                                      lambda: commitment_leaf("name", "Zoë", b"\x44" * 16)),
-        "revealed-set": _unhashed(ssisim.credentials, "sha256", lambda: revealed_set_hash(revealed)),
+        "revealed-set": _unhashed(ssisim.credentials, "sha256", lambda: encodings_set_hash(
+            [encode_parts(r.name, r.value, r.salt) for r in revealed])),
         "presentation": presentation_signing_payload(cid, b"\x77" * 32, b"\x88" * 32),
         "certificate": Certificate(9, "subject é", holder.public_key, "root-ca", 5, 2**63,
                                    b"").signing_payload(),
