@@ -78,22 +78,24 @@ def _load_wallet(path: str):
 
 def _read_early(args) -> tuple | None:
     """(bytes, parsed JSON, started check, locked file) of the ledger file the command
-    loads, or None.
+    loads, or None if it loads none.
 
-    The file is opened and locked with the command's ledger_lock before it is read;
-    main() closes it, and with it the lock. None if the command loads no ledger file
-    or the file does not open: the command then reads it in its own order and reports
-    why. The parse is json's alone; the load checks that it re-dumps to the bytes. If
-    the bytes do not parse, the parsed JSON and the check are None, and the command
-    parses the same bytes where it would have read them, and reports why.
+    This is the one read of a ledger file a command loads: the file is opened and
+    locked with the command's ledger_lock before it is read, and main() closes it,
+    and with it the lock. If the file does not open, the tuple holds the error in
+    place of the bytes, and nothing else; the command raises it where it would have
+    read the file, so it reports why in its own order. The parse is json's alone;
+    the load checks that it re-dumps to the bytes. If the bytes do not parse, the
+    parsed JSON and the check are None, and the command parses the same bytes where
+    it would have read them, and reports why.
     """
     path = (getattr(args, "ledger_file", None) or args.ledger) if args.ledger_lock else None
     if path is None:
         return None
     try:
         file = open(path, "rb")
-    except (OSError, ValueError):
-        return None
+    except (OSError, ValueError) as exc:
+        return exc, None, None, None
     try:
         fcntl.flock(file, args.ledger_lock)
         data = file.read()
@@ -121,15 +123,18 @@ def _guess_writer_jobs(parsed) -> list:
         return []
 
 
-def _load_ledger(path: str, early: tuple | None = None) -> tuple:
-    """(bytes, ledger) of the ledger file at path; early is _read_early's read of it."""
+def _load_ledger(early: tuple) -> tuple:
+    """(bytes, ledger) of the ledger file read by _read_early into early; the error
+    of its open if it did not open."""
     from .ledger import Ledger
 
-    data, parsed, started, _ = early or (_read_bytes(path), None, None, None)
+    data, parsed, started, _ = early
+    if isinstance(data, Exception):
+        raise data
     return data, Ledger.from_bytes(data, parsed, started)
 
 
-def _load_for_append(path: str, early: tuple | None = None) -> tuple:
+def _load_for_append(path: str, early: tuple) -> tuple:
     """(ledger, save): save() appends the blocks added to ledger since to its file, in place.
 
     Ledger.from_bytes accepts only canonical bytes and LedgerFile writes the
@@ -140,7 +145,7 @@ def _load_for_append(path: str, early: tuple | None = None) -> tuple:
     checks that the file still has the length it read and ends in "]}", so an
     append made to it since the read is not written over.
     """
-    data, ledger = _load_ledger(path, early)
+    data, ledger = _load_ledger(early)
     end, height = len(data) - 2, len(ledger.blocks)
 
     def save() -> None:
@@ -458,7 +463,8 @@ def verify_cmd(args) -> int:
     from .credentials import Presentation
     from .engine import verify_presentation
 
-    _, ledger = _load_ledger(_given(args.ledger, "--ledger"), args.early)
+    _given(args.ledger, "--ledger")
+    _, ledger = _load_ledger(args.early)
     presentation = Presentation.from_bytes(_read_bytes(args.presentation))
     reader_did = _load_wallet(args.wallet).did if args.wallet else None
     report = verify_presentation(ledger, presentation,
@@ -473,9 +479,9 @@ def ledger_validate(args) -> int:
     """Validate a ledger file's chain; exit 2 and print FirstInvalid on failure."""
     from .errors import FirstInvalid
 
-    path = _given(args.ledger_file or args.ledger, "ledger path")
+    _given(args.ledger_file or args.ledger, "ledger path")
     try:
-        _, ledger = _load_ledger(path, args.early)
+        _, ledger = _load_ledger(args.early)
     except FirstInvalid as exc:
         _print_json({"result": "FirstInvalid", "index": exc.index, "cause": exc.cause})
         return 2
@@ -507,7 +513,8 @@ def main(argv=None) -> int:
             _, _, started, file = early
             if started is not None:
                 started.close()  # already closed if it was joined
-            file.close()  # and with it the lock
+            if file is not None:
+                file.close()  # and with it the lock
     _echo(f"error: {error}", sys.stderr)
     return code
 

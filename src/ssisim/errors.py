@@ -94,6 +94,8 @@ class DuplicateAttribute(SsiSimError):
 class DuplicateSchema(InvalidTransaction):
     """An InvalidTransaction: a schema with this id is already anchored."""
 
+    cause = "duplicate schema"
+
 
 class SchemaMismatch(SsiSimError):
     """Credential values do not cover the schema attributes exactly once."""
@@ -114,13 +116,19 @@ class WrongHolderKey(SsiSimError):
 class NotIssuer(InvalidTransaction):
     """An InvalidTransaction: only the anchoring issuer may revoke a credential."""
 
+    cause = "revoker is not the anchoring issuer"
+
 
 class UnknownCredential(InvalidTransaction):
     """An InvalidTransaction: the revoked credential id was never anchored on the ledger."""
 
+    cause = "unknown credential"
+
 
 class UnknownTransition(InvalidTransaction):
     """An InvalidTransaction: the credential is already revoked."""
+
+    cause = "already revoked"
 
 
 # --- wallets and agents -----------------------------------------------------

@@ -18,6 +18,11 @@ linear replay of the chain, and memoizes each result. Transactions that
 violate a rule - above all self-certification of DID registrations - are
 skipped, so even a block signed by a legitimate writer cannot hijack
 another entity's DID.
+
+The chain check and a batch append answer from one first-fault walk
+(_first_fault): every check but the signatures in order up to the first
+fault, then every signature reached as one batch, where the first bad
+signature wins.
 """
 
 import copy
@@ -274,7 +279,7 @@ class DefineSchema(_IssuerSigned):
 
     def rule(self, state: "RegistryState") -> str | None:
         if state.schema(self.schema.schema_id) is not None:
-            return "duplicate schema"
+            return DuplicateSchema.cause
         return None
 
 
@@ -321,23 +326,19 @@ class Revoke(_IssuerSigned):
     def rule(self, state: "RegistryState") -> str | None:
         anchor, status = state.credential(self.credential_id)
         if anchor is None:
-            return "unknown credential"
+            return UnknownCredential.cause
         if anchor.issuer_did != self.issuer_did:
-            return "revoker is not the anchoring issuer"
+            return NotIssuer.cause
         if status is CredentialStatus.REVOKED:
-            return "already revoked"
+            return UnknownTransition.cause
         return None
 
 
 KINDS = {cls.kind: cls for cls in (RegisterDid, DefineSchema, AnchorCredential, Revoke)}
 
 # The rule causes append_block raises as their own InvalidTransaction subclass.
-_REFUSALS = {
-    "duplicate schema": DuplicateSchema,
-    "unknown credential": UnknownCredential,
-    "revoker is not the anchoring issuer": NotIssuer,
-    "already revoked": UnknownTransition,
-}
+_REFUSALS = {cls.cause: cls
+             for cls in (DuplicateSchema, UnknownCredential, NotIssuer, UnknownTransition)}
 
 
 def parse_transaction(value, where: str = "transaction"):
@@ -521,6 +522,7 @@ class LedgerBlock(Record):
     writer_did: Did
     writer_signature: bytes
 
+    bad_signature = ChainFault.BAD_SIGNATURE
     JSON = (
         ("index", INT),
         ("prev_hash", HASH),
@@ -582,6 +584,36 @@ def build_block(index: int, prev_hash: bytes, timestamp: int, txs,
         writer_did=writer_did,
         writer_signature=writer_signature,
     )
+
+
+# --- the first-fault walk ---------------------------------------------------------
+# The chain check and a batch append both run it: one rule, in two passes.
+
+
+def _first_fault(items, check, started: Split | None = None) -> tuple | None:
+    """(index, cause) of the first faulty item, as a walk in order checking each in
+    full finds it; None if every item is valid.
+
+    check(i, item, jobs) is item i's cause, its signatures aside, or None; it appends
+    the (key, message, signature) jobs the item is valid only if they verify. Pass 1
+    runs check in order up to the first cause. Pass 2 verifies every job that pass 1
+    appended as one verify_each batch spread over the CPUs, or joins started, a
+    start_verify on a guess at those jobs (see Split.join). The first bad signature
+    wins, and its item's bad_signature is the cause: it comes no later than the
+    pass-1 fault, and any pass-1 result after it may rest on it. Pass 2 verifies
+    every job, also after a bad one, so a refusal costs no more verifications than
+    an acceptance.
+    """
+    jobs, owners, cause = [], [], None  # owners[k]: the index of the item that appended jobs[k]
+    for i, item in enumerate(items):
+        cause = check(i, item, jobs)
+        owners += [i] * (len(jobs) - len(owners))
+        if cause is not None:
+            break
+    bad = (verify_each(jobs) if started is None else started.join(jobs)).find(0)
+    if bad >= 0:
+        return owners[bad], items[owners[bad]].bad_signature
+    return None if cause is None else (i, cause)
 
 
 # --- the ledger ------------------------------------------------------------------
@@ -654,43 +686,35 @@ class Ledger:
                            writer_did, None, writer.private_key)
 
     def append_block(self, txs, writer: KeyPair) -> LedgerBlock:
+        """Seal txs as the next block if the walk in batch order finds no fault in them
+        (see _first_fault); else raise its refusal, with nothing left indexed."""
         txs = tuple(txs)
         writer_did = self._writer_did(writer)
         if not txs:
             raise EmptyBatch("a block needs at least one transaction")
         state = self._index()
-        # Two passes, as in validate_chain. Pass 1 checks each transaction but its
-        # signature against the chain plus the ones staged before it, then indexes
-        # it as valid, up to the first fault. Pass 2 verifies the signatures pass 1
-        # reached as one verify_each batch, the faulting transaction's own included
-        # if its rule failed, as a serial check reads the signature first. The first
-        # bad one wins: it is at or before the fault, and any pass-1 result after it
-        # may rest on it. A check that raises (a hand-built transaction with a key of
-        # the wrong length) is such a fault too. Any failure pops the staged
-        # transactions again.
-        jobs = []  # the signature of transaction k is jobs[k]
-        fault = None
-        staged = 0
-        try:
-            for i, tx in enumerate(txs):
-                try:
-                    cause = state.check(tx, jobs)
-                except Exception as exc:
-                    fault = exc
-                    break
-                if cause is not None:
-                    fault = _REFUSALS.get(cause, InvalidTransaction)(i, cause)
-                    break
+        start = state.size
+
+        def stage(i: int, tx, jobs: list):
+            # Checked against the chain plus the transactions staged before it, and
+            # indexed as valid if it passes; a check that raises (a hand-built
+            # transaction with a key of the wrong length) is a fault too.
+            try:
+                cause = state.check(tx, jobs)
+            except Exception as exc:
+                return exc
+            if cause is None:
                 state.push(tx, ok=True)
-                staged += 1
-            bad = verify_each(jobs).find(0)
-            if bad >= 0:
-                raise InvalidTransaction(bad, txs[bad].bad_signature)
-            if fault is not None:
-                raise fault
+            return cause
+
+        try:
+            index, cause = _first_fault(txs, stage) or (None, None)
+            if cause is not None:
+                raise (cause if isinstance(cause, Exception)
+                       else _REFUSALS.get(cause, InvalidTransaction)(index, cause))
             block = self._seal(txs, writer_did, writer)
-        except BaseException:
-            for tx in reversed(txs[:staged]):
+        except BaseException:  # stage pushed the first state.size - start of txs
+            for tx in reversed(txs[:state.size - start]):
                 state.pop(tx)
             raise
         self.blocks.append(block)
@@ -712,29 +736,10 @@ class Ledger:
     # -- validation
 
     def validate_chain(self, started: Split | None = None) -> Verdict:
-        """The first faulty block and why, as a walk in chain order checking each in full finds it.
-
-        Pass 1 runs every check but the writer signatures, in chain order, up to
-        the first fault. Pass 2 verifies the signatures of all the blocks before it
-        as one verify_each batch, which spreads them over the CPUs; the first bad
-        one comes earlier in the chain, so it wins. started, a start_verify on a
-        guess at those signature jobs, lends its verdicts for the jobs up to the
-        first one that differs from the guess; pass 2 checks the rest itself.
-        """
-        jobs = []  # (writer key, block hash, writer signature) of blocks 1.. before the fault
-        prev_hash = GENESIS_PREV_HASH
-        for i, block in enumerate(self.blocks):  # a ledger holds at least its genesis block
-            cause = self._block_fault(i, block, prev_hash)
-            if cause is not None:
-                break
-            if i > 0:
-                jobs.append((self.writer_set[block.writer_did], block.block_hash,
-                             block.writer_signature))
-            prev_hash = block.block_hash
-        bad = verify_each(jobs, started).find(0)
-        if bad >= 0:
-            return Verdict(ok=False, cause=ChainFault.BAD_SIGNATURE, index=bad + 1)
-        return Verdict(ok=True) if cause is None else Verdict(ok=False, cause=cause, index=i)
+        """The first faulty block and why, as a walk in chain order checking each in full
+        finds it (see _first_fault); started may lend the walk its writer-signature verdicts."""
+        index, cause = _first_fault(self.blocks, self._block_fault, started) or (None, None)
+        return Verdict(ok=cause is None, cause=cause, index=index)
 
     def _checked(self, started: Split | None = None) -> "Ledger":
         """This ledger, if its chain is valid; else FirstInvalid names the first faulty block."""
@@ -743,8 +748,9 @@ class Ledger:
             raise FirstInvalid(verdict.index, verdict.cause.value)
         return self
 
-    def _block_fault(self, i: int, block: LedgerBlock, prev_hash: bytes) -> ChainFault | None:
-        """Why block i, which should follow prev_hash, is faulty, writer signature aside."""
+    def _block_fault(self, i: int, block: LedgerBlock, jobs: list) -> ChainFault | None:
+        """Why block i is faulty, its writer signature aside: a block after genesis that
+        passes appends that (writer key, block hash, writer signature) job to jobs."""
         # Both the tx root and the block hash must recompute: checking the
         # block hash from the stored root alone would let a stale root hide
         # transaction tampering, and vice versa.
@@ -754,20 +760,23 @@ class Ledger:
                                     block.tx_root)
         if recomputed != block.block_hash:
             return ChainFault.HASH_MISMATCH
+        prev_hash = self.blocks[i - 1].block_hash if i else GENESIS_PREV_HASH
         if block.index != i or block.prev_hash != prev_hash:
             return ChainFault.LINK_BROKEN
         if block.writer_did not in self.writer_set:
             return ChainFault.BAD_WRITER
-        if i == 0:
-            # Genesis is sealed by construction, not by key: its writers are
-            # being registered in this very block, so the signature slot is
-            # pinned to zero and integrity rests on the chain above it. Each
-            # writer self-certifies instead, so no key can take a writer's DID.
-            if block.writer_signature != _GENESIS_SIGNATURE:
-                return ChainFault.BAD_SIGNATURE
-            if not all(tx.document.verify_self() for tx in block.transactions
-                       if isinstance(tx, RegisterDid)):
-                return ChainFault.BAD_WRITER
+        if i > 0:
+            jobs.append((self.writer_set[block.writer_did], block.block_hash,
+                         block.writer_signature))
+        # Genesis is sealed by construction, not by key: its writers are being
+        # registered in this very block, so the signature slot is pinned to zero
+        # and integrity rests on the chain above it. Each writer self-certifies
+        # instead, so no key can take a writer's DID.
+        elif block.writer_signature != _GENESIS_SIGNATURE:
+            return ChainFault.BAD_SIGNATURE
+        elif not all(tx.document.verify_self() for tx in block.transactions
+                     if isinstance(tx, RegisterDid)):
+            return ChainFault.BAD_WRITER
         return None
 
     # -- reads (public in public-permissioned mode)

@@ -4,6 +4,10 @@ This module imports only the standard library and cryptography's Ed25519, so
 the CLI can start verifying a ledger file's writer signatures in a helper
 before it loads the rest of the package. It is the one home of its public names:
 the rest of the package imports them from here.
+
+verify_each(jobs) is the one batch verifier, and the ledger's first-fault walk
+its one caller; a check begun early with start_verify(jobs) is finished by
+Split.join.
 """
 
 import functools
@@ -217,21 +221,17 @@ def _fork_helper(work, items: list, page, start: int, stop: int) -> int | None:
     return pid
 
 
-def verify_each(jobs: list, started: Split | None = None) -> bytes:
+def verify_each(jobs: list) -> bytes:
     """One 0/1 verdict per (public_key, message, signature) job, in order.
 
     The answer is bytes(verify(*job) for job in jobs) on any CPU count: the
-    jobs are split over the CPUs by split_each. A split from start_verify is
-    joined instead: its helpers' verdicts count for the jobs up to the first
-    one that differs from the jobs it was started on.
+    jobs are split over the CPUs by split_each.
     """
-    if started is None:
-        return split_each(_verdicts, jobs)
-    return started.join(jobs)
+    return split_each(_verdicts, jobs)
 
 
 def start_verify(jobs: list) -> Split:
-    """verify_each(jobs) started in helpers, for verify_each(..., started=) to join."""
+    """verify_each(jobs) started in helpers, for Split.join to finish or Split.close to drop."""
     return start_split(_verdicts, jobs)
 
 

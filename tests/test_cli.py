@@ -327,7 +327,8 @@ class TestSpliceAppends:
         # leaves a tail that no load accepts
         appends = []
         for tag, endpoints in ((b"short", ()), (b"long", (("agent", "https://x.example/" * 4),))):
-            ledger, save = cli._load_for_append(paths["ledger"])
+            early = (Path(paths["ledger"]).read_bytes(), None, None, None)  # as _read_early gives
+            ledger, save = cli._load_for_append(paths["ledger"], early)
             doc = make_did_document(seeded_keypair(tag), endpoints,
                                     created_at=ledger.clock.tick())
             ledger.append_block([RegisterDid(doc)], op)
@@ -431,6 +432,55 @@ class TestLedgerLock:
             signal.signal(signal.SIGALRM, previous)
         assert (code, json.loads(out)["verdict"]) == (0, "accept")
         assert self.held(paths["ledger"]) == []
+
+    @pytest.fixture
+    def flaky_open(self, monkeypatch):
+        """flaky_open(path) makes the CLI's first open of path fail, and returns the list
+        of the CLI's opens of path."""
+        opened = []
+
+        def set_path(path):
+            def fail_once(file, *args, **kwargs):
+                if file == path:
+                    opened.append(args[:1])
+                    if len(opened) == 1:
+                        raise PermissionError(13, "Permission denied", path)
+                return open(file, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", fail_once, raising=False)
+            return opened
+
+        return set_path
+
+    @pytest.mark.parametrize("command", ["did-register", "verify", "ledger-validate"])
+    def test_a_ledger_that_does_not_open_is_read_nowhere_else(self, run, paths, tmp_path,
+                                                             flaky_open, command):
+        alice_did = bootstrap(run, paths)
+        assert run(*issue_argv(paths, define_patient_schema(run, paths), alice_did))[0] == 0
+        assert run("present", "--wallet", paths["alice"], "--credential", paths["vc"],
+                   "--challenge", "99" * 32, "--out", paths["vp"])[0] == 0
+        bob = str(tmp_path / "bob.json")
+        assert run("wallet-init", "--seed", "dd" * 32, "--wallet", bob)[0] == 0
+        argv = {"did-register": ["--wallet", bob, "--ledger", paths["ledger"],
+                                 "--writer-wallet", paths["op"]],
+                "verify": ["--presentation", paths["vp"], "--challenge", "99" * 32,
+                           "--ledger", paths["ledger"]],
+                "ledger-validate": [paths["ledger"]]}[command]
+        # each exits 0 when the file opens
+        before = Path(paths["ledger"]).read_bytes()
+        opened = flaky_open(paths["ledger"])
+        assert run(command, *argv) == (
+            3, "", f"error: [Errno 13] Permission denied: {paths['ledger']!r}")
+        assert opened == [("rb",)]
+        assert Path(paths["ledger"]).read_bytes() == before
+        assert self.held(paths["ledger"]) == []
+
+    def test_a_missing_wallet_is_still_reported_first(self, run, paths, flaky_open):
+        bootstrap(run, paths)
+        opened = flaky_open(paths["ledger"])
+        assert run("did-register", "--ledger", paths["ledger"], "--writer-wallet",
+                   paths["op"]) == (1, "", "error: missing --wallet")
+        assert opened == [("rb",)]
 
 
 class TestLedgerValidate:

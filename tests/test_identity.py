@@ -648,8 +648,7 @@ class TestOneForkPath:
         assert sorted(self.calls({"split_each", "start_split", "verify_each",
                                   "start_verify"})) == [
             ("cli", "_read_early", "start_verify"),
-            ("ledger", "append_block", "verify_each"),
-            ("ledger", "validate_chain", "verify_each"),
+            ("ledger", "_first_fault", "verify_each"),
             ("pki", "_run_ca_compromise", "split_each"),
             ("verdicts", "split_each", "start_split"),
             ("verdicts", "start_verify", "start_split"),
@@ -841,6 +840,29 @@ class TestOneRuleHome:
     def test_no_module_builds_a_rule_error_by_name(self):
         # append_block builds them from the cause a rule() returns, through one table
         assert TestOneForkPath.calls(self.RULE_ERRORS) == []
+
+    @staticmethod
+    def rule_causes() -> set:
+        """Every cause a kind's rule() in the ledger returns, evaluated where it is written."""
+        import ssisim.ledger
+
+        tree = ast.parse((TestOneForkPath.SRC / "ledger.py").read_text(encoding="utf-8"))
+        returned = [node.value for rule in ast.walk(tree)
+                    if isinstance(rule, ast.FunctionDef) and rule.name == "rule"
+                    for node in ast.walk(rule) if isinstance(node, ast.Return)]
+        return {eval(compile(ast.Expression(value), "ledger.py", "eval"), vars(ssisim.ledger))
+                for value in returned} - {None}
+
+    def test_each_rule_cause_is_written_once(self):
+        # a cause written twice can be edited in one place only, which would turn a
+        # typed refusal into a plain InvalidTransaction
+        literals = Counter(node.value for path in TestOneForkPath.SRC.glob("*.py")
+                           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                           if isinstance(node, ast.Constant) and isinstance(node.value, str))
+        causes = self.rule_causes()
+        assert causes >= {"duplicate schema", "duplicate anchor", "unknown credential",
+                          "revoker is not the anchoring issuer", "already revoked"}
+        assert {cause: literals[cause] for cause in causes} == dict.fromkeys(causes, 1)
 
 
 class TestOneIndexPath:

@@ -4,10 +4,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ssisim import identity, verdicts
+import ssisim.ledger
+from ssisim import cli, identity, verdicts
 from ssisim.credentials import Credential, Presentation, RevealedAttribute, create_presentation
 from ssisim.engine import define_schema, issue_credential
 from ssisim.errors import (
@@ -40,6 +41,7 @@ from ssisim.identity import (
 from ssisim.ledger import (
     KINDS,
     AnchorCredential,
+    GENESIS_PREV_HASH,
     ChainFault,
     CredentialSchema,
     CredentialStatus,
@@ -50,10 +52,13 @@ from ssisim.ledger import (
     RegisterDid,
     Revoke,
     anchor_credential_payload,
+    block_hash_for,
+    build_block,
     make_schema,
     parse_transaction,
     revoke_payload,
     schema_is_well_formed,
+    transactions_root,
 )
 from ssisim.merkle import PathStep
 from ssisim.pki import CompromiseConfig, run_compromise_experiment
@@ -486,6 +491,96 @@ class TestStartedChainCheck:
         report = led.validate_chain(started)
         assert (report.ok, report.index, report.cause) == (False, *expected)
         assert self.serial(led, monkeypatch) == report
+
+
+# The faults the oracle plants, each in one block after genesis: a flipped writer
+# signature or tx root, a link to another parent under a hash and a writer signature
+# that match it, or a writer DID outside the writer set.
+PLANTED_FAULTS = ["signature", "root", "link", "writer"]
+
+
+def planted(ledger, faults: dict) -> Ledger:
+    """A copy of ledger, whose one writer is the operator, with faults[i] planted in block i."""
+    operator, stranger = seeded_keypair(b"operator"), seeded_keypair(b"stranger")
+    blocks = list(ledger.blocks)
+    for i, fault in faults.items():
+        block = blocks[i]
+        if fault == "signature":
+            blocks[i] = replace(block, writer_signature=flip_bit(block.writer_signature))
+        elif fault == "root":
+            blocks[i] = replace(block, tx_root=flip_bit(block.tx_root))
+        elif fault == "link":
+            blocks[i] = build_block(block.index, flip_bit(block.prev_hash), block.timestamp,
+                                    block.transactions, block.writer_did, None,
+                                    operator.private_key)
+        else:
+            blocks[i] = replace(block, writer_did=derive_did(stranger.public_key))
+    return Ledger(blocks, ledger.mode, LogicalClock(0))
+
+
+def serial_check(ledger) -> tuple | None:
+    """(index, cause) of the first faulty block, as a walk in chain order finds it that
+    checks each block in full, its writer signature included; None if all are valid."""
+    prev_hash = GENESIS_PREV_HASH
+    for i, block in enumerate(ledger.blocks):
+        if (transactions_root(block.transactions) != block.tx_root
+                or block_hash_for(block.index, block.prev_hash, block.timestamp,
+                                  block.tx_root) != block.block_hash):
+            return i, "HashMismatch"
+        if block.index != i or block.prev_hash != prev_hash:
+            return i, "LinkBroken"
+        key = ledger.writer_set.get(block.writer_did)
+        if key is None:
+            return i, "BadWriter"
+        if i == 0:
+            if block.writer_signature != bytes(64):
+                return i, "BadSignature"
+            if not all(tx.document.verify_self() for tx in block.transactions):
+                return i, "BadWriter"
+        elif not verify(key, block.block_hash, block.writer_signature):
+            return i, "BadSignature"
+        prev_hash = block.block_hash
+    return None
+
+
+class TestSerialChainOracle:
+    """validate_chain reports the fault a serial walk finds first, whatever faults are
+    planted in the long chain: on two CPUs, with no fork, and joining a started check."""
+
+    @staticmethod
+    def report(verdict) -> tuple | None:
+        return None if verdict.ok else (verdict.index, verdict.cause.value)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(faults=st.dictionaries(st.integers(1, LONG_CHAIN_BLOCKS - 1),
+                                  st.sampled_from(PLANTED_FAULTS), max_size=4))
+    def test_the_chain_check_matches_a_serial_walk(self, long_chain, two_cpus, monkeypatch,
+                                                   faults):
+        led = planted(long_chain, faults)
+        expected = serial_check(led)
+        built, real = [], ssisim.ledger.verify_each
+        with monkeypatch.context() as patched:
+            patched.setattr(ssisim.ledger, "verify_each",
+                            lambda jobs: built.append(jobs) or real(jobs))
+            assert self.report(led.validate_chain()) == expected
+        assert len(built) == 1
+        # writer_jobs reads each block's writer key, so it stops before a foreign writer
+        known = min((i for i, fault in faults.items() if fault == "writer"),
+                    default=len(led.blocks))
+        started = verdicts.start_verify(
+            writer_jobs(Ledger(led.blocks[:known], led.mode, LogicalClock(0))))
+        assert self.report(led.validate_chain(started)) == expected
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            assert self.report(led.validate_chain()) == expected
+        # The CLI's guess reads no writer key it does not know: with a foreign writer
+        # it guesses nothing, else it begins with the jobs the walk builds.
+        guess = cli._guess_writer_jobs(json.loads(led.to_bytes()))
+        if known < len(led.blocks):
+            assert guess == []
+        else:
+            assert guess[:len(built[0])] == built[0]
 
 
 # A batch long enough that its append splits the submitter signatures between this
