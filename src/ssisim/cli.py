@@ -38,19 +38,28 @@ def _print_json(obj) -> None:
     _echo(canonical_json(obj), sys.stdout)
 
 
+def _open(path: str, mode: str):
+    """open(path, mode); a path that open refuses as a ValueError (a NUL byte, or text
+    the file system encoding cannot take) raises OSError, which exits 3."""
+    try:
+        return open(path, mode)
+    except ValueError as exc:
+        raise OSError(f"{exc}: {path!r}") from None
+
+
 def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as file:
+    with _open(path, "rb") as file:
         return file.read()
 
 
 def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as file:
+    with _open(path, "wb") as file:
         file.write(data)
 
 
 def _create_bytes(path: str, data: bytes) -> None:
     """Write a new file; an existing one raises FileExistsError and keeps its bytes."""
-    with open(path, "xb") as file:
+    with _open(path, "xb") as file:
         file.write(data)
 
 
@@ -93,8 +102,8 @@ def _read_early(args) -> tuple | None:
     if path is None:
         return None
     try:
-        file = open(path, "rb")
-    except (OSError, ValueError) as exc:
+        file = _open(path, "rb")
+    except OSError as exc:
         return exc, None, None, None
     try:
         fcntl.flock(file, args.ledger_lock)
@@ -111,16 +120,20 @@ def _read_early(args) -> tuple | None:
 
 def _guess_writer_jobs(parsed) -> list:
     """The (writer key, block hash, writer signature) of each block after genesis, read
-    from a parsed ledger file as validate_chain builds them, but with no check; [] if
-    the file is not shaped so."""
+    from a parsed ledger file as validate_chain builds them, but with no check, up to
+    the first block not shaped so (or whose writer genesis does not register); [] if
+    genesis is not."""
+    jobs = []
     try:
         blocks = parsed["blocks"]
         writers = {tx["document"]["did"]: bytes.fromhex(tx["document"]["verification_key"])
                    for tx in blocks[0]["transactions"] if tx["kind"] == "register_did"}
-        return [(writers[block["writer_did"]], bytes.fromhex(block["block_hash"]),
-                 bytes.fromhex(block["writer_signature"])) for block in blocks[1:]]
+        for block in blocks[1:]:
+            jobs.append((writers[block["writer_did"]], bytes.fromhex(block["block_hash"]),
+                         bytes.fromhex(block["writer_signature"])))
     except (LookupError, TypeError, ValueError):
-        return []
+        pass
+    return jobs
 
 
 def _load_ledger(early: tuple) -> tuple:

@@ -8,10 +8,16 @@ the registry state once, through Ledger.registry and its one access check,
 and reads it directly; a write requires its issuer (and holder) through
 ledger.require_document, which raises UnknownDid for a DID it does not hold.
 
-Credentials and presentations ("claims") share each registry check:
-_schema_known, _issuer_signed and signed_by, which take that registry
-state and answer False for what it does not hold. An agent thus stores a
-credential only if a full disclosure of it passes the presentation checks.
+A credential and a presentation ("claims") answer one list of claim checks,
+_claim_checks: schema_known, status_active, issuer_signature and
+merkle_proofs, read from that registry state, each False for what it does
+not hold. A presentation's leaves are its revealed encodings, each proven by
+its Merkle path against the anchored root, and verify_presentation adds
+challenge_match and holder_signature. verify_credential answers the claim
+checks of the credential's full disclosure: its names are its schema's, and
+its leaves are all its encodings, whose recomputed root is both its own
+commitment_root and the anchored root. An agent thus stores a credential
+exactly when its full disclosure passes the claim checks.
 
 The three writes (define_schema, issue_credential's anchor, revoke_credential)
 each sign their transaction kind's payload function over its fields and
@@ -56,21 +62,22 @@ def signed_by(registry: RegistryState, did, payload: bytes, signature: bytes) ->
     return doc is not None and verify(doc.verification_key, payload, signature)
 
 
-def _schema_known(registry: RegistryState, claim, names_fit) -> bool:
-    """True iff the claim's schema is defined, its issuer owns it and names_fit its names."""
+def _claim_checks(registry: RegistryState, claim, names_fit, leaves_fit) -> tuple:
+    """The four claim checks, in order: names_fit(the schema's attribute names) says
+    whether the claim's names fit them, leaves_fit(the anchored root) whether its leaves
+    authenticate against it."""
+    anchor, status = registry.credential(claim.credential_id)
     schema = registry.schema(claim.schema_id)
-    return (schema is not None and schema.issuer_did == claim.issuer_did
-            and names_fit(schema.attribute_names))
-
-
-def _issuer_signed(registry: RegistryState, claim, anchor) -> bool:
-    """True iff the claim's issuer made the anchor and signed the root it anchors."""
-    return anchor is not None and anchor.issuer_did == claim.issuer_did and signed_by(
-        registry, claim.issuer_did,
-        credential_signing_payload(claim.credential_id, claim.schema_id, claim.issuer_did,
-                                   claim.holder_did, anchor.commitment_root,
-                                   claim.issuance_time),
-        claim.issuer_signature,
+    return (
+        ("schema_known", schema is not None and schema.issuer_did == claim.issuer_did
+         and names_fit(schema.attribute_names)),
+        ("status_active", status is CredentialStatus.ACTIVE),
+        # the issuer made the anchor and signed the root it anchors
+        ("issuer_signature", anchor is not None and anchor.issuer_did == claim.issuer_did
+         and signed_by(registry, claim.issuer_did, credential_signing_payload(
+             claim.credential_id, claim.schema_id, claim.issuer_did, claim.holder_did,
+             anchor.commitment_root, claim.issuance_time), claim.issuer_signature)),
+        ("merkle_proofs", anchor is not None and leaves_fit(anchor.commitment_root)),
     )
 
 
@@ -110,17 +117,12 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
     """Check a presentation against the registry; failures land in the report."""
     p = presentation
     registry = ledger.registry(reader_did)
-    anchor, status = registry.credential(p.credential_id)
-    revealed_names = {r.name for r in p.revealed}
     encodings = [encode_parts(r.name, r.value, r.salt) for r in p.revealed]
     holder_payload = presentation_signing_payload(
         p.credential_id, encodings_set_hash(encodings), expected_challenge)
     return VerificationReport(checks=(
-        ("schema_known", _schema_known(registry, p, revealed_names.issubset)),
-        ("status_active", status is CredentialStatus.ACTIVE),
-        ("issuer_signature", _issuer_signed(registry, p, anchor)),
-        ("merkle_proofs",
-         anchor is not None and revealed_proofs_ok(p, encodings, anchor.commitment_root)),
+        *_claim_checks(registry, p, {r.name for r in p.revealed}.issubset,
+                       lambda root: revealed_proofs_ok(p, encodings, root)),
         ("challenge_match", p.challenge == expected_challenge),
         ("holder_signature",
          signed_by(registry, p.holder_did, holder_payload, p.holder_signature)),
@@ -129,18 +131,12 @@ def verify_presentation(ledger: Ledger, presentation: Presentation,
 
 def verify_credential(ledger: Ledger, credential: Credential,
                       reader_did=None) -> VerificationReport:
-    """A full disclosure's registry checks; commitment_root stands for its Merkle proofs."""
+    """The claim checks of the credential's full disclosure (see the module docstring)."""
     c = credential
     names = tuple(n for n, _ in c.attributes)
-    registry = ledger.registry(reader_did)
-    anchor, status = registry.credential(c.credential_id)
-    return VerificationReport(checks=(
-        ("schema_known", _schema_known(registry, c, lambda fit: fit == names)),
-        ("commitment_root", credential_commitments_ok(c)
-         and anchor is not None and anchor.commitment_root == c.commitment_root
-         and _issuer_signed(registry, c, anchor)),
-        ("status_active", status is CredentialStatus.ACTIVE),
-    ))
+    return VerificationReport(checks=_claim_checks(
+        ledger.registry(reader_did), c, lambda fit: fit == names,
+        lambda root: root == c.commitment_root and credential_commitments_ok(c)))
 
 
 def revoke_credential(issuer: KeyPair, credential_id: bytes, ledger: Ledger) -> None:

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,56 @@ class TestWalletInit:
         assert (code, out) == (3, "")
         assert one_error_line(err) and wallet in err
         assert Path(wallet).read_bytes() == before
+
+
+NUL = "a\x00b"
+
+
+class TestUnopenablePaths:
+    """A path that open() refuses with ValueError, as it does one with a NUL byte, exits 3
+    with one error line, wherever the CLI opens it; any other ValueError is a bug and
+    escapes main."""
+
+    @pytest.fixture
+    def world(self, run, paths):
+        alice_did = bootstrap(run, paths)
+        _, out, _ = run("schema-define", "--wallet", paths["issuer"], "--ledger",
+                        paths["ledger"], "--writer-wallet", paths["op"], "--name", "Badge",
+                        "--attr", "level")
+        return {**paths, "alice_did": alice_did, "schema_id": json.loads(out)["schema_id"]}
+
+    @pytest.mark.parametrize("args", [
+        lambda w: ["ledger-validate", NUL],
+        lambda w: ["--ledger", NUL, "ledger-validate"],
+        lambda w: ["verify", "--presentation", w["vp"], "--challenge", "11" * 32,
+                   "--ledger", NUL],
+        lambda w: ["verify", "--presentation", NUL, "--challenge", "11" * 32,
+                   "--ledger", w["ledger"]],
+        lambda w: ["did-register", "--wallet", NUL, "--ledger", w["ledger"],
+                   "--writer-wallet", w["op"]],
+        lambda w: ["wallet-init", "--seed", "dd" * 32, "--wallet", NUL],
+        lambda w: ["ledger-init", "--writer-wallet", w["op"], "--ledger", NUL],
+        # issue writes the credential file before it appends, so the ledger stays
+        lambda w: ["issue", "--wallet", w["issuer"], "--ledger", w["ledger"],
+                   "--writer-wallet", w["op"], "--schema-id", w["schema_id"],
+                   "--holder-did", w["alice_did"], "--value", "level=3", "--out", NUL],
+    ], ids=["ledger-validate", "--ledger", "verify --ledger", "verify --presentation",
+            "did-register --wallet", "wallet-init --wallet", "ledger-init --ledger",
+            "issue --out"])
+    def test_a_nul_byte_in_a_path_exits_3(self, run, world, args):
+        before = Path(world["ledger"]).read_bytes()
+        code, out, err = run(*args(world))
+        assert (code, out) == (3, "")
+        assert one_error_line(err) and "embedded null byte" in err
+        assert Path(world["ledger"]).read_bytes() == before
+
+    def test_any_other_value_error_escapes(self, world, monkeypatch):
+        def broken(*args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(Ledger, "from_bytes", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["ledger-validate", world["ledger"]])
 
 
 class TestEndToEndFlow:
@@ -1165,11 +1216,29 @@ class TestEarlyCheck:
         assert cli._guess_writer_jobs(parsed) == []
 
     def test_a_guess_that_does_not_read_is_no_guess(self, long_chain):
+        # block 7 gets no job, nor does any block after it: the guess ends before it
         parsed = load_json(long_chain.to_bytes())
         parsed["blocks"][7]["writer_signature"] = "not hex"
-        assert cli._guess_writer_jobs(parsed) == []
+        assert cli._guess_writer_jobs(parsed) == writer_jobs(long_chain)[:6]
         parsed["blocks"][7]["writer_did"] = "did:sim:nobody"
-        assert cli._guess_writer_jobs(parsed) == []
+        assert cli._guess_writer_jobs(parsed) == writer_jobs(long_chain)[:6]
+
+    @pytest.mark.parametrize("k", [1, 7, 200, LONG_CHAIN_BLOCKS - 1])
+    def test_a_foreign_writer_ends_the_guess_and_the_chain_at_its_block(
+            self, run, tmp_path, long_chain, two_cpus, k):
+        # the guess is the k - 1 jobs the chain check appends before its BadWriter fault
+        blocks = list(long_chain.blocks)
+        stranger = derive_did(seeded_keypair(b"stranger").public_key)
+        blocks[k] = replace(blocks[k], writer_did=stranger)
+        data = Ledger(blocks, long_chain.mode, LogicalClock(0)).to_bytes()
+        assert cli._guess_writer_jobs(load_json(data)) == writer_jobs(long_chain)[:k - 1]
+        path = tmp_path / "ledger.json"
+        path.write_bytes(data)
+        code, out, err = run("ledger-validate", str(path))
+        assert (code, json.loads(out), err) == (
+            2, {"result": "FirstInvalid", "index": k, "cause": "BadWriter"}, "")
+        # a helper starts once the guess holds two chunks of 128 jobs
+        assert len(two_cpus) == (1 if k - 1 >= 256 else 0)
 
     @pytest.mark.parametrize("text", ['{"blocks": []}', "not json", ""])
     def test_a_ledger_on_a_pipe_is_read_once(self, tmp_path, text):

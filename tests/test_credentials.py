@@ -438,20 +438,41 @@ def revoked(ledger, issuer, holder, schema, rng, clock):
     return credential
 
 
-# fault -> (the checks verify_credential fails, the checks its full disclosure fails)
+def name_outside_schema(ledger, issuer, holder, schema, rng, clock):
+    # The issuer signs and anchors a credential that carries one name its schema lacks.
+    widened = replace(schema, attribute_names=(*schema.attribute_names, "blood_type"))
+    credential = build_credential(issuer, derive_did(holder.public_key), widened,
+                                  dict(PATIENT_VALUES, blood_type="O+"), rng,
+                                  issuance_time=clock.tick())
+    anchor_as(issuer, credential, ledger)
+    return credential
+
+
+def anchor_of_another_root_signed(ledger, issuer, holder, schema, rng, clock):
+    # The issuer anchors a root other than the credential's own and signs the anchored one.
+    credential = offline_credential(issuer, holder, schema, rng, clock)
+    anchored = replace(credential, commitment_root=b"\x00" * 32)
+    anchor_as(issuer, anchored, ledger)
+    return replace(credential, issuer_signature=sign(issuer.private_key,
+                                                     anchored.signing_payload()))
+
+
+# fault -> the checks that both a credential and its full disclosure fail
 REGISTRY_FAULTS = {
-    foreign_schema_owner: (["schema_known"], ["schema_known"]),
-    unknown_schema: (["schema_known"], ["schema_known"]),
-    no_anchor: (["commitment_root", "status_active"],
-                ["status_active", "issuer_signature", "merkle_proofs"]),
-    anchor_by_another_did: (["commitment_root"], ["issuer_signature"]),
-    anchor_of_another_root: (["commitment_root"], ["issuer_signature", "merkle_proofs"]),
-    revoked: (["status_active"], ["status_active"]),
+    foreign_schema_owner: ["schema_known"],
+    unknown_schema: ["schema_known"],
+    name_outside_schema: ["schema_known"],
+    no_anchor: ["status_active", "issuer_signature", "merkle_proofs"],
+    anchor_by_another_did: ["issuer_signature"],
+    anchor_of_another_root: ["issuer_signature", "merkle_proofs"],
+    anchor_of_another_root_signed: ["merkle_proofs"],
+    revoked: ["status_active"],
 }
 
 
 class TestVerifiersAgree:
-    """A credential and its full disclosure are refused on the same registry faults."""
+    """A credential and its full disclosure fail the same claim checks on each registry
+    fault."""
 
     @pytest.mark.parametrize("fault", REGISTRY_FAULTS, ids=lambda fault: fault.__name__)
     def test_both_verifiers_reject(self, ledger, issuer, holder, patient_schema, rng, clock,
@@ -459,9 +480,9 @@ class TestVerifiersAgree:
         credential = fault(ledger, issuer, holder, patient_schema, rng, clock)
         names = [name for name, _ in credential.attributes]
         presentation = create_presentation(credential, names, b"\x0a" * 32, holder)
-        reports = (verify_credential(ledger, credential),
-                   verify_presentation(ledger, presentation, b"\x0a" * 32))
-        for report, fails in zip(reports, REGISTRY_FAULTS[fault]):
+        fails = REGISTRY_FAULTS[fault]
+        for report in (verify_credential(ledger, credential),
+                       verify_presentation(ledger, presentation, b"\x0a" * 32)):
             assert [name for name, passed in report.checks if not passed] == fails
             assert report.verdict == f"reject:{fails[0]}"
 
@@ -571,33 +592,61 @@ class TestVerifyCredential:
         report = verify_credential(ledger, credential)
         assert report.accepted
         assert [name for name, _ in report.checks] == [
-            "schema_known", "commitment_root", "status_active"]
+            "schema_known", "status_active", "issuer_signature", "merkle_proofs"]
+
+    def test_its_checks_are_the_first_four_of_a_presentation(self, ledger, credential,
+                                                               holder):
+        presentation = create_presentation(credential, ["dob"], b"\x0d" * 32, holder)
+        names = [name for name, _ in verify_presentation(ledger, presentation,
+                                                         b"\x0d" * 32).checks]
+        assert [name for name, _ in verify_credential(ledger, credential).checks] == names[:4]
 
     def test_unknown_schema_rejects_on_schema_known(self, ledger, credential):
         report = verify_credential(ledger, replace(credential, schema_id=b"\x00" * 32))
         assert report.verdict == "reject:schema_known"
 
-    def test_tampered_attribute_rejects_on_commitment_root(self, ledger, credential):
+    def test_tampered_attribute_rejects_on_merkle_proofs(self, ledger, credential):
         (name, value), *rest = credential.attributes
         tampered = replace(credential, attributes=((name, value + "-tampered"), *rest))
         report = verify_credential(ledger, tampered)
-        assert report.verdict == "reject:commitment_root"
-        assert dict(report.checks) == {
-            "schema_known": True, "commitment_root": False, "status_active": True}
+        assert report.verdict == "reject:merkle_proofs"
+        assert dict(report.checks) == {"schema_known": True, "status_active": True,
+                                       "issuer_signature": True, "merkle_proofs": False}
 
-    def test_anchor_of_another_root_rejects_on_commitment_root(self, ledger, issuer, holder,
-                                                                patient_schema, rng, clock):
+    def test_anchor_of_another_root_rejects_on_issuer_signature(self, ledger, issuer, holder,
+                                                                 patient_schema, rng, clock):
         offline = build_credential(issuer, derive_did(holder.public_key), patient_schema,
                                    dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
-        assert verify_credential(ledger, offline).verdict == "reject:commitment_root"
+        assert verify_credential(ledger, offline).verdict == "reject:status_active"
         anchor_as(issuer, replace(offline, commitment_root=b"\x00" * 32), ledger)
         report = verify_credential(ledger, offline)
-        assert [name for name, passed in report.checks if not passed] == ["commitment_root"]
+        assert [name for name, passed in report.checks if not passed] == [
+            "issuer_signature", "merkle_proofs"]
 
-    def test_anchor_by_another_did_rejects_on_commitment_root(self, ledger, issuer, holder,
-                                                               patient_schema, rng, clock):
+    def test_anchor_by_another_did_rejects_on_issuer_signature(self, ledger, issuer, holder,
+                                                                patient_schema, rng, clock):
         offline = build_credential(issuer, derive_did(holder.public_key), patient_schema,
                                    dict(PATIENT_VALUES), rng, issuance_time=clock.tick())
         anchor_as(holder, offline, ledger)
         report = verify_credential(ledger, offline)
-        assert [name for name, passed in report.checks if not passed] == ["commitment_root"]
+        assert [name for name, passed in report.checks if not passed] == ["issuer_signature"]
+
+    def test_every_byte_mutation_after_an_honest_verify_rejects(self, ledger, credential):
+        # the honest verify fills the verdict memo, so no mutation may be answered from it
+        data = canonical_json_bytes(credential.to_json_dict())
+        assert verify_credential(ledger, Credential.from_json_dict(load_json(data))).accepted
+        accepted, failed_checks = [], set()
+        for position in range(len(data)):
+            for mask in (0x01, 0xFF):
+                mutated = data[:position] + bytes([data[position] ^ mask]) + data[position + 1:]
+                try:
+                    mutant = Credential.from_json_dict(load_json(mutated))
+                except ParseError:
+                    continue
+                report = verify_credential(ledger, mutant)
+                if report.accepted:
+                    accepted.append((position, mask))
+                failed_checks |= {name for name, passed in report.checks if not passed}
+        assert accepted == []
+        # mutations that parse reach every check
+        assert failed_checks == {name for name, _ in report.checks}

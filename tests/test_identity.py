@@ -929,11 +929,14 @@ class TestOneProcessExit:
 
 class TestNoUnreachableCode:
     """Every top-level function, class and assigned name in the package, and every method,
-    class and assigned name a top-level class defines, is reached from the package: its name
-    occurs as a name or an attribute (not in a docstring) outside its own definition, as
-    vulture finds unused code. Dunder names are read by Python, and the CLI's commands by the
-    decorator that registers them; annotated class fields are dataclass fields, which asdict
-    and keyword arguments reach unseen. The rest of what is not reached is listed here with
+    class and assigned name a top-level class defines, is reached from the package, as
+    vulture finds unused code: its name occurs (not in a docstring) outside its own
+    definition where it can reach that definition. A top-level name is reached by a bare
+    name in its own module, or in a module that imports it from there; a class's member
+    by a name or an attribute anywhere, so a record field does not reach a function of
+    its name. Dunder names are read by Python, and the CLI's commands by the decorator
+    that registers them; annotated class fields are dataclass fields, which asdict and
+    keyword arguments reach unseen. The rest of what is not reached is listed here with
     why it stays."""
 
     # Qualified name -> (why it stays, the ROADMAP item that reaches or removes it).
@@ -949,6 +952,7 @@ class TestNoUnreachableCode:
         "ledger.Ledger.credential_status": ("the benchmark's workloads call it", 1),
         "ledger.Ledger.credential_anchor": ("the benchmark's tracer wraps it", 1),
         "ledger.RegistryState.copy": ("the benchmark's baseline times it", 1),
+        "merkle.merkle_path": ("the benchmark's tracer wraps it", 1),
         "scenarios.run_healthcare_scenario": ("the benchmark calls it", 1),
         "scenarios.run_government_scenario": ("the benchmark calls it", 1),
     }
@@ -966,19 +970,29 @@ class TestNoUnreachableCode:
         return found
 
     @classmethod
-    def unreached(cls) -> list:
-        uses = {}  # name -> (module, line) of each occurrence as a name or an attribute
+    def unreached(cls, sources=None) -> list:
+        """The qualified names of what sources (module name -> source text, the package's
+        by default) define and do not reach."""
+        if sources is None:
+            sources = {path.stem: path.read_text(encoding="utf-8")
+                       for path in sorted(TestOneForkPath.SRC.glob("*.py"))}
+        names = {}  # name -> (module, line) of each bare use: it reaches any definition
+        members = {}  # name -> (module, line) of each use as an attribute: a member only
+        imported = set()  # (importing module, defining module, name) of each relative import
         definitions = []  # (module, qualified name, name, node)
-        for path in sorted(TestOneForkPath.SRC.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        for module, source in sources.items():
+            tree = ast.parse(source)
             for node in ast.walk(tree):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    uses.setdefault(name, []).append((path.stem, node.lineno))
+                if isinstance(node, ast.Name):
+                    names.setdefault(node.id, []).append((module, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    members.setdefault(node.attr, []).append((module, node.lineno))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    imported |= {(module, node.module, alias.name) for alias in node.names}
             for name, node in cls.defined(tree.body):
-                definitions.append((path.stem, name, name, node))
+                definitions.append((module, name, name, node))
                 if isinstance(node, ast.ClassDef):
-                    definitions += [(path.stem, f"{name}.{item_name}", item_name, item)
+                    definitions += [(module, f"{name}.{item_name}", item_name, item)
                                     for item_name, item in cls.defined(node.body)]
         found = []
         for module, qualname, name, node in definitions:
@@ -987,14 +1001,28 @@ class TestNoUnreachableCode:
             if any(getattr(getattr(decorator, "func", None), "id", None) == "_command"
                    for decorator in getattr(node, "decorator_list", ())):
                 continue
-            outside = [(where, line) for where, line in uses.get(name, ())
-                       if not (where == module and node.lineno <= line <= node.end_lineno)]
-            if not outside:
+            if "." in qualname:
+                uses = names.get(name, []) + members.get(name, [])
+            else:
+                uses = [(where, line) for where, line in names.get(name, ())
+                        if where == module or (where, module, name) in imported]
+            if not any(where != module or not node.lineno <= line <= node.end_lineno
+                       for where, line in uses):
                 found.append(f"{module}.{qualname}")
         return found
 
     def test_every_definition_is_reached_or_listed_with_its_reason(self):
         assert sorted(self.unreached()) == sorted(self.ALLOWED)
+
+    def test_a_field_of_a_name_does_not_reach_a_function_of_that_name(self):
+        # credentials.RevealedAttribute has a merkle_path field; nothing calls the function
+        assert "merkle.merkle_path" in self.unreached()
+        sources = {
+            "tree": "def path(): pass\ndef used(): pass\ndef local(): pass\nlocal()\n",
+            "record": "from .tree import used\nclass Step:\n    path: tuple\n"
+                      "def walk(step):\n    return step.path, used()\nwalk(Step())\n",
+        }
+        assert self.unreached(sources) == ["tree.path"]
 
 
 class TestOneCredentialRead:
@@ -1040,7 +1068,8 @@ class TestOneCredentialRead:
 
 
 class TestOneVerifier:
-    """Credentials and presentations share each registry check, defined once in the engine."""
+    """Credentials and presentations answer one list of claim checks, defined once in the
+    engine."""
 
     @staticmethod
     def engine_callers(name):
@@ -1048,10 +1077,13 @@ class TestOneVerifier:
                 if module == "engine"]
 
     def test_only_schema_known_looks_up_a_schema(self):
-        assert self.engine_callers("schema") == ["_schema_known"]
+        assert self.engine_callers("schema") == ["_claim_checks"]
 
     def test_only_issuer_signed_builds_the_issuer_payload(self):
-        assert self.engine_callers("credential_signing_payload") == ["_issuer_signed"]
+        assert self.engine_callers("credential_signing_payload") == ["_claim_checks"]
+
+    def test_only_the_claim_checks_read_a_credential(self):
+        assert self.engine_callers("credential") == ["_claim_checks"]
 
     def test_only_signed_by_verifies_a_signature(self):
         assert self.engine_callers("verify") == ["signed_by"]

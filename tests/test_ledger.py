@@ -63,6 +63,7 @@ from ssisim.ledger import (
 from ssisim.merkle import PathStep
 from ssisim.pki import CompromiseConfig, run_compromise_experiment
 from ssisim.runtime import DeterministicRng, LogicalClock
+from ssisim.scenarios import HealthcareConfig, run_scenario
 from ssisim.serialization import canonical_json_bytes, parse_json
 
 from conftest import (
@@ -388,6 +389,21 @@ class TestValidateChain:
         assert not report.ok
         assert (report.index, report.cause) == (2, ChainFault.LINK_BROKEN)
 
+    def test_a_block_resealed_at_another_index_breaks_the_link(self):
+        # The healthcare ledger's last block, re-sealed by its own writer at index + 5:
+        # its hash, its link to its parent and its writer signature all verify.
+        led = run_scenario(HealthcareConfig()).ledger
+        last = led.blocks[-1]
+        resealed = build_block(last.index + 5, last.prev_hash, last.timestamp,
+                               last.transactions, last.writer_did, None,
+                               led._operator.private_key)
+        forged = Ledger([*led.blocks[:-1], resealed], led.mode, LogicalClock(0))
+        report = forged.validate_chain()
+        assert (report.index, report.cause) == (last.index, ChainFault.LINK_BROKEN)
+        with pytest.raises(FirstInvalid) as excinfo:
+            Ledger.from_bytes(forged.to_bytes())
+        assert (excinfo.value.index, excinfo.value.cause) == (last.index, "LinkBroken")
+
 
 class TestParallelChainCheck:
     """With a helper verifying part of the writer signatures, the report is still the serial one."""
@@ -568,19 +584,17 @@ class TestSerialChainOracle:
         # writer_jobs reads each block's writer key, so it stops before a foreign writer
         known = min((i for i, fault in faults.items() if fault == "writer"),
                     default=len(led.blocks))
-        started = verdicts.start_verify(
-            writer_jobs(Ledger(led.blocks[:known], led.mode, LogicalClock(0))))
+        known_jobs = writer_jobs(Ledger(led.blocks[:known], led.mode, LogicalClock(0)))
+        started = verdicts.start_verify(known_jobs)
         assert self.report(led.validate_chain(started)) == expected
         with monkeypatch.context() as serial:
             serial.delattr(os, "fork")
             assert self.report(led.validate_chain()) == expected
-        # The CLI's guess reads no writer key it does not know: with a foreign writer
-        # it guesses nothing, else it begins with the jobs the walk builds.
+        # The CLI's guess reads no writer key it does not know: it ends before the first
+        # foreign writer, and it begins with the jobs the walk builds.
         guess = cli._guess_writer_jobs(json.loads(led.to_bytes()))
-        if known < len(led.blocks):
-            assert guess == []
-        else:
-            assert guess[:len(built[0])] == built[0]
+        assert guess == known_jobs
+        assert guess[:len(built[0])] == built[0]
 
 
 # A batch long enough that its append splits the submitter signatures between this

@@ -260,8 +260,9 @@ class TestCredentialDelivery:
             carol.private_key, unsigned.signing_payload()))])
         agents["alice"].send_credential(agents["bob"].did, credential)
         report = agents["bob"].receive_credential(agents["bob"].inbox.popleft())
-        assert report.verdict == "reject:commitment_root"
-        assert [name for name, passed in report.checks if not passed] == ["commitment_root"]
+        assert report.verdict == "reject:issuer_signature"
+        assert [name for name, passed in report.checks if not passed] == [
+            "issuer_signature", "merkle_proofs"]
         assert agents["bob"].wallet.credentials == []
 
     def test_credential_under_a_schema_of_another_did_is_not_stored(self, world):
